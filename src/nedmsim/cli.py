@@ -13,18 +13,19 @@ manifest reproduces every byte. The ``NEDMSIM_THREADS`` environment
 variable sets the worker count for ensemble commands; results are
 identical at any thread count.
 
-Exit codes: 0 success, 2 usage/config error, 3 I/O error,
-4 non-convergence.
+Exit codes: 0 success, 2 usage/config error (a malformed manifest
+included), 3 I/O error, 4 non-convergence. Any other exception is a bug
+and propagates.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,14 +51,17 @@ from .formats import (
     rows_to_flip_dataset,
 )
 from .inference import (
+    BOUND_DELTA_WIDTHS,
+    FIT_DELTA_WIDTHS,
     FlipDataset,
     NonConvergenceError,
     SearchBox,
     campaign_estimator,
     fit,
+    search_ceilings,
     upper_bound,
 )
-from .quantities import PhysicalConstants, UnitSystem
+from .quantities import PhysicalConstants, PulseProfile, UnitSystem, xi_from_pulse
 from .weak_measurement import (
     DipoleState,
     QuadratureSpec,
@@ -85,38 +89,11 @@ def _workers() -> int:
     return value
 
 
-# format version of each output an executor produces
-_OUTPUT_FORMATS = {
-    "transition": {"report": SCHEMA_SUMMARY_JSON},
-    "contrast": {"table": SCHEMA_CONTRAST_CSV},
-    "scan": {"table": SCHEMA_SCAN_CSV},
-    "campaign": {"cycles": SCHEMA_CYCLES_CSV, "summary": SCHEMA_SUMMARY_JSON},
-    "fit": {"report": SCHEMA_SUMMARY_JSON},
-    "bound": {"report": SCHEMA_SUMMARY_JSON},
-}
-
-
-def _manifest(command: str, cfg: dict) -> dict:
-    return {
-        "schema": SCHEMA_MANIFEST_JSON,
-        "artifact_version": __version__,
-        "command": command,
-        "formats": _OUTPUT_FORMATS[command],
-        "config": cfg,
-    }
-
-
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
         atomic_write_text(path, text)
-
-
-def _write_manifest(command: str, cfg: dict) -> None:
-    path = cfg["outputs"].get("manifest")
-    if path:
-        atomic_write_text(path, render_json(_manifest(command, cfg)))
 
 
 def _read_flip_dataset(path: str) -> FlipDataset:
@@ -135,27 +112,18 @@ def _dataset_to_cfg(dataset: FlipDataset) -> dict:
     }
 
 
-def _dataset_from_cfg(d: dict) -> FlipDataset:
-    return FlipDataset(
-        xi=np.asarray(d["xi"], dtype=float),
-        trials=np.asarray(d["trials"], dtype=np.int64),
-        flips=np.asarray(d["flips"], dtype=np.int64),
-    )
-
-
 # ---------------------------------------------------------------------------
 # transition
 
 
-def _run_transition(args) -> int:
-    units = UnitSystem()
+def _resolve_transition(args) -> dict:
     if args.xi is not None:
         xi = args.xi
         pulse_integral = None
     else:
         pulse_integral = args.pulse_integral
-        xi = units.geometric_factor * units.phase_per_edm_field_time * pulse_integral
-    cfg = {
+        xi = xi_from_pulse(PulseProfile(pulse_integral), UnitSystem())
+    return {
         "dn": args.dn,
         "delta": args.delta,
         "xi": xi,
@@ -164,8 +132,6 @@ def _run_transition(args) -> int:
         "nodes": args.nodes,
         "outputs": {"report": args.out, "manifest": args.manifest_out},
     }
-    _write_manifest("transition", cfg)
-    return _execute_transition(cfg)
 
 
 def _execute_transition(cfg: dict) -> int:
@@ -195,8 +161,8 @@ def _execute_transition(cfg: dict) -> int:
 # contrast
 
 
-def _run_contrast(args) -> int:
-    cfg = {
+def _resolve_contrast(args) -> dict:
+    return {
         "dn": args.dn,
         "delta": args.delta,
         "xi": args.xi,
@@ -204,8 +170,6 @@ def _run_contrast(args) -> int:
         "seed": args.seed,
         "outputs": {"table": args.out, "manifest": args.manifest_out},
     }
-    _write_manifest("contrast", cfg)
-    return _execute_contrast(cfg)
 
 
 def _execute_contrast(cfg: dict) -> int:
@@ -232,14 +196,14 @@ def _execute_contrast(cfg: dict) -> int:
 # scan
 
 
-def _run_scan(args) -> int:
+def _resolve_scan(args) -> dict:
     if args.points < 1:
         raise ValueError("--points must be >= 1")
     if args.xi_max < args.xi_min:
         raise ValueError("--xi-max must be >= --xi-min")
     if args.log and args.xi_min <= 0:
         raise ValueError("--log spacing requires --xi-min > 0")
-    cfg = {
+    return {
         "dn": args.dn,
         "delta": args.delta,
         "xi_min": args.xi_min,
@@ -249,8 +213,6 @@ def _run_scan(args) -> int:
         "nodes": args.nodes,
         "outputs": {"table": args.out, "manifest": args.manifest_out},
     }
-    _write_manifest("scan", cfg)
-    return _execute_scan(cfg)
 
 
 def _execute_scan(cfg: dict) -> int:
@@ -277,10 +239,10 @@ def _execute_scan(cfg: dict) -> int:
 # campaign
 
 
-def _run_campaign_cmd(args) -> int:
+def _resolve_campaign(args) -> dict:
     resolved = load_config(args.config)
-    summary_out = args.summary_out or _sibling(args.out, ".summary.json")
-    cfg = {
+    summary_out = args.summary_out or os.path.splitext(args.out)[0] + ".summary.json"
+    return {
         "campaign": asdict(resolved.campaign),
         "units": asdict(resolved.units),
         "constants": asdict(resolved.constants),
@@ -290,13 +252,6 @@ def _run_campaign_cmd(args) -> int:
             "manifest": args.manifest_out,
         },
     }
-    _write_manifest("campaign", cfg)
-    return _execute_campaign(cfg)
-
-
-def _sibling(path: str, suffix: str) -> str:
-    stem, _ = os.path.splitext(path)
-    return stem + suffix
 
 
 def _execute_campaign(cfg: dict) -> int:
@@ -327,45 +282,45 @@ def _execute_campaign(cfg: dict) -> int:
 # fit / bound
 
 
-def _inference_settings(args) -> InferenceSettings:
-    if getattr(args, "config", None):
-        return load_config(args.config).inference
-    return InferenceSettings()
+def _search_settings(args, dataset: FlipDataset, delta_widths: float) -> dict:
+    """Inference settings of a fit or bound, keyed as in [inference].
+
+    A flag (its dest is the setting's key) overrides the config file,
+    which overrides the library defaults; ceilings set by neither are
+    derived from the dataset.
+    """
+    settings = asdict(load_config(args.config).inference if args.config else InferenceSettings())
+    for key, value in vars(args).items():
+        if key in settings and value is not None:
+            settings[key] = value
+    dn_ceiling, delta_ceiling = search_ceilings(dataset, delta_widths)
+    if settings["dn_max_e_cm"] is None:
+        settings["dn_max_e_cm"] = dn_ceiling
+    if settings["delta_max_e_cm"] is None:
+        settings["delta_max_e_cm"] = delta_ceiling
+    return settings
 
 
-def _pick(flag_value, config_value, derived):
-    if flag_value is not None:
-        return flag_value
-    if config_value is not None:
-        return config_value
-    return derived
-
-
-def _run_fit(args) -> int:
+def _resolve_fit(args) -> dict:
     dataset = _read_flip_dataset(args.data)
-    settings = _inference_settings(args)
-    xi_max = float(np.max(np.abs(dataset.xi)))
-    if xi_max <= 0:
-        raise ValueError("dataset must contain a nonzero xi")
-    cfg = {
+    settings = _search_settings(args, dataset, FIT_DELTA_WIDTHS)
+    return {
         "dataset": _dataset_to_cfg(dataset),
         "search": {
-            "dn_min": _pick(args.dn_min, settings.dn_min_e_cm, 0.0),
-            "dn_max": _pick(args.dn_max, settings.dn_max_e_cm, 0.5 * math.pi / xi_max),
-            "delta_min": _pick(args.delta_min, settings.delta_min_e_cm, 0.0),
-            "delta_max": _pick(args.delta_max, settings.delta_max_e_cm, 5.0 / xi_max),
-            "grid_points": _pick(args.grid, settings.grid_points, 48),
-            "resolution": _pick(args.resolution, settings.resolution, 1e-7),
+            "dn_min": settings["dn_min_e_cm"],
+            "dn_max": settings["dn_max_e_cm"],
+            "delta_min": settings["delta_min_e_cm"],
+            "delta_max": settings["delta_max_e_cm"],
+            "grid_points": settings["grid_points"],
+            "resolution": settings["resolution"],
         },
-        "cl": _pick(args.cl, settings.cl, 0.95),
+        "cl": settings["cl"],
         "outputs": {"report": args.out, "manifest": args.manifest_out},
     }
-    _write_manifest("fit", cfg)
-    return _execute_fit(cfg)
 
 
 def _execute_fit(cfg: dict) -> int:
-    dataset = _dataset_from_cfg(cfg["dataset"])
+    dataset = FlipDataset(**cfg["dataset"])
     search = SearchBox(**cfg["search"])
     result = fit(dataset, search, interval_cl=cfg["cl"])
     report = {
@@ -384,27 +339,22 @@ def _execute_fit(cfg: dict) -> int:
     return EXIT_OK if result.converged else EXIT_NONCONVERGENCE
 
 
-def _run_bound(args) -> int:
+def _resolve_bound(args) -> dict:
     dataset = _read_flip_dataset(args.data)
-    settings = _inference_settings(args)
-    xi_max = float(np.max(np.abs(dataset.xi)))
-    if xi_max <= 0:
-        raise ValueError("dataset must contain a nonzero xi")
-    cfg = {
+    settings = _search_settings(args, dataset, BOUND_DELTA_WIDTHS)
+    return {
         "dataset": _dataset_to_cfg(dataset),
-        "cl": _pick(args.cl, settings.cl, 0.95),
-        "delta_min": _pick(args.delta_min, settings.delta_min_e_cm, 0.0),
-        "delta_max": _pick(args.delta_max, settings.delta_max_e_cm, 1.0 / xi_max),
-        "dn_max": _pick(args.dn_max, settings.dn_max_e_cm, 0.5 * math.pi / xi_max),
-        "resolution": _pick(args.resolution, settings.resolution, 1e-7),
+        "cl": settings["cl"],
+        "delta_min": settings["delta_min_e_cm"],
+        "delta_max": settings["delta_max_e_cm"],
+        "dn_max": settings["dn_max_e_cm"],
+        "resolution": settings["resolution"],
         "outputs": {"report": args.out, "manifest": args.manifest_out},
     }
-    _write_manifest("bound", cfg)
-    return _execute_bound(cfg)
 
 
 def _execute_bound(cfg: dict) -> int:
-    dataset = _dataset_from_cfg(cfg["dataset"])
+    dataset = FlipDataset(**cfg["dataset"])
     bound = upper_bound(
         dataset,
         cl=cfg["cl"],
@@ -425,33 +375,92 @@ def _execute_bound(cfg: dict) -> int:
 
 
 # ---------------------------------------------------------------------------
-# rerun
+# command table, manifests and rerun
 
-_EXECUTORS = {
-    "transition": _execute_transition,
-    "contrast": _execute_contrast,
-    "scan": _execute_scan,
-    "campaign": _execute_campaign,
-    "fit": _execute_fit,
-    "bound": _execute_bound,
+
+class Command(NamedTuple):
+    """How one subcommand runs: arguments -> manifest config -> outputs."""
+
+    resolve: Callable[[argparse.Namespace], dict]
+    execute: Callable[[dict], int]
+    formats: dict  # output name -> format version written there
+
+
+COMMANDS = {
+    "transition": Command(
+        _resolve_transition, _execute_transition, {"report": SCHEMA_SUMMARY_JSON}
+    ),
+    "contrast": Command(_resolve_contrast, _execute_contrast, {"table": SCHEMA_CONTRAST_CSV}),
+    "scan": Command(_resolve_scan, _execute_scan, {"table": SCHEMA_SCAN_CSV}),
+    "campaign": Command(
+        _resolve_campaign,
+        _execute_campaign,
+        {"cycles": SCHEMA_CYCLES_CSV, "summary": SCHEMA_SUMMARY_JSON},
+    ),
+    "fit": Command(_resolve_fit, _execute_fit, {"report": SCHEMA_SUMMARY_JSON}),
+    "bound": Command(_resolve_bound, _execute_bound, {"report": SCHEMA_SUMMARY_JSON}),
 }
 
 
-def _run_rerun(args) -> int:
-    with open(args.manifest, "r", encoding="utf-8") as handle:
+def _manifest(command: str, cfg: dict) -> dict:
+    return {
+        "schema": SCHEMA_MANIFEST_JSON,
+        "artifact_version": __version__,
+        "command": command,
+        "formats": COMMANDS[command].formats,
+        "config": cfg,
+    }
+
+
+def _run(command: str, cfg: dict) -> int:
+    """Write the manifest of a resolved run, then execute it."""
+    path = cfg["outputs"].get("manifest")
+    if path:
+        atomic_write_text(path, render_json(_manifest(command, cfg)))
+    return COMMANDS[command].execute(cfg)
+
+
+def _rerun(path: str) -> int:
+    with open(path, "r", encoding="utf-8") as handle:
         manifest = json.load(handle)
-    if manifest.get("schema") != SCHEMA_MANIFEST_JSON:
-        raise ValueError(f"not a manifest: schema {manifest.get('schema')!r}")
-    command = manifest.get("command")
-    if command not in _EXECUTORS:
-        raise ValueError(f"manifest names unknown command {command!r}")
-    cfg = manifest["config"]
-    _write_manifest(command, cfg)
-    return _EXECUTORS[command](cfg)
+    schema = manifest.get("schema") if isinstance(manifest, dict) else None
+    if schema != SCHEMA_MANIFEST_JSON:
+        raise ValueError(f"not a manifest: schema {schema!r}")
+    # keys missing from the manifest, or not taken by its command, raise here
+    try:
+        command = manifest["command"]
+        if command not in COMMANDS:
+            raise ValueError(f"manifest names unknown command {command!r}")
+        return _run(command, manifest["config"])
+    except KeyError as exc:
+        raise ValueError(f"malformed manifest {path}: missing key {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"malformed manifest {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _add_state(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--dn", type=float, required=True, help="dipole expectation, e.cm")
+    p.add_argument("--delta", type=float, required=True, help="dipole uncertainty, e.cm")
+
+
+def _add_outputs(p: argparse.ArgumentParser, **out) -> None:
+    p.add_argument("--out", **out)
+    p.add_argument("--manifest-out", help="write the run manifest here")
+
+
+def _add_search(p: argparse.ArgumentParser, cl_help: str) -> None:
+    p.add_argument("--data", required=True, help="flip-count CSV (xi,trials,flips)")
+    p.add_argument("--config", help="INI config providing [inference] defaults")
+    # each dest is the [inference] key the flag overrides
+    p.add_argument("--cl", type=float, help=cl_help)
+    p.add_argument("--dn-max", dest="dn_max_e_cm", type=float, help="dipole search ceiling")
+    p.add_argument("--delta-min", dest="delta_min_e_cm", type=float)
+    p.add_argument("--delta-max", dest="delta_max_e_cm", type=float, help="delta profiling ceiling")
+    p.add_argument("--resolution", type=float, help="relative refinement stop")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -463,8 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("transition", help="closed-form flip probability")
-    p.add_argument("--dn", type=float, required=True, help="dipole expectation, e.cm")
-    p.add_argument("--delta", type=float, required=True, help="dipole uncertainty, e.cm")
+    _add_state(p)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--xi", type=float, help="kick parameter, rad per e.cm")
     group.add_argument(
@@ -473,69 +481,44 @@ def build_parser() -> argparse.ArgumentParser:
         help="field-time integral, (V/cm)*s; converted to xi with default units",
     )
     p.add_argument("--check-oracle", action="store_true", help="also run the quadrature oracle")
-    p.add_argument("--nodes", type=int, default=200, help="quadrature nodes (auto-raised if low)")
-    p.add_argument("--out", help="write the JSON record here instead of stdout")
-    p.add_argument("--manifest-out", help="write the run manifest here")
-    p.set_defaults(func=_run_transition)
+    p.add_argument(
+        "--nodes", type=int, default=QuadratureSpec.node_count, help="quadrature nodes (auto-raised if low)"
+    )
+    _add_outputs(p, help="write the JSON record here instead of stdout")
 
     p = sub.add_parser("contrast", help="quantum vs stochastic counting run")
-    p.add_argument("--dn", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
+    _add_state(p)
     p.add_argument("--xi", type=float, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="write the CSV table here instead of stdout")
-    p.add_argument("--manifest-out")
-    p.set_defaults(func=_run_contrast)
+    _add_outputs(p, help="write the CSV table here instead of stdout")
 
     p = sub.add_parser("scan", help="P vs xi table with quadrature oracle")
-    p.add_argument("--dn", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
+    _add_state(p)
     p.add_argument("--xi-min", type=float, required=True)
     p.add_argument("--xi-max", type=float, required=True)
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--log", action="store_true", help="log-spaced xi grid")
-    p.add_argument("--nodes", type=int, default=200)
-    p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--manifest-out")
-    p.set_defaults(func=_run_scan)
+    p.add_argument("--nodes", type=int, default=QuadratureSpec.node_count)
+    _add_outputs(p, required=True, help="output CSV path")
 
     p = sub.add_parser("campaign", help="simulate a comagnetometer campaign")
     p.add_argument("--config", required=True, help="INI config file")
-    p.add_argument("--out", required=True, help="cycle table CSV path")
     p.add_argument("--summary-out", help="summary JSON path (default: <out>.summary.json)")
-    p.add_argument("--manifest-out")
-    p.set_defaults(func=_run_campaign_cmd)
+    _add_outputs(p, required=True, help="cycle table CSV path")
 
     p = sub.add_parser("fit", help="joint (dn, delta) likelihood fit")
-    p.add_argument("--data", required=True, help="flip-count CSV (xi,trials,flips)")
-    p.add_argument("--config", help="INI config providing [inference] defaults")
-    p.add_argument("--dn-max", type=float)
-    p.add_argument("--dn-min", type=float)
-    p.add_argument("--delta-max", type=float)
-    p.add_argument("--delta-min", type=float)
-    p.add_argument("--grid", type=int, help="coarse grid points per axis")
-    p.add_argument("--resolution", type=float, help="relative refinement stop")
-    p.add_argument("--cl", type=float, help="interval confidence level")
-    p.add_argument("--out", help="write the JSON report here instead of stdout")
-    p.add_argument("--manifest-out")
-    p.set_defaults(func=_run_fit)
+    _add_search(p, cl_help="interval confidence level")
+    p.add_argument("--dn-min", dest="dn_min_e_cm", type=float)
+    p.add_argument("--grid", dest="grid_points", type=int, help="coarse grid points per axis")
+    _add_outputs(p, help="write the JSON report here instead of stdout")
 
     p = sub.add_parser("bound", help="profile-likelihood upper bound on dn")
-    p.add_argument("--data", required=True, help="flip-count CSV (xi,trials,flips)")
-    p.add_argument("--config", help="INI config providing [inference] defaults")
-    p.add_argument("--cl", type=float, help="one-sided confidence level")
-    p.add_argument("--delta-max", type=float, help="delta profiling upper bound")
-    p.add_argument("--delta-min", type=float)
-    p.add_argument("--dn-max", type=float, help="scan ceiling for the bound search")
-    p.add_argument("--resolution", type=float)
-    p.add_argument("--out", help="write the JSON report here instead of stdout")
-    p.add_argument("--manifest-out")
-    p.set_defaults(func=_run_bound)
+    _add_search(p, cl_help="one-sided confidence level")
+    _add_outputs(p, help="write the JSON report here instead of stdout")
 
     p = sub.add_parser("rerun", help="re-execute a command from its manifest")
     p.add_argument("manifest", help="manifest JSON written by a previous run")
-    p.set_defaults(func=_run_rerun)
 
     return parser
 
@@ -543,14 +526,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if args.command == "rerun":
+            return _rerun(args.manifest)
+        return _run(args.command, COMMANDS[args.command].resolve(args))
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

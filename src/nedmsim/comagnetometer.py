@@ -144,10 +144,9 @@ def ratio_r(
     """
     if not f_hg > 0:
         raise ValueError("f_hg must be > 0")
-    kick = units.phase_per_edm_field_time * units.geometric_factor
     return (
         abs(constants.gamma_n) / abs(constants.gamma_hg)
-        + d_n * kick * e_signed / (math.pi * f_hg)
+        + d_n * units.kick * e_signed / (math.pi * f_hg)
         + delta_r_sys
     )
 
@@ -168,8 +167,7 @@ def extract_dn_pair(
         raise ValueError("e_magnitude must be > 0")
     if not f_hg > 0:
         raise ValueError("f_hg must be > 0")
-    kick = units.phase_per_edm_field_time * units.geometric_factor
-    return math.pi * f_hg * (r_plus - r_minus) / (2.0 * e_magnitude * kick)
+    return math.pi * f_hg * (r_plus - r_minus) / (2.0 * e_magnitude * units.kick)
 
 
 def _measured_phase(phi_true: float, a_measured: float, visibility: float) -> float:

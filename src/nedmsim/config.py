@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 from .comagnetometer import CampaignConfig
+from .inference import CL_DEFAULT, GRID_POINTS_DEFAULT, RESOLUTION_DEFAULT
 from .quantities import PhysicalConstants, UnitSystem
 
 __all__ = [
@@ -54,18 +55,19 @@ class ConfigError(ValueError):
 class InferenceSettings:
     """Search box and confidence settings for the fit and bound commands.
 
-    ``None`` bounds mean "not configured": the commands then derive them
-    from the dataset (half a flip oscillation at the largest xi for the
-    dipole, five envelope widths for delta).
+    ``None`` ceilings mean "not configured": the commands then derive
+    them from the dataset with :func:`nedmsim.inference.search_ceilings`
+    (half a flip oscillation at the largest xi for the dipole; for delta,
+    five envelope widths in ``fit`` and one in ``bound``).
     """
 
     dn_max_e_cm: float | None = None
     delta_max_e_cm: float | None = None
     dn_min_e_cm: float = 0.0
     delta_min_e_cm: float = 0.0
-    grid_points: int = 48
-    resolution: float = 1e-7
-    cl: float = 0.95
+    grid_points: int = GRID_POINTS_DEFAULT
+    resolution: float = RESOLUTION_DEFAULT
+    cl: float = CL_DEFAULT
 
     def __post_init__(self) -> None:
         for v in (self.dn_max_e_cm, self.delta_max_e_cm):

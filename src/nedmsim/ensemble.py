@@ -19,6 +19,7 @@ reproducible from (seed, parameters) at any worker count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -68,9 +69,15 @@ def _block_ranges(trials: int):
         yield b, min(BLOCK_TRIALS, trials - start)
 
 
+def _worker_count(requested: int, blocks: int) -> int:
+    """Threads worth starting: no more than the cores or the blocks."""
+    return max(1, min(requested, os.cpu_count() or 1, blocks))
+
+
 def _run_blocks(block_fn, trials: int, workers: int) -> int:
     blocks = list(_block_ranges(trials))
-    if workers <= 1 or len(blocks) <= 1:
+    workers = _worker_count(workers, len(blocks))
+    if workers == 1:
         return sum(block_fn(b, m) for b, m in blocks)
     # fixed-order reduction over block index keeps the total independent
     # of completion order

@@ -33,6 +33,7 @@ from scipy.stats import chi2
 
 from .comagnetometer import CampaignConfig, CycleRecord, extract_dn_pair
 from .quantities import PhysicalConstants, UnitSystem
+from .weak_measurement import flip_kernel
 
 __all__ = [
     "FlipDataset",
@@ -40,6 +41,7 @@ __all__ = [
     "FitResult",
     "CampaignEstimate",
     "NonConvergenceError",
+    "search_ceilings",
     "log_likelihood",
     "fit",
     "upper_bound",
@@ -53,6 +55,14 @@ _P_FLOOR = 1e-300
 _P_CEIL = float(np.nextafter(1.0, 0.0))
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Defaults shared by the library calls, the [inference] config section and
+# the fit and bound commands; delta ceilings are in widths (search_ceilings).
+GRID_POINTS_DEFAULT = 48
+RESOLUTION_DEFAULT = 1e-7
+CL_DEFAULT = 0.95
+FIT_DELTA_WIDTHS = 5.0
+BOUND_DELTA_WIDTHS = 1.0
 
 
 class NonConvergenceError(RuntimeError):
@@ -124,8 +134,8 @@ class SearchBox:
     delta_max: float
     dn_min: float = 0.0
     delta_min: float = 0.0
-    grid_points: int = 48
-    resolution: float = 1e-7
+    grid_points: int = GRID_POINTS_DEFAULT
+    resolution: float = RESOLUTION_DEFAULT
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.dn_min < self.dn_max):
@@ -170,7 +180,7 @@ def log_likelihood(d_n: float, delta: float, dataset: FlipDataset) -> float:
     """
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    p = np.sin(d_n * dataset.xi) ** 2 * np.exp(-((dataset.xi * delta) ** 2))
+    p = flip_kernel(d_n, delta, dataset.xi)
     return float(np.sum(_binomial_terms(p, dataset.trials, dataset.flips)))
 
 
@@ -185,9 +195,7 @@ def _log_likelihood_grid(
     dns: np.ndarray, deltas: np.ndarray, dataset: FlipDataset
 ) -> np.ndarray:
     """Log likelihood on the outer grid dns x deltas, vectorized."""
-    sin2 = np.sin(np.outer(dns, dataset.xi)) ** 2
-    damp = np.exp(-(np.outer(deltas, dataset.xi) ** 2))
-    p = sin2[:, None, :] * damp[None, :, :]
+    p = flip_kernel(dns[:, None, None], deltas[None, :, None], dataset.xi)
     return np.sum(_binomial_terms(p, dataset.trials, dataset.flips), axis=2)
 
 
@@ -333,6 +341,20 @@ def _profile_delta(dataset: FlipDataset, delta: float, search: SearchBox) -> flo
     return best
 
 
+def _crossing(q_of, a: float, b: float, threshold: float) -> float:
+    """Where q_of crosses ``threshold`` between a and b, by 60 bisections.
+
+    Assumes q(a) <= threshold < q(b); either end may be the larger.
+    """
+    for _ in range(60):
+        m = 0.5 * (a + b)
+        if q_of(m) > threshold:
+            b = m
+        else:
+            a = m
+    return 0.5 * (a + b)
+
+
 def _interval_from_profile(
     q_of, center: float, lo: float, hi: float, threshold: float
 ) -> tuple[float, float]:
@@ -342,30 +364,33 @@ def _interval_from_profile(
     sign change of q - threshold, and a side that never crosses reports
     the box edge.
     """
-
-    def crossing(a: float, b: float) -> float:
-        # q(a) <= threshold < q(b) assumed
-        for _ in range(60):
-            m = 0.5 * (a + b)
-            if q_of(m) > threshold:
-                b = m
-            else:
-                a = m
-        return 0.5 * (a + b)
-
     if q_of(lo) > threshold:
-        left = crossing(center, lo)
+        left = _crossing(q_of, center, lo, threshold)
     else:
         left = lo
     if q_of(hi) > threshold:
-        right = crossing(center, hi)
+        right = _crossing(q_of, center, hi, threshold)
     else:
         right = hi
     return (min(left, right), max(left, right))
 
 
+def search_ceilings(dataset: FlipDataset, delta_widths: float) -> tuple[float, float]:
+    """Default (dn_max, delta_max) search ceilings derived from the data.
+
+    With xi_max = max|xi|: half a flip oscillation 0.5*pi/xi_max for d_n,
+    beyond which sin^2 aliasing makes the estimate ambiguous, and
+    ``delta_widths`` envelope widths, delta_widths/xi_max, for delta
+    (FIT_DELTA_WIDTHS for fits, BOUND_DELTA_WIDTHS for bounds).
+    """
+    xi_max = float(np.max(np.abs(dataset.xi)))
+    if xi_max <= 0:
+        raise ValueError("dataset must contain a nonzero xi")
+    return 0.5 * math.pi / xi_max, delta_widths / xi_max
+
+
 def fit(
-    dataset: FlipDataset, search: SearchBox, interval_cl: float = 0.95
+    dataset: FlipDataset, search: SearchBox, interval_cl: float = CL_DEFAULT
 ) -> FitResult:
     """Joint maximum-likelihood estimate of (d_n, delta) with intervals.
 
@@ -385,40 +410,26 @@ def fit(
 
     all_zero = bool(np.all(dataset.flips == 0))
     all_full = bool(np.all(dataset.flips == dataset.trials))
-    if all_zero or all_full:
-        if all_zero:
-            dn_hat, delta_hat = search.dn_min, search.delta_min
-            message = (
-                "flat likelihood: no flips anywhere, d_n estimate pinned to "
-                "the search floor and delta unidentified"
-            )
-        else:
-            dns = _grid_axis(search.dn_min, search.dn_max, search.grid_points)
-            des = _grid_axis(search.delta_min, search.delta_max, search.grid_points)
-            g = _log_likelihood_grid(dns, des, dataset)
-            i, j = np.unravel_index(int(np.argmax(g)), g.shape)
-            dn_hat, delta_hat = float(dns[i]), float(des[j])
-            message = "flat likelihood: every trial flipped, parameters unidentified"
+    flat = all_zero or all_full
+    if all_zero:
+        dn_hat, delta_hat = search.dn_min, search.delta_min
+        message = (
+            "flat likelihood: no flips anywhere, d_n estimate pinned to "
+            "the search floor and delta unidentified"
+        )
+    elif all_full:
+        dns = _grid_axis(search.dn_min, search.dn_max, search.grid_points)
+        des = _grid_axis(search.delta_min, search.delta_max, search.grid_points)
+        g = _log_likelihood_grid(dns, des, dataset)
+        i, j = np.unravel_index(int(np.argmax(g)), g.shape)
+        dn_hat, delta_hat = float(dns[i]), float(des[j])
+        message = "flat likelihood: every trial flipped, parameters unidentified"
+    if flat:
         ll_hat = log_likelihood(dn_hat, delta_hat, dataset)
-
-        def q_dn(v: float) -> float:
-            return 2.0 * (ll_hat - _profile_dn(dataset, v, search))
-
-        dn_interval = _interval_from_profile(
-            q_dn, dn_hat, search.dn_min, search.dn_max, threshold
-        )
-        return FitResult(
-            dn_hat=dn_hat,
-            delta_hat=delta_hat,
-            max_log_likelihood=ll_hat,
-            dn_interval=dn_interval,
-            delta_interval=(search.delta_min, search.delta_max),
-            interval_cl=interval_cl,
-            converged=False,
-            message=message,
-        )
-
-    dn_hat, delta_hat, ll_hat, converged = _maximize(dataset, search)
+        converged = False
+    else:
+        dn_hat, delta_hat, ll_hat, converged = _maximize(dataset, search)
+        message = "" if converged else "refinement did not reach the requested resolution"
 
     def q_dn(v: float) -> float:
         return 2.0 * (ll_hat - _profile_dn(dataset, v, search))
@@ -429,9 +440,13 @@ def fit(
     dn_interval = _interval_from_profile(
         q_dn, dn_hat, search.dn_min, search.dn_max, threshold
     )
-    delta_interval = _interval_from_profile(
-        q_delta, delta_hat, search.delta_min, search.delta_max, threshold
-    )
+    if flat:
+        # delta is unidentified: the interval is the whole box
+        delta_interval = (search.delta_min, search.delta_max)
+    else:
+        delta_interval = _interval_from_profile(
+            q_delta, delta_hat, search.delta_min, search.delta_max, threshold
+        )
     return FitResult(
         dn_hat=dn_hat,
         delta_hat=delta_hat,
@@ -440,25 +455,25 @@ def fit(
         delta_interval=delta_interval,
         interval_cl=interval_cl,
         converged=converged,
-        message="" if converged else "refinement did not reach the requested resolution",
+        message=message,
     )
 
 
 def upper_bound(
     dataset: FlipDataset,
-    cl: float = 0.95,
-    delta_bounds: tuple[float, float] = (0.0, 0.0),
+    cl: float = CL_DEFAULT,
+    delta_bounds: tuple[float, float] | None = None,
     dn_max: float | None = None,
-    resolution: float = 1e-7,
+    resolution: float = RESOLUTION_DEFAULT,
 ) -> float:
     """One-sided profile-likelihood upper bound on d_n.
 
     Smallest d_n* above the estimate at which the profile ratio statistic
     q(d_n*) = 2( l(best) - max_delta l(d_n*, delta) ) exceeds the
     one-sided chi-square threshold for ``cl``. ``delta_bounds`` is the
-    nuisance profiling range; ``dn_max`` caps the scan (default: half a
-    flip oscillation at the largest xi, beyond which sin^2 aliasing makes
-    "the" bound ambiguous).
+    nuisance profiling range and ``dn_max`` caps the scan; each defaults
+    to its :func:`search_ceilings` value with BOUND_DELTA_WIDTHS, i.e.
+    delta in [0, 1/xi_max] and d_n up to half a flip oscillation.
 
     Raises
     ------
@@ -467,14 +482,12 @@ def upper_bound(
     """
     if not 0.5 <= cl < 1.0:
         raise ValueError("cl must lie in [0.5, 1)")
-    de_lo, de_hi = delta_bounds
+    dn_ceiling, delta_ceiling = search_ceilings(dataset, BOUND_DELTA_WIDTHS)
+    de_lo, de_hi = (0.0, delta_ceiling) if delta_bounds is None else delta_bounds
     if not (0.0 <= de_lo < de_hi):
         raise ValueError("delta_bounds must satisfy 0 <= low < high")
-    xi_max = float(np.max(np.abs(dataset.xi)))
-    if xi_max <= 0:
-        raise ValueError("dataset must contain a nonzero xi")
     if dn_max is None:
-        dn_max = 0.5 * math.pi / xi_max
+        dn_max = dn_ceiling
     threshold = float(chi2.ppf(2.0 * cl - 1.0, df=1)) if cl > 0.5 else 0.0
 
     search = SearchBox(
@@ -498,14 +511,7 @@ def upper_bound(
     prev = dn_hat
     for g in grid:
         if q(float(g)) > threshold:
-            a, b = prev, float(g)
-            for _ in range(60):
-                m = 0.5 * (a + b)
-                if q(m) > threshold:
-                    b = m
-                else:
-                    a = m
-            return 0.5 * (a + b)
+            return _crossing(q, prev, float(g), threshold)
         prev = float(g)
     raise NonConvergenceError(
         f"profile statistic stayed below the threshold up to dn_max = {dn_max:g}; "
@@ -558,6 +564,14 @@ def campaign_estimator(
     the estimate is the plain mean and the zero standard error is flagged
     as degenerate.
 
+    ``f_hg_reference`` only replaces the frequency that converts a ratio
+    difference into a dipole, d_n = scale * (R_plus - R_minus), so it
+    scales the estimate and the standard error alike. The variance of each
+    R still uses that record's own ``f_hg``: R was formed as f_n / f_hg
+    with the record's measured clock, so that is the frequency through
+    which counting noise on f_n entered R. Estimate and variance are thus
+    consistent: the variance is scale^2 * Var(R_plus - R_minus).
+
     The reported standard error covers counting statistics only (it
     matches the seed-to-seed scatter to ~3% when counting noise is the
     only noise source); field-drift and clock-noise contributions are not
@@ -568,7 +582,6 @@ def campaign_estimator(
     if len(records) % 2 != 0:
         raise ValueError("lone polarity cycle: records must form +/- pairs")
 
-    kick = units.phase_per_edm_field_time * units.geometric_factor
     t = config.free_time
     estimates: list[float] = []
     variances: list[float] = []
@@ -588,7 +601,7 @@ def campaign_estimator(
         estimates.append(
             extract_dn_pair(plus.r, minus.r, config.e_magnitude, f_hg_pair, units)
         )
-        scale = math.pi * f_hg_pair / (2.0 * config.e_magnitude * kick)
+        scale = math.pi * f_hg_pair / (2.0 * config.e_magnitude * units.kick)
         var_r = 0.0
         for rec in (plus, minus):
             var_phi = _cycle_phase_variance(rec, config.visibility)

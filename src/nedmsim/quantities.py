@@ -100,6 +100,11 @@ class UnitSystem:
         if self.geometric_factor <= 0:
             raise ValueError("geometric_factor must be > 0")
 
+    @property
+    def kick(self) -> float:
+        """kappa * g, rad per (e·cm x V/cm x s): xi per unit integral(E dt)."""
+        return self.phase_per_edm_field_time * self.geometric_factor
+
 
 @dataclass(frozen=True)
 class PhysicalConstants:
@@ -183,8 +188,8 @@ def phase_factor(
 ) -> float:
     """Phase (rad) accumulated by a dipole over a field pulse.
 
-    Returns ``dipole * geometric_factor * kappa * field_time_integral``,
-    linear in each argument.
+    Returns ``dipole * units.kick * field_time_integral``, linear in each
+    argument.
 
     Parameters
     ----------
@@ -196,23 +201,14 @@ def phase_factor(
         Conversion constants.
     """
     _require_finite(dipole=dipole, field_time_integral=field_time_integral)
-    return (
-        dipole
-        * units.geometric_factor
-        * units.phase_per_edm_field_time
-        * field_time_integral
-    )
+    return dipole * units.kick * field_time_integral
 
 
 def xi_from_pulse(profile: PulseProfile, units: UnitSystem) -> float:
     """Kick parameter xi (rad per e·cm) of a pulse.
 
-    xi = geometric_factor * kappa * integral(E dt). Additive over
-    concatenated pulses and invariant under any time reparametrization
-    that preserves the integral.
+    xi = units.kick * integral(E dt). Additive over concatenated pulses
+    and invariant under any time reparametrization that preserves the
+    integral.
     """
-    return (
-        units.geometric_factor
-        * units.phase_per_edm_field_time
-        * profile.field_time_integral
-    )
+    return units.kick * profile.field_time_integral

@@ -131,13 +131,13 @@ def larmor_frequencies(
     """Precession frequencies (Hz) with E parallel and antiparallel to B.
 
     Returns ``((1/pi)|mu_n B + d_n E k g|, (1/pi)|mu_n B - d_n E k g|)``
-    where k*g converts the dipole-field product into angular frequency.
+    where k*g = ``units.kick`` converts dipole times field to angular frequency.
     Flipping the sign of ``e_field`` swaps the pair.
     """
     for name, v in (("mu_n", mu_n), ("b_field", b_field), ("d_n", d_n), ("e_field", e_field)):
         if not math.isfinite(v):
             raise ValueError(f"non-finite input: {name}")
-    edm_term = d_n * e_field * units.phase_per_edm_field_time * units.geometric_factor
+    edm_term = d_n * e_field * units.kick
     magnetic_term = mu_n * b_field
     return (
         abs(magnetic_term + edm_term) / math.pi,
@@ -156,12 +156,7 @@ def ramsey_phase(
     The signed ``config.e_field`` selects which Larmor branch applies:
     phi = 2 * free_time * |mu_n B + d_n E k g|. Linear in free_time.
     """
-    edm_term = (
-        d_n
-        * config.e_field
-        * units.phase_per_edm_field_time
-        * units.geometric_factor
-    )
+    edm_term = d_n * config.e_field * units.kick
     return 2.0 * config.free_time * abs(constants.mu_n * config.b_field + edm_term)
 
 

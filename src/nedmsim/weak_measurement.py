@@ -36,6 +36,7 @@ from scipy.special import roots_hermite
 __all__ = [
     "DipoleState",
     "QuadratureSpec",
+    "flip_kernel",
     "flip_probability",
     "flip_probability_quadrature",
     "flip_probability_trapezoid",
@@ -80,6 +81,11 @@ class QuadratureSpec:
             raise ValueError("integration_halfwidth must be > 0")
 
 
+def flip_kernel(d_n, delta, xi):
+    """The closed form sin(d_n xi)^2 exp(-(xi delta)^2): unchecked, broadcasting."""
+    return np.sin(d_n * xi) ** 2 * np.exp(-((xi * delta) ** 2))
+
+
 def flip_probability(state: DipoleState, xi):
     """Closed-form spin-flip probability sin(d_n xi)^2 exp(-(xi delta)^2).
 
@@ -96,7 +102,7 @@ def flip_probability(state: DipoleState, xi):
     xi = np.asarray(xi, dtype=float)
     if not np.all(np.isfinite(xi)):
         raise ValueError("xi must be finite")
-    p = np.sin(state.d_n * xi) ** 2 * np.exp(-((xi * state.delta) ** 2))
+    p = flip_kernel(state.d_n, state.delta, xi)
     return float(p) if p.ndim == 0 else p
 
 

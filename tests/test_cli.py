@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,3 +334,51 @@ def test_rerun_rejects_non_manifest(tmp_path, capsys):
     bad = tmp_path / "m.json"
     bad.write_text(json.dumps({"schema": "other", "command": "fit"}))
     assert run_cli("rerun", bad) == 2
+
+
+def test_rerun_manifest_missing_key_exits_2(tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    assert run_cli("transition", "--dn", "1e-26", "--delta", "0", "--xi", "1e13",
+                   "--manifest-out", manifest) == 0
+    recorded = json.loads(manifest.read_text())
+    del recorded["config"]["outputs"]
+    manifest.write_text(json.dumps(recorded))
+    capsys.readouterr()
+    assert run_cli("rerun", manifest) == 2
+    err = capsys.readouterr().err
+    assert str(manifest) in err and "'outputs'" in err
+
+
+def test_rerun_manifest_unexpected_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(NOISELESS_INI)
+    manifest = tmp_path / "m.json"
+    assert run_cli("campaign", "--config", cfg, "--out", tmp_path / "cycles.csv",
+                   "--manifest-out", manifest) == 0
+    recorded = json.loads(manifest.read_text())
+    recorded["config"]["campaign"]["bogus_key"] = 1
+    manifest.write_text(json.dumps(recorded))
+    assert run_cli("rerun", manifest) == 2
+    err = capsys.readouterr().err
+    assert str(manifest) in err and "bogus_key" in err
+
+
+@pytest.mark.parametrize("error", [KeyError, TypeError])
+def test_internal_key_and_type_errors_propagate(tmp_path, monkeypatch, error):
+    def broken(*args, **kwargs):
+        raise error("internal")
+
+    monkeypatch.setattr("nedmsim.cli.upper_bound", broken)
+    data = tmp_path / "flips.csv"
+    write_flip_csv(data, zero_flip_points())
+    with pytest.raises(error):
+        run_cli("bound", "--data", data)
+
+
+def test_version_is_read_from_the_package():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())
+    assert "version" not in project["project"]
+    assert project["project"]["dynamic"] == ["version"]
+    assert project["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "nedmsim.__version__"}

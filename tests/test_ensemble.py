@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from scipy.special import roots_hermite
 
+import nedmsim.ensemble as ensemble
 from nedmsim.ensemble import (
     EnsembleRun,
+    _worker_count,
     expected_stochastic_fraction,
     simulate_quantum,
     simulate_stochastic,
@@ -119,3 +121,16 @@ def test_run_validation():
         EnsembleRun("classical", 10, 1, 0, 1.0, st)
     with pytest.raises(ValueError):
         simulate_quantum(st, 1e14, 0, seed=0)
+
+
+def test_worker_count_clamped_to_cores_and_blocks(monkeypatch):
+    # computed only: no thread is started
+    monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 4)
+    blocks = -(-(10**9) // BLOCK_TRIALS)
+    assert blocks == 15259
+    assert _worker_count(10**9, blocks) == 4
+    assert _worker_count(3, blocks) == 3
+    assert _worker_count(64, 2) == 2
+    assert _worker_count(0, 10) == 1
+    monkeypatch.setattr(ensemble.os, "cpu_count", lambda: None)
+    assert _worker_count(8, 10) == 1

@@ -13,6 +13,7 @@ from nedmsim.inference import (
     campaign_estimator,
     fit,
     log_likelihood,
+    search_ceilings,
     upper_bound,
 )
 from nedmsim.inference import _grid_axis, _golden_max, _log_likelihood_grid
@@ -83,6 +84,15 @@ def test_log_likelihood_against_brute_grid():
     order_pkg = np.argsort(grid.ravel()[::7])
     order_brt = np.argsort(brute.ravel()[::7])
     assert np.array_equal(order_pkg, order_brt)
+
+
+def test_grid_and_scalar_likelihood_agree_exactly():
+    # the optimizer's scalar calls and the coarse grid evaluate one kernel
+    ds = make_dataset(seed=2)
+    dns = _grid_axis(0.0, 1.0 / XI_MAX, 7)
+    des = _grid_axis(0.0, 3.0 / XI_MAX, 5)
+    scalar = np.array([[log_likelihood(d, e, ds) for e in des] for d in dns])
+    assert np.array_equal(_log_likelihood_grid(dns, des, ds), scalar)
 
 
 def test_single_point_mle_identity():
@@ -195,6 +205,22 @@ def test_upper_bound_nonconvergence_diagnostic():
     ds = zero_flip_dataset()
     with pytest.raises(NonConvergenceError, match="dn_max"):
         upper_bound(ds, cl=0.95, delta_bounds=(0.0, 1.0 / XI_MAX), dn_max=1e-40)
+
+
+def test_search_ceilings_from_largest_xi():
+    ds = FlipDataset.from_points([(-2e21, 10, 1), (1e21, 10, 1)])
+    assert search_ceilings(ds, 5.0) == (0.5 * math.pi / 2e21, 5.0 / 2e21)
+    with pytest.raises(ValueError, match="nonzero xi"):
+        search_ceilings(FlipDataset.from_points([(0.0, 10, 0)]), 1.0)
+
+
+def test_upper_bound_defaults_to_derived_ceilings():
+    # delta profiled over [0, 1/xi_max], scan capped at half a flip oscillation
+    ds = zero_flip_dataset()
+    explicit = upper_bound(
+        ds, cl=0.95, delta_bounds=(0.0, 1.0 / XI_MAX), dn_max=0.5 * math.pi / XI_MAX
+    )
+    assert upper_bound(ds) == explicit
 
 
 def test_upper_bound_validates_cl():

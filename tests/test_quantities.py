@@ -32,6 +32,13 @@ def test_geometric_factor_default():
     assert GEOMETRIC_FACTOR_DEFAULT == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-15)
 
 
+def test_kick_is_kappa_times_geometric_factor():
+    units = UnitSystem(phase_per_edm_field_time=3.0, geometric_factor=0.25)
+    assert units.kick == 0.75
+    assert xi_from_pulse(PulseProfile(2.0), units) == 1.5
+    assert phase_factor(2.0, 2.0, units) == 3.0
+
+
 def test_phase_factor_zero_dipole_and_zero_integral():
     assert phase_factor(0.0, 123.4, UNITS) == 0.0
     assert phase_factor(1e-26, 0.0, UNITS) == 0.0
