@@ -6,7 +6,7 @@ comagnetometer), statistical inference (inference), and the file/CLI
 surface (formats, config, cli).
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .comagnetometer import (
     CampaignConfig,
@@ -55,8 +55,6 @@ from .weak_measurement import (
     QuadratureSpec,
     flip_probability,
     flip_probability_quadrature,
-    flip_probability_trapezoid,
-    wigner_eckart_dipole,
 )
 
 __all__ = [
@@ -83,7 +81,6 @@ __all__ = [
     "fit",
     "flip_probability",
     "flip_probability_quadrature",
-    "flip_probability_trapezoid",
     "larmor_frequencies",
     "log_likelihood",
     "phase_factor",
@@ -97,6 +94,5 @@ __all__ = [
     "simulate_stochastic",
     "up_probability",
     "upper_bound",
-    "wigner_eckart_dipole",
     "xi_from_pulse",
 ]

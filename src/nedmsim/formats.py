@@ -19,7 +19,6 @@ from .inference import FlipDataset
 
 __all__ = [
     "SCHEMA_CYCLES_CSV",
-    "SCHEMA_FLIPS_CSV",
     "SCHEMA_SCAN_CSV",
     "SCHEMA_CONTRAST_CSV",
     "SCHEMA_SUMMARY_JSON",
@@ -41,7 +40,6 @@ __all__ = [
 ]
 
 SCHEMA_CYCLES_CSV = "nedmsim.cycles-csv/1"
-SCHEMA_FLIPS_CSV = "nedmsim.flips-csv/1"
 SCHEMA_SCAN_CSV = "nedmsim.scan-csv/1"
 SCHEMA_CONTRAST_CSV = "nedmsim.contrast-csv/1"
 SCHEMA_SUMMARY_JSON = "nedmsim.summary-json/1"
@@ -81,7 +79,11 @@ def render_csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
 
 
 def parse_csv(text: str, expected_header: Sequence[str]) -> list[list]:
-    """Parse a table emitted by :func:`render_csv`; header must match."""
+    """Parse a table emitted by :func:`render_csv`.
+
+    The header must match and every row must have one cell per column;
+    a ValueError names the first line that does not.
+    """
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty CSV")
@@ -91,10 +93,15 @@ def parse_csv(text: str, expected_header: Sequence[str]) -> list[list]:
             f"unexpected CSV header {header!r}, expected {list(expected_header)!r}"
         )
     rows = []
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        rows.append([_parse_cell(cell) for cell in line.split(",")])
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ValueError(
+                f"CSV line {number} has {len(cells)} cells, expected {len(header)}"
+            )
+        rows.append([_parse_cell(cell) for cell in cells])
     return rows
 
 

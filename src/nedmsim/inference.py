@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.stats import chi2
 
 from .comagnetometer import CampaignConfig, CycleRecord, extract_dn_pair
 from .quantities import PhysicalConstants, UnitSystem
@@ -406,7 +406,8 @@ def fit(
     if dataset.distinct_xi_count < 2:
         raise ValueError("joint fitting requires >= 2 distinct xi values")
 
-    threshold = float(chi2.ppf(interval_cl, df=1))
+    # chi2.ppf(interval_cl, df=1), from the upper tail to avoid cancellation
+    threshold = NormalDist().inv_cdf((1.0 - interval_cl) / 2.0) ** 2
 
     all_zero = bool(np.all(dataset.flips == 0))
     all_full = bool(np.all(dataset.flips == dataset.trials))
@@ -488,7 +489,8 @@ def upper_bound(
         raise ValueError("delta_bounds must satisfy 0 <= low < high")
     if dn_max is None:
         dn_max = dn_ceiling
-    threshold = float(chi2.ppf(2.0 * cl - 1.0, df=1)) if cl > 0.5 else 0.0
+    # chi2.ppf(2 cl - 1, df=1): the one-sided half-chi-square threshold, 0 at cl = 0.5
+    threshold = NormalDist().inv_cdf(1.0 - cl) ** 2
 
     search = SearchBox(
         dn_max=dn_max,

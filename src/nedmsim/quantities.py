@@ -24,10 +24,7 @@ convention and not on any measured quantity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
-
-import numpy as np
+from dataclasses import dataclass
 
 __all__ = [
     "E_CHARGE_C",
@@ -132,17 +129,13 @@ class PulseProfile:
 
     Only ``field_time_integral`` (integral of E(t) dt, in (V/cm)*s) enters
     the physics; switching is assumed slow enough that transients are
-    negligible. A sampled envelope may be attached for bookkeeping.
+    negligible.
     """
 
     field_time_integral: float
-    times: tuple[float, ...] = field(default=(), repr=False)
-    amplitudes: tuple[float, ...] = field(default=(), repr=False)
 
     def __post_init__(self) -> None:
         _require_finite(field_time_integral=self.field_time_integral)
-        if len(self.times) != len(self.amplitudes):
-            raise ValueError("times and amplitudes must have equal length")
 
     @classmethod
     def rectangular(cls, amplitude: float, duration: float) -> "PulseProfile":
@@ -151,36 +144,6 @@ class PulseProfile:
         if duration < 0:
             raise ValueError("duration must be >= 0")
         return cls(field_time_integral=amplitude * duration)
-
-    @classmethod
-    def from_samples(
-        cls, times: Sequence[float], amplitudes: Sequence[float]
-    ) -> "PulseProfile":
-        """Build from a sampled envelope; the integral is the trapezoid sum."""
-        t = np.asarray(times, dtype=float)
-        a = np.asarray(amplitudes, dtype=float)
-        if t.ndim != 1 or t.shape != a.shape or t.size < 2:
-            raise ValueError("need >= 2 matching (time, amplitude) samples")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(a))):
-            raise ValueError("non-finite input: times/amplitudes")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("times must be strictly increasing")
-        integral = float(np.trapezoid(a, t))
-        return cls(
-            field_time_integral=integral,
-            times=tuple(float(x) for x in t),
-            amplitudes=tuple(float(x) for x in a),
-        )
-
-    def concatenated(self, other: "PulseProfile") -> "PulseProfile":
-        """Pulse equivalent to this one followed by ``other``.
-
-        Integrals add; the sampled envelopes are dropped because only the
-        integral carries physics.
-        """
-        return PulseProfile(
-            field_time_integral=self.field_time_integral + other.field_time_integral
-        )
 
 
 def phase_factor(
@@ -207,8 +170,7 @@ def phase_factor(
 def xi_from_pulse(profile: PulseProfile, units: UnitSystem) -> float:
     """Kick parameter xi (rad per e·cm) of a pulse.
 
-    xi = units.kick * integral(E dt). Additive over concatenated pulses
-    and invariant under any time reparametrization that preserves the
+    xi = units.kick * integral(E dt): the pulse enters only through its
     integral.
     """
     return units.kick * profile.field_time_integral

@@ -31,18 +31,20 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_hermite
 
 __all__ = [
+    "NODE_COUNT_MAX",
     "DipoleState",
     "QuadratureSpec",
     "flip_kernel",
     "flip_probability",
     "flip_probability_quadrature",
-    "flip_probability_trapezoid",
     "required_node_count",
-    "wigner_eckart_dipole",
 ]
+
+# Largest Gauss-Hermite rule built: ~1 s and ~100 MB, and enough for
+# xi*delta <= 203 under the 10*(1 + xi*delta) node rule.
+NODE_COUNT_MAX = 2048
 
 
 @dataclass(frozen=True)
@@ -65,20 +67,23 @@ class DipoleState:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node count and integration window for the amplitude quadrature.
+    """Node count of the Gauss-Hermite amplitude quadrature.
 
-    ``integration_halfwidth`` (in multiples of delta) only affects the
-    trapezoid fallback; Gauss-Hermite nodes place themselves.
+    ``node_count`` must lie in [2, NODE_COUNT_MAX]: the Golub-Welsch rule
+    costs O(n^2) memory and O(n^3) time, so larger rules are refused
+    rather than attempted.
     """
 
     node_count: int = 200
-    integration_halfwidth: float = 12.0
 
     def __post_init__(self) -> None:
         if self.node_count < 2:
             raise ValueError("node_count must be >= 2")
-        if self.integration_halfwidth <= 0:
-            raise ValueError("integration_halfwidth must be > 0")
+        if self.node_count > NODE_COUNT_MAX:
+            raise ValueError(
+                f"node_count = {self.node_count} exceeds the Gauss-Hermite "
+                f"ceiling of {NODE_COUNT_MAX} nodes"
+            )
 
 
 def flip_kernel(d_n, delta, xi):
@@ -121,9 +126,47 @@ def _check_nodes(spec: QuadratureSpec, xi: float, delta: float) -> None:
         )
 
 
+def _hermite_recurrence(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Christoffel weights 1/sum_{k<n} p_k(x)^2 and the ratio p_n(x)/p_{n-1}(x).
+
+    p_k are the orthonormal Hermite polynomials of weight exp(-x^2), from
+    p_{k+1} = (x p_k - b_k p_{k-1}) / b_{k+1} with b_k = sqrt(k/2). Every
+    step rescales the running values by an exact power of two, so nothing
+    overflows and far-out weights underflow to 0 without rounding the rest.
+    """
+    b = np.sqrt(np.arange(n + 1) / 2.0)
+    prev = np.zeros_like(x)
+    cur = np.full_like(x, math.pi**-0.25)
+    total = cur * cur
+    shift = np.zeros(x.shape, dtype=int)  # the true sum is total * 2**shift
+    for k in range(1, n):
+        prev, cur = cur, (x * cur - b[k - 1] * prev) / b[k]
+        total += cur * cur
+        e = np.frexp(total)[1] & ~1  # even, so its half scales p_k exactly
+        prev = np.ldexp(prev, -e // 2)
+        cur = np.ldexp(cur, -e // 2)
+        total = np.ldexp(total, -e)
+        shift += e
+    p_n = (x * cur - b[n - 1] * prev) / b[n]
+    return np.ldexp(1.0 / total, -shift), p_n / cur
+
+
 @lru_cache(maxsize=8)
 def _hermite_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return roots_hermite(n)
+    """Gauss-Hermite nodes and weights for exp(-x^2), by Golub-Welsch.
+
+    The nodes are the eigenvalues of the Jacobi matrix (off-diagonal
+    sqrt(k/2)), polished by one Newton step on p_n, whose derivative is
+    sqrt(2n) p_{n-1}; the weights are the Christoffel numbers there.
+    Golub & Welsch, Math. Comp. 23 (1969) 221.
+    """
+    b = np.sqrt(np.arange(1, n) / 2.0)
+    # eigvalsh reads one triangle, so the superdiagonal alone is the matrix
+    x = np.linalg.eigvalsh(np.diag(b, 1), UPLO="U")
+    _, ratio = _hermite_recurrence(x, n)
+    x = x - ratio / math.sqrt(2.0 * n)
+    weights, _ = _hermite_recurrence(x, n)
+    return x, weights
 
 
 def flip_probability_quadrature(
@@ -155,44 +198,3 @@ def flip_probability_quadrature(
     d = state.d_n + math.sqrt(2.0) * state.delta * x
     amplitude = float(np.dot(w, np.sin(d * xi))) / math.sqrt(math.pi)
     return amplitude**2
-
-
-def flip_probability_trapezoid(
-    state: DipoleState, xi: float, spec: QuadratureSpec = QuadratureSpec()
-) -> float:
-    """Trapezoid fallback for the amplitude integral, for diagnostics.
-
-    Integrates w(d) sin(d xi) on a uniform grid over
-    d_n +/- integration_halfwidth * delta. Cruder than Gauss-Hermite at
-    equal node count; useful to cross-examine quadrature disagreements.
-    """
-    if not math.isfinite(xi):
-        raise ValueError("xi must be finite")
-    if state.delta == 0.0:
-        return math.sin(state.d_n * xi) ** 2
-    _check_nodes(spec, xi, state.delta)
-    half = spec.integration_halfwidth * state.delta
-    d = np.linspace(state.d_n - half, state.d_n + half, spec.node_count)
-    weight = np.exp(-((d - state.d_n) ** 2) / (2.0 * state.delta**2))
-    weight /= state.delta * math.sqrt(2.0 * math.pi)
-    amplitude = float(np.trapezoid(weight * np.sin(d * xi), d))
-    return amplitude**2
-
-
-def wigner_eckart_dipole(scalar_ev, spin_ev, j: float) -> np.ndarray:
-    """Vector dipole expectation from the scalar one and the spin vector.
-
-    Returns ``scalar_ev / (j*(j+1)) * spin_ev`` componentwise, the
-    projection of a vector observable onto the angular-momentum direction
-    within a fixed-j multiplet. ``j`` must be a positive half-integer.
-    """
-    if not math.isfinite(j) or j <= 0:
-        raise ValueError("j must be a positive half-integer")
-    if abs(2.0 * j - round(2.0 * j)) > 1e-9:
-        raise ValueError("j must be a positive half-integer")
-    spin = np.asarray(spin_ev, dtype=float)
-    if spin.shape != (3,):
-        raise ValueError("spin_ev must be a 3-vector")
-    if not (math.isfinite(scalar_ev) and np.all(np.isfinite(spin))):
-        raise ValueError("inputs must be finite")
-    return (scalar_ev / (j * (j + 1.0))) * spin

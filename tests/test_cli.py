@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nedmsim
 from nedmsim.cli import main
 from nedmsim.formats import (
     CONTRAST_HEADER,
@@ -15,6 +19,7 @@ from nedmsim.formats import (
     parse_csv,
     render_csv,
 )
+from nedmsim.weak_measurement import NODE_COUNT_MAX, required_node_count
 
 NOISELESS_INI = """\
 [campaign]
@@ -302,6 +307,55 @@ def test_bad_dataset_header_exits_2(tmp_path, capsys):
     data = tmp_path / "flips.csv"
     data.write_text("a,b,c\n1,2,3\n")
     assert run_cli("fit", "--data", data) == 2
+
+
+@pytest.mark.parametrize("command", ["fit", "bound"])
+def test_short_dataset_row_exits_2(tmp_path, capsys, command):
+    data = tmp_path / "flips.csv"
+    data.write_text("xi,trials,flips\n1e21,100\n")
+    assert run_cli(command, "--data", data) == 2
+    assert "CSV line 2 has 2 cells, expected 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, nodes",
+    [
+        (("transition", "--dn", "1e-26", "--delta", "1e-15", "--pulse-integral", "1e6",
+          "--check-oracle"), 8771505),
+        (("scan", "--dn", "0", "--delta", "1e-15", "--xi-min", "1e13", "--xi-max", "1e18",
+          "--points", "2"), required_node_count(1e18, 1e-15)),
+    ],
+)
+def test_oracle_above_node_ceiling_exits_2(tmp_path, capsys, monkeypatch, argv, nodes):
+    def refuse(n):
+        raise AssertionError(f"built a {n}-node rule above the ceiling")
+
+    monkeypatch.setattr("nedmsim.weak_measurement._hermite_nodes", refuse)
+    assert run_cli(*argv, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert f"node_count = {nodes} exceeds" in err and f"{NODE_COUNT_MAX} nodes" in err
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    package_root = str(Path(nedmsim.__file__).resolve().parents[1])
+    pythonpath = [package_root]
+    if os.environ.get("PYTHONPATH"):
+        pythonpath.append(os.environ["PYTHONPATH"])
+    code = (
+        "import sys, nedmsim, nedmsim.cli; print(nedmsim.__file__); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported_from, scipy_modules = proc.stdout.splitlines()
+    assert Path(imported_from).resolve() == Path(nedmsim.__file__).resolve()
+    assert scipy_modules == "[]"
 
 
 def test_threads_env_does_not_change_bytes(tmp_path, capsys, monkeypatch):

@@ -55,6 +55,19 @@ def test_csv_header_mismatch_rejected():
         parse_csv("a,b\n1,2\n", ("a", "c"))
 
 
+@pytest.mark.parametrize(
+    "text, header",
+    [
+        ("xi,trials,flips\n1e21,100,3\n1e20,100\n", FLIPS_HEADER),
+        (",".join(CYCLES_HEADER) + "\n0,1,5,5,1.0,2.0,0.5,9\n", CYCLES_HEADER),
+    ],
+)
+def test_csv_row_length_mismatch_rejected(text, header):
+    bad_line = text.count("\n")
+    with pytest.raises(ValueError, match=f"CSV line {bad_line} has"):
+        parse_csv(text, header)
+
+
 def test_cycles_round_trip_bytes():
     config = CampaignConfig(true_dn=5e-21, cycles=4, seed=9)
     records = run_campaign(config)

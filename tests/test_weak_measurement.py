@@ -1,4 +1,4 @@
-"""Flip probability: closed form vs the quadrature oracle, projections."""
+"""Flip probability: closed form vs the quadrature oracle and its rule."""
 
 import math
 
@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from nedmsim.weak_measurement import (
+    NODE_COUNT_MAX,
     DipoleState,
     QuadratureSpec,
+    _hermite_nodes,
     flip_probability,
     flip_probability_quadrature,
-    flip_probability_trapezoid,
     required_node_count,
-    wigner_eckart_dipole,
 )
 
 XI_REF = 1e13  # rad per e.cm; products below are set via this reference
@@ -81,13 +81,33 @@ def test_quadrature_node_rule_enforced():
     flip_probability_quadrature(st, XI_REF, QuadratureSpec(node_count=needed))
 
 
-def test_trapezoid_fallback_agrees():
-    spec = QuadratureSpec(node_count=2001, integration_halfwidth=12.0)
-    for dn_xi, delta_xi in [(0.0, 0.5), (0.3, 0.3), (1.0, 1.0), (0.7, 3.0)]:
-        st = state_for(dn_xi, delta_xi)
-        closed = flip_probability(st, XI_REF)
-        trap = flip_probability_trapezoid(st, XI_REF, spec)
-        assert abs(closed - trap) < 1e-12
+RULE_SIZES = (2, 3, 20, 200, 1010, NODE_COUNT_MAX)
+
+
+@pytest.mark.parametrize("n", RULE_SIZES)
+def test_hermite_rule_integrates_constants_and_is_symmetric(n):
+    x, w = _hermite_nodes(n)
+    assert x.shape == w.shape == (n,)
+    assert np.all(np.diff(x) > 0)
+    assert np.all(w >= 0)
+    assert abs(float(np.sum(w)) - math.sqrt(math.pi)) <= 2e-15
+    assert np.max(np.abs(x + x[::-1])) <= 5e-14
+
+
+@pytest.mark.parametrize("n", RULE_SIZES)
+def test_hermite_rule_matches_scipy(n):
+    roots_hermite = pytest.importorskip("scipy.special").roots_hermite
+    x, w = _hermite_nodes(n)
+    x_ref, w_ref = roots_hermite(n)
+    assert np.max(np.abs(x - x_ref)) <= 5e-14
+    resolved = w_ref > 1e-250
+    assert np.max(np.abs(w[resolved] / w_ref[resolved] - 1.0)) <= 4e-12
+
+
+def test_quadrature_spec_node_ceiling():
+    QuadratureSpec(node_count=NODE_COUNT_MAX)
+    with pytest.raises(ValueError, match=f"{NODE_COUNT_MAX + 1} exceeds .* {NODE_COUNT_MAX} nodes"):
+        QuadratureSpec(node_count=NODE_COUNT_MAX + 1)
 
 
 def test_scale_invariance():
@@ -137,27 +157,3 @@ def test_dipole_state_validation():
     with pytest.raises(ValueError):
         DipoleState(math.nan, 0.0)
 
-
-def test_wigner_eckart_zero_scalar():
-    assert np.all(wigner_eckart_dipole(0.0, (0.2, -0.1, 0.4), 0.5) == 0.0)
-
-
-def test_wigner_eckart_spin_half_z():
-    out = wigner_eckart_dipole(3e-26, (0.0, 0.0, 0.5), 0.5)
-    # d * (1/2) / (3/4) = 2d/3
-    assert out == pytest.approx([0.0, 0.0, 2.0 * 3e-26 / 3.0], rel=1e-15)
-
-
-def test_wigner_eckart_output_parallel_to_spin():
-    rng = np.random.default_rng(2)
-    for j in (0.5, 1.0, 1.5, 2.0):
-        spin = rng.normal(size=3)
-        out = wigner_eckart_dipole(1.7e-20, spin, j)
-        assert np.linalg.norm(np.cross(out, spin)) < 1e-12 * np.linalg.norm(out) * np.linalg.norm(spin)
-        assert out == pytest.approx(1.7e-20 / (j * (j + 1)) * spin, rel=1e-15)
-
-
-def test_wigner_eckart_rejects_bad_j():
-    for j in (0.0, -0.5, 0.3):
-        with pytest.raises(ValueError):
-            wigner_eckart_dipole(1e-26, (0, 0, 0.5), j)
