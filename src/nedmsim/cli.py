@@ -413,11 +413,24 @@ def _manifest(command: str, cfg: dict) -> dict:
 
 
 def _run(command: str, cfg: dict) -> int:
-    """Write the manifest of a resolved run, then execute it."""
+    """Execute a resolved run, then write its manifest.
+
+    A run that did not converge (exit 4) still gets its manifest, so it can
+    be rerun; a run rejected while executing (exit 2 or 3) leaves none.
+    """
     path = cfg["outputs"].get("manifest")
+    try:
+        code = COMMANDS[command].execute(cfg)
+    except NonConvergenceError:
+        _write_manifest(path, command, cfg)
+        raise
+    _write_manifest(path, command, cfg)
+    return code
+
+
+def _write_manifest(path: str | None, command: str, cfg: dict) -> None:
     if path:
         atomic_write_text(path, render_json(_manifest(command, cfg)))
-    return COMMANDS[command].execute(cfg)
 
 
 def _rerun(path: str) -> int:

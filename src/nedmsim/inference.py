@@ -15,6 +15,12 @@ Intervals and upper bounds use Wilks-threshold profile likelihood: the
 nuisance parameter is maximized out at each value of the parameter of
 interest and the ratio statistic q = 2(l_max - l_profile) is compared to
 a chi-square quantile (two-sided for intervals, one-sided for bounds).
+Profiles are batched: one vectorized kernel call evaluates the nuisance
+for many values of interest, a coarse grid then a grid zoom per row.
+Crossings are found by K-section, a few points per batched call, taking
+the crossing nearest the estimate; an upper bound scans a fixed
+geometric grid upward in chunks and sections the first crossing cell.
+Both stop at ``resolution`` times the axis width.
 
 The campaign estimator turns a cycle table into per-pair dipole estimates
 via the ratio difference and combines them with inverse-variance weights;
@@ -63,6 +69,18 @@ RESOLUTION_DEFAULT = 1e-7
 CL_DEFAULT = 0.95
 FIT_DELTA_WIDTHS = 5.0
 BOUND_DELTA_WIDTHS = 1.0
+
+# Batch shapes of the profile and crossing searches: candidates per row and
+# zoom step (each step narrows a bracket 8x), interior points per K-section
+# round (8x per round), and bound-scan points per call. They keep each
+# batched flip_kernel call to a few thousand elements per data point.
+# _MAX_ROUNDS caps zoom steps and K-section rounds: 8**20 = 2**60 narrows
+# any bracket below double precision, so a resolution finer than that
+# cannot stall a bracket that no longer shrinks.
+_ZOOM_POINTS = 17
+_SECTIONS = 7
+_SCAN_CHUNK = 32
+_MAX_ROUNDS = 20
 
 
 class NonConvergenceError(RuntimeError):
@@ -127,7 +145,8 @@ class SearchBox:
 
     ``resolution`` is relative to each axis width: refinement stops once a
     full coordinate round moves both estimates by less than
-    resolution * width.
+    resolution * width, and profiles and interval edges are located to
+    within resolution * width.
     """
 
     dn_max: float
@@ -191,12 +210,19 @@ def _grid_axis(lo: float, hi: float, n: int) -> np.ndarray:
     return np.concatenate([[0.0], np.geomspace(hi * 1e-6, hi, n - 1)])
 
 
+def _log_likelihood_at(dns, deltas, dataset: FlipDataset) -> np.ndarray:
+    """Log likelihood at the broadcast pairs of dns and deltas, vectorized."""
+    p = flip_kernel(
+        np.asarray(dns)[..., None], np.asarray(deltas)[..., None], dataset.xi
+    )
+    return np.sum(_binomial_terms(p, dataset.trials, dataset.flips), axis=-1)
+
+
 def _log_likelihood_grid(
     dns: np.ndarray, deltas: np.ndarray, dataset: FlipDataset
 ) -> np.ndarray:
     """Log likelihood on the outer grid dns x deltas, vectorized."""
-    p = flip_kernel(dns[:, None, None], deltas[None, :, None], dataset.xi)
-    return np.sum(_binomial_terms(p, dataset.trials, dataset.flips), axis=2)
+    return _log_likelihood_at(dns[:, None], deltas[None, :], dataset)
 
 
 def _golden_max(f, lo: float, hi: float, tol: float):
@@ -317,62 +343,120 @@ def _maximize(
     return dn, de, ll, converged
 
 
-def _profile_dn(dataset: FlipDataset, dn: float, search: SearchBox) -> float:
-    """max over delta of l(dn, delta) within the box."""
-    des = _grid_axis(search.delta_min, search.delta_max, 33)
-    vals = _log_likelihood_grid(np.array([dn]), des, dataset)[0]
-    j = int(np.argmax(vals))
-    lo = float(des[max(j - 1, 0)])
-    hi = float(des[min(j + 1, des.size - 1)])
-    tol = search.resolution * (search.delta_max - search.delta_min)
-    _, best = _golden_max(lambda x: log_likelihood(dn, x, dataset), lo, hi, tol)
-    return best
+def _profile(
+    dataset: FlipDataset, axis: str, values: np.ndarray, search: SearchBox
+) -> np.ndarray:
+    """Profile log likelihood at each of ``values`` of ``axis`` ("dn" or "delta").
 
-
-def _profile_delta(dataset: FlipDataset, delta: float, search: SearchBox) -> float:
-    """max over dn of l(dn, delta) within the box."""
-    dns = _grid_axis(search.dn_min, search.dn_max, 65)
-    vals = _log_likelihood_grid(dns, np.array([delta]), dataset)[:, 0]
-    j = int(np.argmax(vals))
-    lo = float(dns[max(j - 1, 0)])
-    hi = float(dns[min(j + 1, dns.size - 1)])
-    tol = search.resolution * (search.dn_max - search.dn_min)
-    _, best = _golden_max(lambda x: log_likelihood(x, delta, dataset), lo, hi, tol)
-    return best
-
-
-def _crossing(q_of, a: float, b: float, threshold: float) -> float:
-    """Where q_of crosses ``threshold`` between a and b, by 60 bisections.
-
-    Assumes q(a) <= threshold < q(b); either end may be the larger.
+    The other parameter, the nuisance, is maximized out within the box for
+    all values at once: a coarse geometric nuisance grid (33 delta or 65
+    d_n points) brackets each row's maximum by its two neighbouring cells,
+    then every bracket is zoomed together, _ZOOM_POINTS candidates per row
+    and step, keeping the two cells around each row's best candidate. The
+    step count depends only on the coarse grid, never on the other rows,
+    and stops once every bracket is within resolution * nuisance width.
+    Each row reports the best value it evaluated, so it is never below
+    its coarse-grid maximum.
     """
-    for _ in range(60):
-        m = 0.5 * (a + b)
-        if q_of(m) > threshold:
-            b = m
-        else:
-            a = m
+    values = np.asarray(values, dtype=float)
+    if axis == "dn":
+        lo_box, hi_box, n = search.delta_min, search.delta_max, 33
+
+        def ll(nuisance):
+            return _log_likelihood_at(values[:, None], nuisance, dataset)
+    else:
+        lo_box, hi_box, n = search.dn_min, search.dn_max, 65
+
+        def ll(nuisance):
+            return _log_likelihood_at(nuisance, values[:, None], dataset)
+
+    grid = _grid_axis(lo_box, hi_box, n)
+    rows = np.arange(values.size)
+    vals = ll(np.broadcast_to(grid, (values.size, n)))
+    j = np.argmax(vals, axis=1)
+    best = vals[rows, j]
+    lo = grid[np.maximum(j - 1, 0)]
+    hi = grid[np.minimum(j + 1, n - 1)]
+    width = float(np.max(grid[2:] - grid[:-2]))
+    tol = search.resolution * (hi_box - lo_box)
+    t = np.linspace(0.0, 1.0, _ZOOM_POINTS)
+    for _ in range(_MAX_ROUNDS):
+        if width <= tol:
+            break
+        cand = lo[:, None] * (1.0 - t) + hi[:, None] * t
+        vals = ll(cand)
+        k = np.argmax(vals, axis=1)
+        best = np.maximum(best, vals[rows, k])
+        lo = cand[rows, np.maximum(k - 1, 0)]
+        hi = cand[rows, np.minimum(k + 1, _ZOOM_POINTS - 1)]
+        width *= 2.0 / (_ZOOM_POINTS - 1)
+    return best
+
+
+def _crossing(q_of, a: float, b: float, threshold: float, tol: float) -> float:
+    """Where q_of first crosses ``threshold`` going from a towards b.
+
+    Assumes q(a) <= threshold < q(b); either end may be the larger. Each
+    round evaluates _SECTIONS interior points in one call of the batched
+    ``q_of`` and keeps the cell of the first point above the threshold
+    (the crossing nearest a), until the bracket is within ``tol`` or
+    _MAX_ROUNDS rounds have run.
+    """
+    t = np.arange(1, _SECTIONS + 1) / (_SECTIONS + 1)
+    for _ in range(_MAX_ROUNDS):
+        if abs(b - a) <= tol:
+            break
+        points = a + (b - a) * t
+        above = np.flatnonzero(q_of(points) > threshold)
+        if above.size == 0:
+            a = float(points[-1])
+            continue
+        i = int(above[0])
+        b = float(points[i])
+        if i > 0:
+            a = float(points[i - 1])
     return 0.5 * (a + b)
 
 
 def _interval_from_profile(
-    q_of, center: float, lo: float, hi: float, threshold: float
+    q_of, center: float, lo: float, hi: float, threshold: float, tol: float
 ) -> tuple[float, float]:
     """Endpoints where the profile ratio statistic crosses ``threshold``.
 
-    ``q_of`` must vanish at ``center``; each side is bisected on the first
-    sign change of q - threshold, and a side that never crosses reports
-    the box edge.
+    ``q_of`` is batched and must vanish at ``center``; each side reports
+    the crossing nearest the centre to within ``tol``, and a side that is
+    not above the threshold at its box edge reports the box edge.
     """
-    if q_of(lo) > threshold:
-        left = _crossing(q_of, center, lo, threshold)
-    else:
-        left = lo
-    if q_of(hi) > threshold:
-        right = _crossing(q_of, center, hi, threshold)
-    else:
-        right = hi
+    q_lo, q_hi = q_of(np.array([lo, hi]))
+    left = _crossing(q_of, center, lo, threshold, tol) if q_lo > threshold else lo
+    right = _crossing(q_of, center, hi, threshold, tol) if q_hi > threshold else hi
     return (min(left, right), max(left, right))
+
+
+def _scan_crossing(q_of, grid: np.ndarray, prev: float, threshold: float, tol: float) -> float:
+    """First crossing of ``threshold`` by the batched ``q_of`` along ``grid``.
+
+    The grid is scanned upward from ``prev`` in chunks of _SCAN_CHUNK
+    points, stopping at the first chunk with a point above the threshold;
+    the cell ending at that point is then sectioned to within ``tol``.
+
+    Raises
+    ------
+    NonConvergenceError
+        If no grid point is above the threshold.
+    """
+    for start in range(0, grid.size, _SCAN_CHUNK):
+        chunk = grid[start : start + _SCAN_CHUNK]
+        above = np.flatnonzero(q_of(chunk) > threshold)
+        if above.size:
+            i = int(above[0])
+            a = float(chunk[i - 1]) if i > 0 else prev
+            return _crossing(q_of, a, float(chunk[i]), threshold, tol)
+        prev = float(chunk[-1])
+    raise NonConvergenceError(
+        f"profile statistic stayed below the threshold up to dn_max = {grid[-1]:g}; "
+        "widen dn_max or collect more trials"
+    )
 
 
 def search_ceilings(dataset: FlipDataset, delta_widths: float) -> tuple[float, float]:
@@ -432,21 +516,20 @@ def fit(
         dn_hat, delta_hat, ll_hat, converged = _maximize(dataset, search)
         message = "" if converged else "refinement did not reach the requested resolution"
 
-    def q_dn(v: float) -> float:
-        return 2.0 * (ll_hat - _profile_dn(dataset, v, search))
-
-    def q_delta(v: float) -> float:
-        return 2.0 * (ll_hat - _profile_delta(dataset, v, search))
+    def q_of(axis: str):
+        return lambda v: 2.0 * (ll_hat - _profile(dataset, axis, v, search))
 
     dn_interval = _interval_from_profile(
-        q_dn, dn_hat, search.dn_min, search.dn_max, threshold
+        q_of("dn"), dn_hat, search.dn_min, search.dn_max, threshold,
+        search.resolution * (search.dn_max - search.dn_min),
     )
     if flat:
         # delta is unidentified: the interval is the whole box
         delta_interval = (search.delta_min, search.delta_max)
     else:
         delta_interval = _interval_from_profile(
-            q_delta, delta_hat, search.delta_min, search.delta_max, threshold
+            q_of("delta"), delta_hat, search.delta_min, search.delta_max, threshold,
+            search.resolution * (search.delta_max - search.delta_min),
         )
     return FitResult(
         dn_hat=dn_hat,
@@ -504,21 +587,13 @@ def upper_bound(
     else:
         dn_hat, _, ll_hat, _ = _maximize(dataset, search)
 
-    def q(v: float) -> float:
-        return 2.0 * (ll_hat - _profile_dn(dataset, v, search))
+    def q(v: np.ndarray) -> np.ndarray:
+        return 2.0 * (ll_hat - _profile(dataset, "dn", v, search))
 
     # scan upward from the estimate for the first threshold crossing
     start = dn_hat if dn_hat > 0 else dn_max * 1e-9
     grid = np.geomspace(start, dn_max, 256)
-    prev = dn_hat
-    for g in grid:
-        if q(float(g)) > threshold:
-            return _crossing(q, prev, float(g), threshold)
-        prev = float(g)
-    raise NonConvergenceError(
-        f"profile statistic stayed below the threshold up to dn_max = {dn_max:g}; "
-        "widen dn_max or collect more trials"
-    )
+    return _scan_crossing(q, grid, dn_hat, threshold, resolution * dn_max)
 
 
 @dataclass(frozen=True)

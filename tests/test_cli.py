@@ -149,13 +149,16 @@ def test_scan_table_properties(tmp_path):
 
 def test_scan_unwritable_path_exits_3(tmp_path, capsys):
     out = tmp_path / "missing-dir" / "scan.csv"
+    manifest = tmp_path / "m.json"
     assert (
         run_cli(
             "scan", "--dn", "0", "--delta", "0", "--xi-min", "1", "--xi-max", "2",
-            "--points", "2", "--out", out,
+            "--points", "2", "--out", out, "--manifest-out", manifest,
         )
         == 3
     )
+    # a run that failed while executing leaves no manifest to rerun
+    assert not manifest.exists()
 
 
 def test_campaign_noiseless_round_trip(tmp_path):
@@ -233,7 +236,9 @@ def test_fit_single_xi_exits_2(tmp_path, capsys):
 def test_fit_all_zero_exits_4(tmp_path, capsys):
     data = tmp_path / "flips.csv"
     write_flip_csv(data, [(1e20, 1000, 0), (1e21, 1000, 0)])
-    assert run_cli("fit", "--data", data) == 4
+    manifest = tmp_path / "m.json"
+    assert run_cli("fit", "--data", data, "--manifest-out", manifest) == 4
+    assert json.loads(manifest.read_text())["command"] == "fit"
     report = json.loads(capsys.readouterr().out)
     assert report["converged"] is False
     assert report["dn_hat"] == 0.0
@@ -295,8 +300,11 @@ def test_bound_reads_inference_config_defaults(tmp_path, capsys):
 def test_bound_nonconvergence_exits_4(tmp_path, capsys):
     data = tmp_path / "flips.csv"
     write_flip_csv(data, zero_flip_points())
-    assert run_cli("bound", "--data", data, "--dn-max", "1e-40") == 4
+    manifest = tmp_path / "m.json"
+    assert run_cli("bound", "--data", data, "--dn-max", "1e-40", "--manifest-out", manifest) == 4
     assert "dn_max" in capsys.readouterr().err
+    # a non-converged run keeps its manifest, so it can be rerun
+    assert json.loads(manifest.read_text())["command"] == "bound"
 
 
 def test_missing_data_file_exits_3(tmp_path, capsys):
@@ -331,9 +339,11 @@ def test_oracle_above_node_ceiling_exits_2(tmp_path, capsys, monkeypatch, argv, 
         raise AssertionError(f"built a {n}-node rule above the ceiling")
 
     monkeypatch.setattr("nedmsim.weak_measurement._hermite_nodes", refuse)
-    assert run_cli(*argv, "--out", tmp_path / "out") == 2
+    manifest = tmp_path / "m.json"
+    assert run_cli(*argv, "--out", tmp_path / "out", "--manifest-out", manifest) == 2
     err = capsys.readouterr().err
     assert f"node_count = {nodes} exceeds" in err and f"{NODE_COUNT_MAX} nodes" in err
+    assert not manifest.exists()
 
 
 def test_cli_import_loads_no_scipy(tmp_path):

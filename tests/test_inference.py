@@ -16,7 +16,15 @@ from nedmsim.inference import (
     search_ceilings,
     upper_bound,
 )
-from nedmsim.inference import _grid_axis, _golden_max, _log_likelihood_grid
+from nedmsim.inference import (
+    _crossing,
+    _golden_max,
+    _grid_axis,
+    _log_likelihood_at,
+    _log_likelihood_grid,
+    _profile,
+    _scan_crossing,
+)
 from nedmsim.streams import substream
 from nedmsim.weak_measurement import DipoleState, flip_probability
 
@@ -104,6 +112,137 @@ def test_single_point_mle_identity():
         lambda d: log_likelihood(d, 0.0, ds), 0.0, 0.5 * math.pi / xi, 1e-12 / xi
     )[1]
     assert best == pytest.approx(target, abs=1e-6)
+
+
+def _dense_max(ll_of, lo, hi, points=20001):
+    """Brute-force maximum of ll_of on [lo, hi]: a dense grid, then a dense
+    grid over the two cells around its best point."""
+    x = np.linspace(lo, hi, points)
+    for _ in range(2):
+        vals = ll_of(x)
+        k = int(np.argmax(vals))
+        step = x[1] - x[0]
+        best = vals[k]
+        x = np.linspace(max(lo, x[k] - step), min(hi, x[k] + step), points)
+    return best
+
+
+@pytest.mark.parametrize("axis", ["dn", "delta"])
+def test_profile_matches_coarse_grid_and_brute_force(axis):
+    ds = make_dataset(seed=3)
+    box = default_box()
+    if axis == "dn":
+        values = np.array([0.0, 0.1, 0.29, 0.3, 0.31, 0.5, 1.0]) / XI_MAX
+        lo, hi, n = box.delta_min, box.delta_max, 33
+        coarse = _log_likelihood_grid(values, _grid_axis(lo, hi, n), ds)
+    else:
+        values = np.array([0.0, 0.5, 0.97, 1.0, 1.03, 2.0, 3.0]) / XI_MAX
+        lo, hi, n = box.dn_min, box.dn_max, 65
+        coarse = _log_likelihood_grid(_grid_axis(lo, hi, n), values, ds).T
+    profile = _profile(ds, axis, values, box)
+    # the best value evaluated: never below the row's coarse-grid maximum
+    assert np.all(profile >= coarse.max(axis=1))
+    for v, got in zip(values, profile):
+        if axis == "dn":
+            brute = _dense_max(lambda x: _log_likelihood_at(v, x, ds), lo, hi)
+        else:
+            brute = _dense_max(lambda x: _log_likelihood_at(x, v, ds), lo, hi)
+        assert got == pytest.approx(brute, abs=1e-8)
+
+
+def test_profile_rows_do_not_depend_on_their_batch():
+    ds = make_dataset(seed=3)
+    values = np.array([0.0, 0.2, 0.3, 0.7]) / XI_MAX
+    together = _profile(ds, "dn", values, default_box())
+    alone = [_profile(ds, "dn", values[i : i + 1], default_box())[0] for i in range(4)]
+    assert together.tolist() == alone
+
+
+def _two_crossings(x):
+    # above the threshold 1.0 below 0.1, on (0.3, 0.5) and beyond 0.8
+    x = np.asarray(x)
+    return np.where((x < 0.1) | ((x > 0.3) & (x < 0.5)) | (x > 0.8), 2.0, 0.0)
+
+
+@pytest.mark.parametrize("a, b, nearest", [(0.15, 1.0, 0.3), (0.65, 0.0, 0.5)])
+def test_crossing_returns_the_one_nearest_the_start(a, b, nearest):
+    calls = []
+
+    def q(x):
+        calls.append(len(x))
+        return _two_crossings(x)
+
+    tol = 1e-7
+    got = _crossing(q, a, b, 1.0, tol)
+    assert abs(got - nearest) <= tol
+    # K points per round, each round narrowing the bracket 8x
+    assert set(calls) == {7}
+    assert len(calls) == math.ceil(math.log(abs(b - a) / tol, 8))
+
+
+def _step_at(edge):
+    return lambda x: np.where(np.asarray(x) >= edge, 10.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "where",
+    ["first_point", "last_of_first_chunk", "first_of_second_chunk", "last_point"],
+)
+def test_scan_crossing_cells(where):
+    grid = np.geomspace(1e-3, 1.0, 256)
+    prev = 0.0
+    cell = {
+        "first_point": (prev, grid[0]),
+        "last_of_first_chunk": (grid[30], grid[31]),
+        "first_of_second_chunk": (grid[31], grid[32]),
+        "last_point": (grid[254], grid[255]),
+    }[where]
+    edge = 0.5 * (cell[0] + cell[1])
+    tol = 1e-7
+    got = _scan_crossing(_step_at(edge), grid, prev, 1.0, tol)
+    assert cell[0] <= got <= cell[1]
+    assert abs(got - edge) <= tol
+
+
+def test_scan_crossing_stops_at_the_first_crossing_chunk():
+    grid = np.geomspace(1e-3, 1.0, 256)
+    batches = []
+
+    def q(x):
+        batches.append(np.array(x))
+        return _step_at(grid[40])(x)
+
+    _scan_crossing(q, grid, 0.0, 1.0, 1e-7)
+    scanned = [b for b in batches if b.size == 32]
+    assert [b[0] for b in scanned] == [grid[0], grid[32]]
+
+
+def test_scan_crossing_without_crossing_raises():
+    grid = np.geomspace(1e-3, 2.5, 256)
+    with pytest.raises(NonConvergenceError, match="up to dn_max = 2.5; widen dn_max"):
+        _scan_crossing(_step_at(3.0), grid, 0.0, 1.0, 1e-7)
+
+
+def test_flip_kernel_call_budget(monkeypatch):
+    # one criterion-5 fit and one criterion-6 bound, counted in kernel calls;
+    # scalar profiles and a 60-step bisection made 9186 and 9657
+    import nedmsim.inference as inference
+
+    calls = []
+    kernel = inference.flip_kernel
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(inference, "flip_kernel", counted)
+    fit(make_dataset(seed=0), default_box(), interval_cl=0.9973002039367398)
+    fit_calls = len(calls)
+    calls.clear()
+    upper_bound(zero_flip_dataset(), cl=0.95, delta_bounds=(0.0, 1.0 / XI_MAX))
+    bound_calls = len(calls)
+    assert fit_calls <= 1500, fit_calls
+    assert bound_calls <= 200, bound_calls
 
 
 def test_fit_requires_two_distinct_xi():
@@ -204,6 +343,14 @@ def test_upper_bound_nonconvergence_diagnostic():
     ds = zero_flip_dataset()
     with pytest.raises(NonConvergenceError, match="dn_max"):
         upper_bound(ds, cl=0.95, delta_bounds=(0.0, 1.0 / XI_MAX), dn_max=1e-40)
+
+
+def test_upper_bound_resolution_below_double_precision_terminates():
+    # a bracket cannot shrink below double precision; the search must stop
+    ds = zero_flip_dataset()
+    fine = upper_bound(ds, resolution=1e-30)
+    dn_max, _ = search_ceilings(ds, 1.0)
+    assert abs(fine - upper_bound(ds)) <= 1e-7 * dn_max
 
 
 def test_search_ceilings_from_largest_xi():
