@@ -372,7 +372,7 @@ def _profile(
 
     grid = _grid_axis(lo_box, hi_box, n)
     rows = np.arange(values.size)
-    vals = ll(np.broadcast_to(grid, (values.size, n)))
+    vals = ll(grid[None, :])
     j = np.argmax(vals, axis=1)
     best = vals[rows, j]
     lo = grid[np.maximum(j - 1, 0)]
