@@ -7,6 +7,7 @@ import pytest
 
 from nedmsim.comagnetometer import CampaignConfig, CycleRecord, run_campaign
 from nedmsim.inference import (
+    FIT_DELTA_WIDTHS,
     FlipDataset,
     NonConvergenceError,
     SearchBox,
@@ -27,6 +28,7 @@ from nedmsim.inference import (
 )
 from nedmsim.streams import substream
 from nedmsim.weak_measurement import DipoleState, flip_probability
+from test_pinned_edges import FIT_BOX, FIT_CASES
 
 XI_MAX = 1e21
 
@@ -125,6 +127,60 @@ def _dense_max(ll_of, lo, hi, points=20001):
         best = vals[k]
         x = np.linspace(max(lo, x[k] - step), min(hi, x[k] + step), points)
     return best
+
+
+def _dense_max_2d(dataset, box, points=401):
+    """Brute-force maximum log likelihood on the box: a dense linear 2-D
+    grid, then a dense grid over the 2 x 2 cells around its best point."""
+    dn = np.linspace(box.dn_min, box.dn_max, points)
+    de = np.linspace(box.delta_min, box.delta_max, points)
+    for _ in range(2):
+        vals = _log_likelihood_at(dn[:, None], de[None, :], dataset)
+        i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        best = float(vals[i, j])
+        dn_step, de_step = dn[1] - dn[0], de[1] - de[0]
+        dn = np.linspace(
+            max(box.dn_min, dn[i] - dn_step), min(box.dn_max, dn[i] + dn_step), points
+        )
+        de = np.linspace(
+            max(box.delta_min, de[j] - de_step), min(box.delta_max, de[j] + de_step), points
+        )
+    return best
+
+
+def random_dataset(seed):
+    """A seeded table with a random design, truth and trial count per point."""
+    rng = substream(seed, 9, 1)
+    points = int(rng.integers(3, 11))
+    xis = XI_MAX * np.sort(rng.uniform(0.05, 1.0, points))
+    xis[-1] = XI_MAX
+    state = DipoleState(rng.uniform(0.0, 0.9) / XI_MAX, rng.uniform(0.0, 2.5) / XI_MAX)
+    trials = rng.integers(10**3, 10**6, points)
+    flips = rng.binomial(trials, flip_probability(state, xis))
+    return FlipDataset(xi=xis, trials=trials, flips=flips)
+
+
+def _guard_cases():
+    cases = {f"pinned_{name}": (ds, FIT_BOX) for name, ds in FIT_CASES.items()}
+    for seed in range(6):
+        ds = random_dataset(seed)
+        dn_max, delta_max = search_ceilings(ds, FIT_DELTA_WIDTHS)
+        cases[f"random{seed}_pinned_box"] = (ds, FIT_BOX)
+        cases[f"random{seed}_default_box"] = (ds, SearchBox(dn_max=dn_max, delta_max=delta_max))
+    return cases
+
+
+GUARD_CASES = _guard_cases()
+
+
+@pytest.mark.parametrize("name", sorted(GUARD_CASES))
+def test_fit_maximum_not_below_dense_grid(name):
+    # the optimizer may trust its coarse grid only as far as a brute-force
+    # search agrees: its maximum must not fall below a dense grid's by more
+    # than rounding at log likelihoods of a few 1e6
+    dataset, box = GUARD_CASES[name]
+    result = fit(dataset, box)
+    assert result.max_log_likelihood >= _dense_max_2d(dataset, box) - 1e-6
 
 
 @pytest.mark.parametrize("axis", ["dn", "delta"])
