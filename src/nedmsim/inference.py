@@ -7,20 +7,22 @@ envelope exp(-(xi delta)^2). The binomial log likelihood
 
     l(d_n, delta) = sum_i [ k_i ln p_i + (n_i - k_i) ln(1 - p_i) ]
 
-is maximized by a deterministic two-stage search (coarse geometric grid,
-then coordinate-wise golden-section refinement); no gradient information
-is used because the sin^2 ridges make the surface multimodal in d_n.
+is maximized without gradients, because the sin^2 ridges make the
+surface multimodal in d_n. Everything rests on the profile likelihood:
+the nuisance parameter is maximized out at each value of the parameter
+of interest, for many values in one vectorized kernel call (a coarse
+grid, then a grid zoom per row). The maximum likelihood is the maximum
+of the d_n profile: a coarse geometric grid over the box picks the
+basin, and a zoom over d_n, one batched profile per step, narrows the
+two grid cells around its best point.
 
-Intervals and upper bounds use Wilks-threshold profile likelihood: the
-nuisance parameter is maximized out at each value of the parameter of
-interest and the ratio statistic q = 2(l_max - l_profile) is compared to
-a chi-square quantile (two-sided for intervals, one-sided for bounds).
-Profiles are batched: one vectorized kernel call evaluates the nuisance
-for many values of interest, a coarse grid then a grid zoom per row.
-Crossings are found by K-section, a few points per batched call, taking
-the crossing nearest the estimate; an upper bound scans a fixed
-geometric grid upward in chunks and sections the first crossing cell.
-Both stop at ``resolution`` times the axis width.
+Intervals and upper bounds compare the profile ratio statistic
+q = 2(l_max - l_profile) with a chi-square quantile (two-sided for
+intervals, one-sided for bounds). Crossings are found by K-section, a
+few points per batched call, taking the crossing nearest the estimate;
+an upper bound scans a fixed geometric grid upward in chunks and
+sections the first crossing cell. Every search stops at ``resolution``
+times the axis width, or after _MAX_ROUNDS steps.
 
 The campaign estimator turns a cycle table into per-pair dipole estimates
 via the ratio difference and combines them with inverse-variance weights;
@@ -60,8 +62,6 @@ __all__ = [
 _P_FLOOR = 1e-300
 _P_CEIL = float(np.nextafter(1.0, 0.0))
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 # Defaults shared by the library calls, the [inference] config section and
 # the fit and bound commands; delta ceilings are in widths (search_ceilings).
 GRID_POINTS_DEFAULT = 48
@@ -70,13 +70,14 @@ CL_DEFAULT = 0.95
 FIT_DELTA_WIDTHS = 5.0
 BOUND_DELTA_WIDTHS = 1.0
 
-# Batch shapes of the profile and crossing searches: candidates per row and
+# Batch shapes of the zoom and crossing searches: candidates per row and
 # zoom step (each step narrows a bracket 8x), interior points per K-section
 # round (8x per round), and bound-scan points per call. They keep each
 # batched flip_kernel call to a few thousand elements per data point.
-# _MAX_ROUNDS caps zoom steps and K-section rounds: 8**20 = 2**60 narrows
-# any bracket below double precision, so a resolution finer than that
-# cannot stall a bracket that no longer shrinks.
+# _MAX_ROUNDS caps the zoom steps of the maximum and of the profiles and
+# the K-section rounds: 8**20 = 2**60 narrows any bracket below double
+# precision, so a resolution finer than that cannot stall a bracket that
+# no longer shrinks.
 _ZOOM_POINTS = 17
 _SECTIONS = 7
 _SCAN_CHUNK = 32
@@ -143,10 +144,9 @@ class FlipDataset:
 class SearchBox:
     """Closed parameter box and stopping resolution for the fit.
 
-    ``resolution`` is relative to each axis width: refinement stops once a
-    full coordinate round moves both estimates by less than
-    resolution * width, and profiles and interval edges are located to
-    within resolution * width.
+    ``resolution`` is relative to each axis width: the maximum, the
+    profiles and the interval edges are each located to within
+    resolution * width of their axis.
     """
 
     dn_max: float
@@ -225,127 +225,47 @@ def _log_likelihood_grid(
     return _log_likelihood_at(dns[:, None], deltas[None, :], dataset)
 
 
-def _golden_max(f, lo: float, hi: float, tol: float):
-    """Deterministic golden-section maximum of f on [lo, hi].
-
-    Returns the best evaluated point (endpoints included), never an
-    unevaluated midpoint, so the result can only improve on its bracket.
-    """
-    best_x, best_f = lo, f(lo)
-    fhi = f(hi)
-    if fhi > best_f:
-        best_x, best_f = hi, fhi
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-        if fc > best_f:
-            best_x, best_f = c, fc
-        if fd > best_f:
-            best_x, best_f = d, fd
-    return best_x, best_f
-
-
-def _line_max(f, box_lo: float, box_hi: float, x0: float, width: float, tol: float):
-    """Golden-section maximum along one coordinate, adaptive bracket.
-
-    Starts from a window of half-width ``width`` around ``x0`` and expands
-    it whenever the maximum lands on a window edge that is not a box edge,
-    so a walk along a correlated valley is never pinned by its bracket.
-    """
-    w = max(width, 10.0 * tol)
-    x, v = x0, -math.inf
-    for _ in range(60):
-        lo = max(box_lo, x0 - w)
-        hi = min(box_hi, x0 + w)
-        x, v = _golden_max(f, lo, hi, tol)
-        pinned_lo = (x - lo) <= 2.0 * tol and lo > box_lo
-        pinned_hi = (hi - x) <= 2.0 * tol and hi < box_hi
-        if not (pinned_lo or pinned_hi):
-            return x, v
-        x0 = x
-        w *= 4.0
-    return x, v
+def _coarse_max(dataset: FlipDataset, search: SearchBox):
+    """Best point of the coarse geometric grid: (d_n grid, d_n index, delta, ll)."""
+    dns = _grid_axis(search.dn_min, search.dn_max, search.grid_points)
+    des = _grid_axis(search.delta_min, search.delta_max, search.grid_points)
+    grid_ll = _log_likelihood_grid(dns, des, dataset)
+    i, j = np.unravel_index(int(np.argmax(grid_ll)), grid_ll.shape)
+    return dns, int(i), float(des[j]), float(grid_ll[i, j])
 
 
 def _maximize(
     dataset: FlipDataset, search: SearchBox
 ) -> tuple[float, float, float, bool]:
-    """Two-stage maximization; returns (dn, delta, ll, converged)."""
-    dns = _grid_axis(search.dn_min, search.dn_max, search.grid_points)
-    des = _grid_axis(search.delta_min, search.delta_max, search.grid_points)
-    grid_ll = _log_likelihood_grid(dns, des, dataset)
-    i, j = np.unravel_index(int(np.argmax(grid_ll)), grid_ll.shape)
+    """Maximum likelihood as the maximum of the d_n profile.
 
-    dn_w = search.dn_max - search.dn_min
-    de_w = search.delta_max - search.delta_min
-    # locate line maxima one order below the step criterion so the
-    # round-to-round jitter cannot mask convergence
-    tol_dn = 0.1 * search.resolution * dn_w
-    tol_de = 0.1 * search.resolution * de_w
-
+    Returns (dn, delta, ll, converged). The best coarse-grid point brackets
+    d_n by its two neighbouring grid cells. Each zoom step profiles
+    _ZOOM_POINTS candidates across the bracket in one batched call and
+    keeps the two cells around the best one, until the bracket is within
+    resolution * d_n width (``converged``) or _MAX_ROUNDS steps have run.
+    The result is the best point evaluated, never below the coarse grid.
+    """
+    dns, i, de, ll = _coarse_max(dataset, search)
     dn = float(dns[i])
-    de = float(des[j])
-    ll = float(grid_ll[i, j])
-    # initial window: one coarse grid cell
-    w_dn = float(dns[min(i + 1, dns.size - 1)] - dns[max(i - 1, 0)]) or dn_w
-    w_de = float(des[min(j + 1, des.size - 1)] - des[max(j - 1, 0)]) or de_w
-
-    converged = False
-    for _ in range(80):
-        dn_prev, de_prev = dn, de
-        dn, ll = _line_max(
-            lambda x: log_likelihood(x, de, dataset),
-            search.dn_min, search.dn_max, dn, w_dn, tol_dn,
-        )
-        de, ll = _line_max(
-            lambda x: log_likelihood(dn, x, dataset),
-            search.delta_min, search.delta_max, de, w_de, tol_de,
-        )
-        # pattern move: extrapolate along the combined round direction so a
-        # correlated valley is followed in O(1) rounds instead of crawled
-        v_dn, v_de = dn - dn_prev, de - de_prev
-        if v_dn != 0.0 or v_de != 0.0:
-            t_hi = 20.0
-            for v, x, lo, hi in (
-                (v_dn, dn, search.dn_min, search.dn_max),
-                (v_de, de, search.delta_min, search.delta_max),
-            ):
-                if v > 0:
-                    t_hi = min(t_hi, (hi - x) / v)
-                elif v < 0:
-                    t_hi = min(t_hi, (lo - x) / v)
-            if t_hi > 0:
-                t, ll_t = _golden_max(
-                    lambda t: log_likelihood(dn + t * v_dn, de + t * v_de, dataset),
-                    0.0,
-                    t_hi,
-                    1e-2,
-                )
-                if ll_t > ll:
-                    dn, de, ll = dn + t * v_dn, de + t * v_de, ll_t
-        step = max(abs(dn - dn_prev) / dn_w, abs(de - de_prev) / de_w)
-        # next window tracks the walk but never collapses below the tolerance
-        w_dn = max(4.0 * abs(dn - dn_prev), 10.0 * tol_dn)
-        w_de = max(4.0 * abs(de - de_prev), 10.0 * tol_de)
-        if step < search.resolution:
-            converged = True
+    lo, hi = dns[max(i - 1, 0)], dns[min(i + 1, dns.size - 1)]
+    tol = search.resolution * (search.dn_max - search.dn_min)
+    t = np.linspace(0.0, 1.0, _ZOOM_POINTS)
+    for _ in range(_MAX_ROUNDS):
+        if hi - lo <= tol:
             break
-    return dn, de, ll, converged
+        cand = lo + (hi - lo) * t
+        prof, nuisance = _profile(dataset, "dn", cand, search)
+        k = int(np.argmax(prof))
+        if prof[k] > ll:
+            dn, de, ll = float(cand[k]), float(nuisance[k]), float(prof[k])
+        lo, hi = cand[max(k - 1, 0)], cand[min(k + 1, _ZOOM_POINTS - 1)]
+    return dn, de, ll, bool(hi - lo <= tol)
 
 
 def _profile(
     dataset: FlipDataset, axis: str, values: np.ndarray, search: SearchBox
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Profile log likelihood at each of ``values`` of ``axis`` ("dn" or "delta").
 
     The other parameter, the nuisance, is maximized out within the box for
@@ -356,7 +276,7 @@ def _profile(
     step count depends only on the coarse grid, never on the other rows,
     and stops once every bracket is within resolution * nuisance width.
     Each row reports the best value it evaluated, so it is never below
-    its coarse-grid maximum.
+    its coarse-grid maximum, and the nuisance value where it was found.
     """
     values = np.asarray(values, dtype=float)
     if axis == "dn":
@@ -375,6 +295,7 @@ def _profile(
     vals = ll(grid[None, :])
     j = np.argmax(vals, axis=1)
     best = vals[rows, j]
+    arg = grid[j]
     lo = grid[np.maximum(j - 1, 0)]
     hi = grid[np.minimum(j + 1, n - 1)]
     width = float(np.max(grid[2:] - grid[:-2]))
@@ -386,11 +307,13 @@ def _profile(
         cand = lo[:, None] * (1.0 - t) + hi[:, None] * t
         vals = ll(cand)
         k = np.argmax(vals, axis=1)
-        best = np.maximum(best, vals[rows, k])
+        better = vals[rows, k] > best
+        best = np.where(better, vals[rows, k], best)
+        arg = np.where(better, cand[rows, k], arg)
         lo = cand[rows, np.maximum(k - 1, 0)]
         hi = cand[rows, np.minimum(k + 1, _ZOOM_POINTS - 1)]
         width *= 2.0 / (_ZOOM_POINTS - 1)
-    return best
+    return best, arg
 
 
 def _crossing(q_of, a: float, b: float, threshold: float, tol: float) -> float:
@@ -478,12 +401,14 @@ def fit(
 ) -> FitResult:
     """Joint maximum-likelihood estimate of (d_n, delta) with intervals.
 
-    A coarse geometric grid over the search box locates the basin; a
-    coordinate-wise golden-section refinement polishes it. The converged
-    flag reports whether refinement settled below ``search.resolution``.
-    Datasets in which every point is all-zero or all-full carry no joint
-    information: the result then sits on the boundary with
-    ``converged=False`` and an explanatory message.
+    A coarse geometric grid over the search box locates the basin; a zoom
+    over d_n on the batched profile likelihood, which maximizes delta at
+    every candidate, narrows it. The converged flag reports whether the
+    d_n bracket reached ``search.resolution`` times the d_n width within
+    _MAX_ROUNDS zoom steps. Datasets in which every point is all-zero or
+    all-full carry no joint information: the result then sits at the
+    search floor or the best coarse-grid point with ``converged=False``
+    and an explanatory message.
     """
     if not 0 < interval_cl < 1:
         raise ValueError("interval_cl must lie in (0, 1)")
@@ -494,30 +419,28 @@ def fit(
     threshold = NormalDist().inv_cdf((1.0 - interval_cl) / 2.0) ** 2
 
     all_zero = bool(np.all(dataset.flips == 0))
-    all_full = bool(np.all(dataset.flips == dataset.trials))
-    flat = all_zero or all_full
+    flat = all_zero or bool(np.all(dataset.flips == dataset.trials))
+    converged = False
     if all_zero:
         dn_hat, delta_hat = search.dn_min, search.delta_min
+        ll_hat = log_likelihood(dn_hat, delta_hat, dataset)
         message = (
             "flat likelihood: no flips anywhere, d_n estimate pinned to "
             "the search floor and delta unidentified"
         )
-    elif all_full:
-        dns = _grid_axis(search.dn_min, search.dn_max, search.grid_points)
-        des = _grid_axis(search.delta_min, search.delta_max, search.grid_points)
-        g = _log_likelihood_grid(dns, des, dataset)
-        i, j = np.unravel_index(int(np.argmax(g)), g.shape)
-        dn_hat, delta_hat = float(dns[i]), float(des[j])
+    elif flat:
+        dns, i, delta_hat, ll_hat = _coarse_max(dataset, search)
+        dn_hat = float(dns[i])
         message = "flat likelihood: every trial flipped, parameters unidentified"
-    if flat:
-        ll_hat = log_likelihood(dn_hat, delta_hat, dataset)
-        converged = False
     else:
         dn_hat, delta_hat, ll_hat, converged = _maximize(dataset, search)
-        message = "" if converged else "refinement did not reach the requested resolution"
+        message = "" if converged else (
+            f"the d_n bracket was still wider than the requested resolution "
+            f"after {_MAX_ROUNDS} zoom steps"
+        )
 
     def q_of(axis: str):
-        return lambda v: 2.0 * (ll_hat - _profile(dataset, axis, v, search))
+        return lambda v: 2.0 * (ll_hat - _profile(dataset, axis, v, search)[0])
 
     dn_interval = _interval_from_profile(
         q_of("dn"), dn_hat, search.dn_min, search.dn_max, threshold,
@@ -588,7 +511,7 @@ def upper_bound(
         dn_hat, _, ll_hat, _ = _maximize(dataset, search)
 
     def q(v: np.ndarray) -> np.ndarray:
-        return 2.0 * (ll_hat - _profile(dataset, "dn", v, search))
+        return 2.0 * (ll_hat - _profile(dataset, "dn", v, search)[0])
 
     # scan upward from the estimate for the first threshold crossing
     start = dn_hat if dn_hat > 0 else dn_max * 1e-9

@@ -226,6 +226,32 @@ def test_fit_command_reports(tmp_path, capsys):
     assert report["dn_hat"] == pytest.approx(3e-22, rel=0.2)
 
 
+# tests/test_pinned_edges.py's interior_dataset(0.3, 0.0): a valid table on
+# which a search step once took delta below 0, so fit and bound exited 2
+INTERIOR_POINTS = [
+    (k * 1.25e20, 10**6, flips)
+    for k, flips in enumerate(
+        [1376, 5554, 12611, 22204, 35019, 49721, 67151, 87514], start=1
+    )
+]
+
+
+@pytest.mark.parametrize(
+    "argv", [["fit"], ["bound", "--resolution", "1e-5"]], ids=["fit", "bound"]
+)
+def test_interior_table_at_default_ceilings_exits_0(tmp_path, capsys, argv):
+    data = tmp_path / "flips.csv"
+    write_flip_csv(data, INTERIOR_POINTS)
+    assert run_cli(*argv, "--data", data) == 0
+    report = json.loads(capsys.readouterr().out)
+    if argv[0] == "fit":
+        assert report["converged"] is True
+        assert report["delta_hat"] >= 0.0
+        assert report["dn_hat"] == pytest.approx(0.3e-21, rel=0.05)
+    else:
+        assert 0.3e-21 < report["upper_bound"] < report["dn_max"]
+
+
 def test_fit_single_xi_exits_2(tmp_path, capsys):
     data = tmp_path / "flips.csv"
     write_flip_csv(data, [(1e21, 100, 1), (1e21, 100, 2)])

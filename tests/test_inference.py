@@ -19,10 +19,10 @@ from nedmsim.inference import (
 )
 from nedmsim.inference import (
     _crossing,
-    _golden_max,
     _grid_axis,
     _log_likelihood_at,
     _log_likelihood_grid,
+    _maximize,
     _profile,
     _scan_crossing,
 )
@@ -97,7 +97,7 @@ def test_log_likelihood_against_brute_grid():
 
 
 def test_grid_and_scalar_likelihood_agree_exactly():
-    # the optimizer's scalar calls and the coarse grid evaluate one kernel
+    # the public scalar likelihood and the batched grid evaluate one kernel
     ds = make_dataset(seed=2)
     dns = _grid_axis(0.0, 1.0 / XI_MAX, 7)
     des = _grid_axis(0.0, 3.0 / XI_MAX, 5)
@@ -110,9 +110,10 @@ def test_single_point_mle_identity():
     xi, n, k = 1e21, 10**6, 37_500
     ds = FlipDataset.from_points([(xi, n, k)])
     target = k * math.log(k / n) + (n - k) * math.log1p(-k / n)
-    best = _golden_max(
-        lambda d: log_likelihood(d, 0.0, ds), 0.0, 0.5 * math.pi / xi, 1e-12 / xi
-    )[1]
+    _, _, best, converged = _maximize(
+        ds, SearchBox(dn_max=0.5 * math.pi / xi, delta_max=1.0 / xi)
+    )
+    assert converged
     assert best == pytest.approx(target, abs=1e-6)
 
 
@@ -195,9 +196,13 @@ def test_profile_matches_coarse_grid_and_brute_force(axis):
         values = np.array([0.0, 0.5, 0.97, 1.0, 1.03, 2.0, 3.0]) / XI_MAX
         lo, hi, n = box.dn_min, box.dn_max, 65
         coarse = _log_likelihood_grid(_grid_axis(lo, hi, n), values, ds).T
-    profile = _profile(ds, axis, values, box)
+    profile, nuisance = _profile(ds, axis, values, box)
     # the best value evaluated: never below the row's coarse-grid maximum
     assert np.all(profile >= coarse.max(axis=1))
+    # and the nuisance value reported with it attains it
+    assert np.all((lo <= nuisance) & (nuisance <= hi))
+    at = (values, nuisance) if axis == "dn" else (nuisance, values)
+    assert np.allclose(_log_likelihood_at(*at, ds), profile, rtol=1e-15, atol=0.0)
     for v, got in zip(values, profile):
         if axis == "dn":
             brute = _dense_max(lambda x: _log_likelihood_at(v, x, ds), lo, hi)
@@ -209,9 +214,9 @@ def test_profile_matches_coarse_grid_and_brute_force(axis):
 def test_profile_rows_do_not_depend_on_their_batch():
     ds = make_dataset(seed=3)
     values = np.array([0.0, 0.2, 0.3, 0.7]) / XI_MAX
-    together = _profile(ds, "dn", values, default_box())
-    alone = [_profile(ds, "dn", values[i : i + 1], default_box())[0] for i in range(4)]
-    assert together.tolist() == alone
+    together = np.array(_profile(ds, "dn", values, default_box()))
+    alone = np.hstack([_profile(ds, "dn", values[i : i + 1], default_box()) for i in range(4)])
+    assert together.tolist() == alone.tolist()
 
 
 def _two_crossings(x):
@@ -297,7 +302,7 @@ def test_flip_kernel_call_budget(monkeypatch):
     calls.clear()
     upper_bound(zero_flip_dataset(), cl=0.95, delta_bounds=(0.0, 1.0 / XI_MAX))
     bound_calls = len(calls)
-    assert fit_calls <= 1500, fit_calls
+    assert fit_calls <= 400, fit_calls
     assert bound_calls <= 200, bound_calls
 
 
@@ -407,6 +412,15 @@ def test_upper_bound_resolution_below_double_precision_terminates():
     fine = upper_bound(ds, resolution=1e-30)
     dn_max, _ = search_ceilings(ds, 1.0)
     assert abs(fine - upper_bound(ds)) <= 1e-7 * dn_max
+
+
+def test_fit_resolution_below_double_precision_terminates():
+    # the d_n zoom stalls at double precision; it must stop unconverged
+    # after its capped step count instead of spinning
+    result = fit(make_dataset(seed=0), default_box(resolution=1e-17))
+    assert not result.converged
+    assert "zoom steps" in result.message
+    assert result.dn_hat == pytest.approx(0.3 / XI_MAX, rel=0.05)
 
 
 def test_search_ceilings_from_largest_xi():
