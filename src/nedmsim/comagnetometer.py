@@ -31,7 +31,7 @@ import numpy as np
 
 from .quantities import PhysicalConstants, UnitSystem
 from .spin_dynamics import RamseyConfig, asymmetry, ramsey_phase, up_probability
-from .streams import DOMAIN_CYCLE, substream
+from .streams import DOMAIN_CYCLE, rekey, substream
 
 __all__ = [
     "COUNTING_MODES",
@@ -257,12 +257,14 @@ def run_campaign(
 
     Each cycle uses the (seed, cycle index) substream, so the record list
     is deterministic given the seed and a longer campaign with the same
-    seed extends a shorter one without changing its cycles.
+    seed extends a shorter one without changing its cycles. One generator
+    is re-keyed onto each cycle's substream rather than built per cycle.
     """
     records = []
+    rng = substream(config.seed, DOMAIN_CYCLE, 0)
     for i in range(config.cycles):
         polarity = 1 if i % 2 == 0 else -1
-        rng = substream(config.seed, DOMAIN_CYCLE, i)
+        rekey(rng, config.seed, DOMAIN_CYCLE, i)
         records.append(
             simulate_cycle(config, i, polarity, rng, constants=constants, units=units)
         )

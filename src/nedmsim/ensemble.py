@@ -14,6 +14,12 @@ The two models are therefore separable by counting statistics alone.
 Trials draw one uniform per neutron against the per-trial probability;
 draws come from counter-based substreams in fixed blocks, so a run is
 reproducible from (seed, parameters) at any worker count.
+
+Where the quantum probability is exactly 0 or 1 (d_n = 0 gives exactly 0
+for any delta), the count is known without drawing: every uniform lies in
+[0, 1), so ``u < 0`` never holds and ``u < 1`` always does. The quantum
+model then returns 0 or ``trials`` at once, with no substream and no
+thread, and the result equals what the draws would have given.
 """
 
 from __future__ import annotations
@@ -92,11 +98,16 @@ def simulate_quantum(
     """Count flips when every trial uses the single quantum probability.
 
     Deterministic given ``seed``; with d_n = 0 the flip probability is
-    exactly 0 and the count is exactly 0 for any number of trials.
+    exactly 0 and the count is exactly 0 for any number of trials. At a
+    probability of exactly 0 or 1 nothing is drawn.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     p = flip_probability(state, xi)
+    if p == 0.0 or p == 1.0:
+        # no uniform in [0, 1) is below 0, and every one is below 1
+        flips = 0 if p == 0.0 else trials
+        return EnsembleRun(MODEL_QUANTUM, trials, flips, seed, xi, state)
 
     def block_fn(b: int, m: int) -> int:
         rng = substream(seed, DOMAIN_QUANTUM, b)
@@ -120,9 +131,15 @@ def simulate_stochastic(
 
     def block_fn(b: int, m: int) -> int:
         rng = substream(seed, DOMAIN_STOCHASTIC, b)
-        d = rng.normal(state.d_n, state.delta, size=m)
-        u = rng.random(m)
-        return int(np.count_nonzero(u < np.sin(d * xi) ** 2))
+        # in place, the same floats as normal(d_n, delta) (d_n + delta*z)
+        # times xi, then sin^2; normals are drawn before uniforms
+        p = rng.standard_normal(m)
+        p *= state.delta
+        p += state.d_n
+        p *= xi
+        np.sin(p, out=p)
+        np.square(p, out=p)
+        return int(np.count_nonzero(rng.random(m) < p))
 
     flips = _run_blocks(block_fn, trials, workers)
     return EnsembleRun(MODEL_STOCHASTIC, trials, flips, seed, xi, state)

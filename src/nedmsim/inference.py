@@ -82,6 +82,10 @@ _ZOOM_POINTS = 17
 _SECTIONS = 7
 _SCAN_CHUNK = 32
 _MAX_ROUNDS = 20
+_UNCONVERGED = (
+    "the d_n bracket was still wider than the requested resolution "
+    f"after {_MAX_ROUNDS} zoom steps"
+)
 
 
 class NonConvergenceError(RuntimeError):
@@ -434,10 +438,7 @@ def fit(
         message = "flat likelihood: every trial flipped, parameters unidentified"
     else:
         dn_hat, delta_hat, ll_hat, converged = _maximize(dataset, search)
-        message = "" if converged else (
-            f"the d_n bracket was still wider than the requested resolution "
-            f"after {_MAX_ROUNDS} zoom steps"
-        )
+        message = "" if converged else _UNCONVERGED
 
     def q_of(axis: str):
         return lambda v: 2.0 * (ll_hat - _profile(dataset, axis, v, search)[0])
@@ -485,7 +486,9 @@ def upper_bound(
     Raises
     ------
     NonConvergenceError
-        If the statistic never crosses the threshold below ``dn_max``.
+        If the maximum likelihood does not converge to ``resolution`` (as
+        in :func:`fit`), or the statistic never crosses the threshold
+        below ``dn_max``.
     """
     if not 0.5 <= cl < 1.0:
         raise ValueError("cl must lie in [0.5, 1)")
@@ -508,7 +511,9 @@ def upper_bound(
     if np.all(dataset.flips == 0):
         dn_hat, ll_hat = 0.0, 0.0
     else:
-        dn_hat, _, ll_hat, _ = _maximize(dataset, search)
+        dn_hat, _, ll_hat, converged = _maximize(dataset, search)
+        if not converged:
+            raise NonConvergenceError(_UNCONVERGED)
 
     def q(v: np.ndarray) -> np.ndarray:
         return 2.0 * (ll_hat - _profile(dataset, "dn", v, search)[0])

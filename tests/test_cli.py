@@ -252,6 +252,20 @@ def test_interior_table_at_default_ceilings_exits_0(tmp_path, capsys, argv):
         assert 0.3e-21 < report["upper_bound"] < report["dn_max"]
 
 
+def test_bound_unconverged_maximum_exits_4(tmp_path, capsys):
+    # tests/test_pinned_edges.py's interior_dataset(0.3, 1.0): below double
+    # precision the maximum cannot converge, and bound must say so as fit does
+    flips = [1394, 5326, 11082, 17436, 23623, 28345, 31368, 32106]
+    data = tmp_path / "flips.csv"
+    write_flip_csv(data, [(k * 1.25e20, 10**6, f) for k, f in enumerate(flips, start=1)])
+    assert run_cli("fit", "--data", data, "--resolution", "1e-17") == 4
+    capsys.readouterr()
+    assert run_cli("bound", "--data", data, "--resolution", "1e-17") == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "zoom steps" in captured.err
+
+
 def test_fit_single_xi_exits_2(tmp_path, capsys):
     data = tmp_path / "flips.csv"
     write_flip_csv(data, [(1e21, 100, 1), (1e21, 100, 2)])

@@ -1,6 +1,7 @@
 """Quantum vs stochastic counting models and their analytic expectation."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from nedmsim.ensemble import (
     simulate_stochastic,
 )
 from nedmsim.streams import BLOCK_TRIALS
-from nedmsim.weak_measurement import DipoleState
+from nedmsim.weak_measurement import DipoleState, flip_probability
 
 
 def gauss_hermite_sin2_mean(dn: float, delta: float, xi: float, nodes: int = 400) -> float:
@@ -67,6 +68,26 @@ def test_certain_flip_fills_every_trial():
     st = DipoleState((math.pi / 2.0) / xi, 0.0)
     run = simulate_quantum(st, xi, 10_000, seed=0)
     assert run.flips == run.trials == 10_000
+
+
+@pytest.mark.parametrize(
+    "dn_xi, delta_xi, flips", [(0.0, 2.0, 0), (math.pi / 2.0, 0.0, 10**9)], ids=["p0", "p1"]
+)
+def test_exact_probability_draws_nothing(monkeypatch, dn_xi, delta_xi, flips):
+    # P exactly 0 or 1 fixes the count: no substream is built, no thread is
+    # started, and 1e9 trials return at once
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the fast path must not draw or start threads")
+
+    monkeypatch.setattr(ensemble, "substream", forbidden)
+    monkeypatch.setattr(ensemble, "ThreadPoolExecutor", forbidden)
+    xi = 1e14
+    state = DipoleState(dn_xi / xi, delta_xi / xi)
+    assert flip_probability(state, xi) == (1.0 if flips else 0.0)
+    threads = threading.active_count()
+    run = simulate_quantum(state, xi, 10**9, seed=3, workers=2)
+    assert run.flips == flips
+    assert threading.active_count() == threads
 
 
 def test_seed_determinism():
