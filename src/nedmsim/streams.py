@@ -67,13 +67,11 @@ def substream(seed: int, domain: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_key(seed, domain, index)))
 
 
-def rekey(
-    rng: np.random.Generator, seed: int, domain: int, index: int
-) -> np.random.Generator:
+def rekey(rng: np.random.Generator, seed: int, domain: int, index: int) -> None:
     """Move a Philox ``rng`` onto the (seed, domain, index) substream, in place.
 
     Afterwards ``rng`` draws exactly what ``substream(seed, domain, index)``
-    draws; returns ``rng``.
+    draws.
     """
     rng.bit_generator.state = {
         "bit_generator": "Philox",
@@ -86,4 +84,3 @@ def rekey(
         "has_uint32": 0,
         "uinteger": 0,
     }
-    return rng

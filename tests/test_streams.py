@@ -43,8 +43,11 @@ def test_rekey_draws_as_a_new_substream():
         rng.random(3)
         rng.integers(0, 10, dtype=np.uint32)
         rng.binomial(1000, 0.3)
-        assert rekey(rng, 42, 3, index) is rng
+        rekey(rng, 42, 3, index)
         fresh = substream(42, 3, index)
+        assert rng.integers(0, 1 << 32, dtype=np.uint32) == fresh.integers(
+            0, 1 << 32, dtype=np.uint32
+        )
         assert rng.normal() == fresh.normal()
         assert rng.binomial(1000, 0.3) == fresh.binomial(1000, 0.3)
         assert rng.poisson(100.0) == fresh.poisson(100.0)
