@@ -539,9 +539,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "rerun":
-            return _rerun(args.manifest)
-        return _run(args.command, COMMANDS[args.command].resolve(args))
+        # where (xi delta)^2 overflows to inf the closed form's envelope is
+        # exactly 0, so numpy's overflow warning would be stray stderr output
+        with np.errstate(over="ignore"):
+            if args.command == "rerun":
+                return _rerun(args.manifest)
+            return _run(args.command, COMMANDS[args.command].resolve(args))
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE

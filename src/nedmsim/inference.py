@@ -11,18 +11,23 @@ is maximized without gradients, because the sin^2 ridges make the
 surface multimodal in d_n. Everything rests on the profile likelihood:
 the nuisance parameter is maximized out at each value of the parameter
 of interest, for many values in one vectorized kernel call (a coarse
-grid, then a grid zoom per row). The maximum likelihood is the maximum
-of the d_n profile: a coarse geometric grid over the box picks the
-basin, and a zoom over d_n, one batched profile per step, narrows the
-two grid cells around its best point.
+grid, then a grid zoom per row). The kernel factor of the parameter of
+interest is fixed along a row, so a profile computes it once and each
+step computes only the nuisance factor. The maximum likelihood is the
+maximum of the d_n profile: a coarse geometric grid over the box picks
+the basin, and a zoom over d_n, one batched profile per step, narrows
+the two grid cells around its best point.
 
 Intervals and upper bounds compare the profile ratio statistic
 q = 2(l_max - l_profile) with a chi-square quantile (two-sided for
 intervals, one-sided for bounds). Crossings are found by K-section, a
-few points per batched call, taking the crossing nearest the estimate;
-an upper bound scans a fixed geometric grid upward in chunks and
-sections the first crossing cell. Every search stops at ``resolution``
-times the axis width, or after _MAX_ROUNDS steps.
+few points per bracket in one batched call, taking the crossing nearest
+the estimate; the two edges of an interval are sectioned in lockstep,
+one bracket per row. An upper bound scans a fixed geometric grid upward
+in chunks and sections the first crossing cell. Every search stops at
+``resolution`` times the axis width, or after _MAX_ROUNDS steps, and
+each bracket of a row-wise search stops on its own, so it ends where a
+search of that bracket alone would.
 
 The campaign estimator turns a cycle table into per-pair dipole estimates
 via the ratio difference and combines them with inverse-variance weights;
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from statistics import NormalDist
 from typing import Iterable, Sequence
 
@@ -41,7 +47,7 @@ import numpy as np
 
 from .comagnetometer import CampaignConfig, CycleRecord, extract_dn_pair
 from .quantities import PhysicalConstants, UnitSystem
-from .weak_measurement import flip_kernel
+from .weak_measurement import flip_envelope, flip_kernel, flip_oscillation
 
 __all__ = [
     "FlipDataset",
@@ -73,7 +79,7 @@ BOUND_DELTA_WIDTHS = 1.0
 # Batch shapes of the zoom and crossing searches: candidates per row and
 # zoom step (each step narrows a bracket 8x), interior points per K-section
 # round (8x per round), and bound-scan points per call. They keep each
-# batched flip_kernel call to a few thousand elements per data point.
+# batched likelihood call to a few thousand elements per data point.
 # _MAX_ROUNDS caps the zoom steps of the maximum and of the profiles and
 # the K-section rounds: 8**20 = 2**60 narrows any bracket below double
 # precision, so a resolution finer than that cannot stall a bracket that
@@ -82,6 +88,10 @@ _ZOOM_POINTS = 17
 _SECTIONS = 7
 _SCAN_CHUNK = 32
 _MAX_ROUNDS = 20
+# fractions of a bracket at which a zoom step and a K-section round evaluate
+_ZOOM_T = np.linspace(0.0, 1.0, _ZOOM_POINTS)
+_ZOOM_S = 1.0 - _ZOOM_T
+_SECTION_T = np.arange(1, _SECTIONS + 1) / (_SECTIONS + 1)
 _UNCONVERGED = (
     "the d_n bracket was still wider than the requested resolution "
     f"after {_MAX_ROUNDS} zoom steps"
@@ -187,12 +197,25 @@ class FitResult:
     message: str = ""
 
 
-def _binomial_terms(p, trials, flips):
-    # each log sees its own one-sided clamp, so a probability of exactly 0
-    # with zero flips (or 1 with all flips) contributes exactly 0
-    return flips * np.log(np.maximum(p, _P_FLOOR)) + (trials - flips) * np.log1p(
-        -np.minimum(p, _P_CEIL)
-    )
+def _binomial_terms(p: np.ndarray, dataset: FlipDataset) -> np.ndarray:
+    """Per-point terms k ln p + (n - k) ln(1 - p); overwrites the array p.
+
+    Each log sees its own one-sided clamp, so a probability of exactly 0
+    with zero flips (or 1 with all flips) contributes exactly 0. Without
+    flips anywhere the k ln p term is a signed zero at every point, and
+    adding it would not change a bit of the sum, so it is not formed.
+    """
+    flips = dataset.flips
+    terms = np.minimum(p, _P_CEIL)
+    np.negative(terms, out=terms)
+    np.log1p(terms, out=terms)
+    terms *= dataset.trials - flips
+    if flips.any():
+        np.maximum(p, _P_FLOOR, out=p)
+        np.log(p, out=p)
+        p *= flips
+        terms += p
+    return terms
 
 
 def log_likelihood(d_n: float, delta: float, dataset: FlipDataset) -> float:
@@ -204,22 +227,41 @@ def log_likelihood(d_n: float, delta: float, dataset: FlipDataset) -> float:
     if delta < 0:
         raise ValueError("delta must be >= 0")
     p = flip_kernel(d_n, delta, dataset.xi)
-    return float(np.sum(_binomial_terms(p, dataset.trials, dataset.flips)))
+    return float(np.sum(_binomial_terms(p, dataset)))
 
 
+@lru_cache(maxsize=64)
 def _grid_axis(lo: float, hi: float, n: int) -> np.ndarray:
-    """Geometric grid on [lo, hi]; a zero lower edge is kept explicitly."""
+    """Geometric grid on [lo, hi]; a zero lower edge is kept explicitly.
+
+    A pure function of its arguments, so it is cached; the array is
+    read-only because every caller shares it.
+    """
     if lo > 0:
-        return np.geomspace(lo, hi, n)
-    return np.concatenate([[0.0], np.geomspace(hi * 1e-6, hi, n - 1)])
+        axis = np.geomspace(lo, hi, n)
+    else:
+        axis = np.concatenate([[0.0], np.geomspace(hi * 1e-6, hi, n - 1)])
+    axis.flags.writeable = False
+    return axis
+
+
+def _log_likelihood_batch(oscillation, envelope, dataset: FlipDataset) -> np.ndarray:
+    """Log likelihood at p = oscillation * envelope, summed over the last axis.
+
+    The factors are the two halves of flip_kernel, evaluated at the data's
+    xi on the last axis. Every coarse grid and every zoom step of the
+    optimizer is one call of this function.
+    """
+    return _binomial_terms(oscillation * envelope, dataset).sum(axis=-1)
 
 
 def _log_likelihood_at(dns, deltas, dataset: FlipDataset) -> np.ndarray:
     """Log likelihood at the broadcast pairs of dns and deltas, vectorized."""
-    p = flip_kernel(
-        np.asarray(dns)[..., None], np.asarray(deltas)[..., None], dataset.xi
+    return _log_likelihood_batch(
+        flip_oscillation(np.asarray(dns)[..., None], dataset.xi),
+        flip_envelope(np.asarray(deltas)[..., None], dataset.xi),
+        dataset,
     )
-    return np.sum(_binomial_terms(p, dataset.trials, dataset.flips), axis=-1)
 
 
 def _log_likelihood_grid(
@@ -254,11 +296,10 @@ def _maximize(
     dn = float(dns[i])
     lo, hi = dns[max(i - 1, 0)], dns[min(i + 1, dns.size - 1)]
     tol = search.resolution * (search.dn_max - search.dn_min)
-    t = np.linspace(0.0, 1.0, _ZOOM_POINTS)
     for _ in range(_MAX_ROUNDS):
         if hi - lo <= tol:
             break
-        cand = lo + (hi - lo) * t
+        cand = lo + (hi - lo) * _ZOOM_T
         prof, nuisance = _profile(dataset, "dn", cand, search)
         k = int(np.argmax(prof))
         if prof[k] > ll:
@@ -281,18 +322,22 @@ def _profile(
     and stops once every bracket is within resolution * nuisance width.
     Each row reports the best value it evaluated, so it is never below
     its coarse-grid maximum, and the nuisance value where it was found.
+
+    The kernel factor of ``axis`` (sin(d_n xi)^2 or exp(-(xi delta)^2)) is
+    fixed along each row, so it is computed once per profile; each step
+    computes only the nuisance factor.
     """
     values = np.asarray(values, dtype=float)
+    xi = dataset.xi
     if axis == "dn":
         lo_box, hi_box, n = search.delta_min, search.delta_max, 33
-
-        def ll(nuisance):
-            return _log_likelihood_at(values[:, None], nuisance, dataset)
+        fixed, factor = flip_oscillation(values[:, None, None], xi), flip_envelope
     else:
         lo_box, hi_box, n = search.dn_min, search.dn_max, 65
+        fixed, factor = flip_envelope(values[:, None, None], xi), flip_oscillation
 
-        def ll(nuisance):
-            return _log_likelihood_at(nuisance, values[:, None], dataset)
+    def ll(nuisance):
+        return _log_likelihood_batch(fixed, factor(nuisance[..., None], xi), dataset)
 
     grid = _grid_axis(lo_box, hi_box, n)
     rows = np.arange(values.size)
@@ -304,15 +349,15 @@ def _profile(
     hi = grid[np.minimum(j + 1, n - 1)]
     width = float(np.max(grid[2:] - grid[:-2]))
     tol = search.resolution * (hi_box - lo_box)
-    t = np.linspace(0.0, 1.0, _ZOOM_POINTS)
     for _ in range(_MAX_ROUNDS):
         if width <= tol:
             break
-        cand = lo[:, None] * (1.0 - t) + hi[:, None] * t
+        cand = lo[:, None] * _ZOOM_S + hi[:, None] * _ZOOM_T
         vals = ll(cand)
         k = np.argmax(vals, axis=1)
-        better = vals[rows, k] > best
-        best = np.where(better, vals[rows, k], best)
+        top = vals[rows, k]
+        better = top > best
+        best = np.where(better, top, best)
         arg = np.where(better, cand[rows, k], arg)
         lo = cand[rows, np.maximum(k - 1, 0)]
         hi = cand[rows, np.minimum(k + 1, _ZOOM_POINTS - 1)]
@@ -320,29 +365,39 @@ def _profile(
     return best, arg
 
 
-def _crossing(q_of, a: float, b: float, threshold: float, tol: float) -> float:
-    """Where q_of first crosses ``threshold`` going from a towards b.
+def _crossing(q_of, a, b, threshold: float, tol: float):
+    """Where q_of first crosses ``threshold`` going from a towards b, row-wise.
 
-    Assumes q(a) <= threshold < q(b); either end may be the larger. Each
-    round evaluates _SECTIONS interior points in one call of the batched
-    ``q_of`` and keeps the cell of the first point above the threshold
-    (the crossing nearest a), until the bracket is within ``tol`` or
-    _MAX_ROUNDS rounds have run.
+    ``a`` and ``b`` are two floats or two matching 1-d arrays of brackets,
+    each with q(a) <= threshold < q(b); either end may be the larger. Each
+    round evaluates _SECTIONS interior points of every bracket still wider
+    than ``tol``, all in one call of the batched ``q_of``, and keeps the
+    cell of each row's first point above the threshold (the crossing
+    nearest a), until every bracket is within ``tol`` or _MAX_ROUNDS
+    rounds have run. A bracket within ``tol`` is frozen, so every row
+    returns exactly what a search of its bracket alone returns: a float
+    for float brackets, else an array of the rows' crossings.
     """
-    t = np.arange(1, _SECTIONS + 1) / (_SECTIONS + 1)
+    scalar = np.ndim(a) == 0
+    a = np.array(a, dtype=float, ndmin=1)
+    b = np.array(b, dtype=float, ndmin=1)
     for _ in range(_MAX_ROUNDS):
-        if abs(b - a) <= tol:
+        (open_,) = np.nonzero(~(np.abs(b - a) <= tol))
+        if open_.size == 0:
             break
-        points = a + (b - a) * t
-        above = np.flatnonzero(q_of(points) > threshold)
-        if above.size == 0:
-            a = float(points[-1])
-            continue
-        i = int(above[0])
-        b = float(points[i])
-        if i > 0:
-            a = float(points[i - 1])
-    return 0.5 * (a + b)
+        lo, hi = a[open_], b[open_]
+        points = lo[:, None] + (hi - lo)[:, None] * _SECTION_T
+        above = q_of(points.ravel()).reshape(points.shape) > threshold
+        rows = np.arange(open_.size)
+        i = np.argmax(above, axis=1)
+        found = above[rows, i]
+        # no point above: the crossing lies past the last one
+        b[open_] = np.where(found, points[rows, i], hi)
+        a[open_] = np.where(
+            found, np.where(i > 0, points[rows, i - 1], lo), points[:, -1]
+        )
+    mid = 0.5 * (a + b)
+    return float(mid[0]) if scalar else mid
 
 
 def _interval_from_profile(
@@ -352,11 +407,14 @@ def _interval_from_profile(
 
     ``q_of`` is batched and must vanish at ``center``; each side reports
     the crossing nearest the centre to within ``tol``, and a side that is
-    not above the threshold at its box edge reports the box edge.
+    not above the threshold at its box edge reports the box edge. The
+    sides that cross are sectioned together, one row each.
     """
-    q_lo, q_hi = q_of(np.array([lo, hi]))
-    left = _crossing(q_of, center, lo, threshold, tol) if q_lo > threshold else lo
-    right = _crossing(q_of, center, hi, threshold, tol) if q_hi > threshold else hi
+    ends = np.array([lo, hi])
+    above = q_of(ends) > threshold
+    starts = np.full(ends.size, center)
+    found = iter(_crossing(q_of, starts[above], ends[above], threshold, tol).tolist())
+    left, right = (next(found) if up else edge for edge, up in zip((lo, hi), above))
     return (min(left, right), max(left, right))
 
 

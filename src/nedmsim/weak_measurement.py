@@ -36,7 +36,9 @@ __all__ = [
     "NODE_COUNT_MAX",
     "DipoleState",
     "QuadratureSpec",
+    "flip_envelope",
     "flip_kernel",
+    "flip_oscillation",
     "flip_probability",
     "flip_probability_quadrature",
     "required_node_count",
@@ -86,9 +88,24 @@ class QuadratureSpec:
             )
 
 
+def flip_oscillation(d_n, xi):
+    """The factor sin(d_n xi)^2 of the closed form: unchecked, broadcasting."""
+    return np.sin(d_n * xi) ** 2
+
+
+def flip_envelope(delta, xi):
+    """The factor exp(-(xi delta)^2) of the closed form: unchecked, broadcasting.
+
+    The product is formed by numpy even for Python floats, so a product
+    beyond about 1.3e154 squares to inf (a numpy overflow warning) and the
+    envelope is 0, where Python float power would raise OverflowError.
+    """
+    return np.exp(-(np.multiply(xi, delta) ** 2))
+
+
 def flip_kernel(d_n, delta, xi):
     """The closed form sin(d_n xi)^2 exp(-(xi delta)^2): unchecked, broadcasting."""
-    return np.sin(d_n * xi) ** 2 * np.exp(-((xi * delta) ** 2))
+    return flip_oscillation(d_n, xi) * flip_envelope(delta, xi)
 
 
 def flip_probability(state: DipoleState, xi):

@@ -52,6 +52,20 @@ def test_transition_cp_null(capsys):
     assert record["p"] == 0.0
 
 
+def test_transition_overflowing_envelope_is_quiet():
+    # xi*delta = 1e350 overflows; the envelope is exactly 0 and numpy's
+    # overflow warning is not printed
+    proc = subprocess.run(
+        [sys.executable, "-m", "nedmsim.cli", "transition",
+         "--dn", "0", "--delta", "1e150", "--xi", "1e200"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(nedmsim.__file__).parents[1])),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["p"] == 0.0
+
+
 def test_transition_zero_delta(capsys):
     assert run_cli("transition", "--dn", "1e-26", "--delta", "0", "--xi", "1e13") == 0
     record = json.loads(capsys.readouterr().out)

@@ -284,25 +284,50 @@ def test_scan_crossing_without_crossing_raises():
         _scan_crossing(_step_at(3.0), grid, 0.0, 1.0, 1e-7)
 
 
-def test_flip_kernel_call_budget(monkeypatch):
-    # one criterion-5 fit and one criterion-6 bound, counted in kernel calls;
-    # scalar profiles and a 60-step bisection made 9186 and 9657
+def test_crossing_rows_match_scalar_searches():
+    # two brackets of different widths, sectioned together: each row must
+    # return the scalar search's float, one batched q_of call per round
+    calls = []
+
+    def q(x):
+        calls.append(len(x))
+        return _two_crossings(x)
+
+    a, b, tol = np.array([0.15, 0.65]), np.array([1.0, 0.85]), 1e-7
+    got = _crossing(q, a, b, 1.0, tol)
+    rounds = calls.copy()
+    calls.clear()
+    alone = [_crossing(q, float(x), float(y), 1.0, tol) for x, y in zip(a, b)]
+    assert got.tolist() == alone
+    assert np.all(np.abs(got - [0.3, 0.8]) <= tol)
+    # the narrow bracket is frozen after its last round
+    narrow = math.ceil(math.log(0.2 / tol, 8))
+    wide = math.ceil(math.log(0.85 / tol, 8))
+    assert narrow < wide
+    assert rounds == [14] * narrow + [7] * (wide - narrow)
+
+
+def test_likelihood_call_budget(monkeypatch):
+    # one criterion-5 fit and one criterion-6 bound, counted in calls of the
+    # batched likelihood that every coarse grid and zoom step goes through;
+    # scalar profiles and a 60-step bisection made 9186 and 9657 kernel
+    # calls, one-sided interval sections 370 and 108
     import nedmsim.inference as inference
 
     calls = []
-    kernel = inference.flip_kernel
+    batch = inference._log_likelihood_batch
 
     def counted(*args):
         calls.append(1)
-        return kernel(*args)
+        return batch(*args)
 
-    monkeypatch.setattr(inference, "flip_kernel", counted)
+    monkeypatch.setattr(inference, "_log_likelihood_batch", counted)
     fit(make_dataset(seed=0), default_box(), interval_cl=0.9973002039367398)
     fit_calls = len(calls)
     calls.clear()
     upper_bound(zero_flip_dataset(), cl=0.95, delta_bounds=(0.0, 1.0 / XI_MAX))
     bound_calls = len(calls)
-    assert fit_calls <= 400, fit_calls
+    assert fit_calls <= 250, fit_calls
     assert bound_calls <= 200, bound_calls
 
 

@@ -17,9 +17,10 @@ nonnegative = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
 
 @given(delta=finite, xi=finite)
 def test_flip_kernel_exactly_zero_at_zero_dipole(delta, xi):
-    # xi as an array, as every caller passes it; xi*delta may overflow to
-    # inf, which the Gaussian factor turns into 0
+    # as Python floats and as an array; xi*delta may overflow to inf,
+    # which the Gaussian factor turns into 0
     with np.errstate(over="ignore"):
+        assert flip_kernel(0.0, delta, xi) == 0.0
         assert flip_kernel(0.0, delta, np.asarray(xi)) == 0.0
 
 

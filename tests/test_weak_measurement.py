@@ -10,6 +10,7 @@ from nedmsim.weak_measurement import (
     DipoleState,
     QuadratureSpec,
     _hermite_nodes,
+    flip_kernel,
     flip_probability,
     flip_probability_quadrature,
     required_node_count,
@@ -30,6 +31,17 @@ def test_cp_null_is_exact_zero():
 
 def test_zero_kick_is_exact_zero():
     assert flip_probability(DipoleState(3e-22, 1e-21), 0.0) == 0.0
+
+
+def test_kernel_of_python_floats_with_overflowing_envelope_is_zero():
+    # (xi delta)^2 beyond the double range: numpy squares it to inf, where
+    # Python float power raised OverflowError
+    with np.errstate(over="ignore"):
+        p = flip_kernel(0.0, 1e80, 1e80)
+        assert p == 0.0 and isinstance(p, np.float64)
+        assert flip_kernel(1e-80, 1e80, 1e80) == 0.0
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        flip_kernel(0.0, 1e80, 1e80)
 
 
 def test_closed_form_fixture():
