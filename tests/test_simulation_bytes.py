@@ -1,11 +1,14 @@
-"""Pinned output bytes of the simulation kernels.
+"""Pinned output bytes of the simulation kernels and the campaign estimator.
 
-Each digest below is the SHA-256 of a rendered output: a cycle CSV, or
-the flip counts of an ensemble run. They were recorded on the kernels as
+Each digest below is the SHA-256 of a rendered output: a cycle CSV, the
+flip counts of an ensemble run, the ``repr`` of a campaign estimate, or
+the summary JSON of a ``nedmsim campaign`` run. They were recorded on the kernels as
 they drew before any fast path existed, so a speedup that changes which
 uniform lands on which trial, or which key a cycle draws from, fails here.
-A deliberate change of stream layout must bump the artifact version and
-re-pin these digests in the same change.
+The estimator digests pin its error model (pair slope, cycle asymmetry,
+inverse-variance weights) to the last bit. A deliberate change of stream
+layout or of the estimator must bump the artifact version and re-pin
+these digests in the same change.
 """
 
 import hashlib
@@ -13,9 +16,12 @@ import math
 
 import pytest
 
+from nedmsim.cli import main
 from nedmsim.comagnetometer import CampaignConfig, run_campaign
+from nedmsim.config import parse_config_text
 from nedmsim.ensemble import simulate_quantum, simulate_stochastic
 from nedmsim.formats import CYCLES_HEADER, cycles_to_rows, render_csv
+from nedmsim.inference import campaign_estimator
 from nedmsim.streams import BLOCK_TRIALS
 from nedmsim.weak_measurement import DipoleState, flip_probability
 
@@ -28,6 +34,25 @@ CAMPAIGN_DIGESTS = {
     "poisson": "1990987b8d1ef8154104aaab6ea7c24516dd4f60f76bef01df2ecd34198c870d",
     "expected": "fcfca16268247e2dc53435e7f80000a8432e235a41b8a8cae8a81d45af3f09ce",
 }
+ESTIMATOR_DIGESTS = {
+    "binomial": "77c42542f4f435259deb5397b5a135cb81e905e013f8b50625becb932212d254",
+    "poisson": "60ecf16236fc0e16d6e99095c64b1d330cd22ac22ae654f579ee18e8158efead",
+    "expected": "a4a25a22bcb7c26cced1ccdaee8e47fbeb2a466f202d99e051defc8e88aa4cf1",
+}
+CAMPAIGN_SUMMARY_DIGEST = "b5c840cd9035c202224d3444f0d6dfd2126288722ccbeb7b4c2eb345acd2373e"
+# field drift, clock noise and a fringe contrast below 1 all enter the
+# estimator's error model; the drift moves a few percent of the cycles
+# onto a fringe extremum, where they saturate and their pairs get no weight
+ESTIMATOR_INI = """\
+[campaign]
+true_dn_e_cm = 3e-22
+b_drift_sd_tesla = 1e-10
+f_hg_noise_sd_rel = 1e-8
+visibility = 0.8
+cycles = 2000
+seed = 20261018
+counting_mode = {mode}
+"""
 QUANTUM_DIGEST = "b50fbf385ef6c7791dd8370ee36643c13a19cdd3ff9792ffbcc9ec79172e84cc"
 STOCHASTIC_DIGEST = "e5e2bdd9e3efbaa0fc5e613ee6f3cc875a3fe9f00426499f52c20dbd610b8744"
 
@@ -58,6 +83,22 @@ def test_campaign_csv_bytes(mode):
     )
     text = render_csv(CYCLES_HEADER, cycles_to_rows(run_campaign(config)))
     assert sha256(text) == CAMPAIGN_DIGESTS[mode]
+
+
+@pytest.mark.parametrize("mode", sorted(ESTIMATOR_DIGESTS))
+def test_campaign_estimate_bytes(mode):
+    config = parse_config_text(ESTIMATOR_INI.format(mode=mode)).campaign
+    estimate = campaign_estimator(run_campaign(config), config)
+    assert sha256(repr(estimate)) == ESTIMATOR_DIGESTS[mode]
+
+
+def test_campaign_summary_bytes(tmp_path, monkeypatch):
+    # relative paths, because the summary embeds the run's manifest
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "campaign.ini").write_text(ESTIMATOR_INI.format(mode="binomial"))
+    assert main(["campaign", "--config", "campaign.ini", "--out", "cycles.csv"]) == 0
+    summary = (tmp_path / "cycles.summary.json").read_text()
+    assert sha256(summary) == CAMPAIGN_SUMMARY_DIGEST
 
 
 def test_quantum_counts_bytes():
