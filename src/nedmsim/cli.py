@@ -217,12 +217,8 @@ def _resolve_scan(args) -> dict:
 
 def _execute_scan(cfg: dict) -> int:
     state = DipoleState(d_n=cfg["dn"], delta=cfg["delta"])
-    if cfg["points"] == 1:
-        xis = np.array([cfg["xi_min"]])
-    elif cfg["spacing"] == "log":
-        xis = np.geomspace(cfg["xi_min"], cfg["xi_max"], cfg["points"])
-    else:
-        xis = np.linspace(cfg["xi_min"], cfg["xi_max"], cfg["points"])
+    spaced = np.geomspace if cfg["spacing"] == "log" else np.linspace
+    xis = spaced(cfg["xi_min"], cfg["xi_max"], cfg["points"])
     worst_scale = max(abs(cfg["xi_min"]), abs(cfg["xi_max"]))
     nodes = max(cfg["nodes"], required_node_count(worst_scale, state.delta))
     spec = QuadratureSpec(node_count=nodes)
@@ -259,7 +255,7 @@ def _execute_campaign(cfg: dict) -> int:
     units = UnitSystem(**cfg["units"])
     constants = PhysicalConstants(**cfg["constants"])
     records = run_campaign(campaign, constants=constants, units=units)
-    estimate = campaign_estimator(records, campaign, constants=constants, units=units)
+    estimate = campaign_estimator(records, campaign, units=units)
     atomic_write_text(
         cfg["outputs"]["cycles"], render_csv(CYCLES_HEADER, cycles_to_rows(records))
     )

@@ -160,6 +160,5 @@ def flip_dataset_to_rows(dataset: FlipDataset) -> list[list]:
 
 
 def rows_to_flip_dataset(rows: Sequence[Sequence]) -> FlipDataset:
-    return FlipDataset.from_points(
-        [(float(r[0]), int(r[1]), int(r[2])) for r in rows]
-    )
+    # FlipDataset refuses counts that are not integers int64 can hold
+    return FlipDataset.from_points(rows)

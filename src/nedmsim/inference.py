@@ -46,7 +46,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .comagnetometer import CampaignConfig, CycleRecord, extract_dn_pair
-from .quantities import PhysicalConstants, UnitSystem
+from .quantities import UnitSystem
+from .spin_dynamics import asymmetry
 from .weak_measurement import flip_envelope, flip_kernel, flip_oscillation
 
 __all__ = [
@@ -102,12 +103,24 @@ class NonConvergenceError(RuntimeError):
     """Raised when a profile or bound search fails to bracket its target."""
 
 
+def _int64_counts(values, name: str) -> np.ndarray:
+    """``values`` as int64; ValueError for counts like 100.7, inf or 1e30 (1e3 passes)."""
+    counts = np.asarray(values)
+    if counts.dtype.kind not in "bi":
+        real = counts.astype(float)
+        bad = real[~((np.abs(real) < 2.0**63) & (real == np.trunc(real)))]
+        if bad.size:
+            raise ValueError(f"{name} must be integers in the int64 range, got {bad[0].item()!r}")
+    return counts.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class FlipDataset:
     """Flip counts at a set of kick strengths.
 
     Stored as parallel arrays (xi in rad per e·cm, integer trials and
-    flips). Joint (d_n, delta) fitting needs at least two distinct xi.
+    flips). Counts given as floats must be integral and within the int64
+    range. Joint (d_n, delta) fitting needs at least two distinct xi.
     """
 
     xi: np.ndarray
@@ -116,8 +129,8 @@ class FlipDataset:
 
     def __post_init__(self) -> None:
         xi = np.asarray(self.xi, dtype=float)
-        trials = np.asarray(self.trials, dtype=np.int64)
-        flips = np.asarray(self.flips, dtype=np.int64)
+        trials = _int64_counts(self.trials, "trials")
+        flips = _int64_counts(self.flips, "flips")
         if not (xi.ndim == 1 and xi.shape == trials.shape == flips.shape):
             raise ValueError("xi, trials, flips must be matching 1-d arrays")
         if xi.size == 0:
@@ -133,15 +146,9 @@ class FlipDataset:
         object.__setattr__(self, "flips", flips)
 
     @classmethod
-    def from_points(
-        cls, points: Iterable[tuple[float, int, int]]
-    ) -> "FlipDataset":
-        pts = list(points)
-        return cls(
-            xi=np.array([p[0] for p in pts], dtype=float),
-            trials=np.array([p[1] for p in pts], dtype=np.int64),
-            flips=np.array([p[2] for p in pts], dtype=np.int64),
-        )
+    def from_points(cls, points: Iterable[tuple[float, int, int]]) -> "FlipDataset":
+        columns = tuple(zip(*points))  # xi, trials, flips
+        return cls(*columns) if columns else cls([], [], [])
 
     def points(self) -> list[tuple[float, int, int]]:
         return [
@@ -592,48 +599,43 @@ class CampaignEstimate:
     degenerate: bool = False
 
 
-def _cycle_phase_variance(record: CycleRecord, visibility: float) -> float:
-    """Counting variance of the readout phase for one cycle (delta method).
+def _cycle_ratio_variance(record: CycleRecord, config: CampaignConfig) -> float:
+    """Counting variance of one cycle's ratio R = f_n / f_hg (delta method).
 
-    Var(A) = (1 - A^2)/N from the binomial split, mapped through
-    A = visibility * cos(phi). Saturated cycles (|A| >= visibility) have
-    no phase sensitivity and report infinite variance.
+    Var(A) = (1 - A^2)/N from the binomial split is mapped through
+    A = visibility * cos(phi) to the phase, then through f_n = phi/(2 pi t)
+    and the record's own clock f_hg to R. Saturated cycles
+    (|A| >= visibility) have no phase sensitivity and report infinite
+    variance.
     """
     total = record.n_up + record.n_down
     if not total > 0:
         return math.inf
-    a_hat = (record.n_up - record.n_down) / total
-    var_a = max(1.0 - a_hat * a_hat, 0.0) / total
+    a_hat = asymmetry(record.n_up, record.n_down)
+    visibility = config.visibility
     if visibility <= 0 or abs(a_hat) >= visibility:
         return math.inf
-    sin2 = 1.0 - (a_hat / visibility) ** 2
-    return var_a / (visibility * visibility * sin2)
+    var_a = (1.0 - a_hat * a_hat) / total  # > 0, since |a_hat| < visibility <= 1
+    var_phi = var_a / (visibility * visibility * (1.0 - (a_hat / visibility) ** 2))
+    var_fn = var_phi / (2.0 * math.pi * config.free_time) ** 2
+    return var_fn / (record.f_hg * record.f_hg)
 
 
 def campaign_estimator(
     records: Sequence[CycleRecord],
     config: CampaignConfig,
-    constants: PhysicalConstants = PhysicalConstants(),
     units: UnitSystem = UnitSystem(),
-    f_hg_reference: float | None = None,
 ) -> CampaignEstimate:
     """Dipole estimate and standard error from a campaign cycle table.
 
     Consecutive records form polarity pairs; each pair yields
     ``extract_dn_pair`` evaluated with the pair's mean measured clock
-    frequency (or ``f_hg_reference`` when given). Pairs are combined with
-    inverse-variance weights propagated from counting statistics. In the
-    ``expected`` counting mode there is no counting noise to propagate:
-    the estimate is the plain mean and the zero standard error is flagged
-    as degenerate.
-
-    ``f_hg_reference`` only replaces the frequency that converts a ratio
-    difference into a dipole, d_n = scale * (R_plus - R_minus), so it
-    scales the estimate and the standard error alike. The variance of each
-    R still uses that record's own ``f_hg``: R was formed as f_n / f_hg
-    with the record's measured clock, so that is the frequency through
-    which counting noise on f_n entered R. Estimate and variance are thus
-    consistent: the variance is scale^2 * Var(R_plus - R_minus).
+    frequency. That function is linear in R_plus - R_minus, so its value
+    at a unit difference is the pair's slope, and the pair's variance is
+    slope^2 * (Var(R_plus) + Var(R_minus)). Pairs are combined with
+    inverse-variance weights. In the ``expected`` counting mode there is
+    no counting noise to propagate: the estimate is the plain mean and the
+    zero standard error is flagged as degenerate.
 
     The reported standard error covers counting statistics only (it
     matches the seed-to-seed scatter to ~3% when counting noise is the
@@ -645,7 +647,6 @@ def campaign_estimator(
     if len(records) % 2 != 0:
         raise ValueError("lone polarity cycle: records must form +/- pairs")
 
-    t = config.free_time
     estimates: list[float] = []
     variances: list[float] = []
     for a, b in zip(records[0::2], records[1::2]):
@@ -656,21 +657,13 @@ def campaign_estimator(
         plus, minus = (a, b) if a.polarity == 1 else (b, a)
         if not (math.isfinite(plus.r) and math.isfinite(minus.r)):
             continue
-        f_hg_pair = (
-            f_hg_reference
-            if f_hg_reference is not None
-            else 0.5 * (plus.f_hg + minus.f_hg)
-        )
+        f_hg_pair = 0.5 * (plus.f_hg + minus.f_hg)
         estimates.append(
             extract_dn_pair(plus.r, minus.r, config.e_magnitude, f_hg_pair, units)
         )
-        scale = math.pi * f_hg_pair / (2.0 * config.e_magnitude * units.kick)
-        var_r = 0.0
-        for rec in (plus, minus):
-            var_phi = _cycle_phase_variance(rec, config.visibility)
-            var_fn = var_phi / (2.0 * math.pi * t) ** 2
-            var_r += var_fn / (rec.f_hg * rec.f_hg)
-        variances.append(scale * scale * var_r)
+        slope = extract_dn_pair(1.0, 0.0, config.e_magnitude, f_hg_pair, units)
+        var_r = _cycle_ratio_variance(plus, config) + _cycle_ratio_variance(minus, config)
+        variances.append(slope * slope * var_r)
 
     if not estimates:
         raise ValueError("no usable polarity pairs (all saturated or invalid)")
@@ -693,5 +686,4 @@ def campaign_estimator(
         dn_hat=dn_hat,
         standard_error=se,
         n_pairs=int(np.count_nonzero(weights > 0)),
-        degenerate=False,
     )

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .quantities import PhysicalConstants, UnitSystem
+from .quantities import PhysicalConstants, UnitSystem, _require_finite
 
 __all__ = [
     "Spinor",
@@ -121,6 +121,13 @@ def rotate(state: Spinor, axis: Sequence[float], angle: float) -> Spinor:
     )
 
 
+def _precession_rate(
+    mu_n: float, b_field: float, d_n: float, e_field: float, units: UnitSystem
+) -> float:
+    """Signed angular rate mu_n B + d_n E k g for a signed electric field."""
+    return mu_n * b_field + d_n * e_field * units.kick
+
+
 def larmor_frequencies(
     mu_n: float,
     b_field: float,
@@ -134,14 +141,10 @@ def larmor_frequencies(
     where k*g = ``units.kick`` converts dipole times field to angular frequency.
     Flipping the sign of ``e_field`` swaps the pair.
     """
-    for name, v in (("mu_n", mu_n), ("b_field", b_field), ("d_n", d_n), ("e_field", e_field)):
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite input: {name}")
-    edm_term = d_n * e_field * units.kick
-    magnetic_term = mu_n * b_field
+    _require_finite(mu_n=mu_n, b_field=b_field, d_n=d_n, e_field=e_field)
     return (
-        abs(magnetic_term + edm_term) / math.pi,
-        abs(magnetic_term - edm_term) / math.pi,
+        abs(_precession_rate(mu_n, b_field, d_n, e_field, units)) / math.pi,
+        abs(_precession_rate(mu_n, b_field, d_n, -e_field, units)) / math.pi,
     )
 
 
@@ -156,8 +159,8 @@ def ramsey_phase(
     The signed ``config.e_field`` selects which Larmor branch applies:
     phi = 2 * free_time * |mu_n B + d_n E k g|. Linear in free_time.
     """
-    edm_term = d_n * config.e_field * units.kick
-    return 2.0 * config.free_time * abs(constants.mu_n * config.b_field + edm_term)
+    rate = _precession_rate(constants.mu_n, config.b_field, d_n, config.e_field, units)
+    return 2.0 * config.free_time * abs(rate)
 
 
 def ramsey_up_probability_spinor(phi: float) -> float:

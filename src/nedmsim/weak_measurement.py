@@ -120,10 +120,18 @@ def flip_probability(state: DipoleState, xi):
     Returns
     -------
     float or ndarray in [0, 1]; exactly 0.0 wherever d_n == 0.
+
+    Raises
+    ------
+    ValueError
+        If an xi, or the phase d_n*xi, is not finite: a phase beyond the
+        double range has no sine (numpy warns of its overflow first).
     """
     xi = np.asarray(xi, dtype=float)
-    if not np.all(np.isfinite(xi)):
-        raise ValueError("xi must be finite")
+    # d_n is finite, so one pass checks xi and the phase; at d_n = 0 the
+    # phase is finite wherever xi is, and 0*inf would warn
+    if not np.isfinite(state.d_n * xi if state.d_n else xi).all():
+        raise ValueError(f"xi and the phase d_n*xi must be finite (d_n = {state.d_n!r})")
     p = flip_kernel(state.d_n, state.delta, xi)
     return float(p) if p.ndim == 0 else p
 

@@ -66,6 +66,29 @@ def test_transition_overflowing_envelope_is_quiet():
     assert json.loads(proc.stdout)["p"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("transition", "--dn", "1e300", "--delta", "0", "--xi", "1e300"),
+        ("contrast", "--dn", "1e300", "--delta", "0", "--xi", "1e300", "--trials", "10"),
+        ("scan", "--dn", "1e300", "--delta", "0", "--xi-min", "0", "--xi-max", "1e300",
+         "--points", "2", "--out", "scan.csv"),
+    ],
+)
+def test_overflowing_phase_exits_2_quietly(tmp_path, argv):
+    # d_n*xi = 1e600 is beyond the double range although each factor is not
+    proc = subprocess.run(
+        [sys.executable, "-m", "nedmsim.cli", *argv],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(Path(nedmsim.__file__).parents[1])),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: xi and the phase d_n*xi must be finite (d_n = 1e+300)\n"
+    assert not (tmp_path / "scan.csv").exists()
+
+
 def test_transition_zero_delta(capsys):
     assert run_cli("transition", "--dn", "1e-26", "--delta", "0", "--xi", "1e13") == 0
     record = json.loads(capsys.readouterr().out)
@@ -129,17 +152,22 @@ def test_contrast_same_seed_identical(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_scan_single_point(tmp_path):
+@pytest.mark.parametrize(
+    "xi_max, spacing", [("1e20", ()), ("3e21", ()), ("3e21", ("--log",))]
+)
+def test_scan_single_point(tmp_path, xi_max, spacing):
+    # one point is --xi-min, whatever --xi-max and the spacing
     out = tmp_path / "scan.csv"
     assert (
         run_cli(
             "scan", "--dn", "3e-22", "--delta", "1e-21", "--xi-min", "1e20",
-            "--xi-max", "1e20", "--points", "1", "--out", out,
+            "--xi-max", xi_max, "--points", "1", *spacing, "--out", out,
         )
         == 0
     )
     rows = parse_csv(out.read_text(), SCAN_HEADER)
     assert len(rows) == 1
+    assert rows[0][0] == 1e20
 
 
 def test_scan_table_properties(tmp_path):
@@ -377,6 +405,35 @@ def test_short_dataset_row_exits_2(tmp_path, capsys, command):
     data.write_text("xi,trials,flips\n1e21,100\n")
     assert run_cli(command, "--data", data) == 2
     assert "CSV line 2 has 2 cells, expected 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "bound"])
+@pytest.mark.parametrize(
+    "row, error",
+    [
+        ("1e20,100.7,3.9", "trials must be integers in the int64 range, got 100.7"),
+        ("1e20,inf,0", "trials must be integers in the int64 range, got inf"),
+        ("1e20,1e30,0", "trials must be integers in the int64 range, got 1e+30"),
+    ],
+)
+def test_non_integer_dataset_counts_exit_2(tmp_path, capsys, command, row, error):
+    data = tmp_path / "flips.csv"
+    data.write_text(f"xi,trials,flips\n1e21,100,0\n{row}\n")
+    assert run_cli(command, "--data", data) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_rerun_manifest_with_non_integer_trials_exits_2(tmp_path, capsys):
+    data = tmp_path / "flips.csv"
+    write_flip_csv(data, zero_flip_points())
+    manifest = tmp_path / "m.json"
+    assert run_cli("bound", "--data", data, "--manifest-out", manifest) == 0
+    recorded = json.loads(manifest.read_text())
+    recorded["config"]["dataset"]["trials"][0] += 0.5
+    manifest.write_text(json.dumps(recorded))
+    capsys.readouterr()
+    assert run_cli("rerun", manifest) == 2
+    assert "trials must be integers in the int64 range" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Likelihood, joint fit, profile bounds, and the campaign estimator."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -479,6 +480,29 @@ def test_dataset_validation():
         FlipDataset.from_points([(1e21, 0, 0)])
     with pytest.raises(ValueError):
         FlipDataset.from_points([])
+
+
+@pytest.mark.parametrize(
+    "trials, flips, bad",
+    [
+        ([100.7, 100], [3, 0], "trials must be integers in the int64 range, got 100.7"),
+        ([100, 100], [3.9, 0], "flips must be integers in the int64 range, got 3.9"),
+        ([math.inf, 100], [0, 0], "got inf"),
+        ([math.nan, 100], [0, 0], "got nan"),
+        ([1e30, 100], [0, 0], "got 1e+30"),
+        ([10**30, 100], [0, 0], "got 1e+30"),
+        (np.array([2**64 - 1, 100], dtype=np.uint64), [0, 0], "trials must be integers"),
+    ],
+)
+def test_dataset_refuses_counts_that_are_not_int64_integers(trials, flips, bad):
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        FlipDataset(xi=[1e20, 1e21], trials=trials, flips=flips)
+
+
+def test_dataset_accepts_integral_float_counts():
+    ds = FlipDataset(xi=[1e20, 1e21], trials=[1e3, 2**62], flips=np.array([3.0, 0.0]))
+    assert ds.trials.dtype == ds.flips.dtype == np.int64
+    assert ds.points() == [(1e20, 1000, 3), (1e21, 2**62, 0)]
 
 
 def test_campaign_estimator_noiseless_degenerate():

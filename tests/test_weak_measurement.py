@@ -44,6 +44,20 @@ def test_kernel_of_python_floats_with_overflowing_envelope_is_zero():
         flip_kernel(0.0, 1e80, 1e80)
 
 
+def test_overflowing_phase_is_refused():
+    # each of d_n and xi is finite, their product is not
+    state = DipoleState(1e300, 0.0)
+    message = r"xi and the phase d_n\*xi must be finite"
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match=message):
+            flip_probability(state, 1e300)
+        with pytest.raises(ValueError, match=message):
+            flip_probability(state, np.array([0.0, 1e300]))
+    # at d_n = 0 an infinite xi is refused without a numpy warning for 0*inf
+    with pytest.raises(ValueError, match=message):
+        flip_probability(DipoleState(0.0, 0.0), math.inf)
+
+
 def test_closed_form_fixture():
     # sin(1e-13)^2 * exp(-1e-4); frozen after cross-checking against the
     # quadrature oracle (abs difference 4.8e-33 at 200 nodes)
