@@ -11,15 +11,18 @@ Two readings of an ensemble of neutrons with dipole uncertainty delta:
   ensemble flips.
 
 The two models are therefore separable by counting statistics alone.
-Trials draw one uniform per neutron against the per-trial probability;
-draws come from counter-based substreams in fixed blocks, so a run is
-reproducible from (seed, parameters) at any worker count.
 
-Where the quantum probability is exactly 0 or 1 (d_n = 0 gives exactly 0
-for any delta), the count is known without drawing: every uniform lies in
-[0, 1), so ``u < 0`` never holds and ``u < 1`` always does. The quantum
-model then returns 0 or ``trials`` at once, with no substream and no
-thread, and the result equals what the draws would have given.
+The quantum trials share one probability P and carry no hidden value, so
+their count is exactly one Binomial(trials, P) variate. It is drawn once
+from the (seed, DOMAIN_QUANTUM, 0) substream by numpy's exact sampler
+(BTPE, Kachitvichyanukul & Schmeiser, Commun. ACM 31 (1988) 216, and
+inversion for small trials*P), so the model starts no thread at any
+worker count. Where P is exactly 0 or 1 (d_n = 0 gives exactly 0 for any
+delta), the count is 0 or ``trials`` and nothing is drawn.
+
+Stochastic trials draw one uniform per neutron against the per-trial
+probability; draws come from counter-based substreams in fixed blocks,
+so a run is reproducible from (seed, parameters) at any worker count.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .streams import BLOCK_TRIALS, DOMAIN_QUANTUM, DOMAIN_STOCHASTIC, substream
-from .weak_measurement import DipoleState, flip_probability
+from .weak_measurement import DipoleState, check_phase, flip_probability
 
 __all__ = [
     "MODEL_QUANTUM",
@@ -45,6 +48,9 @@ __all__ = [
 
 MODEL_QUANTUM = "quantum"
 MODEL_STOCHASTIC = "stochastic"
+
+# numpy's binomial takes the trial count as an int64
+_MAX_TRIALS = (1 << 63) - 1
 
 
 @dataclass(frozen=True)
@@ -67,6 +73,11 @@ class EnsembleRun:
     @property
     def fraction(self) -> float:
         return self.flips / self.trials
+
+
+def _check_trials(trials: int) -> None:
+    if not 1 <= trials <= _MAX_TRIALS:
+        raise ValueError(f"trials must lie in [1, 2**63 - 1], got {trials}")
 
 
 def _block_ranges(trials: int):
@@ -97,23 +108,18 @@ def simulate_quantum(
 ) -> EnsembleRun:
     """Count flips when every trial uses the single quantum probability.
 
-    Deterministic given ``seed``; with d_n = 0 the flip probability is
-    exactly 0 and the count is exactly 0 for any number of trials. At a
-    probability of exactly 0 or 1 nothing is drawn.
+    The count is one Binomial(trials, P) draw, deterministic given
+    ``seed``; with d_n = 0 the flip probability is exactly 0 and the count
+    is exactly 0 for any number of trials. At a probability of exactly 0
+    or 1 nothing is drawn. ``workers`` is accepted for symmetry with
+    :func:`simulate_stochastic` and changes nothing: no thread is started.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_trials(trials)
     p = flip_probability(state, xi)
     if p == 0.0 or p == 1.0:
-        # no uniform in [0, 1) is below 0, and every one is below 1
         flips = 0 if p == 0.0 else trials
-        return EnsembleRun(MODEL_QUANTUM, trials, flips, seed, xi, state)
-
-    def block_fn(b: int, m: int) -> int:
-        rng = substream(seed, DOMAIN_QUANTUM, b)
-        return int(np.count_nonzero(rng.random(m) < p))
-
-    flips = _run_blocks(block_fn, trials, workers)
+    else:
+        flips = int(substream(seed, DOMAIN_QUANTUM, 0).binomial(trials, p))
     return EnsembleRun(MODEL_QUANTUM, trials, flips, seed, xi, state)
 
 
@@ -126,8 +132,8 @@ def simulate_stochastic(
     Deterministic given ``seed``; the flip fraction converges to
     :func:`expected_stochastic_fraction` as trials grow.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_trials(trials)
+    check_phase(state, xi)
 
     def block_fn(b: int, m: int) -> int:
         rng = substream(seed, DOMAIN_STOCHASTIC, b)
@@ -152,5 +158,6 @@ def expected_stochastic_fraction(state: DipoleState, xi: float) -> float:
     sin(d_n xi)^2 at delta = 0 and saturates at 1/2 when xi*delta is
     large (fully randomized phase).
     """
+    check_phase(state, xi)
     damping = math.exp(-2.0 * (xi * state.delta) ** 2)
     return 0.5 * (1.0 - math.cos(2.0 * state.d_n * xi) * damping)

@@ -7,9 +7,15 @@ a pure function of its 128-bit key, so two runs that construct the same
 scheduled across workers. Domains keep independent parts of a simulation
 (per-cycle noise, per-block trial batches, ...) from sharing a stream.
 
-Trial-level routines batch draws in fixed blocks of ``BLOCK_TRIALS``; block
-b of a run uses ``substream(seed, domain, b)``, which makes the draw used
-by trial i a pure function of (seed, i) for the fixed block size.
+The stochastic ensemble batches its per-trial draws in fixed blocks of
+``BLOCK_TRIALS``; block b of a run uses ``substream(seed, DOMAIN_STOCHASTIC,
+b)``, which makes the draws used by trial i a pure function of (seed, i)
+for the fixed block size. The quantum ensemble draws its whole count once,
+as one binomial variate from ``substream(seed, DOMAIN_QUANTUM, 0)``. Like
+every ``Generator`` method, that variate depends on numpy's sampler as well
+as on the stream, and numpy does not promise to keep a sampler's output
+across versions (NEP 19); the pinned quantum digest in the tests catches
+such a change.
 
 A loop over many substreams (a campaign's cycles) need not build a
 generator for each: :func:`rekey` assigns the (seed, domain, index) key to

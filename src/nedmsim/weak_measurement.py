@@ -36,6 +36,7 @@ __all__ = [
     "NODE_COUNT_MAX",
     "DipoleState",
     "QuadratureSpec",
+    "check_phase",
     "flip_envelope",
     "flip_kernel",
     "flip_oscillation",
@@ -108,6 +109,22 @@ def flip_kernel(d_n, delta, xi):
     return flip_oscillation(d_n, xi) * flip_envelope(delta, xi)
 
 
+def check_phase(state: DipoleState, xi) -> None:
+    """Raise ValueError unless xi and the phase d_n*xi are finite, elementwise.
+
+    ``state`` is finite, but its product with a finite xi can overflow: a
+    phase beyond the double range has no sine (numpy warns of an array's
+    overflow first). Every closed-form, oracle and ensemble path calls
+    this before it forms a sine.
+    """
+    # d_n is finite, so one pass checks xi and the phase; at d_n = 0 the
+    # phase is finite wherever xi is, and 0*inf would warn
+    phase = state.d_n * xi if state.d_n else xi
+    # math.isfinite keeps a scalar's check to a tenth of numpy's cost
+    if not (math.isfinite(phase) if isinstance(phase, float) else np.isfinite(phase).all()):
+        raise ValueError(f"xi and the phase d_n*xi must be finite (d_n = {state.d_n!r})")
+
+
 def flip_probability(state: DipoleState, xi):
     """Closed-form spin-flip probability sin(d_n xi)^2 exp(-(xi delta)^2).
 
@@ -124,14 +141,10 @@ def flip_probability(state: DipoleState, xi):
     Raises
     ------
     ValueError
-        If an xi, or the phase d_n*xi, is not finite: a phase beyond the
-        double range has no sine (numpy warns of its overflow first).
+        If an xi, or the phase d_n*xi, is not finite (:func:`check_phase`).
     """
     xi = np.asarray(xi, dtype=float)
-    # d_n is finite, so one pass checks xi and the phase; at d_n = 0 the
-    # phase is finite wherever xi is, and 0*inf would warn
-    if not np.isfinite(state.d_n * xi if state.d_n else xi).all():
-        raise ValueError(f"xi and the phase d_n*xi must be finite (d_n = {state.d_n!r})")
+    check_phase(state, xi)
     p = flip_kernel(state.d_n, state.delta, xi)
     return float(p) if p.ndim == 0 else p
 
@@ -210,11 +223,11 @@ def flip_probability_quadrature(
     Raises
     ------
     ValueError
-        If ``spec.node_count`` undersamples the oscillation (the message
+        If xi or the phase d_n*xi is not finite (:func:`check_phase`), or
+        if ``spec.node_count`` undersamples the oscillation (the message
         recommends a sufficient count).
     """
-    if not math.isfinite(xi):
-        raise ValueError("xi must be finite")
+    check_phase(state, xi)
     if state.delta == 0.0:
         return math.sin(state.d_n * xi) ** 2
     _check_nodes(spec, xi, state.delta)

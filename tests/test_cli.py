@@ -143,6 +143,14 @@ def test_contrast_zero_trials_exits_2(capsys):
     assert "trials" in capsys.readouterr().err
 
 
+def test_contrast_trials_beyond_int64_exits_2(capsys):
+    args = ("contrast", "--dn", "0", "--delta", "1e-15", "--xi", "1e14")
+    assert run_cli(*args, "--trials", str(2**63)) == 2
+    assert capsys.readouterr().err == (
+        "error: trials must lie in [1, 2**63 - 1], got 9223372036854775808\n"
+    )
+
+
 def test_contrast_same_seed_identical(capsys):
     args = ("contrast", "--dn", "0", "--delta", "1e-15", "--xi", "1e14",
             "--trials", "50000", "--seed", "8")

@@ -14,7 +14,7 @@ from nedmsim.ensemble import (
     simulate_quantum,
     simulate_stochastic,
 )
-from nedmsim.streams import BLOCK_TRIALS
+from nedmsim.streams import BLOCK_TRIALS, DOMAIN_QUANTUM, substream
 from nedmsim.weak_measurement import DipoleState, flip_probability
 
 
@@ -90,6 +90,43 @@ def test_exact_probability_draws_nothing(monkeypatch, dn_xi, delta_xi, flips):
     assert threading.active_count() == threads
 
 
+def test_interior_probability_draws_once_without_threads(monkeypatch):
+    # an interior P is one binomial draw from one substream, at any worker count
+    keys = []
+
+    def counting_substream(*key):
+        keys.append(key)
+        return substream(*key)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the quantum model must not start threads")
+
+    monkeypatch.setattr(ensemble, "substream", counting_substream)
+    monkeypatch.setattr(ensemble, "ThreadPoolExecutor", forbidden)
+    xi = 1e14
+    state = DipoleState(0.6 / xi, 0.5 / xi)
+    assert 0.0 < flip_probability(state, xi) < 1.0
+    threads = threading.active_count()
+    run = simulate_quantum(state, xi, 10 * BLOCK_TRIALS, seed=3, workers=2)
+    assert keys == [(3, DOMAIN_QUANTUM, 0)]
+    assert 0 < run.flips < run.trials
+    assert threading.active_count() == threads
+
+
+def test_quantum_count_is_binomial_over_seeds():
+    # 400 seeds of n = 10,000 trials at P = sin(0.6)^2 exp(-0.25): the mean
+    # count lies within 5 SE of nP, and the dispersion index (sample
+    # variance over nP(1-P)) within the 99.99% band of chi2_399 / 399,
+    # [0.7478, 1.2994] (scipy.stats.chi2.ppf at 5e-5 and 1 - 5e-5)
+    xi, n, seeds = 1e14, 10_000, 400
+    state = DipoleState(0.6 / xi, 0.5 / xi)
+    p = flip_probability(state, xi)
+    counts = np.array([simulate_quantum(state, xi, n, seed=s).flips for s in range(seeds)])
+    variance = n * p * (1.0 - p)
+    assert abs(counts.mean() - n * p) <= 5.0 * math.sqrt(variance / seeds)
+    assert 0.7478 <= counts.var(ddof=1) / variance <= 1.2994
+
+
 def test_seed_determinism():
     st = DipoleState(0.0, 1e-15)
     a = simulate_stochastic(st, 1e14, 50_000, seed=123)
@@ -141,6 +178,10 @@ def test_run_validation():
         EnsembleRun("classical", 10, 1, 0, 1.0, st)
     with pytest.raises(ValueError):
         simulate_quantum(st, 1e14, 0, seed=0)
+    # numpy's binomial takes an int64 count; refused before any block is listed
+    for sim in (simulate_quantum, simulate_stochastic):
+        with pytest.raises(ValueError, match="trials"):
+            sim(st, 1e14, 2**63, seed=0)
 
 
 def test_worker_count_clamped_to_cores_and_blocks(monkeypatch):

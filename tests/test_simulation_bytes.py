@@ -2,13 +2,17 @@
 
 Each digest below is the SHA-256 of a rendered output: a cycle CSV, the
 flip counts of an ensemble run, the ``repr`` of a campaign estimate, or
-the summary JSON of a ``nedmsim campaign`` run. They were recorded on the kernels as
-they drew before any fast path existed, so a speedup that changes which
-uniform lands on which trial, or which key a cycle draws from, fails here.
+the summary JSON of a ``nedmsim campaign`` run. The cycle and stochastic
+digests were recorded on the kernels as they drew before any fast path
+existed, so a speedup that changes which uniform lands on which trial, or
+which key a cycle draws from, fails here. The quantum digest pins the
+single Binomial(trials, P) draw of artifact version 0.6.0, so it also
+fails if numpy's binomial sampler changes its stream.
 The estimator digests pin its error model (pair slope, cycle asymmetry,
 inverse-variance weights) to the last bit. A deliberate change of stream
 layout or of the estimator must bump the artifact version and re-pin
-these digests in the same change.
+these digests in the same change; the summary digest moves with every
+version bump, because the summary embeds the artifact version.
 """
 
 import hashlib
@@ -39,7 +43,7 @@ ESTIMATOR_DIGESTS = {
     "poisson": "60ecf16236fc0e16d6e99095c64b1d330cd22ac22ae654f579ee18e8158efead",
     "expected": "a4a25a22bcb7c26cced1ccdaee8e47fbeb2a466f202d99e051defc8e88aa4cf1",
 }
-CAMPAIGN_SUMMARY_DIGEST = "b5c840cd9035c202224d3444f0d6dfd2126288722ccbeb7b4c2eb345acd2373e"
+CAMPAIGN_SUMMARY_DIGEST = "359ce9ba6c806c02687adf7d6e5a4821bf6df82d23c60a11fa1d8f6e28bdb24c"
 # field drift, clock noise and a fringe contrast below 1 all enter the
 # estimator's error model; the drift moves a few percent of the cycles
 # onto a fringe extremum, where they saturate and their pairs get no weight
@@ -53,7 +57,7 @@ cycles = 2000
 seed = 20261018
 counting_mode = {mode}
 """
-QUANTUM_DIGEST = "b50fbf385ef6c7791dd8370ee36643c13a19cdd3ff9792ffbcc9ec79172e84cc"
+QUANTUM_DIGEST = "5122d92d62c7e34bb5cadfeff1d44668f925241385bb810e897e574f34eef254"
 STOCHASTIC_DIGEST = "e5e2bdd9e3efbaa0fc5e613ee6f3cc875a3fe9f00426499f52c20dbd610b8744"
 
 QUANTUM_STATES = {

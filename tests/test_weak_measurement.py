@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from nedmsim.ensemble import expected_stochastic_fraction, simulate_stochastic
 from nedmsim.weak_measurement import (
     NODE_COUNT_MAX,
     DipoleState,
@@ -56,6 +57,25 @@ def test_overflowing_phase_is_refused():
     # at d_n = 0 an infinite xi is refused without a numpy warning for 0*inf
     with pytest.raises(ValueError, match=message):
         flip_probability(DipoleState(0.0, 0.0), math.inf)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: simulate_stochastic(DipoleState(1e300, 0.0), 1e300, 1000, seed=1),
+        lambda: flip_probability_quadrature(
+            DipoleState(1e300, 1e-300), 1e300, QuadratureSpec(200)
+        ),
+        lambda: flip_probability_quadrature(DipoleState(1e300, 0.0), 1e300),
+        lambda: expected_stochastic_fraction(DipoleState(1e300, 0.0), 1e300),
+    ],
+    ids=["stochastic_ensemble", "quadrature", "quadrature_delta_0", "expected_fraction"],
+)
+def test_overflowing_phase_is_refused_by_every_path(call):
+    # the check flip_probability makes, before any sine: no NaN count or
+    # probability, no math domain error, and no numpy warning
+    with pytest.raises(ValueError, match=r"xi and the phase d_n\*xi must be finite"):
+        call()
 
 
 def test_closed_form_fixture():
