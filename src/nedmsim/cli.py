@@ -10,8 +10,8 @@ Every command resolves its arguments, defaults included, into a manifest
 (command name, full configuration, seed, output paths, artifact version).
 Nothing time- or host-dependent enters any output, so rerunning from the
 manifest reproduces every byte. The ``NEDMSIM_THREADS`` environment
-variable sets the worker count for ensemble commands; results are
-identical at any thread count.
+variable is validated for ensemble commands but has no effect: each
+ensemble count is one draw, and no command starts a thread.
 
 Exit codes: 0 success, 2 usage/config error (a malformed manifest
 included), 3 I/O error, 4 non-convergence. Any other exception is a bug

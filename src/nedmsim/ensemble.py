@@ -12,29 +12,32 @@ Two readings of an ensemble of neutrons with dipole uncertainty delta:
 
 The two models are therefore separable by counting statistics alone.
 
-The quantum trials share one probability P and carry no hidden value, so
-their count is exactly one Binomial(trials, P) variate. It is drawn once
-from the (seed, DOMAIN_QUANTUM, 0) substream by numpy's exact sampler
-(BTPE, Kachitvichyanukul & Schmeiser, Commun. ACM 31 (1988) 216, and
-inversion for small trials*P), so the model starts no thread at any
-worker count. Where P is exactly 0 or 1 (d_n = 0 gives exactly 0 for any
+In both models the trials are independent and share one probability of
+flipping: P for the quantum reading, which carries no hidden value, and
+for the stochastic reading the marginal E[sin^2(d xi)] =
+:func:`expected_stochastic_fraction`, since each neutron draws its own
+dipole independently of the others. A count is therefore exactly one
+Binomial(trials, p) variate, drawn once from the (seed, DOMAIN_QUANTUM, 0)
+or (seed, DOMAIN_STOCHASTIC, 0) substream by numpy's sampler (BTPE,
+Kachitvichyanukul & Schmeiser, Commun. ACM 31 (1988) 216, and inversion
+for small trials*p). No model starts a thread at any worker count. Where
+p is exactly 0 or 1 (the quantum P is exactly 0 at d_n = 0 for any
 delta), the count is 0 or ``trials`` and nothing is drawn.
 
-Stochastic trials draw one uniform per neutron against the per-trial
-probability; draws come from counter-based substreams in fixed blocks,
-so a run is reproducible from (seed, parameters) at any worker count.
+The sampler is exact up to the double grid: numpy forms the smaller side
+of a count (``flips`` or ``trials - flips``) in doubles, so once that side
+exceeds 2**53 it lies on a grid of step at most 1024 (at trials =
+2**63 - 1), far below the count's standard deviation there (above 6e7).
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .streams import BLOCK_TRIALS, DOMAIN_QUANTUM, DOMAIN_STOCHASTIC, substream
+from .streams import DOMAIN_QUANTUM, DOMAIN_STOCHASTIC, substream
 from .weak_measurement import DipoleState, check_phase, flip_probability
 
 __all__ = [
@@ -75,32 +78,16 @@ class EnsembleRun:
         return self.flips / self.trials
 
 
-def _check_trials(trials: int) -> None:
+def _binomial_count(p: float, trials: int, seed: int, domain: int) -> int:
+    """One Binomial(trials, p) draw from the (seed, domain, 0) substream.
+
+    At p exactly 0 or 1 the count is fixed and nothing is drawn.
+    """
     if not 1 <= trials <= _MAX_TRIALS:
         raise ValueError(f"trials must lie in [1, 2**63 - 1], got {trials}")
-
-
-def _block_ranges(trials: int):
-    for b in range(0, (trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS):
-        start = b * BLOCK_TRIALS
-        yield b, min(BLOCK_TRIALS, trials - start)
-
-
-def _worker_count(requested: int, blocks: int) -> int:
-    """Threads worth starting: no more than the cores or the blocks."""
-    return max(1, min(requested, os.cpu_count() or 1, blocks))
-
-
-def _run_blocks(block_fn, trials: int, workers: int) -> int:
-    blocks = list(_block_ranges(trials))
-    workers = _worker_count(workers, len(blocks))
-    if workers == 1:
-        return sum(block_fn(b, m) for b, m in blocks)
-    # fixed-order reduction over block index keeps the total independent
-    # of completion order
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        counts = pool.map(lambda bm: block_fn(*bm), blocks)
-        return sum(counts)
+    if p == 0.0 or p == 1.0:
+        return 0 if p == 0.0 else trials
+    return int(substream(seed, domain, 0).binomial(trials, p))
 
 
 def simulate_quantum(
@@ -110,16 +97,10 @@ def simulate_quantum(
 
     The count is one Binomial(trials, P) draw, deterministic given
     ``seed``; with d_n = 0 the flip probability is exactly 0 and the count
-    is exactly 0 for any number of trials. At a probability of exactly 0
-    or 1 nothing is drawn. ``workers`` is accepted for symmetry with
-    :func:`simulate_stochastic` and changes nothing: no thread is started.
+    is exactly 0 for any number of trials. ``workers`` is accepted and
+    changes nothing: no thread is started.
     """
-    _check_trials(trials)
-    p = flip_probability(state, xi)
-    if p == 0.0 or p == 1.0:
-        flips = 0 if p == 0.0 else trials
-    else:
-        flips = int(substream(seed, DOMAIN_QUANTUM, 0).binomial(trials, p))
+    flips = _binomial_count(flip_probability(state, xi), trials, seed, DOMAIN_QUANTUM)
     return EnsembleRun(MODEL_QUANTUM, trials, flips, seed, xi, state)
 
 
@@ -128,36 +109,26 @@ def simulate_stochastic(
 ) -> EnsembleRun:
     """Count flips when each trial samples a definite dipole value.
 
-    Per trial: d ~ Normal(d_n, delta), flip with probability sin(d*xi)^2.
-    Deterministic given ``seed``; the flip fraction converges to
-    :func:`expected_stochastic_fraction` as trials grow.
+    Each trial draws d ~ Normal(d_n, delta) on its own and flips with
+    probability sin(d*xi)^2, so the count is one Binomial(trials, f) draw
+    with f = :func:`expected_stochastic_fraction`, deterministic given
+    ``seed``. ``workers`` is accepted and changes nothing.
     """
-    _check_trials(trials)
-    check_phase(state, xi)
-
-    def block_fn(b: int, m: int) -> int:
-        rng = substream(seed, DOMAIN_STOCHASTIC, b)
-        # in place, the same floats as normal(d_n, delta) (d_n + delta*z)
-        # times xi, then sin^2; normals are drawn before uniforms
-        p = rng.standard_normal(m)
-        p *= state.delta
-        p += state.d_n
-        p *= xi
-        np.sin(p, out=p)
-        np.square(p, out=p)
-        return int(np.count_nonzero(rng.random(m) < p))
-
-    flips = _run_blocks(block_fn, trials, workers)
+    p = expected_stochastic_fraction(state, xi)
+    flips = _binomial_count(p, trials, seed, DOMAIN_STOCHASTIC)
     return EnsembleRun(MODEL_STOCHASTIC, trials, flips, seed, xi, state)
 
 
 def expected_stochastic_fraction(state: DipoleState, xi: float) -> float:
     """Gaussian expectation of sin(d*xi)^2 under the stochastic model.
 
-    E[sin^2] = (1 - cos(2 d_n xi) exp(-2 xi^2 delta^2)) / 2. Reduces to
-    sin(d_n xi)^2 at delta = 0 and saturates at 1/2 when xi*delta is
-    large (fully randomized phase).
+    E[sin^2] = (1 - cos(2 d_n xi) exp(-2 s^2)) / 2 with s = xi*delta,
+    evaluated as -expm1(-2 s^2)/2 + exp(-2 s^2) sin(d_n xi)^2, which has
+    no cancellation at small phases. Reduces to sin(d_n xi)^2 at
+    delta = 0 and saturates at 1/2 when s is large (fully randomized
+    phase). s^2 is formed by numpy, as in ``flip_envelope``, so an
+    overflowing s gives exactly 1/2.
     """
     check_phase(state, xi)
-    damping = math.exp(-2.0 * (xi * state.delta) ** 2)
-    return 0.5 * (1.0 - math.cos(2.0 * state.d_n * xi) * damping)
+    two_s2 = 2.0 * float(np.multiply(xi, state.delta) ** 2)
+    return -0.5 * math.expm1(-two_s2) + math.exp(-two_s2) * math.sin(state.d_n * xi) ** 2

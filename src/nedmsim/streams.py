@@ -4,18 +4,17 @@ Every stochastic routine in this package draws from a Philox generator
 keyed by ``(seed, domain, index)``. Philox is counter based: the stream is
 a pure function of its 128-bit key, so two runs that construct the same
 (seed, domain, index) triple produce identical draws no matter how work is
-scheduled across workers. Domains keep independent parts of a simulation
-(per-cycle noise, per-block trial batches, ...) from sharing a stream.
+scheduled. Domains keep independent parts of a simulation (each
+ensemble model's count, per-cycle noise) from sharing a stream.
 
-The stochastic ensemble batches its per-trial draws in fixed blocks of
-``BLOCK_TRIALS``; block b of a run uses ``substream(seed, DOMAIN_STOCHASTIC,
-b)``, which makes the draws used by trial i a pure function of (seed, i)
-for the fixed block size. The quantum ensemble draws its whole count once,
-as one binomial variate from ``substream(seed, DOMAIN_QUANTUM, 0)``. Like
+Each ensemble model draws its whole count once, as one binomial variate:
+the quantum model from ``substream(seed, DOMAIN_QUANTUM, 0)`` and the
+stochastic model from ``substream(seed, DOMAIN_STOCHASTIC, 0)``. Like
 every ``Generator`` method, that variate depends on numpy's sampler as well
 as on the stream, and numpy does not promise to keep a sampler's output
-across versions (NEP 19); the pinned quantum digest in the tests catches
-such a change.
+across versions (NEP 19); the pinned ensemble digests in the tests catch
+such a change. The :mod:`nedmsim.ensemble` docstring says where the
+sampler's counts fall on the double grid.
 
 A loop over many substreams (a campaign's cycles) need not build a
 generator for each: :func:`rekey` assigns the (seed, domain, index) key to
@@ -35,18 +34,12 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "BLOCK_TRIALS",
     "DOMAIN_QUANTUM",
     "DOMAIN_STOCHASTIC",
     "DOMAIN_CYCLE",
     "rekey",
     "substream",
 ]
-
-# Fixed batch size for trial-level simulation. Changing it changes which
-# uniform lands on which trial, so it is part of the reproducibility
-# contract and must not be made configurable.
-BLOCK_TRIALS = 1 << 16
 
 DOMAIN_QUANTUM = 1
 DOMAIN_STOCHASTIC = 2

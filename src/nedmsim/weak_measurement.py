@@ -150,8 +150,14 @@ def flip_probability(state: DipoleState, xi):
 
 
 def required_node_count(xi: float, delta: float) -> int:
-    """Minimum quadrature nodes for the oscillation scale |xi*delta|."""
-    return math.ceil(10.0 * (1.0 + abs(xi * delta)))
+    """Minimum quadrature nodes for the oscillation scale |xi*delta|.
+
+    Raises ValueError if |xi*delta| is not finite: no rule samples it.
+    """
+    scale = abs(xi * delta)
+    if not math.isfinite(scale):
+        raise ValueError(f"xi*delta must be finite for the quadrature oracle, got {scale!r}")
+    return math.ceil(10.0 * (1.0 + scale))
 
 
 def _check_nodes(spec: QuadratureSpec, xi: float, delta: float) -> None:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +150,51 @@ def test_contrast_trials_beyond_int64_exits_2(capsys):
     assert capsys.readouterr().err == (
         "error: trials must lie in [1, 2**63 - 1], got 9223372036854775808\n"
     )
+
+
+@pytest.mark.parametrize(
+    "delta, xi, trials",
+    [("1e300", "1e300", 1_000_000), ("1e150", "1e50", 10)],
+    ids=["product_overflows", "square_overflows"],
+)
+def test_contrast_overflowing_spread_saturates(capsys, delta, xi, trials):
+    # xi*delta = 1e600, or a finite 1e200 whose square overflows: every
+    # per-neutron phase is fully randomized, so the stochastic fraction is
+    # 1/2 and its count is Binomial(trials, 1/2)
+    args = ("contrast", "--dn", "0", "--delta", delta, "--xi", xi, "--trials", trials)
+    assert run_cli(*args) == 0
+    table = {row[0]: row for row in parse_csv(capsys.readouterr().out, CONTRAST_HEADER)}
+    assert table["quantum"][2] == 0
+    assert table["stochastic"][4] == 0.5
+    assert abs(table["stochastic"][2] - trials / 2) <= 5.0 * math.sqrt(trials / 4)
+
+
+def test_contrast_largest_int64_trials_is_one_draw(capsys):
+    args = ("contrast", "--dn", "0", "--delta", "1e-15", "--xi", "1e14")
+    start = time.perf_counter()
+    assert run_cli(*args, "--trials", str(2**63 - 1)) == 0
+    assert time.perf_counter() - start < 1.0
+    table = {row[0]: row for row in parse_csv(capsys.readouterr().out, CONTRAST_HEADER)}
+    assert table["quantum"][2] == 0
+    assert table["stochastic"][3] == pytest.approx(table["stochastic"][4], rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("transition", "--dn", "0", "--delta", "1e300", "--xi", "1e300", "--check-oracle"),
+        ("scan", "--dn", "0", "--delta", "1e300", "--xi-min", "0", "--xi-max", "1e300",
+         "--points", "2"),
+    ],
+    ids=["transition", "scan"],
+)
+def test_oracle_with_infinite_spread_exits_2(tmp_path, capsys, argv):
+    # no quadrature rule samples xi*delta = inf
+    assert run_cli(*argv, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == (
+        "error: xi*delta must be finite for the quadrature oracle, got inf\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_contrast_same_seed_identical(capsys):

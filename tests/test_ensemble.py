@@ -9,12 +9,11 @@ import pytest
 import nedmsim.ensemble as ensemble
 from nedmsim.ensemble import (
     EnsembleRun,
-    _worker_count,
     expected_stochastic_fraction,
     simulate_quantum,
     simulate_stochastic,
 )
-from nedmsim.streams import BLOCK_TRIALS, DOMAIN_QUANTUM, substream
+from nedmsim.streams import DOMAIN_QUANTUM, DOMAIN_STOCHASTIC, substream
 from nedmsim.weak_measurement import DipoleState, flip_probability
 
 
@@ -27,6 +26,21 @@ def gauss_hermite_sin2_mean(dn: float, delta: float, xi: float, nodes: int = 400
     return float(np.dot(w, np.sin(d * xi) ** 2)) / math.sqrt(math.pi)
 
 
+def per_trial_stochastic_flips(state: DipoleState, xi: float, trials: int, seed: int) -> int:
+    """Independent oracle: the stochastic model neutron by neutron.
+
+    Per trial d ~ Normal(d_n, delta), then one uniform against sin(d xi)^2,
+    in blocks of 65,536 trials keyed (seed, DOMAIN_STOCHASTIC, block).
+    """
+    flips = 0
+    for b, start in enumerate(range(0, trials, 65536)):
+        rng = substream(seed, DOMAIN_STOCHASTIC, b)
+        m = min(65536, trials - start)
+        p = np.sin((state.d_n + state.delta * rng.standard_normal(m)) * xi) ** 2
+        flips += int(np.count_nonzero(rng.random(m) < p))
+    return flips
+
+
 def test_expected_fraction_matches_quadrature_oracle():
     xi = 1e14
     for dn_xi in (0.0, 0.3, 1.0, 2.5):
@@ -36,6 +50,25 @@ def test_expected_fraction_matches_quadrature_oracle():
             assert expected_stochastic_fraction(state, xi) == pytest.approx(
                 oracle, abs=1e-12
             )
+
+
+@pytest.mark.parametrize("dn_xi", [0.0, 1e-9, 1e-6, 0.3])
+@pytest.mark.parametrize("delta_xi", [0.0, 1e-9, 1e-5, 0.5])
+def test_expected_fraction_matches_mpmath(dn_xi, delta_xi):
+    # the closed form (1 - cos(2 d_n xi) exp(-2 xi^2 delta^2))/2 at 50
+    # digits from the exact double inputs: no cancellation at small phases
+    mp = pytest.importorskip("mpmath")
+    xi = 1e14
+    state = DipoleState(dn_xi / xi, delta_xi / xi)
+    with mp.workdps(50):
+        phase = mp.mpf(state.d_n) * mp.mpf(xi)
+        spread = mp.mpf(state.delta) * mp.mpf(xi)
+        exact = (1 - mp.cos(2 * phase) * mp.exp(-2 * spread**2)) / 2
+    fraction = expected_stochastic_fraction(state, xi)
+    if dn_xi == delta_xi == 0.0:
+        assert fraction == 0.0
+    else:
+        assert fraction == pytest.approx(float(exact), rel=1e-14, abs=0.0)
 
 
 def test_expected_fraction_limits():
@@ -80,7 +113,6 @@ def test_exact_probability_draws_nothing(monkeypatch, dn_xi, delta_xi, flips):
         raise AssertionError("the fast path must not draw or start threads")
 
     monkeypatch.setattr(ensemble, "substream", forbidden)
-    monkeypatch.setattr(ensemble, "ThreadPoolExecutor", forbidden)
     xi = 1e14
     state = DipoleState(dn_xi / xi, delta_xi / xi)
     assert flip_probability(state, xi) == (1.0 if flips else 0.0)
@@ -91,40 +123,45 @@ def test_exact_probability_draws_nothing(monkeypatch, dn_xi, delta_xi, flips):
 
 
 def test_interior_probability_draws_once_without_threads(monkeypatch):
-    # an interior P is one binomial draw from one substream, at any worker count
+    # an interior probability is one binomial draw from one substream, in
+    # either model and at any worker count
     keys = []
 
     def counting_substream(*key):
         keys.append(key)
         return substream(*key)
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the quantum model must not start threads")
-
     monkeypatch.setattr(ensemble, "substream", counting_substream)
-    monkeypatch.setattr(ensemble, "ThreadPoolExecutor", forbidden)
     xi = 1e14
     state = DipoleState(0.6 / xi, 0.5 / xi)
     assert 0.0 < flip_probability(state, xi) < 1.0
     threads = threading.active_count()
-    run = simulate_quantum(state, xi, 10 * BLOCK_TRIALS, seed=3, workers=2)
-    assert keys == [(3, DOMAIN_QUANTUM, 0)]
-    assert 0 < run.flips < run.trials
+    models = ((simulate_quantum, DOMAIN_QUANTUM), (simulate_stochastic, DOMAIN_STOCHASTIC))
+    for sim, domain in models:
+        keys.clear()
+        run = sim(state, xi, 10 * 65536, seed=3, workers=2)
+        assert keys == [(3, domain, 0)]
+        assert 0 < run.flips < run.trials
     assert threading.active_count() == threads
 
 
 def test_quantum_count_is_binomial_over_seeds():
-    # 400 seeds of n = 10,000 trials at P = sin(0.6)^2 exp(-0.25): the mean
-    # count lies within 5 SE of nP, and the dispersion index (sample
-    # variance over nP(1-P)) within the 99.99% band of chi2_399 / 399,
-    # [0.7478, 1.2994] (scipy.stats.chi2.ppf at 5e-5 and 1 - 5e-5)
+    # 400 seeds of n = 10,000 trials at d_n xi = 0.6, delta xi = 0.5, for
+    # the quantum P = sin(0.6)^2 exp(-0.25) and the stochastic fraction:
+    # the mean count lies within 5 SE of np, and the dispersion index
+    # (sample variance over np(1-p)) within the 99.99% band of
+    # chi2_399 / 399, [0.7478, 1.2994] (scipy.stats.chi2.ppf at 5e-5 and
+    # 1 - 5e-5)
     xi, n, seeds = 1e14, 10_000, 400
     state = DipoleState(0.6 / xi, 0.5 / xi)
-    p = flip_probability(state, xi)
-    counts = np.array([simulate_quantum(state, xi, n, seed=s).flips for s in range(seeds)])
-    variance = n * p * (1.0 - p)
-    assert abs(counts.mean() - n * p) <= 5.0 * math.sqrt(variance / seeds)
-    assert 0.7478 <= counts.var(ddof=1) / variance <= 1.2994
+    for sim, p in (
+        (simulate_quantum, flip_probability(state, xi)),
+        (simulate_stochastic, expected_stochastic_fraction(state, xi)),
+    ):
+        counts = np.array([sim(state, xi, n, seed=s).flips for s in range(seeds)])
+        variance = n * p * (1.0 - p)
+        assert abs(counts.mean() - n * p) <= 5.0 * math.sqrt(variance / seeds)
+        assert 0.7478 <= counts.var(ddof=1) / variance <= 1.2994
 
 
 def test_seed_determinism():
@@ -138,7 +175,7 @@ def test_seed_determinism():
 
 def test_worker_count_does_not_change_results():
     st = DipoleState(0.0, 1e-15)
-    trials = 3 * BLOCK_TRIALS + 17
+    trials = 3 * 65536 + 17
     for sim in (simulate_stochastic, simulate_quantum):
         serial = sim(st, 1e14, trials, seed=5, workers=1)
         threaded = sim(st, 1e14, trials, seed=5, workers=4)
@@ -153,6 +190,24 @@ def test_stochastic_mean_converges_small_kick():
     run = simulate_stochastic(st, xi, 10_000_000, seed=77)
     se = math.sqrt(expected * (1 - expected) / run.trials)
     assert abs(run.fraction - expected) <= 5.0 * se
+
+
+@pytest.mark.parametrize(
+    "delta_xi, trials, seed",
+    [(0.1, 10**6, 1), (0.01, 10**7, 77)],
+    ids=["criterion3", "small_kick"],
+)
+def test_per_trial_oracle_matches_expected_fraction(delta_xi, trials, seed):
+    # the neutron-by-neutron model lands within 5 SE of the closed form at
+    # d_n = 0, and separates from the quantum count (exactly 0) at > 5 sigma
+    xi = 1e14
+    state = DipoleState(0.0, delta_xi / xi)
+    expected = expected_stochastic_fraction(state, xi)
+    fraction = per_trial_stochastic_flips(state, xi, trials, seed) / trials
+    assert abs(fraction - expected) <= 5.0 * math.sqrt(expected * (1 - expected) / trials)
+    pooled = fraction / 2.0
+    assert fraction / math.sqrt(pooled * (1.0 - pooled) * 2.0 / trials) > 5.0
+    assert simulate_quantum(state, xi, trials, seed).flips == 0
 
 
 def test_stochastic_mean_property_over_seeds():
@@ -178,20 +233,7 @@ def test_run_validation():
         EnsembleRun("classical", 10, 1, 0, 1.0, st)
     with pytest.raises(ValueError):
         simulate_quantum(st, 1e14, 0, seed=0)
-    # numpy's binomial takes an int64 count; refused before any block is listed
+    # numpy's binomial takes an int64 count; refused before anything is drawn
     for sim in (simulate_quantum, simulate_stochastic):
         with pytest.raises(ValueError, match="trials"):
             sim(st, 1e14, 2**63, seed=0)
-
-
-def test_worker_count_clamped_to_cores_and_blocks(monkeypatch):
-    # computed only: no thread is started
-    monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 4)
-    blocks = -(-(10**9) // BLOCK_TRIALS)
-    assert blocks == 15259
-    assert _worker_count(10**9, blocks) == 4
-    assert _worker_count(3, blocks) == 3
-    assert _worker_count(64, 2) == 2
-    assert _worker_count(0, 10) == 1
-    monkeypatch.setattr(ensemble.os, "cpu_count", lambda: None)
-    assert _worker_count(8, 10) == 1

@@ -2,12 +2,12 @@
 
 Each digest below is the SHA-256 of a rendered output: a cycle CSV, the
 flip counts of an ensemble run, the ``repr`` of a campaign estimate, or
-the summary JSON of a ``nedmsim campaign`` run. The cycle and stochastic
-digests were recorded on the kernels as they drew before any fast path
-existed, so a speedup that changes which uniform lands on which trial, or
-which key a cycle draws from, fails here. The quantum digest pins the
-single Binomial(trials, P) draw of artifact version 0.6.0, so it also
-fails if numpy's binomial sampler changes its stream.
+the summary JSON of a ``nedmsim campaign`` run. The cycle digests were
+recorded on the kernel as it drew before any fast path existed, so a
+speedup that changes which key a cycle draws from fails here. The quantum
+digest pins the single Binomial(trials, P) draw of artifact version 0.6.0
+and the stochastic digest the single Binomial(trials, f) draw of 0.7.0,
+so they also fail if numpy's binomial sampler changes its stream.
 The estimator digests pin its error model (pair slope, cycle asymmetry,
 inverse-variance weights) to the last bit. A deliberate change of stream
 layout or of the estimator must bump the artifact version and re-pin
@@ -26,12 +26,11 @@ from nedmsim.config import parse_config_text
 from nedmsim.ensemble import simulate_quantum, simulate_stochastic
 from nedmsim.formats import CYCLES_HEADER, cycles_to_rows, render_csv
 from nedmsim.inference import campaign_estimator
-from nedmsim.streams import BLOCK_TRIALS
 from nedmsim.weak_measurement import DipoleState, flip_probability
 
 XI = 1e21
-# three full blocks and a partial one
-TRIALS = 3 * BLOCK_TRIALS + 17
+# the trial count the ensemble digests below were recorded at
+TRIALS = 3 * 65536 + 17
 
 CAMPAIGN_DIGESTS = {
     "binomial": "a6b988d802f8aa218cc7a8409172cac1f9e8f70a21969e07975ff1517b003968",
@@ -43,7 +42,7 @@ ESTIMATOR_DIGESTS = {
     "poisson": "60ecf16236fc0e16d6e99095c64b1d330cd22ac22ae654f579ee18e8158efead",
     "expected": "a4a25a22bcb7c26cced1ccdaee8e47fbeb2a466f202d99e051defc8e88aa4cf1",
 }
-CAMPAIGN_SUMMARY_DIGEST = "359ce9ba6c806c02687adf7d6e5a4821bf6df82d23c60a11fa1d8f6e28bdb24c"
+CAMPAIGN_SUMMARY_DIGEST = "090badb9af3558bb1538b2c63792933219cd5e7422371f28dbfac23a448e079e"
 # field drift, clock noise and a fringe contrast below 1 all enter the
 # estimator's error model; the drift moves a few percent of the cycles
 # onto a fringe extremum, where they saturate and their pairs get no weight
@@ -58,7 +57,7 @@ seed = 20261018
 counting_mode = {mode}
 """
 QUANTUM_DIGEST = "5122d92d62c7e34bb5cadfeff1d44668f925241385bb810e897e574f34eef254"
-STOCHASTIC_DIGEST = "e5e2bdd9e3efbaa0fc5e613ee6f3cc875a3fe9f00426499f52c20dbd610b8744"
+STOCHASTIC_DIGEST = "458fd4bb48b3ae44e515cbbfb63b7813cd3f0a0b06423715214a8b757d5a83a0"
 
 QUANTUM_STATES = {
     "p0": DipoleState(0.0, 2.0 / XI),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nedmsim.streams import BLOCK_TRIALS, rekey, substream
+from nedmsim.streams import rekey, substream
 
 
 def test_same_key_reproduces():
@@ -59,8 +59,3 @@ def test_rekey_checks_the_key_like_substream():
     for key in ((0, 1, -1), (0, 1, 1 << 48), (0, 1 << 16, 0)):
         with pytest.raises(ValueError):
             rekey(rng, *key)
-
-
-def test_block_size_is_fixed_contract():
-    # changing this would silently re-map draws to trials
-    assert BLOCK_TRIALS == 65536
