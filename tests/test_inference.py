@@ -2,6 +2,7 @@
 
 import math
 import re
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -398,6 +399,51 @@ def test_upper_bound_zero_flip_finite_and_shrinks():
     assert 0.0 < bound_10 < bound_1 < 0.5 * math.pi / XI_MAX
     # 10x the trials tightens by about sqrt(10)
     assert bound_1 / bound_10 == pytest.approx(math.sqrt(10.0), rel=0.05)
+
+
+def zero_flip_statistic(d, delta_hi, dataset):
+    """q(d) = -2 sum n_i ln(1 - p_i(d, delta_hi)), in scalar math.
+
+    Without flips every log-likelihood term n_i ln(1 - p_i) rises as the
+    envelope, and so p_i, falls with delta: the profile over delta is the
+    likelihood at the ceiling, and this is the bound's statistic exactly.
+    """
+    return -2.0 * sum(
+        n * math.log1p(-(math.sin(d * xi) ** 2) * math.exp(-((xi * delta_hi) ** 2)))
+        for xi, n, _ in dataset.points()
+    )
+
+
+def zero_flip_root(threshold, delta_hi, dataset, dn_max):
+    """Bisection root of the closed-form statistic, to adjacent doubles.
+
+    Every sin^2 rises on [0, dn_max = pi / (2 xi_max)], so the statistic
+    rises strictly there and has one crossing.
+    """
+    lo, hi = 0.0, dn_max
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if zero_flip_statistic(mid, delta_hi, dataset) > threshold:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("resolution", [1e-7, 1e-12])
+@pytest.mark.parametrize("widths", [0.01, 0.1, 0.3, 1.0])
+@pytest.mark.parametrize("scale", [1.0, 100.0])
+def test_zero_flip_bound_matches_closed_form_root(scale, widths, resolution):
+    # criterion 6's designs (8e6 and 8e8 trials) at four delta ceilings
+    ds = zero_flip_dataset(scale)
+    delta_hi = widths / XI_MAX
+    dn_max, _ = search_ceilings(ds, 1.0)
+    threshold = NormalDist().inv_cdf(0.05) ** 2
+    root = zero_flip_root(threshold, delta_hi, ds, dn_max)
+    got = upper_bound(ds, cl=0.95, delta_bounds=(0.0, delta_hi), resolution=resolution)
+    assert abs(got - root) <= resolution * dn_max, (got, root)
 
 
 def test_upper_bound_nested_confidence_levels():
