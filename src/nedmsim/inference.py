@@ -333,9 +333,20 @@ def _profile(
     The kernel factor of ``axis`` (sin(d_n xi)^2 or exp(-(xi delta)^2)) is
     fixed along each row, so it is computed once per profile; each step
     computes only the nuisance factor.
+
+    A d_n profile of data without flips needs no search. Every term is
+    then n_i ln(1 - p_i), which rises as p_i falls, and
+    p_i = sin(d_n xi_i)^2 exp(-(xi_i delta)^2) falls as delta grows, so
+    the maximum over delta is the likelihood at delta_max: one kernel
+    call. The grid search returned that same value, because its last
+    point is delta_max and no later candidate can beat it strictly.
     """
     values = np.asarray(values, dtype=float)
     xi = dataset.xi
+    if axis == "dn" and not dataset.flips.any():
+        envelope = flip_envelope(search.delta_max, xi)
+        best = _log_likelihood_batch(flip_oscillation(values[:, None], xi), envelope, dataset)
+        return best, np.full(values.shape, search.delta_max)
     if axis == "dn":
         lo_box, hi_box, n = search.delta_min, search.delta_max, 33
         fixed, factor = flip_oscillation(values[:, None, None], xi), flip_envelope

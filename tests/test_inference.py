@@ -310,27 +310,35 @@ def test_crossing_rows_match_scalar_searches():
 
 
 def test_likelihood_call_budget(monkeypatch):
-    # one criterion-5 fit and one criterion-6 bound, counted in calls of the
-    # batched likelihood that every coarse grid and zoom step goes through;
-    # scalar profiles and a 60-step bisection made 9186 and 9657 kernel
-    # calls, one-sided interval sections 370 and 108
+    # one criterion-5 fit, one criterion-6 bound and one fit of the same
+    # zero-flip table, counted in calls of the batched likelihood that every
+    # coarse grid and zoom step goes through; scalar profiles and a 60-step
+    # bisection made 9186 and 9657 kernel calls, one-sided interval
+    # sections 370 and 108, and delta-profiled zero-flip searches 108 and 81
     import nedmsim.inference as inference
 
     calls = []
     batch = inference._log_likelihood_batch
 
-    def counted(*args):
-        calls.append(1)
-        return batch(*args)
+    def counted(oscillation, envelope, dataset):
+        calls.append(np.shape(envelope))
+        return batch(oscillation, envelope, dataset)
 
     monkeypatch.setattr(inference, "_log_likelihood_batch", counted)
     fit(make_dataset(seed=0), default_box(), interval_cl=0.9973002039367398)
     fit_calls = len(calls)
     calls.clear()
     upper_bound(zero_flip_dataset(), cl=0.95, delta_bounds=(0.0, 1.0 / XI_MAX))
-    bound_calls = len(calls)
+    bound_shapes = calls.copy()
+    calls.clear()
+    fit(zero_flip_dataset(), default_box())
+    zero_fit_shapes = calls.copy()
     assert fit_calls <= 250, fit_calls
-    assert bound_calls <= 200, bound_calls
+    assert len(bound_shapes) <= 25, len(bound_shapes)
+    assert len(zero_fit_shapes) <= 12, len(zero_fit_shapes)
+    # without flips the delta profile is one envelope at the ceiling: no
+    # nuisance grid, no zoom
+    assert set(bound_shapes) == set(zero_fit_shapes) == {(8,)}
 
 
 def test_fit_requires_two_distinct_xi():
