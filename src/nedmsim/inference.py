@@ -24,10 +24,13 @@ intervals, one-sided for bounds). Crossings are found by K-section, a
 few points per bracket in one batched call, taking the crossing nearest
 the estimate; the two edges of an interval are sectioned in lockstep,
 one bracket per row. An upper bound scans a fixed geometric grid upward
-in chunks and sections the first crossing cell. Every search stops at
-``resolution`` times the axis width, or after _MAX_ROUNDS steps, and
-each bracket of a row-wise search stops on its own, so it ends where a
-search of that bracket alone would.
+in chunks and sections the first crossing cell. The maximum, the
+profiles and the interval edges stop at ``resolution`` times the axis
+width, an upper bound at ``resolution`` relative to itself, each after
+at most _MAX_ROUNDS steps; each bracket of a row-wise search stops on
+its own, so it ends where a search of that bracket alone would. Without
+flips the likelihood rises with delta, so a d_n profile is the
+likelihood at the delta ceiling, one kernel call with no nuisance search.
 
 The campaign estimator turns a cycle table into per-pair dipole estimates
 via the ratio difference and combines them with inverse-variance weights;
@@ -436,12 +439,18 @@ def _interval_from_profile(
     return (min(left, right), max(left, right))
 
 
-def _scan_crossing(q_of, grid: np.ndarray, prev: float, threshold: float, tol: float) -> float:
+def _scan_crossing(
+    q_of, grid: np.ndarray, prev: float, threshold: float, resolution: float
+) -> float:
     """First crossing of ``threshold`` by the batched ``q_of`` along ``grid``.
 
     The grid is scanned upward from ``prev`` in chunks of _SCAN_CHUNK
     points, stopping at the first chunk with a point above the threshold;
-    the cell ending at that point is then sectioned to within ``tol``.
+    the cell ending at that point is then sectioned to within
+    resolution * max(a, resolution * grid[-1]), where a is the lower end
+    of the cell. The crossing lies above a, so it is located to within
+    ``resolution`` relative to itself; the floor serves a cell that
+    starts at 0.
 
     Raises
     ------
@@ -454,6 +463,7 @@ def _scan_crossing(q_of, grid: np.ndarray, prev: float, threshold: float, tol: f
         if above.size:
             i = int(above[0])
             a = float(chunk[i - 1]) if i > 0 else prev
+            tol = resolution * max(a, resolution * float(grid[-1]))
             return _crossing(q_of, a, float(chunk[i]), threshold, tol)
         prev = float(chunk[-1])
     raise NonConvergenceError(
@@ -557,7 +567,19 @@ def upper_bound(
     one-sided chi-square threshold for ``cl``. ``delta_bounds`` is the
     nuisance profiling range and ``dn_max`` caps the scan; each defaults
     to its :func:`search_ceilings` value with BOUND_DELTA_WIDTHS, i.e.
-    delta in [0, 1/xi_max] and d_n up to half a flip oscillation.
+    delta in [0, 1/xi_max] and d_n up to half a flip oscillation. The
+    bound is located to within ``resolution`` relative to itself, with an
+    absolute floor of resolution^2 * dn_max, in at most _MAX_ROUNDS
+    sections.
+
+    Without flips the statistic is closed-form. Every log-likelihood term
+    is n_i ln(1 - p_i); it rises as p_i falls, and p_i falls as delta
+    grows, so the profile sits at the delta ceiling delta_hi and
+    q(d) = -2 sum n_i ln(1 - p_i(d, delta_hi)). Below pi / (2 xi_max)
+    every sin^2 rises, so q rises strictly and has one crossing. Each
+    step of the search is then one kernel call, and the probability of
+    zero flips at the bound, exp(-q/2), is exp(-threshold/2) to within
+    the resolution.
 
     Raises
     ------
@@ -597,7 +619,7 @@ def upper_bound(
     # scan upward from the estimate for the first threshold crossing
     start = dn_hat if dn_hat > 0 else dn_max * 1e-9
     grid = np.geomspace(start, dn_max, 256)
-    return _scan_crossing(q, grid, dn_hat, threshold, resolution * dn_max)
+    return _scan_crossing(q, grid, dn_hat, threshold, resolution)
 
 
 @dataclass(frozen=True)

@@ -261,10 +261,11 @@ def test_scan_crossing_cells(where):
         "last_point": (grid[254], grid[255]),
     }[where]
     edge = 0.5 * (cell[0] + cell[1])
-    tol = 1e-7
-    got = _scan_crossing(_step_at(edge), grid, prev, 1.0, tol)
+    resolution = 1e-7
+    got = _scan_crossing(_step_at(edge), grid, prev, 1.0, resolution)
     assert cell[0] <= got <= cell[1]
-    assert abs(got - edge) <= tol
+    # to within resolution relative to the crossing, 1e-7 * 1.0 below grid[0]
+    assert abs(got - edge) <= resolution * max(edge, resolution * grid[-1])
 
 
 def test_scan_crossing_stops_at_the_first_crossing_chunk():
@@ -451,7 +452,29 @@ def test_zero_flip_bound_matches_closed_form_root(scale, widths, resolution):
     threshold = NormalDist().inv_cdf(0.05) ** 2
     root = zero_flip_root(threshold, delta_hi, ds, dn_max)
     got = upper_bound(ds, cl=0.95, delta_bounds=(0.0, delta_hi), resolution=resolution)
-    assert abs(got - root) <= resolution * dn_max, (got, root)
+    # the search stops at resolution relative to the bound, not to dn_max
+    assert abs(got - root) <= resolution * root, (got, root)
+
+
+@pytest.mark.parametrize("widths", [0.01, 0.1, 0.3, 1.0])
+@pytest.mark.parametrize("scale", [1.0, 100.0])
+def test_zero_flip_bound_probability_of_zero_flips(scale, widths):
+    # exact coverage statement, no toys: at the 95% Wilks bound b with delta
+    # at its ceiling, zero flips occur with probability
+    # prod (1 - p_i)^n_i = exp(-q(b)/2) = exp(-z_0.95^2 / 2) = 0.2585, so
+    # for a true d_n just above b every zero-flip toy misses and the
+    # coverage there is at most 0.742
+    ds = zero_flip_dataset(scale)
+    delta_hi = widths / XI_MAX
+    b = upper_bound(ds, cl=0.95, delta_bounds=(0.0, delta_hi))
+    p_zero = math.prod(
+        (1.0 - math.sin(b * xi) ** 2 * math.exp(-((xi * delta_hi) ** 2))) ** n
+        for xi, n, _ in ds.points()
+    )
+    assert p_zero == pytest.approx(math.exp(-zero_flip_statistic(b, delta_hi, ds) / 2), rel=1e-6)
+    wilks = math.exp(-(NormalDist().inv_cdf(0.05) ** 2) / 2)
+    assert p_zero == pytest.approx(wilks, rel=1e-6)
+    assert round(wilks, 4) == 0.2585
 
 
 def test_upper_bound_nested_confidence_levels():

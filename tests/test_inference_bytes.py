@@ -55,31 +55,31 @@ FIT_DIGESTS = {
 }
 # per case: bounds at CL 0.9 and 0.95 over the case's delta range
 BOUND_DIGESTS = {
-    "dn0.01_delta0.0": "09dfb32905f0638515aa6595d197511572dec52f4f9dca6ec2ede2ffa6412168",
-    "dn0.01_delta0.3": "a8b152f6f877ff2edde8e84523f45b78bbcd6a8c05da9103f31fce88f76f161a",
-    "dn0.01_delta1.0": "68d2d8f5227634ce3b515d36d0966bcfa06ae4833dc57afee01dece22371de54",
-    "dn0.01_delta2.5": "5260f3c0154a780855991ad9fc2e95c90e386b949525eb98b55ade4ad41d6704",
-    "dn0.0_delta0.0": "02044d86a9f9af2567674c6fff84df78f745fbbb0d2d2e77dc5723b040ee3bb5",
-    "dn0.0_delta0.3": "02044d86a9f9af2567674c6fff84df78f745fbbb0d2d2e77dc5723b040ee3bb5",
-    "dn0.0_delta1.0": "02044d86a9f9af2567674c6fff84df78f745fbbb0d2d2e77dc5723b040ee3bb5",
-    "dn0.0_delta2.5": "02044d86a9f9af2567674c6fff84df78f745fbbb0d2d2e77dc5723b040ee3bb5",
-    "dn0.3_delta0.0": "3fb62494a74100fd63e3e0318569cc5d9531001245f96232891ccb6181c6cf70",
-    "dn0.3_delta0.3": "688ffd2425ca191ba94fad1f7cf0169846d90a00ea36d8e30c4600aec37d6b84",
-    "dn0.3_delta1.0": "a84453a89142c728e9b60223195b1b3d60d41a7ae9b27fdad98f6d4cfd0ca925",
-    "dn0.3_delta2.5": "c82a8b2e48f86ff063c1298b0f969ef424c76b6d3003985fb0357010b76608d6",
+    "dn0.01_delta0.0": "d313cdea2966b6e964a3a6ccac744e432704af1c020cf3846f98d1f5a852a7bf",
+    "dn0.01_delta0.3": "a05a1bbdea4803b79b51dc4feebdf052adef54f28578ed03479decbf2e26494a",
+    "dn0.01_delta1.0": "14bccc8f186e06f2c6e336e081af1a82a000a8f0381916541095b0eca3efb612",
+    "dn0.01_delta2.5": "a5980fe5ab0124e7b75b97e97948784a26076f075ebeb32ccea119661bd7a368",
+    "dn0.0_delta0.0": "9639f86ad3e3786cbe50ac0fbb06ae1972cce5b792e0f659d737fc764eea89bf",
+    "dn0.0_delta0.3": "9639f86ad3e3786cbe50ac0fbb06ae1972cce5b792e0f659d737fc764eea89bf",
+    "dn0.0_delta1.0": "9639f86ad3e3786cbe50ac0fbb06ae1972cce5b792e0f659d737fc764eea89bf",
+    "dn0.0_delta2.5": "9639f86ad3e3786cbe50ac0fbb06ae1972cce5b792e0f659d737fc764eea89bf",
+    "dn0.3_delta0.0": "ed0112ce9b75e8e56a75a05823785a4aa6bbe326f3b0dd8fae97cbf42c72ea18",
+    "dn0.3_delta0.3": "93427df2fe8afaebf4547e16664d4d8a5713cfec6876c937d7d8a1c043267997",
+    "dn0.3_delta1.0": "d395e3b519fa5f79bc1c4dff649959131f11ce5d631cfb780b544e836415c774",
+    "dn0.3_delta2.5": "d296c7cb96540e5d78bc7c0361cf6c10d9af87f44d828247d329f5041fee4b01",
     "dn0.9_delta0.0": "a5b6145ef81bbd84001145ee220208062704a6aa81145d5554d176094c05e5d8",
     "dn0.9_delta0.3": "44941603b257641a391e3efe54e7a1504d16a654173eb5c65fc5deb015ff3b72",
     "dn0.9_delta1.0": "a4469d777d262a9f3b8e40ed157e9fc37bf746ec32d7c935b4ebf4ed77411110",
-    "dn0.9_delta2.5": "cdb1c3ec45d34b44c16a21907a7d927878c37b7922c4ea8280d85e977e781459",
-    "zero_flip_8e6_delta0.01": "ef818c415ccfce65bf58dde37b03bf1d653dd6303e222ebdf5b7c4e8b0003ff5",
-    "zero_flip_8e6_delta0.1": "77e285e165296d350b8a87654d4e4df3e25723b426ddc6d888632f92e9223c80",
-    "zero_flip_8e6_delta1.0": "d4a80b2a7033edda679c4900e265db51879577ffdde7ceebe9080e279aedf8e2",
-    "zero_flip_8e8_delta0.01": "1671002464fc3849f8eb8ad461b350e7b85c216c90e6c60a60342b2881568d19",
-    "zero_flip_8e8_delta0.1": "cabcbdc671db3991e3946ffab9ab80a9ed36e98d97a0abfa883e255800979a95",
-    "zero_flip_8e8_delta1.0": "fd6eb90447b6788ea3c703f6fd0e320f34b601e0bd8aa51d0ff128a8b40a15e7",
+    "dn0.9_delta2.5": "f3f25f7ed867f3452ccc380538be4fa16a87a77bdb1afe408b0a7e5bbc9da353",
+    "zero_flip_8e6_delta0.01": "4585f5964e477b3de1537ace50559fc16afd33088475c34f451562efb62d3602",
+    "zero_flip_8e6_delta0.1": "f505ab6015b43c4c087adbe3c5f9555abad28fd07853e9c5101a2fbc91e5fad1",
+    "zero_flip_8e6_delta1.0": "a1338a2907b0214b54ad4023fe8e1d17277fadfa6499135ab40e85b7a1edeb5f",
+    "zero_flip_8e8_delta0.01": "8d1b3c52cabac612d60391ec32657e7fc94af9bce32f7f007bda4ca9bc324bc1",
+    "zero_flip_8e8_delta0.1": "4de79165eef167503aa21a65d9819c196a3ab23c582a7c0b7c4a0f361b60b576",
+    "zero_flip_8e8_delta1.0": "45a615a54e7d676cb0e62a172baeb3ff7054690940fea37c16aa0158f55f12f3",
 }
 # criterion 6's design, 8e6 trials, CL 0.95 at the default ceilings
-ZERO_FLIP_DEFAULT_DIGEST = "1a552cc774a2268988785edee9207ee89e5132c7e29dcf6c5bfd64e826a13d19"
+ZERO_FLIP_DEFAULT_DIGEST = "d3be26dd687170281534786dc7e845f558aa946263fc7111e2a6bc2ba4551af3"
 
 
 def sha256(text: str) -> str:
