@@ -264,7 +264,8 @@ def test_scan_crossing_cells(where):
     resolution = 1e-7
     got = _scan_crossing(_step_at(edge), grid, prev, 1.0, resolution)
     assert cell[0] <= got <= cell[1]
-    # to within resolution relative to the crossing, 1e-7 * 1.0 below grid[0]
+    # within resolution relative to the crossing; the cell from 0 has the
+    # floor resolution^2 * grid[-1]
     assert abs(got - edge) <= resolution * max(edge, resolution * grid[-1])
 
 
