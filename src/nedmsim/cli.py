@@ -148,8 +148,9 @@ def _execute_transition(cfg: dict) -> int:
     if cfg.get("pulse_integral") is not None:
         record["pulse_integral"] = cfg["pulse_integral"]
     if cfg["check_oracle"]:
-        nodes = max(cfg["nodes"], required_node_count(xi, state.delta))
-        p_quad = flip_probability_quadrature(state, xi, QuadratureSpec(node_count=nodes))
+        nodes = required_node_count(xi, state.delta)
+        spec = QuadratureSpec(node_count=max(cfg["nodes"], nodes))
+        p_quad = flip_probability_quadrature(state, xi, spec)
         record["p_quadrature"] = p_quad
         record["abs_diff"] = abs(record["p"] - p_quad)
         record["nodes"] = nodes
@@ -491,7 +492,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--check-oracle", action="store_true", help="also run the quadrature oracle")
     p.add_argument(
-        "--nodes", type=int, default=QuadratureSpec.node_count, help="quadrature nodes (auto-raised if low)"
+        "--nodes",
+        type=int,
+        default=QuadratureSpec.node_count,
+        help="most quadrature nodes the point may use (auto-raised if low)",
     )
     _add_outputs(p, help="write the JSON record here instead of stdout")
 

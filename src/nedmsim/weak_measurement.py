@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "NODE_COUNT_MAX",
@@ -45,9 +46,23 @@ __all__ = [
     "required_node_count",
 ]
 
-# Largest Gauss-Hermite rule built: ~1 s and ~100 MB, and enough for
-# xi*delta <= 203 under the 10*(1 + xi*delta) node rule.
-NODE_COUNT_MAX = 2048
+# Most nodes a point may use: a memory ceiling, 8 MB per node array,
+# reached at xi*delta ~ 33,600.
+NODE_COUNT_MAX = 2**20
+
+# The oracle's composite rule: 24-point Gauss-Legendre panels tile
+# |x| <= 6.5, where the Gaussian weight has fallen to exp(-42) ~ 4e-19, far
+# below the oracle's 1e-10. The integrand oscillates at sqrt(2)*xi*delta
+# radians per unit x; at 3 periods a panel, 24 nodes integrate it to
+# rounding. Fewer than 3 panels under-resolve the Gaussian itself: 2 miss
+# the integral of exp(-x^2) cos(2.9 x) by 5e-13.
+_PANEL_NODES = 24
+_HALF_WIDTH = 6.5
+_PERIODS_PER_PANEL = 3
+_MIN_PANELS = 3
+_PANELS_PER_SCALE = 2.0 * _HALF_WIDTH * math.sqrt(2.0) / (2.0 * math.pi * _PERIODS_PER_PANEL)
+# built once at import, so no evaluation of the oracle runs an eigensolve
+_UNIT_NODES, _UNIT_WEIGHTS = leggauss(_PANEL_NODES)
 
 
 @dataclass(frozen=True)
@@ -70,11 +85,11 @@ class DipoleState:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node count of the Gauss-Hermite amplitude quadrature.
+    """The most nodes the amplitude quadrature may use at a point.
 
-    ``node_count`` must lie in [2, NODE_COUNT_MAX]: the Golub-Welsch rule
-    costs O(n^2) memory and O(n^3) time, so larger rules are refused
-    rather than attempted.
+    Each point uses :func:`required_node_count` nodes for its own
+    |xi*delta|; a point that needs more than ``node_count`` is refused.
+    ``node_count`` must lie in [2, NODE_COUNT_MAX], a memory ceiling.
     """
 
     node_count: int = 200
@@ -84,7 +99,7 @@ class QuadratureSpec:
             raise ValueError("node_count must be >= 2")
         if self.node_count > NODE_COUNT_MAX:
             raise ValueError(
-                f"node_count = {self.node_count} exceeds the Gauss-Hermite "
+                f"node_count = {self.node_count} exceeds the quadrature "
                 f"ceiling of {NODE_COUNT_MAX} nodes"
             )
 
@@ -149,68 +164,46 @@ def flip_probability(state: DipoleState, xi):
     return float(p) if p.ndim == 0 else p
 
 
+def _panel_count(scale: float) -> int:
+    """Panels of the composite rule at |xi*delta| = scale, on the ladder.
+
+    The raw count gives each panel at most _PERIODS_PER_PANEL periods of
+    the integrand, and is at least _MIN_PANELS. It is rounded up to the
+    next 2^k or 3*2^(k-1), so a sweep over scale builds about two rules per
+    octave of it, however many points it has.
+    """
+    # the constant is below 1, so a finite scale gives a finite count
+    panels = max(_MIN_PANELS, math.ceil(scale * _PANELS_PER_SCALE))
+    k = (panels - 1).bit_length()  # 2^(k-1) < panels <= 2^k
+    return 3 << (k - 2) if k >= 2 and panels <= 3 << (k - 2) else 1 << k
+
+
 def required_node_count(xi: float, delta: float) -> int:
-    """Minimum quadrature nodes for the oscillation scale |xi*delta|.
+    """Quadrature nodes the oracle uses at the oscillation scale |xi*delta|.
 
     Raises ValueError if |xi*delta| is not finite: no rule samples it.
     """
     scale = abs(xi * delta)
     if not math.isfinite(scale):
         raise ValueError(f"xi*delta must be finite for the quadrature oracle, got {scale!r}")
-    return math.ceil(10.0 * (1.0 + scale))
+    return _PANEL_NODES * _panel_count(scale)
 
 
-def _check_nodes(spec: QuadratureSpec, xi: float, delta: float) -> None:
-    needed = required_node_count(xi, delta)
-    if spec.node_count < needed:
-        raise ValueError(
-            f"quadrature undersamples the oscillation at xi*delta = "
-            f"{abs(xi * delta):g}: node_count = {spec.node_count}, need "
-            f"node_count >= ceil(10*(1 + xi*delta)) = {needed}"
-        )
+@lru_cache(maxsize=None)
+def _panel_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x and weights w with sum(w f(x)) ~ integral exp(-x^2) f(x) dx / sqrt(pi).
 
-
-def _hermite_recurrence(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Christoffel weights 1/sum_{k<n} p_k(x)^2 and the ratio p_n(x)/p_{n-1}(x).
-
-    p_k are the orthonormal Hermite polynomials of weight exp(-x^2), from
-    p_{k+1} = (x p_k - b_k p_{k-1}) / b_{k+1} with b_k = sqrt(k/2). Every
-    step rescales the running values by an exact power of two, so nothing
-    overflows and far-out weights underflow to 0 without rounding the rest.
+    ``panels`` equal panels of the unit rule tile |x| <= _HALF_WIDTH, and
+    the weights carry the normalized Gaussian. The nodes are exactly odd
+    and the weights exactly even, so an odd integrand sums to rounding.
+    The ladder of :func:`_panel_count` bounds the entries of this cache.
     """
-    b = np.sqrt(np.arange(n + 1) / 2.0)
-    prev = np.zeros_like(x)
-    cur = np.full_like(x, math.pi**-0.25)
-    total = cur * cur
-    shift = np.zeros(x.shape, dtype=int)  # the true sum is total * 2**shift
-    for k in range(1, n):
-        prev, cur = cur, (x * cur - b[k - 1] * prev) / b[k]
-        total += cur * cur
-        e = np.frexp(total)[1] & ~1  # even, so its half scales p_k exactly
-        prev = np.ldexp(prev, -e // 2)
-        cur = np.ldexp(cur, -e // 2)
-        total = np.ldexp(total, -e)
-        shift += e
-    p_n = (x * cur - b[n - 1] * prev) / b[n]
-    return np.ldexp(1.0 / total, -shift), p_n / cur
-
-
-@lru_cache(maxsize=8)
-def _hermite_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes and weights for exp(-x^2), by Golub-Welsch.
-
-    The nodes are the eigenvalues of the Jacobi matrix (off-diagonal
-    sqrt(k/2)), polished by one Newton step on p_n, whose derivative is
-    sqrt(2n) p_{n-1}; the weights are the Christoffel numbers there.
-    Golub & Welsch, Math. Comp. 23 (1969) 221.
-    """
-    b = np.sqrt(np.arange(1, n) / 2.0)
-    # eigvalsh reads one triangle, so the superdiagonal alone is the matrix
-    x = np.linalg.eigvalsh(np.diag(b, 1), UPLO="U")
-    _, ratio = _hermite_recurrence(x, n)
-    x = x - ratio / math.sqrt(2.0 * n)
-    weights, _ = _hermite_recurrence(x, n)
-    return x, weights
+    h = 2.0 * _HALF_WIDTH / panels
+    centres = -_HALF_WIDTH + h * (np.arange(panels) + 0.5)
+    x = (centres[:, None] + 0.5 * h * _UNIT_NODES).ravel()
+    x = 0.5 * (x - x[::-1])
+    w = np.tile(0.5 * h * _UNIT_WEIGHTS, panels) * np.exp(-(x * x)) / math.sqrt(math.pi)
+    return x, w
 
 
 def flip_probability_quadrature(
@@ -219,26 +212,32 @@ def flip_probability_quadrature(
     """Flip probability from numerical evaluation of the amplitude integral.
 
     Computes A = integral( w(d) sin(d xi) dd ) with w the normalized
-    Gaussian of mean d_n and standard deviation delta, using Gauss-Hermite
-    nodes, and returns A**2. Converges to :func:`flip_probability` as the
-    node count grows; this routine is the independent oracle and shares no
-    algebra with the closed form.
+    Gaussian of mean d_n and standard deviation delta, using a composite
+    Gauss-Legendre rule of :func:`required_node_count` nodes sized to this
+    point's |xi*delta|, and returns A**2. This routine is the independent
+    oracle for :func:`flip_probability` and shares no algebra with it.
 
     The degenerate delta = 0 state is a point evaluation sin(d_n xi)^2.
 
     Raises
     ------
     ValueError
-        If xi or the phase d_n*xi is not finite (:func:`check_phase`), or
-        if ``spec.node_count`` undersamples the oscillation (the message
-        recommends a sufficient count).
+        If xi or the phase d_n*xi is not finite (:func:`check_phase`), if
+        xi*delta is not finite, or if the point needs more nodes than
+        ``spec.node_count`` (the message names both counts).
     """
     check_phase(state, xi)
     if state.delta == 0.0:
         return math.sin(state.d_n * xi) ** 2
-    _check_nodes(spec, xi, state.delta)
-    x, w = _hermite_nodes(spec.node_count)
+    needed = required_node_count(xi, state.delta)
+    if needed > spec.node_count:
+        raise ValueError(
+            f"quadrature undersamples the oscillation at xi*delta = "
+            f"{abs(xi * state.delta):g}: node_count = {spec.node_count}, need "
+            f"node_count >= {needed}"
+        )
+    x, w = _panel_rule(needed // _PANEL_NODES)
     # substitution d = d_n + sqrt(2)*delta*x maps w(d) dd to exp(-x^2)/sqrt(pi)
     d = state.d_n + math.sqrt(2.0) * state.delta * x
-    amplitude = float(np.dot(w, np.sin(d * xi))) / math.sqrt(math.pi)
+    amplitude = float(np.dot(w, np.sin(d * xi)))
     return amplitude**2

@@ -20,6 +20,7 @@ from nedmsim.formats import (
     parse_csv,
     render_csv,
 )
+from nedmsim.quantities import PulseProfile, UnitSystem, xi_from_pulse
 from nedmsim.weak_measurement import NODE_COUNT_MAX, required_node_count
 
 NOISELESS_INI = """\
@@ -492,21 +493,51 @@ def test_rerun_manifest_with_non_integer_trials_exits_2(tmp_path, capsys):
     "argv, nodes",
     [
         (("transition", "--dn", "1e-26", "--delta", "1e-15", "--pulse-integral", "1e6",
-          "--check-oracle"), 8771505),
-        (("scan", "--dn", "0", "--delta", "1e-15", "--xi-min", "1e13", "--xi-max", "1e18",
-          "--points", "2"), required_node_count(1e18, 1e-15)),
+          "--check-oracle"),
+         required_node_count(xi_from_pulse(PulseProfile(1e6), UnitSystem()), 1e-15)),
+        # xi*delta = 1e5, beyond the ~33,600 that NODE_COUNT_MAX nodes sample
+        (("scan", "--dn", "0", "--delta", "1e-15", "--xi-min", "1e13", "--xi-max", "1e20",
+          "--points", "2"), required_node_count(1e20, 1e-15)),
     ],
+    ids=["transition", "scan"],
 )
 def test_oracle_above_node_ceiling_exits_2(tmp_path, capsys, monkeypatch, argv, nodes):
-    def refuse(n):
-        raise AssertionError(f"built a {n}-node rule above the ceiling")
+    def refuse(panels):
+        raise AssertionError(f"built a {panels}-panel rule above the ceiling")
 
-    monkeypatch.setattr("nedmsim.weak_measurement._hermite_nodes", refuse)
+    monkeypatch.setattr("nedmsim.weak_measurement._panel_rule", refuse)
     manifest = tmp_path / "m.json"
     assert run_cli(*argv, "--out", tmp_path / "out", "--manifest-out", manifest) == 2
     err = capsys.readouterr().err
     assert f"node_count = {nodes} exceeds" in err and f"{NODE_COUNT_MAX} nodes" in err
     assert not manifest.exists()
+
+
+def test_scan_across_former_aliasing_band(tmp_path):
+    # xi*delta from 10 to 66: a single rule sized for the largest point once
+    # reported 0.32 against a closed-form 0 at xi*delta = 52.7
+    out = tmp_path / "scan.csv"
+    assert run_cli("scan", "--dn", "1e-22", "--delta", "1e-21", "--xi-min", "1e19",
+                   "--xi-max", "6.6e22", "--points", "40", "--log", "--out", out) == 0
+    rows = parse_csv(out.read_text(), SCAN_HEADER)
+    assert len(rows) == 40
+    assert max(row[3] for row in rows) <= 1e-10
+
+
+def test_oracle_runs_no_eigensolve(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle ran an eigensolve")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    assert run_cli("scan", "--dn", "3e-14", "--delta", "1e-13", "--xi-min", "1e11",
+                   "--xi-max", "1e15", "--points", "50", "--log",
+                   "--out", tmp_path / "scan.csv") == 0
+    assert run_cli("transition", "--dn", "1e-26", "--delta", "1e-15", "--xi", "1e16",
+                   "--check-oracle") == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["nodes"] == required_node_count(1e16, 1e-15)
+    assert record["abs_diff"] <= 1e-10
 
 
 def test_cli_import_loads_no_scipy(tmp_path):

@@ -10,7 +10,7 @@ from nedmsim.weak_measurement import (
     NODE_COUNT_MAX,
     DipoleState,
     QuadratureSpec,
-    _hermite_nodes,
+    _panel_rule,
     flip_kernel,
     flip_probability,
     flip_probability_quadrature,
@@ -120,34 +120,61 @@ def test_quadrature_odd_integrand_vanishes_at_zero_dipole():
 def test_quadrature_node_rule_enforced():
     st = state_for(0.5, 4.0)
     needed = required_node_count(XI_REF, st.delta)
-    assert needed == math.ceil(10.0 * (1.0 + 4.0))
-    with pytest.raises(ValueError, match=f"node_count >= .* = {needed}"):
+    # the integrand spans 13*sqrt(2)*4/(2 pi) = 11.7 periods of |x| <= 6.5:
+    # 4 panels of 24 nodes at 3 periods each, and 4 is on the ladder
+    assert needed == 24 * 4
+    with pytest.raises(ValueError, match=f"node_count = {needed - 1}, need node_count >= {needed}"):
         flip_probability_quadrature(st, XI_REF, QuadratureSpec(node_count=needed - 1))
     # exactly enough nodes is accepted
     flip_probability_quadrature(st, XI_REF, QuadratureSpec(node_count=needed))
 
 
-RULE_SIZES = (2, 3, 20, 200, 1010, NODE_COUNT_MAX)
+def test_oracle_agreement_dense():
+    # 4 points per unit of xi*delta up to 300, then log-spaced up to the
+    # node ceiling; each point is evaluated with its own rule
+    spec = QuadratureSpec(node_count=NODE_COUNT_MAX)
+    scales = np.concatenate([np.arange(0.25, 300.0 + 0.125, 0.25), np.geomspace(300.0, 33_000.0, 6)])
+    worst = 0.0
+    for dn_xi in (0.0, 0.3, 1.0):
+        for delta_xi in scales:
+            st = state_for(dn_xi, float(delta_xi))
+            closed = flip_probability(st, XI_REF)
+            worst = max(worst, abs(closed - flip_probability_quadrature(st, XI_REF, spec)))
+    assert worst <= 1e-10
 
 
-@pytest.mark.parametrize("n", RULE_SIZES)
-def test_hermite_rule_integrates_constants_and_is_symmetric(n):
-    x, w = _hermite_nodes(n)
-    assert x.shape == w.shape == (n,)
+def _ladder(top: int) -> list[int]:
+    """Panel counts 2^k and 3*2^(k-1) from 3 up to top."""
+    rungs = [2**k for k in range(1, top.bit_length() + 1)]
+    rungs += [3 * 2 ** (k - 1) for k in range(1, top.bit_length() + 1)]
+    return sorted(r for r in rungs if 3 <= r <= top)
+
+
+def test_panel_cache_stays_on_the_ladder():
+    _panel_rule.cache_clear()
+    spec = QuadratureSpec(node_count=NODE_COUNT_MAX)
+    for delta_xi in np.geomspace(1e-2, 1e3, 500):
+        flip_probability_quadrature(state_for(0.3, float(delta_xi)), XI_REF, spec)
+    rungs = _ladder(required_node_count(1.0, 1e3) // 24)
+    assert _panel_rule.cache_info().currsize <= len(rungs)
+
+
+# every rung up to xi*delta = 1e3, and the largest under NODE_COUNT_MAX
+PANEL_COUNTS = (*_ladder(1024), NODE_COUNT_MAX // 32)
+
+
+@pytest.mark.parametrize("panels", PANEL_COUNTS)
+def test_panel_rule_integrates_gaussian_and_is_symmetric(panels):
+    x, w = _panel_rule(panels)
+    assert x.shape == w.shape == (24 * panels,)
     assert np.all(np.diff(x) > 0)
     assert np.all(w >= 0)
-    assert abs(float(np.sum(w)) - math.sqrt(math.pi)) <= 2e-15
-    assert np.max(np.abs(x + x[::-1])) <= 5e-14
-
-
-@pytest.mark.parametrize("n", RULE_SIZES)
-def test_hermite_rule_matches_scipy(n):
-    roots_hermite = pytest.importorskip("scipy.special").roots_hermite
-    x, w = _hermite_nodes(n)
-    x_ref, w_ref = roots_hermite(n)
-    assert np.max(np.abs(x - x_ref)) <= 5e-14
-    resolved = w_ref > 1e-250
-    assert np.max(np.abs(w[resolved] / w_ref[resolved] - 1.0)) <= 4e-12
+    assert abs(float(np.sum(w)) - 1.0) <= 2e-15
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    # exp(-x^2) cos(omega x) integrates to sqrt(pi) exp(-omega^2/4); at the
+    # rung's largest omega each panel holds 3 periods
+    omega = 2.0 * math.pi * 3.0 * panels / 13.0
+    assert abs(float(np.dot(w, np.cos(omega * x))) - math.exp(-omega * omega / 4.0)) <= 1e-14
 
 
 def test_quadrature_spec_node_ceiling():
