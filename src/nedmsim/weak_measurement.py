@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "NODE_COUNT_MAX",
@@ -61,8 +60,6 @@ _HALF_WIDTH = 6.5
 _PERIODS_PER_PANEL = 3
 _MIN_PANELS = 3
 _PANELS_PER_SCALE = 2.0 * _HALF_WIDTH * math.sqrt(2.0) / (2.0 * math.pi * _PERIODS_PER_PANEL)
-# built once at import, so no evaluation of the oracle runs an eigensolve
-_UNIT_NODES, _UNIT_WEIGHTS = leggauss(_PANEL_NODES)
 
 
 @dataclass(frozen=True)
@@ -164,29 +161,52 @@ def flip_probability(state: DipoleState, xi):
     return float(p) if p.ndim == 0 else p
 
 
-def _panel_count(scale: float) -> int:
-    """Panels of the composite rule at |xi*delta| = scale, on the ladder.
+def required_node_count(xi: float, delta: float) -> int:
+    """Quadrature nodes the oracle uses at the oscillation scale |xi*delta|.
 
-    The raw count gives each panel at most _PERIODS_PER_PANEL periods of
+    The panel count gives each panel at most _PERIODS_PER_PANEL periods of
     the integrand, and is at least _MIN_PANELS. It is rounded up to the
     next 2^k or 3*2^(k-1), so a sweep over scale builds about two rules per
     octave of it, however many points it has.
-    """
-    # the constant is below 1, so a finite scale gives a finite count
-    panels = max(_MIN_PANELS, math.ceil(scale * _PANELS_PER_SCALE))
-    k = (panels - 1).bit_length()  # 2^(k-1) < panels <= 2^k
-    return 3 << (k - 2) if k >= 2 and panels <= 3 << (k - 2) else 1 << k
-
-
-def required_node_count(xi: float, delta: float) -> int:
-    """Quadrature nodes the oracle uses at the oscillation scale |xi*delta|.
 
     Raises ValueError if |xi*delta| is not finite: no rule samples it.
     """
     scale = abs(xi * delta)
     if not math.isfinite(scale):
         raise ValueError(f"xi*delta must be finite for the quadrature oracle, got {scale!r}")
-    return _PANEL_NODES * _panel_count(scale)
+    # the constant is below 1, so a finite scale gives a finite count
+    panels = max(_MIN_PANELS, math.ceil(scale * _PANELS_PER_SCALE))
+    k = (panels - 1).bit_length()  # 2^(k-1) < panels <= 2^k, and k >= 2
+    rung = 3 << (k - 2) if panels <= 3 << (k - 2) else 1 << k
+    return _PANEL_NODES * rung
+
+
+def _legendre_and_derivative(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) from the three-term recurrence, for |x| < 1."""
+    prev, cur = np.ones_like(x), x
+    for k in range(2, n + 1):
+        prev, cur = cur, ((2 * k - 1) * x * cur - (k - 1) * prev) / k
+    return cur, n * (x * cur - prev) / (x * x - 1.0)
+
+
+@lru_cache(maxsize=1)
+def _unit_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], ascending.
+
+    Newton's method on P_n from the estimate cos(pi (i + 3/4) / (n + 1/2))
+    converges quadratically; the weights are 2 / ((1 - x^2) P_n'(x)^2).
+    No eigensolve runs, and nothing beyond numpy's core is imported.
+    """
+    x = -np.cos(math.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(10):
+        p, dp = _legendre_and_derivative(x, n)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) < 1e-15:
+            break
+    _, dp = _legendre_and_derivative(x, n)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
 
 
 @lru_cache(maxsize=None)
@@ -196,13 +216,14 @@ def _panel_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
     ``panels`` equal panels of the unit rule tile |x| <= _HALF_WIDTH, and
     the weights carry the normalized Gaussian. The nodes are exactly odd
     and the weights exactly even, so an odd integrand sums to rounding.
-    The ladder of :func:`_panel_count` bounds the entries of this cache.
+    The ladder of :func:`required_node_count` bounds the entries of this cache.
     """
+    unit_nodes, unit_weights = _unit_rule(_PANEL_NODES)
     h = 2.0 * _HALF_WIDTH / panels
     centres = -_HALF_WIDTH + h * (np.arange(panels) + 0.5)
-    x = (centres[:, None] + 0.5 * h * _UNIT_NODES).ravel()
+    x = (centres[:, None] + 0.5 * h * unit_nodes).ravel()
     x = 0.5 * (x - x[::-1])
-    w = np.tile(0.5 * h * _UNIT_WEIGHTS, panels) * np.exp(-(x * x)) / math.sqrt(math.pi)
+    w = np.tile(0.5 * h * unit_weights, panels) * np.exp(-(x * x)) / math.sqrt(math.pi)
     return x, w
 
 

@@ -11,6 +11,7 @@ from nedmsim.weak_measurement import (
     DipoleState,
     QuadratureSpec,
     _panel_rule,
+    _unit_rule,
     flip_kernel,
     flip_probability,
     flip_probability_quadrature,
@@ -159,11 +160,19 @@ def test_panel_cache_stays_on_the_ladder():
     assert _panel_rule.cache_info().currsize <= len(rungs)
 
 
-# every rung up to xi*delta = 1e3, and the largest under NODE_COUNT_MAX
-PANEL_COUNTS = (*_ladder(1024), NODE_COUNT_MAX // 32)
+def test_unit_rule_matches_numpy():
+    x, w = _unit_rule(24)
+    x_ref, w_ref = np.polynomial.legendre.leggauss(24)
+    assert np.max(np.abs(x - x_ref)) <= 1e-15
+    assert np.max(np.abs(w - w_ref)) <= 4e-15
+    # the moments of x^(2j) are 2/(2j+1) up to degree 47
+    for j in range(24):
+        assert abs(float(np.dot(w, x ** (2 * j))) - 2.0 / (2 * j + 1)) <= 2e-15
 
 
-@pytest.mark.parametrize("panels", PANEL_COUNTS)
+# every rung up to xi*delta = 1e3; beyond it the rounding of the phase
+# omega*x alone nears 1e-14, and the dense test above covers those rungs
+@pytest.mark.parametrize("panels", _ladder(1024))
 def test_panel_rule_integrates_gaussian_and_is_symmetric(panels):
     x, w = _panel_rule(panels)
     assert x.shape == w.shape == (24 * panels,)
