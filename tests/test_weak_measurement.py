@@ -165,7 +165,7 @@ def test_unit_rule_matches_numpy():
     x_ref, w_ref = np.polynomial.legendre.leggauss(24)
     assert np.max(np.abs(x - x_ref)) <= 1e-15
     assert np.max(np.abs(w - w_ref)) <= 4e-15
-    # the moments of x^(2j) are 2/(2j+1) up to degree 47
+    # the moments of x^(2j) are 2/(2j+1) up to degree 46
     for j in range(24):
         assert abs(float(np.dot(w, x ** (2 * j))) - 2.0 / (2 * j + 1)) <= 2e-15
 
