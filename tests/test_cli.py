@@ -499,7 +499,9 @@ def test_rerun_manifest_with_non_integer_trials_exits_2(tmp_path, capsys):
         (("scan", "--dn", "0", "--delta", "1e-15", "--xi-min", "1e13", "--xi-max", "1e20",
           "--points", "2"), required_node_count(1e20, 1e-15)),
     ],
-    ids=["transition", "scan"],
+    # the ids are the names these cases had when the oracle was a Gauss-Hermite
+    # rule and each id carried that rule's node count; they are kept stable
+    ids=["argv0-8771505", "argv1-10011"],
 )
 def test_oracle_above_node_ceiling_exits_2(tmp_path, capsys, monkeypatch, argv, nodes):
     def refuse(panels):
