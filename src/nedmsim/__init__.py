@@ -6,7 +6,7 @@ comagnetometer), statistical inference (inference), and the file/CLI
 surface (formats, config, cli).
 """
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from .comagnetometer import (
     CampaignConfig,

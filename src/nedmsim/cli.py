@@ -64,7 +64,6 @@ from .inference import (
 from .quantities import PhysicalConstants, PulseProfile, UnitSystem, xi_from_pulse
 from .weak_measurement import (
     DipoleState,
-    QuadratureSpec,
     flip_probability,
     flip_probability_quadrature,
     required_node_count,
@@ -76,6 +75,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NONCONVERGENCE = 4
+
+# Most points a scan may have: its xi grid and table are held in memory.
+SCAN_POINTS_MAX = 2**20
 
 
 def _workers() -> int:
@@ -129,7 +131,6 @@ def _resolve_transition(args) -> dict:
         "xi": xi,
         "pulse_integral": pulse_integral,
         "check_oracle": bool(args.check_oracle),
-        "nodes": args.nodes,
         "outputs": {"report": args.out, "manifest": args.manifest_out},
     }
 
@@ -148,12 +149,10 @@ def _execute_transition(cfg: dict) -> int:
     if cfg.get("pulse_integral") is not None:
         record["pulse_integral"] = cfg["pulse_integral"]
     if cfg["check_oracle"]:
-        nodes = required_node_count(xi, state.delta)
-        spec = QuadratureSpec(node_count=max(cfg["nodes"], nodes))
-        p_quad = flip_probability_quadrature(state, xi, spec)
+        p_quad = flip_probability_quadrature(state, xi)
         record["p_quadrature"] = p_quad
         record["abs_diff"] = abs(record["p"] - p_quad)
-        record["nodes"] = nodes
+        record["nodes"] = required_node_count(xi, state.delta)
     _emit(render_json(record), cfg["outputs"].get("report"))
     return EXIT_OK
 
@@ -200,6 +199,8 @@ def _execute_contrast(cfg: dict) -> int:
 def _resolve_scan(args) -> dict:
     if args.points < 1:
         raise ValueError("--points must be >= 1")
+    if args.points > SCAN_POINTS_MAX:
+        raise ValueError(f"--points must be <= {SCAN_POINTS_MAX}")
     if args.xi_max < args.xi_min:
         raise ValueError("--xi-max must be >= --xi-min")
     if args.log and args.xi_min <= 0:
@@ -211,7 +212,6 @@ def _resolve_scan(args) -> dict:
         "xi_max": args.xi_max,
         "points": args.points,
         "spacing": "log" if args.log else "linear",
-        "nodes": args.nodes,
         "outputs": {"table": args.out, "manifest": args.manifest_out},
     }
 
@@ -220,13 +220,12 @@ def _execute_scan(cfg: dict) -> int:
     state = DipoleState(d_n=cfg["dn"], delta=cfg["delta"])
     spaced = np.geomspace if cfg["spacing"] == "log" else np.linspace
     xis = spaced(cfg["xi_min"], cfg["xi_max"], cfg["points"])
-    worst_scale = max(abs(cfg["xi_min"]), abs(cfg["xi_max"]))
-    nodes = max(cfg["nodes"], required_node_count(worst_scale, state.delta))
-    spec = QuadratureSpec(node_count=nodes)
+    # refuses a scan past the node ceiling before any point is evaluated
+    required_node_count(max(abs(cfg["xi_min"]), abs(cfg["xi_max"])), state.delta)
     rows = []
     for xi in xis:
         p_closed = flip_probability(state, float(xi))
-        p_quad = flip_probability_quadrature(state, float(xi), spec)
+        p_quad = flip_probability_quadrature(state, float(xi))
         rows.append([float(xi), p_closed, p_quad, abs(p_closed - p_quad)])
     _emit(render_csv(SCAN_HEADER, rows), cfg["outputs"]["table"])
     return EXIT_OK
@@ -491,12 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="field-time integral, (V/cm)*s; converted to xi with default units",
     )
     p.add_argument("--check-oracle", action="store_true", help="also run the quadrature oracle")
-    p.add_argument(
-        "--nodes",
-        type=int,
-        default=QuadratureSpec.node_count,
-        help="most quadrature nodes the point may use (auto-raised if low)",
-    )
     _add_outputs(p, help="write the JSON record here instead of stdout")
 
     p = sub.add_parser("contrast", help="quantum vs stochastic counting run")
@@ -512,7 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi-max", type=float, required=True)
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--log", action="store_true", help="log-spaced xi grid")
-    p.add_argument("--nodes", type=int, default=QuadratureSpec.node_count)
     _add_outputs(p, required=True, help="output CSV path")
 
     p = sub.add_parser("campaign", help="simulate a comagnetometer campaign")

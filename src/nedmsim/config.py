@@ -83,14 +83,11 @@ class ResolvedConfig:
     inference: InferenceSettings
 
 
-def _parse_bounded_float(lo=None):
-    def parse(text: str) -> float:
-        v = float(text)
-        if lo is not None and v < lo:
-            raise ValueError(f"must be >= {lo}")
-        return v
-
-    return parse
+def _parse_non_negative_float(text: str) -> float:
+    v = float(text)
+    if v < 0.0:
+        raise ValueError("must be >= 0.0")
+    return v
 
 
 def _parse_int(text: str) -> int:
@@ -102,14 +99,14 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     "campaign": {
         "true_dn_e_cm": (float, "true_dn"),
         "b_nominal_tesla": (float, "b_nominal"),
-        "b_drift_sd_tesla": (_parse_bounded_float(0.0), "b_drift_sd"),
+        "b_drift_sd_tesla": (_parse_non_negative_float, "b_drift_sd"),
         "e_field_v_per_cm": (float, "e_magnitude"),
         "free_time_s": (float, "free_time"),
         "neutrons_per_cycle": (_parse_int, "neutrons_per_cycle"),
         "cycles": (_parse_int, "cycles"),
         "visibility": (float, "visibility"),
         "delta_r_sys": (float, "delta_r_sys"),
-        "f_hg_noise_sd_rel": (_parse_bounded_float(0.0), "f_hg_noise_sd"),
+        "f_hg_noise_sd_rel": (_parse_non_negative_float, "f_hg_noise_sd"),
         "seed": (_parse_int, "seed"),
         "counting_mode": (str, "counting_mode"),
     },

@@ -86,10 +86,12 @@ class QuadratureSpec:
 
     Each point uses :func:`required_node_count` nodes for its own
     |xi*delta|; a point that needs more than ``node_count`` is refused.
-    ``node_count`` must lie in [2, NODE_COUNT_MAX], a memory ceiling.
+    ``node_count`` must lie in [2, NODE_COUNT_MAX], a memory ceiling, and
+    defaults to that ceiling, so the default refuses no point the oracle
+    can evaluate.
     """
 
-    node_count: int = 200
+    node_count: int = NODE_COUNT_MAX
 
     def __post_init__(self) -> None:
         if self.node_count < 2:
@@ -162,23 +164,31 @@ def flip_probability(state: DipoleState, xi):
 
 
 def required_node_count(xi: float, delta: float) -> int:
-    """Quadrature nodes the oracle uses at the oscillation scale |xi*delta|.
+    """Quadrature nodes the oracle evaluates at the oscillation scale |xi*delta|.
 
-    The panel count gives each panel at most _PERIODS_PER_PANEL periods of
-    the integrand, and is at least _MIN_PANELS. It is rounded up to the
-    next 2^k or 3*2^(k-1), so a sweep over scale builds about two rules per
-    octave of it, however many points it has.
+    The count is 0 at delta = 0, where the oracle is a point evaluation.
+    Otherwise the panel count gives each panel at most _PERIODS_PER_PANEL
+    periods of the integrand, and is at least _MIN_PANELS. It is rounded up
+    to the next 2^k or 3*2^(k-1), so a sweep over scale builds about two
+    rules per octave of it, however many points it has.
 
-    Raises ValueError if |xi*delta| is not finite: no rule samples it.
+    Raises ValueError if |xi*delta| is not finite, as no rule samples it,
+    or if the count exceeds NODE_COUNT_MAX.
     """
     scale = abs(xi * delta)
     if not math.isfinite(scale):
         raise ValueError(f"xi*delta must be finite for the quadrature oracle, got {scale!r}")
+    if delta == 0.0:
+        return 0
     # the constant is below 1, so a finite scale gives a finite count
     panels = max(_MIN_PANELS, math.ceil(scale * _PANELS_PER_SCALE))
     k = (panels - 1).bit_length()  # 2^(k-1) < panels <= 2^k, and k >= 2
-    rung = 3 << (k - 2) if panels <= 3 << (k - 2) else 1 << k
-    return _PANEL_NODES * rung
+    nodes = _PANEL_NODES * (3 << (k - 2) if panels <= 3 << (k - 2) else 1 << k)
+    if nodes > NODE_COUNT_MAX:
+        raise ValueError(
+            f"node_count = {nodes} exceeds the quadrature ceiling of {NODE_COUNT_MAX} nodes"
+        )
+    return nodes
 
 
 def _legendre_and_derivative(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -244,13 +254,13 @@ def flip_probability_quadrature(
     ------
     ValueError
         If xi or the phase d_n*xi is not finite (:func:`check_phase`), if
-        xi*delta is not finite, or if the point needs more nodes than
-        ``spec.node_count`` (the message names both counts).
+        :func:`required_node_count` refuses xi*delta, or if the point needs
+        more nodes than ``spec.node_count`` (the message names both counts).
     """
     check_phase(state, xi)
-    if state.delta == 0.0:
-        return math.sin(state.d_n * xi) ** 2
     needed = required_node_count(xi, state.delta)
+    if needed == 0:
+        return math.sin(state.d_n * xi) ** 2
     if needed > spec.node_count:
         raise ValueError(
             f"quadrature undersamples the oscillation at xi*delta = "

@@ -1,5 +1,6 @@
 """CLI surface: commands, exit codes, formats, manifests, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -20,7 +21,7 @@ from nedmsim.formats import (
     parse_csv,
     render_csv,
 )
-from nedmsim.quantities import PulseProfile, UnitSystem, xi_from_pulse
+from nedmsim.cli import SCAN_POINTS_MAX
 from nedmsim.weak_measurement import NODE_COUNT_MAX, required_node_count
 
 NOISELESS_INI = """\
@@ -492,12 +493,12 @@ def test_rerun_manifest_with_non_integer_trials_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, nodes",
     [
+        # xi*delta = 8.8e5: 2^20 panels of 24 nodes
         (("transition", "--dn", "1e-26", "--delta", "1e-15", "--pulse-integral", "1e6",
-          "--check-oracle"),
-         required_node_count(xi_from_pulse(PulseProfile(1e6), UnitSystem()), 1e-15)),
+          "--check-oracle"), 25_165_824),
         # xi*delta = 1e5, beyond the ~33,600 that NODE_COUNT_MAX nodes sample
         (("scan", "--dn", "0", "--delta", "1e-15", "--xi-min", "1e13", "--xi-max", "1e20",
-          "--points", "2"), required_node_count(1e20, 1e-15)),
+          "--points", "2"), 2_359_296),
     ],
     # the ids are the names these cases had when the oracle was a Gauss-Hermite
     # rule and each id carried that rule's node count; they are kept stable
@@ -540,6 +541,81 @@ def test_oracle_runs_no_eigensolve(tmp_path, capsys, monkeypatch):
     record = json.loads(capsys.readouterr().out)
     assert record["nodes"] == required_node_count(1e16, 1e-15)
     assert record["abs_diff"] <= 1e-10
+
+
+def test_transition_reports_the_nodes_the_oracle_evaluates(capsys, monkeypatch):
+    # at xi = 0 with delta > 0 the smallest rule still runs: 3 panels of 24
+    assert run_cli("transition", "--dn", "1e-26", "--delta", "1e-15", "--xi", "0",
+                   "--check-oracle") == 0
+    assert json.loads(capsys.readouterr().out)["nodes"] == 72
+
+    def refuse(panels):
+        raise AssertionError(f"built a {panels}-panel rule for a point evaluation")
+
+    # at delta = 0 the oracle is a point evaluation and builds no rule
+    monkeypatch.setattr("nedmsim.weak_measurement._panel_rule", refuse)
+    assert run_cli("transition", "--dn", "1e-26", "--delta", "0", "--xi", "1e13",
+                   "--check-oracle") == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["nodes"] == 0
+    assert record["p_quadrature"] == pytest.approx(record["p"], rel=1e-15)
+
+
+ORACLE_RUNS = {
+    # xi*delta = 10 needs 288 nodes, more than the old --nodes default of 200
+    "transition": ("transition", "--dn", "1e-26", "--delta", "1e-15", "--xi", "1e16",
+                   "--check-oracle"),
+    # xi*delta from 10 to 66, across the band a single rule once aliased; in
+    # 0.9.0 its CSV was the same at every --nodes value
+    "scan": ("scan", "--dn", "1e-22", "--delta", "1e-21", "--xi-min", "1e19",
+             "--xi-max", "6.6e22", "--points", "40", "--log"),
+}
+ALIASING_BAND_SCAN_DIGEST = "1925990e9568719620240404846129524edb657236af10cddd8b431b360415a5"
+
+
+@pytest.mark.parametrize("nodes", [2, 200, 200000])
+@pytest.mark.parametrize("command", sorted(ORACLE_RUNS))
+def test_manifest_with_nodes_key_reruns_to_fresh_bytes(tmp_path, capsys, command, nodes):
+    # manifests written before 0.10.0 record "nodes", the most nodes a point
+    # could use; it never changed an output, and rerun ignores it
+    out, manifest = tmp_path / "out", tmp_path / "m.json"
+    assert run_cli(*ORACLE_RUNS[command], "--out", out, "--manifest-out", manifest) == 0
+    fresh = out.read_bytes()
+    if command == "scan":
+        assert hashlib.sha256(fresh).hexdigest() == ALIASING_BAND_SCAN_DIGEST
+    recorded = json.loads(manifest.read_text())
+    assert "nodes" not in recorded["config"]
+    recorded["config"]["nodes"] = nodes
+    manifest.write_text(json.dumps(recorded))
+    out.unlink()
+    assert run_cli("rerun", manifest) == 0
+    assert out.read_bytes() == fresh
+
+
+@pytest.mark.parametrize("command", sorted(ORACLE_RUNS))
+def test_nodes_flag_is_refused(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as err:
+        run_cli(*ORACLE_RUNS[command], "--nodes", "200", "--out", tmp_path / "out")
+    assert err.value.code == 2
+    assert "unrecognized arguments: --nodes 200" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        (0, "--points must be >= 1"),
+        (SCAN_POINTS_MAX + 1, f"--points must be <= {SCAN_POINTS_MAX}"),
+        # numpy failed to allocate the grid and exited 1 with a traceback
+        (10**12, f"--points must be <= {SCAN_POINTS_MAX}"),
+    ],
+)
+def test_scan_points_out_of_range_exits_2(tmp_path, capsys, points, message):
+    out, manifest = tmp_path / "scan.csv", tmp_path / "m.json"
+    assert run_cli("scan", "--dn", "0", "--delta", "1e-15", "--xi-min", "1e13",
+                   "--xi-max", "1e14", "--points", points, "--out", out,
+                   "--manifest-out", manifest) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists() and not manifest.exists()
 
 
 def test_cli_import_loads_no_scipy(tmp_path):

@@ -61,6 +61,16 @@ def test_bad_value_listed():
         parse_config_text("[campaign]\ncycles = four\n")
 
 
+def test_negative_noise_sd_listed():
+    text = "[campaign]\nb_drift_sd_tesla = -1e-12\nf_hg_noise_sd_rel = -0.1\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    assert err.value.offending_keys == [
+        "campaign.b_drift_sd_tesla (must be >= 0.0)",
+        "campaign.f_hg_noise_sd_rel (must be >= 0.0)",
+    ]
+
+
 def test_multiple_problems_reported_together():
     text = "[campaign]\ncycles = four\nbogus = 1\n"
     with pytest.raises(ConfigError) as err:

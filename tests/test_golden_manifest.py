@@ -64,7 +64,6 @@ CASES = {
             "xi": 8.77149470541207e20,
             "pulse_integral": 1e6,
             "check_oracle": True,
-            "nodes": 200,
             "outputs": {"report": None},
         },
     ),
@@ -94,7 +93,6 @@ CASES = {
             "xi_max": 1e21,
             "points": 5,
             "spacing": "log",
-            "nodes": 200,
             "outputs": {"table": "scan.csv"},
         },
     ),

@@ -42,7 +42,7 @@ ESTIMATOR_DIGESTS = {
     "poisson": "60ecf16236fc0e16d6e99095c64b1d330cd22ac22ae654f579ee18e8158efead",
     "expected": "a4a25a22bcb7c26cced1ccdaee8e47fbeb2a466f202d99e051defc8e88aa4cf1",
 }
-CAMPAIGN_SUMMARY_DIGEST = "abea35e240eda4ee0b819e76962a575ffb2e497aa9390bc01437938c9dc4b288"
+CAMPAIGN_SUMMARY_DIGEST = "d539f6f8eeede2ee25d07d91ea77c29f63a8855cdd01705597fa88c88f7faf67"
 # field drift, clock noise and a fringe contrast below 1 all enter the
 # estimator's error model; the drift moves a few percent of the cycles
 # onto a fringe extremum, where they saturate and their pairs get no weight

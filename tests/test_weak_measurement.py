@@ -132,16 +132,27 @@ def test_quadrature_node_rule_enforced():
 
 def test_oracle_agreement_dense():
     # 4 points per unit of xi*delta up to 300, then log-spaced up to the
-    # node ceiling; each point is evaluated with its own rule
-    spec = QuadratureSpec(node_count=NODE_COUNT_MAX)
+    # node ceiling; each point is evaluated with its own rule, under the
+    # default spec
     scales = np.concatenate([np.arange(0.25, 300.0 + 0.125, 0.25), np.geomspace(300.0, 33_000.0, 6)])
     worst = 0.0
     for dn_xi in (0.0, 0.3, 1.0):
         for delta_xi in scales:
             st = state_for(dn_xi, float(delta_xi))
             closed = flip_probability(st, XI_REF)
-            worst = max(worst, abs(closed - flip_probability_quadrature(st, XI_REF, spec)))
+            worst = max(worst, abs(closed - flip_probability_quadrature(st, XI_REF)))
     assert worst <= 1e-10
+
+
+def test_required_node_count_is_what_the_oracle_evaluates():
+    # delta = 0 is a point evaluation; xi = 0 with delta > 0 runs 3 panels
+    assert required_node_count(XI_REF, 0.0) == 0
+    assert required_node_count(0.0, 1e-15) == 72
+    assert required_node_count(1.0, 33_000.0) <= NODE_COUNT_MAX
+    with pytest.raises(
+        ValueError, match=f"node_count = 2359296 exceeds the quadrature ceiling of {NODE_COUNT_MAX} nodes"
+    ):
+        required_node_count(1e20, 1e-15)
 
 
 def _ladder(top: int) -> list[int]:
