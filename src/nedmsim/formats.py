@@ -68,13 +68,22 @@ def parse_number(text: str):
         return float(text)
 
 
+def _format_cell(cell) -> str:
+    return cell if isinstance(cell, str) else format_number(cell)
+
+
+# exact types whose text is known without format_number's checks; str(int)
+# and float.__repr__ are what format_number returns for them
+_CELL_FORMATTERS = {int: str, float: float.__repr__, str: str}
+
+
 def render_csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     """Render a table; cells are numbers or strings, newline-terminated."""
+    formatter = _CELL_FORMATTERS.get
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(
-            ",".join(c if isinstance(c, str) else format_number(c) for c in row)
-        )
+    lines.extend(
+        ",".join([formatter(type(c), _format_cell)(c) for c in row]) for row in rows
+    )
     return "\n".join(lines) + "\n"
 
 

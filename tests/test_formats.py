@@ -50,6 +50,18 @@ def test_csv_byte_round_trip():
     assert render_csv(header, parsed) == text
 
 
+def test_render_csv_cell_types():
+    header = ("a", "b", "c")
+    with pytest.raises(TypeError):
+        render_csv(header, [[1, True, "tag"]])
+    numpy_cells = [np.float64(0.1), np.int64(-7), np.float64(1e-26), np.int64(2**62)]
+    assert render_csv(("a", "b", "c", "d"), [numpy_cells]) == (
+        "a,b,c,d\n" + ",".join(format_number(c) for c in numpy_cells) + "\n"
+    )
+    assert render_csv(header, [["quantum", "1.5", ""]]) == "a,b,c\nquantum,1.5,\n"
+    assert render_csv(header, []) == "a,b,c\n"
+
+
 def test_csv_header_mismatch_rejected():
     with pytest.raises(ValueError, match="header"):
         parse_csv("a,b\n1,2\n", ("a", "c"))
