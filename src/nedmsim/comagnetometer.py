@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quantities import PhysicalConstants, UnitSystem
-from .spin_dynamics import RamseyConfig, asymmetry, ramsey_phase, up_probability
-from .streams import DOMAIN_CYCLE, rekey, substream
+from .spin_dynamics import _phase, asymmetry, up_probability
+from .streams import DOMAIN_CYCLE, substreams
 
 __all__ = [
     "COUNTING_MODES",
@@ -199,18 +199,26 @@ def simulate_cycle(
 
     Draw order within the cycle is fixed (field drift, counts, clock
     noise), so a record is fully determined by the substream passed in.
+    A field or dipole term large enough to make the Ramsey phase non-finite
+    raises ValueError.
     """
     if polarity not in (-1, 1):
         raise ValueError("polarity must be +1 or -1")
 
     b_cycle = config.b_nominal + rng.normal(0.0, config.b_drift_sd)
-    ramsey = RamseyConfig(
-        b_field=b_cycle,
-        e_field=polarity * config.e_magnitude,
-        free_time=config.free_time,
-        visibility=config.visibility,
+    phi = _phase(
+        constants.mu_n,
+        b_cycle,
+        config.true_dn,
+        polarity * config.e_magnitude,
+        config.free_time,
+        units,
     )
-    phi = ramsey_phase(ramsey, config.true_dn, units, constants)
+    if not math.isfinite(phi):
+        raise ValueError(
+            f"cycle {cycle_index}: the Ramsey phase is not finite; b_nominal "
+            "and b_drift_sd (or true_dn and e_magnitude) are too large"
+        )
     p_up = up_probability(phi, config.visibility)
 
     n = config.neutrons_per_cycle
@@ -257,14 +265,16 @@ def run_campaign(
 
     Each cycle uses the (seed, cycle index) substream, so the record list
     is deterministic given the seed and a longer campaign with the same
-    seed extends a shorter one without changing its cycles. One generator
-    is re-keyed onto each cycle's substream rather than built per cycle.
+    seed extends a shorter one without changing its cycles. The cycles
+    draw from one generator that :func:`~nedmsim.streams.substreams`
+    re-keys in place onto each cycle's substream; it draws exactly what a
+    generator built on that substream would, so the records equal those of
+    :func:`simulate_cycle` called with ``substream(seed, DOMAIN_CYCLE, i)``.
     """
     records = []
-    rng = substream(config.seed, DOMAIN_CYCLE, 0)
-    for i in range(config.cycles):
+    cycle_streams = substreams(config.seed, DOMAIN_CYCLE, config.cycles)
+    for i, rng in enumerate(cycle_streams):
         polarity = 1 if i % 2 == 0 else -1
-        rekey(rng, config.seed, DOMAIN_CYCLE, i)
         records.append(
             simulate_cycle(config, i, polarity, rng, constants=constants, units=units)
         )

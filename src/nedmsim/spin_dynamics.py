@@ -128,6 +128,19 @@ def _precession_rate(
     return mu_n * b_field + d_n * e_field * units.kick
 
 
+def _phase(
+    mu_n: float,
+    b_field: float,
+    d_n: float,
+    e_field: float,
+    free_time: float,
+    units: UnitSystem,
+) -> float:
+    """Ramsey phase 2 * free_time * |mu_n B + d_n E k g|, unchecked."""
+    rate = _precession_rate(mu_n, b_field, d_n, e_field, units)
+    return 2.0 * free_time * abs(rate)
+
+
 def larmor_frequencies(
     mu_n: float,
     b_field: float,
@@ -159,8 +172,9 @@ def ramsey_phase(
     The signed ``config.e_field`` selects which Larmor branch applies:
     phi = 2 * free_time * |mu_n B + d_n E k g|. Linear in free_time.
     """
-    rate = _precession_rate(constants.mu_n, config.b_field, d_n, config.e_field, units)
-    return 2.0 * config.free_time * abs(rate)
+    return _phase(
+        constants.mu_n, config.b_field, d_n, config.e_field, config.free_time, units
+    )
 
 
 def ramsey_up_probability_spinor(phi: float) -> float:

@@ -17,19 +17,26 @@ such a change. The :mod:`nedmsim.ensemble` docstring says where the
 sampler's counts fall on the double grid.
 
 A loop over many substreams (a campaign's cycles) need not build a
-generator for each: :func:`rekey` assigns the (seed, domain, index) key to
-an existing generator, with the counter, buffer and cached 32-bit half
-reset as in a new Philox. Since the stream is a pure function of the key
-(Salmon, Moraes, Dror & Shaw, "Parallel random numbers: as easy as 1, 2,
-3", SC'11), the re-keyed generator draws exactly what
-``substream(seed, domain, index)`` would, at about a quarter of the cost.
-``numpy.random.Generator`` keeps no draw state of its own beyond its bit
-generator; its binomial set-up cache is a function of ``n`` and ``p`` alone.
-Both functions build the key through :func:`_key`, the one home of the
-key layout and its range checks.
+generator for each. :func:`substreams` yields one Philox generator,
+re-keyed in place onto ``(seed, domain, i)`` for each ``i < count``: it
+writes ``i`` into a reused two-element key list and hands one reused state
+dict, with the counter, buffer and cached 32-bit half as a new Philox has
+them, to the bit generator's state setter, which copies the values into
+its own state. Since the stream is a pure function of the key (Salmon,
+Moraes, Dror & Shaw, "Parallel random numbers: as easy as 1, 2, 3",
+SC'11), each yield draws exactly what ``substream(seed, domain, i)``
+would. A re-key costs about 1 µs, against about 20 µs to build a
+generator (2-CPU host, numpy 2.4). ``numpy.random.Generator`` keeps no
+draw state of its own beyond its bit generator; its binomial set-up cache
+is a function of ``n`` and ``p`` alone. Both functions build the key
+through :func:`_key`, the one home of the key layout and its range
+checks; :func:`substreams` checks only its last index, which bounds the
+rest, and holds O(1) memory whatever ``count`` is.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -37,8 +44,8 @@ __all__ = [
     "DOMAIN_QUANTUM",
     "DOMAIN_STOCHASTIC",
     "DOMAIN_CYCLE",
-    "rekey",
     "substream",
+    "substreams",
 ]
 
 DOMAIN_QUANTUM = 1
@@ -66,20 +73,32 @@ def substream(seed: int, domain: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_key(seed, domain, index)))
 
 
-def rekey(rng: np.random.Generator, seed: int, domain: int, index: int) -> None:
-    """Move a Philox ``rng`` onto the (seed, domain, index) substream, in place.
+def substreams(
+    seed: int, domain: int, count: int
+) -> Iterator[np.random.Generator]:
+    """Yield one generator, re-keyed onto (seed, domain, i) for each i < count.
 
-    Afterwards ``rng`` draws exactly what ``substream(seed, domain, index)``
-    draws.
+    The same generator object is yielded each time, so a caller must be done
+    with it before asking for the next. Nothing is yielded when count < 1.
+    The key is range-checked when the first generator is asked for.
     """
-    rng.bit_generator.state = {
+    if count < 1:
+        return
+    last = _key(seed, domain, count - 1)
+    rng = np.random.Generator(np.random.Philox(key=last))
+    bit_generator = rng.bit_generator
+    key = last.tolist()
+    first = key[1] - (count - 1)
+    zeros = (0, 0, 0, 0)
+    state = {
         "bit_generator": "Philox",
-        "state": {
-            "counter": np.zeros(4, dtype=np.uint64),
-            "key": _key(seed, domain, index),
-        },
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": zeros, "key": key},
+        "buffer": zeros,
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
+    for i in range(count):
+        key[1] = first + i
+        bit_generator.state = state
+        yield rng

@@ -306,6 +306,14 @@ def test_campaign_rerun_byte_identical(tmp_path):
     assert manifest.read_bytes() == manifest_0
 
 
+def test_campaign_overflowing_field_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[campaign]\nb_nominal_tesla = 1e300\ncycles = 2\n")
+    assert run_cli("campaign", "--config", cfg, "--out", tmp_path / "cycles.csv") == 2
+    err = capsys.readouterr().err
+    assert "b_nominal and b_drift_sd" in err and "math domain error" not in err
+
+
 def test_fit_command_reports(tmp_path, capsys):
     xis = np.array([0.25, 0.5, 0.75, 1.0]) * 1e21
     pts = []

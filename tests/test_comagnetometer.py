@@ -209,6 +209,16 @@ def test_config_validation():
         CampaignConfig(visibility=2.0)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_overflowing_field_is_refused_by_the_phase_check(seed):
+    # the drift overflows the field to inf at some seeds, and at the others
+    # the finite field overflows the phase; cos(inf) would raise a bare
+    # "math domain error"
+    config = CampaignConfig(b_nominal=1.7e308, b_drift_sd=1e308, cycles=2, seed=seed)
+    with pytest.raises(ValueError, match="b_nominal and b_drift_sd"):
+        run_campaign(config)
+
+
 def test_cycle_record_validation():
     with pytest.raises(ValueError):
         CycleRecord(0, 0, 10, 10, 1.0, 1.0, 1.0)

@@ -21,11 +21,17 @@ import math
 import pytest
 
 from nedmsim.cli import main
-from nedmsim.comagnetometer import CampaignConfig, run_campaign
+from nedmsim.comagnetometer import (
+    COUNTING_MODES,
+    CampaignConfig,
+    run_campaign,
+    simulate_cycle,
+)
 from nedmsim.config import parse_config_text
 from nedmsim.ensemble import simulate_quantum, simulate_stochastic
 from nedmsim.formats import CYCLES_HEADER, cycles_to_rows, render_csv
 from nedmsim.inference import campaign_estimator
+from nedmsim.streams import DOMAIN_CYCLE, substream
 from nedmsim.weak_measurement import DipoleState, flip_probability
 
 XI = 1e21
@@ -93,6 +99,24 @@ def test_campaign_estimate_bytes(mode):
     config = parse_config_text(ESTIMATOR_INI.format(mode=mode)).campaign
     estimate = campaign_estimator(run_campaign(config), config)
     assert sha256(repr(estimate)) == ESTIMATOR_DIGESTS[mode]
+
+
+@pytest.mark.parametrize("mode", COUNTING_MODES)
+def test_campaign_equals_cycles_on_new_substreams(mode):
+    # the reference for run_campaign's re-keyed generator: one new generator
+    # per cycle. The estimator config has saturating cycles in both
+    # sampling modes
+    configs = (
+        CampaignConfig(true_dn=3e-22, b_drift_sd=1e-12, f_hg_noise_sd=1e-8,
+                       cycles=200, seed=20_261_018, counting_mode=mode),
+        parse_config_text(ESTIMATOR_INI.format(mode=mode)).campaign,
+    )
+    for config in configs:
+        reference = [
+            simulate_cycle(config, i, 1 - 2 * (i % 2), substream(config.seed, DOMAIN_CYCLE, i))
+            for i in range(config.cycles)
+        ]
+        assert run_campaign(config) == reference
 
 
 def test_campaign_summary_bytes(tmp_path, monkeypatch):
