@@ -31,7 +31,7 @@ import numpy as np
 
 from .quantities import PhysicalConstants, UnitSystem
 from .spin_dynamics import _phase, asymmetry, up_probability
-from .streams import DOMAIN_CYCLE, substreams
+from .streams import _MAX_INDEX, DOMAIN_CYCLE, substreams
 
 __all__ = [
     "COUNTING_MODES",
@@ -55,7 +55,9 @@ class CampaignConfig:
     Units: dipole in e·cm, fields in tesla (magnetic) and V/cm (electric),
     time in s. ``b_drift_sd`` is the white per-cycle field scatter,
     ``f_hg_noise_sd`` the relative scatter of the clock frequency, and
-    ``delta_r_sys`` a constant additive offset on R. Defaults put the
+    ``delta_r_sys`` a constant additive offset on R. ``cycles``,
+    ``neutrons_per_cycle`` and ``seed`` must be ``int`` (not ``bool``), and
+    ``cycles`` at most 2**48, one substream index per cycle. Defaults put the
     nominal working point near mid-fringe, where the phase readout is
     most sensitive.
     """
@@ -74,6 +76,10 @@ class CampaignConfig:
     counting_mode: str = "binomial"
 
     def __post_init__(self) -> None:
+        for name in ("cycles", "neutrons_per_cycle", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
         numeric = (
             self.true_dn,
             self.b_nominal,
@@ -86,8 +92,8 @@ class CampaignConfig:
         )
         if not all(math.isfinite(v) for v in numeric):
             raise ValueError("non-finite campaign parameter")
-        if self.cycles < 2 or self.cycles % 2 != 0:
-            raise ValueError("cycles must be an even number >= 2")
+        if not 2 <= self.cycles <= _MAX_INDEX or self.cycles % 2 != 0:
+            raise ValueError("cycles must be an even number in [2, 2**48]")
         if self.neutrons_per_cycle < 1:
             raise ValueError("neutrons_per_cycle must be >= 1")
         if self.e_magnitude <= 0:

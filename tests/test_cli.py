@@ -314,6 +314,32 @@ def test_campaign_overflowing_field_exits_2(tmp_path, capsys):
     assert "b_nominal and b_drift_sd" in err and "math domain error" not in err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("neutrons_per_cycle", 10000.5),
+        ("neutrons_per_cycle", True),
+        ("cycles", 4.0),
+        ("cycles", 2**50),
+        ("seed", 1.5),
+    ],
+)
+def test_campaign_rerun_refuses_edited_counts(tmp_path, capsys, field, value):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(NOISELESS_INI)
+    manifest = tmp_path / "m.json"
+    out = tmp_path / "cycles.csv"
+    assert run_cli("campaign", "--config", cfg, "--out", out, "--manifest-out", manifest) == 0
+    out.unlink()
+    recorded = json.loads(manifest.read_text())
+    recorded["config"]["campaign"][field] = value
+    manifest.write_text(json.dumps(recorded))
+    capsys.readouterr()
+    assert run_cli("rerun", manifest) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_command_reports(tmp_path, capsys):
     xis = np.array([0.25, 0.5, 0.75, 1.0]) * 1e21
     pts = []

@@ -209,6 +209,30 @@ def test_config_validation():
         CampaignConfig(visibility=2.0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("cycles", 4.0),
+        ("cycles", True),
+        ("neutrons_per_cycle", 10_000.5),
+        ("neutrons_per_cycle", True),
+        ("neutrons_per_cycle", np.int64(100)),
+        ("seed", 1.5),
+        ("seed", False),
+    ],
+)
+def test_config_refuses_counts_that_are_not_ints(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an int"):
+        CampaignConfig(**{field: value})
+
+
+def test_config_cycles_stop_at_the_substream_index_limit():
+    assert CampaignConfig(cycles=1 << 48).cycles == 1 << 48
+    for cycles in ((1 << 48) + 2, 1 << 50):
+        with pytest.raises(ValueError, match="cycles"):
+            CampaignConfig(cycles=cycles)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_overflowing_field_is_refused_by_the_phase_check(seed):
     # the drift overflows the field to inf at some seeds, and at the others
