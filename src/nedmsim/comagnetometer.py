@@ -212,13 +212,9 @@ def simulate_cycle(
         raise ValueError("polarity must be +1 or -1")
 
     b_cycle = config.b_nominal + rng.normal(0.0, config.b_drift_sd)
+    e_field = polarity * config.e_magnitude
     phi = _phase(
-        constants.mu_n,
-        b_cycle,
-        config.true_dn,
-        polarity * config.e_magnitude,
-        config.free_time,
-        units,
+        constants.mu_n, b_cycle, config.true_dn, e_field, config.free_time, units
     )
     if not math.isfinite(phi):
         raise ValueError(
@@ -271,15 +267,12 @@ def run_campaign(
 
     Each cycle uses the (seed, cycle index) substream, so the record list
     is deterministic given the seed and a longer campaign with the same
-    seed extends a shorter one without changing its cycles. The cycles
-    draw from one generator that :func:`~nedmsim.streams.substreams`
-    re-keys in place onto each cycle's substream; it draws exactly what a
-    generator built on that substream would, so the records equal those of
-    :func:`simulate_cycle` called with ``substream(seed, DOMAIN_CYCLE, i)``.
+    seed extends a shorter one without changing its cycles. The cycles share
+    one generator, re-keyed in place onto each cycle's substream by
+    :func:`~nedmsim.streams.substreams`, which draws what a new one would.
     """
     records = []
-    cycle_streams = substreams(config.seed, DOMAIN_CYCLE, config.cycles)
-    for i, rng in enumerate(cycle_streams):
+    for i, rng in enumerate(substreams(config.seed, DOMAIN_CYCLE, config.cycles)):
         polarity = 1 if i % 2 == 0 else -1
         records.append(
             simulate_cycle(config, i, polarity, rng, constants=constants, units=units)

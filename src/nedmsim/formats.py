@@ -68,12 +68,7 @@ def parse_number(text: str):
         return float(text)
 
 
-def _format_cell(cell) -> str:
-    return cell if isinstance(cell, str) else format_number(cell)
-
-
-# exact types whose text is known without format_number's checks; str(int)
-# and float.__repr__ are what format_number returns for them
+# format_number's text for these exact types; bool and numpy scalars go through it
 _CELL_FORMATTERS = {int: str, float: float.__repr__, str: str}
 
 
@@ -82,7 +77,7 @@ def render_csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     formatter = _CELL_FORMATTERS.get
     lines = [",".join(header)]
     lines.extend(
-        ",".join([formatter(type(c), _format_cell)(c) for c in row]) for row in rows
+        ",".join([formatter(type(c), format_number)(c) for c in row]) for row in rows
     )
     return "\n".join(lines) + "\n"
 

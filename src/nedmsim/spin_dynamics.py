@@ -128,17 +128,9 @@ def _precession_rate(
     return mu_n * b_field + d_n * e_field * units.kick
 
 
-def _phase(
-    mu_n: float,
-    b_field: float,
-    d_n: float,
-    e_field: float,
-    free_time: float,
-    units: UnitSystem,
-) -> float:
-    """Ramsey phase 2 * free_time * |mu_n B + d_n E k g|, unchecked."""
-    rate = _precession_rate(mu_n, b_field, d_n, e_field, units)
-    return 2.0 * free_time * abs(rate)
+def _phase(mu_n, b_field, d_n, e_field, free_time, units: UnitSystem) -> float:
+    """Ramsey phase 2 * free_time * |mu_n B + d_n E k g| for floats, unchecked."""
+    return 2.0 * free_time * abs(_precession_rate(mu_n, b_field, d_n, e_field, units))
 
 
 def larmor_frequencies(

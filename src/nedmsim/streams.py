@@ -17,21 +17,16 @@ such a change. The :mod:`nedmsim.ensemble` docstring says where the
 sampler's counts fall on the double grid.
 
 A loop over many substreams (a campaign's cycles) need not build a
-generator for each. :func:`substreams` yields one Philox generator,
-re-keyed in place onto ``(seed, domain, i)`` for each ``i < count``: it
-writes ``i`` into a reused two-element key list and hands one reused state
-dict, with the counter, buffer and cached 32-bit half as a new Philox has
-them, to the bit generator's state setter, which copies the values into
-its own state. Since the stream is a pure function of the key (Salmon,
-Moraes, Dror & Shaw, "Parallel random numbers: as easy as 1, 2, 3",
-SC'11), each yield draws exactly what ``substream(seed, domain, i)``
-would. A re-key costs about 1 µs, against about 20 µs to build a
-generator (2-CPU host, numpy 2.4). ``numpy.random.Generator`` keeps no
-draw state of its own beyond its bit generator; its binomial set-up cache
-is a function of ``n`` and ``p`` alone. Both functions build the key
-through :func:`_key`, the one home of the key layout and its range
-checks; :func:`substreams` checks only its last index, which bounds the
-rest, and holds O(1) memory whatever ``count`` is.
+generator for each: :func:`substreams` re-keys one Philox generator in
+place, writing each index into a reused key list and passing one reused
+state dict (counter, buffer and cached 32-bit half as in a new Philox) to
+the state setter, which copies the values. The stream is a pure function
+of the key (Salmon, Moraes, Dror & Shaw, SC'11), so each re-keyed
+generator draws exactly what ``substream`` would, for about 1 µs against
+20 µs (2-CPU host, numpy 2.4). ``numpy.random.Generator`` keeps no draw
+state beyond its bit generator; its binomial set-up cache depends on ``n``
+and ``p`` alone. :func:`_key` is the one home of the key layout and its
+range checks; :func:`substreams` calls it once, on its last index.
 """
 
 from __future__ import annotations
@@ -73,32 +68,27 @@ def substream(seed: int, domain: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_key(seed, domain, index)))
 
 
-def substreams(
-    seed: int, domain: int, count: int
-) -> Iterator[np.random.Generator]:
+def substreams(seed: int, domain: int, count: int) -> Iterator[np.random.Generator]:
     """Yield one generator, re-keyed onto (seed, domain, i) for each i < count.
 
-    The same generator object is yielded each time, so a caller must be done
-    with it before asking for the next. Nothing is yielded when count < 1.
-    The key is range-checked when the first generator is asked for.
+    The same object is yielded each time, so a caller must be done with it
+    before asking for the next. Holds O(1) memory; nothing for count < 1.
     """
     if count < 1:
         return
     last = _key(seed, domain, count - 1)
     rng = np.random.Generator(np.random.Philox(key=last))
-    bit_generator = rng.bit_generator
     key = last.tolist()
     first = key[1] - (count - 1)
-    zeros = (0, 0, 0, 0)
     state = {
         "bit_generator": "Philox",
-        "state": {"counter": zeros, "key": key},
-        "buffer": zeros,
+        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
     for i in range(count):
         key[1] = first + i
-        bit_generator.state = state
+        rng.bit_generator.state = state
         yield rng
