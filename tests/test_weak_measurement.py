@@ -11,6 +11,7 @@ from nedmsim.weak_measurement import (
     DipoleState,
     QuadratureSpec,
     _panel_rule,
+    _scaled_nodes,
     _unit_rule,
     flip_kernel,
     flip_probability,
@@ -142,6 +143,70 @@ def test_oracle_agreement_dense():
             closed = flip_probability(st, XI_REF)
             worst = max(worst, abs(closed - flip_probability_quadrature(st, XI_REF)))
     assert worst <= 1e-10
+
+
+def _bits(values) -> list:
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("dn_per_delta", [0.0, 0.3, 1.0])
+def test_array_oracle_equals_scalar_oracle_bytes(dn_per_delta):
+    # xi*delta = 0, 0.25, ..., 300, then log-spaced to the node ceiling, with
+    # d_n*xi = 0, 0.3 or 1 at xi*delta = 1; the linear part also runs
+    # negated, so the array's points come unsorted and with both signs
+    scales = np.arange(0.0, 300.0 + 0.125, 0.25)
+    scales = np.concatenate([scales, -scales[::-1], np.geomspace(300.0, 33_000.0, 6)])
+    st = state_for(dn_per_delta, 1.0)
+    xis = scales * XI_REF
+    array = flip_probability_quadrature(st, xis)
+    assert array.shape == xis.shape
+    assert _bits(array) == _bits([flip_probability_quadrature(st, float(x)) for x in xis])
+    # a 2-d array is evaluated elementwise, in its shape
+    square = flip_probability_quadrature(st, xis[:1000].reshape(20, 50))
+    assert _bits(square.ravel()) == _bits(array[:1000])
+
+
+def test_array_oracle_at_zero_delta_is_point_evaluation():
+    # the scalar path squares by Python's pow: numpy's squares of these
+    # sines differ from it at 12 of the 20,001 points
+    st = DipoleState(3e-14, 0.0)
+    xis = np.linspace(-1e15, 1e15, 20_001)
+    assert _bits(flip_probability_quadrature(st, xis)) == _bits(
+        [math.sin(st.d_n * x) ** 2 for x in xis.tolist()]
+    )
+
+
+def test_array_oracle_refuses_before_evaluating(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a point was evaluated")
+
+    monkeypatch.setattr("nedmsim.weak_measurement._panel_rule", refuse)
+    monkeypatch.setattr("nedmsim.weak_measurement._scaled_nodes", refuse)
+    st = state_for(0.5, 1.0)
+    # xi*delta = 4 needs 96 nodes; the others need 72
+    xis = np.array([0.5, 4.0, 1.0, 0.25]) * XI_REF
+    with pytest.raises(ValueError, match="node_count = 72, need node_count >= 96"):
+        flip_probability_quadrature(st, xis, QuadratureSpec(node_count=72))
+    assert flip_probability_quadrature(st, np.array([])).shape == (0,)
+
+
+def test_scalar_inputs_give_identical_floats():
+    # a Python float takes flip_probability's fast path, which skips the
+    # array round trip; np.float64 and a 0-d array take the array path
+    st = DipoleState(3e-22, 1e-21)
+    for x in np.geomspace(1e19, 1e22, 300).tolist():
+        for call in (flip_probability, flip_probability_quadrature):
+            values = [call(st, v) for v in (x, np.float64(x), np.array(x))]
+            assert all(type(v) is float for v in values)
+            assert len(set(_bits(values))) == 1
+
+
+def test_node_cache_holds_one_array():
+    _scaled_nodes.cache_clear()
+    for delta_xi in np.geomspace(1e-2, 1e3, 200):
+        flip_probability_quadrature(state_for(0.3, float(delta_xi)), XI_REF)
+    flip_probability_quadrature(state_for(0.3, 1.0), np.geomspace(1e-2, 1e3, 200) * XI_REF)
+    assert _scaled_nodes.cache_info().currsize <= _scaled_nodes.cache_info().maxsize == 1
 
 
 def test_required_node_count_is_what_the_oracle_evaluates():
