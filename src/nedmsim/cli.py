@@ -25,7 +25,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -219,16 +219,20 @@ def _resolve_scan(args) -> dict:
 def _execute_scan(cfg: dict) -> int:
     state = DipoleState(d_n=cfg["dn"], delta=cfg["delta"])
     spaced = np.geomspace if cfg["spacing"] == "log" else np.linspace
-    xis = spaced(cfg["xi_min"], cfg["xi_max"], cfg["points"])
-    # refuses a scan past the node ceiling before any point is evaluated
-    required_node_count(max(abs(cfg["xi_min"]), abs(cfg["xi_max"])), state.delta)
-    rows = []
-    for xi in xis:
-        p_closed = flip_probability(state, float(xi))
-        p_quad = flip_probability_quadrature(state, float(xi))
-        rows.append([float(xi), p_closed, p_quad, abs(p_closed - p_quad)])
+    rows = _scan_rows(state, spaced(cfg["xi_min"], cfg["xi_max"], cfg["points"]))
     _emit(render_csv(SCAN_HEADER, rows), cfg["outputs"]["table"])
     return EXIT_OK
+
+
+def _scan_rows(state: DipoleState, xis: np.ndarray) -> Iterator[list]:
+    # one array call: a scan past the node ceiling is refused before any
+    # point is evaluated. The closed form stays per point, since Python's
+    # square of a float can differ in the last bit from an array's. Rows
+    # are yielded, so the table is never held beside its text
+    p_quads = flip_probability_quadrature(state, xis)
+    for xi, p_quad in zip(xis.tolist(), p_quads.tolist()):
+        p_closed = flip_probability(state, xi)
+        yield [xi, p_closed, p_quad, abs(p_closed - p_quad)]
 
 
 # ---------------------------------------------------------------------------

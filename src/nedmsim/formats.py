@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .comagnetometer import CycleRecord
 from .inference import FlipDataset
@@ -72,8 +72,11 @@ def parse_number(text: str):
 _CELL_FORMATTERS = {int: str, float: float.__repr__, str: str}
 
 
-def render_csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    """Render a table; cells are numbers or strings, newline-terminated."""
+def render_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """Render a table; cells are numbers or strings, newline-terminated.
+
+    ``rows`` is read once, so a generator renders without holding its rows.
+    """
     formatter = _CELL_FORMATTERS.get
     lines = [",".join(header)]
     lines.extend(

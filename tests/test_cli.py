@@ -22,7 +22,13 @@ from nedmsim.formats import (
     render_csv,
 )
 from nedmsim.cli import SCAN_POINTS_MAX
-from nedmsim.weak_measurement import NODE_COUNT_MAX, required_node_count
+from nedmsim.weak_measurement import (
+    NODE_COUNT_MAX,
+    DipoleState,
+    flip_probability,
+    flip_probability_quadrature,
+    required_node_count,
+)
 
 NOISELESS_INI = """\
 [campaign]
@@ -650,6 +656,21 @@ def test_scan_points_out_of_range_exits_2(tmp_path, capsys, points, message):
                    "--manifest-out", manifest) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists() and not manifest.exists()
+
+
+def test_scan_closed_column_is_the_scalar_closed_form(tmp_path):
+    # p_closed is flip_probability at each float xi, byte for byte. At one
+    # xi of this grid the array closed form squares to a different last
+    # bit than the scalar's pow, so the column may not move to the array
+    out = tmp_path / "scan.csv"
+    assert run_cli("scan", "--dn", "3e-22", "--delta", "1e-21", "--xi-min", "1e19",
+                   "--xi-max", "1e22", "--points", "500", "--log", "--out", out) == 0
+    xis, p_closed, p_quad, _ = zip(*parse_csv(out.read_text(), SCAN_HEADER))
+    state = DipoleState(3e-22, 1e-21)
+    assert list(p_closed) == [flip_probability(state, x) for x in xis]
+    assert list(p_quad) == [flip_probability_quadrature(state, x) for x in xis]
+    array = flip_probability(state, np.array(xis))
+    assert np.count_nonzero(array != np.array(p_closed)) >= 1
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
