@@ -61,7 +61,7 @@ from .inference import (
     search_ceilings,
     upper_bound,
 )
-from .quantities import PhysicalConstants, PulseProfile, UnitSystem, xi_from_pulse
+from .quantities import PhysicalConstants, PulseProfile, UnitSystem, _finite_real, xi_from_pulse
 from .weak_measurement import (
     DipoleState,
     flip_probability,
@@ -197,14 +197,6 @@ def _execute_contrast(cfg: dict) -> int:
 
 
 def _resolve_scan(args) -> dict:
-    if args.points < 1:
-        raise ValueError("--points must be >= 1")
-    if args.points > SCAN_POINTS_MAX:
-        raise ValueError(f"--points must be <= {SCAN_POINTS_MAX}")
-    if args.xi_max < args.xi_min:
-        raise ValueError("--xi-max must be >= --xi-min")
-    if args.log and args.xi_min <= 0:
-        raise ValueError("--log spacing requires --xi-min > 0")
     return {
         "dn": args.dn,
         "delta": args.delta,
@@ -214,6 +206,26 @@ def _resolve_scan(args) -> dict:
         "spacing": "log" if args.log else "linear",
         "outputs": {"table": args.out, "manifest": args.manifest_out},
     }
+
+
+def _check_scan(cfg: dict, name: Callable[[str], str]) -> None:
+    """Raise ValueError, naming the key, unless a fresh run could resolve cfg."""
+    for key in ("dn", "delta", "xi_min", "xi_max"):
+        if not _finite_real(cfg[key]):
+            raise ValueError(f"{name(key)} must be a finite number, got {cfg[key]!r}")
+    points = cfg["points"]
+    if type(points) is not int:
+        raise ValueError(f"{name('points')} must be an int, got {points!r}")
+    if points < 1:
+        raise ValueError(f"{name('points')} must be >= 1")
+    if points > SCAN_POINTS_MAX:
+        raise ValueError(f"{name('points')} must be <= {SCAN_POINTS_MAX}")
+    if cfg["xi_max"] < cfg["xi_min"]:
+        raise ValueError(f"{name('xi_max')} must be >= {name('xi_min')}")
+    if cfg["spacing"] not in ("log", "linear"):
+        raise ValueError(f"{name('spacing')} must be 'log' or 'linear', got {cfg['spacing']!r}")
+    if cfg["spacing"] == "log" and cfg["xi_min"] <= 0:
+        raise ValueError(f"log spacing requires {name('xi_min')} > 0")
 
 
 def _execute_scan(cfg: dict) -> int:
@@ -378,12 +390,26 @@ def _execute_bound(cfg: dict) -> int:
 # command table, manifests and rerun
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _manifest_key(key: str) -> str:
+    return "config." + key
+
+
 class Command(NamedTuple):
-    """How one subcommand runs: arguments -> manifest config -> outputs."""
+    """How one subcommand runs: arguments -> manifest config -> outputs.
+
+    ``check(cfg, name)`` refuses a config that no fresh run resolves to,
+    naming each key through ``name``: as a flag on a fresh run, as a
+    manifest key on a rerun.
+    """
 
     resolve: Callable[[argparse.Namespace], dict]
     execute: Callable[[dict], int]
     formats: dict  # output name -> format version written there
+    check: Callable[[dict, Callable[[str], str]], None] = lambda cfg, name: None
 
 
 COMMANDS = {
@@ -391,7 +417,7 @@ COMMANDS = {
         _resolve_transition, _execute_transition, {"report": SCHEMA_SUMMARY_JSON}
     ),
     "contrast": Command(_resolve_contrast, _execute_contrast, {"table": SCHEMA_CONTRAST_CSV}),
-    "scan": Command(_resolve_scan, _execute_scan, {"table": SCHEMA_SCAN_CSV}),
+    "scan": Command(_resolve_scan, _execute_scan, {"table": SCHEMA_SCAN_CSV}, _check_scan),
     "campaign": Command(
         _resolve_campaign,
         _execute_campaign,
@@ -412,12 +438,14 @@ def _manifest(command: str, cfg: dict) -> dict:
     }
 
 
-def _run(command: str, cfg: dict) -> int:
-    """Execute a resolved run, then write its manifest.
+def _run(command: str, cfg: dict, name: Callable[[str], str]) -> int:
+    """Check and execute a resolved run, then write its manifest.
 
     A run that did not converge (exit 4) still gets its manifest, so it can
-    be rerun; a run rejected while executing (exit 2 or 3) leaves none.
+    be rerun; a run rejected while checked or executed (exit 2 or 3) leaves
+    none. ``name`` renders a config key in the check's messages.
     """
+    COMMANDS[command].check(cfg, name)
     path = cfg["outputs"].get("manifest")
     try:
         code = COMMANDS[command].execute(cfg)
@@ -444,7 +472,7 @@ def _rerun(path: str) -> int:
         command = manifest["command"]
         if command not in COMMANDS:
             raise ValueError(f"manifest names unknown command {command!r}")
-        return _run(command, manifest["config"])
+        return _run(command, manifest["config"], _manifest_key)
     except KeyError as exc:
         raise ValueError(f"malformed manifest {path}: missing key {exc}") from exc
     except TypeError as exc:
@@ -540,7 +568,7 @@ def main(argv=None) -> int:
         with np.errstate(over="ignore"):
             if args.command == "rerun":
                 return _rerun(args.manifest)
-            return _run(args.command, COMMANDS[args.command].resolve(args))
+            return _run(args.command, COMMANDS[args.command].resolve(args), _flag)
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantities import PhysicalConstants, UnitSystem
+from .quantities import PhysicalConstants, UnitSystem, _finite_real
 from .spin_dynamics import _phase, asymmetry, up_probability
 from .streams import _MAX_INDEX, DOMAIN_CYCLE, substreams
 
@@ -47,6 +47,17 @@ COUNTING_MODES = ("binomial", "poisson", "expected")
 
 _TWO_PI = 2.0 * math.pi
 
+_REAL_FIELDS = (
+    "true_dn",
+    "b_nominal",
+    "b_drift_sd",
+    "e_magnitude",
+    "free_time",
+    "visibility",
+    "delta_r_sys",
+    "f_hg_noise_sd",
+)
+
 
 @dataclass(frozen=True)
 class CampaignConfig:
@@ -57,7 +68,9 @@ class CampaignConfig:
     ``f_hg_noise_sd`` the relative scatter of the clock frequency, and
     ``delta_r_sys`` a constant additive offset on R. ``cycles``,
     ``neutrons_per_cycle`` and ``seed`` must be ``int`` (not ``bool``), and
-    ``cycles`` at most 2**48, one substream index per cycle. Defaults put the
+    ``cycles`` at most 2**48, one substream index per cycle. The other
+    numeric fields must be finite real numbers: an int or a float, not a
+    ``bool`` or a string; the error names the field. Defaults put the
     nominal working point near mid-fringe, where the phase readout is
     most sensitive.
     """
@@ -80,18 +93,10 @@ class CampaignConfig:
             value = getattr(self, name)
             if type(value) is not int:
                 raise ValueError(f"{name} must be an int, got {value!r}")
-        numeric = (
-            self.true_dn,
-            self.b_nominal,
-            self.b_drift_sd,
-            self.e_magnitude,
-            self.free_time,
-            self.visibility,
-            self.delta_r_sys,
-            self.f_hg_noise_sd,
-        )
-        if not all(math.isfinite(v) for v in numeric):
-            raise ValueError("non-finite campaign parameter")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if not _finite_real(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not 2 <= self.cycles <= _MAX_INDEX or self.cycles % 2 != 0:
             raise ValueError("cycles must be an even number in [2, 2**48]")
         if self.neutrons_per_cycle < 1:

@@ -24,6 +24,8 @@ convention and not on any measured quantity.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -69,6 +71,19 @@ def _require_finite(**values: float) -> None:
     bad = [name for name, v in values.items() if not math.isfinite(v)]
     if bad:
         raise ValueError(f"non-finite input: {', '.join(bad)}")
+
+
+def _finite_real(value) -> bool:
+    """True for a finite real number, numpy's included, and False for a bool.
+
+    An int beyond the double range is not finite here, where math.isfinite
+    would raise OverflowError.
+    """
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
 
 
 @dataclass(frozen=True)

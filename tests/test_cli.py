@@ -320,17 +320,8 @@ def test_campaign_overflowing_field_exits_2(tmp_path, capsys):
     assert "b_nominal and b_drift_sd" in err and "math domain error" not in err
 
 
-@pytest.mark.parametrize(
-    "field, value",
-    [
-        ("neutrons_per_cycle", 10000.5),
-        ("neutrons_per_cycle", True),
-        ("cycles", 4.0),
-        ("cycles", 2**50),
-        ("seed", 1.5),
-    ],
-)
-def test_campaign_rerun_refuses_edited_counts(tmp_path, capsys, field, value):
+def rerun_edited_campaign(tmp_path, capsys, field, value) -> str:
+    """Rerun a fresh campaign's manifest with one field edited; its stderr."""
     cfg = tmp_path / "c.ini"
     cfg.write_text(NOISELESS_INI)
     manifest = tmp_path / "m.json"
@@ -342,8 +333,33 @@ def test_campaign_rerun_refuses_edited_counts(tmp_path, capsys, field, value):
     manifest.write_text(json.dumps(recorded))
     capsys.readouterr()
     assert run_cli("rerun", manifest) == 2
-    assert field in capsys.readouterr().err
     assert not out.exists()
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("neutrons_per_cycle", 10000.5),
+        ("neutrons_per_cycle", True),
+        ("cycles", 4.0),
+        ("cycles", 2**50),
+        ("seed", 1.5),
+    ],
+)
+def test_campaign_rerun_refuses_edited_counts(tmp_path, capsys, field, value):
+    assert field in rerun_edited_campaign(tmp_path, capsys, field, value)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("b_nominal", True), ("b_nominal", "1e-6"), ("visibility", False), ("true_dn", None)],
+)
+def test_campaign_rerun_refuses_edited_reals(tmp_path, capsys, field, value):
+    # true would have rerun at 1 T with exit 0, and a string failed with a
+    # Python TypeError text
+    err = rerun_edited_campaign(tmp_path, capsys, field, value)
+    assert err == f"error: {field} must be a finite number, got {value!r}\n"
 
 
 def test_fit_command_reports(tmp_path, capsys):
@@ -654,6 +670,56 @@ def test_scan_points_out_of_range_exits_2(tmp_path, capsys, points, message):
     assert run_cli("scan", "--dn", "0", "--delta", "1e-15", "--xi-min", "1e13",
                    "--xi-max", "1e14", "--points", points, "--out", out,
                    "--manifest-out", manifest) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists() and not manifest.exists()
+
+
+SCAN_ARGV = ("scan", "--dn", "3e-22", "--delta", "1e-21", "--xi-min", "1e19",
+             "--xi-max", "1e22", "--points", "3", "--log")
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("points", 0, "config.points must be >= 1"),
+        ("points", 10**12, f"config.points must be <= {SCAN_POINTS_MAX}"),
+        ("points", 1000.5, "config.points must be an int, got 1000.5"),
+        ("points", True, "config.points must be an int, got True"),
+        ("xi_min", 1e23, "config.xi_max must be >= config.xi_min"),
+        ("spacing", "cubic", "config.spacing must be 'log' or 'linear', got 'cubic'"),
+        ("xi_min", 0.0, "log spacing requires config.xi_min > 0"),
+        ("dn", True, "config.dn must be a finite number, got True"),
+        ("delta", "1e-21", "config.delta must be a finite number, got '1e-21'"),
+    ],
+)
+def test_scan_rerun_checks_the_manifest(tmp_path, capsys, key, value, message):
+    # each value reran unchecked: 10**12 points exited 1 with numpy's memory
+    # error, 0 points wrote a header-only table, xi_min > xi_max a descending
+    # one, and "cubic" a linear one
+    out, manifest = tmp_path / "scan.csv", tmp_path / "m.json"
+    assert run_cli(*SCAN_ARGV, "--out", out, "--manifest-out", manifest) == 0
+    out.unlink()
+    recorded = json.loads(manifest.read_text())
+    recorded["config"][key] = value
+    manifest.write_text(json.dumps(recorded))
+    capsys.readouterr()
+    assert run_cli("rerun", manifest) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--xi-min", "1e22", "--xi-max", "1e19"), "--xi-max must be >= --xi-min"),
+        (("--xi-min", "0", "--xi-max", "1e19", "--log"), "log spacing requires --xi-min > 0"),
+        (("--xi-min", "1e19", "--xi-max", "inf"), "--xi-max must be a finite number, got inf"),
+    ],
+)
+def test_scan_flags_are_checked_like_the_manifest(tmp_path, capsys, flags, message):
+    out, manifest = tmp_path / "scan.csv", tmp_path / "m.json"
+    assert run_cli("scan", "--dn", "0", "--delta", "1e-21", *flags, "--points", "3",
+                   "--out", out, "--manifest-out", manifest) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists() and not manifest.exists()
 

@@ -226,6 +226,30 @@ def test_config_refuses_counts_that_are_not_ints(field, value):
         CampaignConfig(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("b_nominal", True),
+        ("visibility", True),
+        ("true_dn", False),
+        ("b_nominal", "1e-6"),
+        ("free_time", None),
+        ("e_magnitude", 10**400),
+        ("b_drift_sd", math.nan),
+        ("delta_r_sys", -math.inf),
+    ],
+)
+def test_config_refuses_reals_that_are_not_finite_numbers(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number, got "):
+        CampaignConfig(**{field: value})
+
+
+def test_config_accepts_ints_and_numpy_reals():
+    config = CampaignConfig(b_nominal=1, e_magnitude=10_000, free_time=np.float64(105.0),
+                            visibility=np.int64(1))
+    assert (config.b_nominal, config.e_magnitude, config.visibility) == (1, 10_000, 1)
+
+
 def test_config_cycles_stop_at_the_substream_index_limit():
     assert CampaignConfig(cycles=1 << 48).cycles == 1 << 48
     for cycles in ((1 << 48) + 2, 1 << 50):

@@ -36,6 +36,13 @@ def test_parse_good_config():
     assert cfg.constants.mu_n == pytest.approx(abs(cfg.constants.gamma_n) / 2)
 
 
+def test_campaign_reals_written_as_integers_parse_as_floats():
+    # "10000" is a valid real field; it reaches CampaignConfig as a float
+    cfg = parse_config_text("[campaign]\ne_field_v_per_cm = 10000\nfree_time_s = 105\n")
+    assert type(cfg.campaign.e_magnitude) is float and cfg.campaign.e_magnitude == 1e4
+    assert type(cfg.campaign.free_time) is float
+
+
 def test_empty_config_is_all_defaults():
     cfg = parse_config_text("")
     assert cfg.campaign.cycles == 100
