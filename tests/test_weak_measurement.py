@@ -149,15 +149,19 @@ def _bits(values) -> list:
     return np.asarray(values, dtype=float).view(np.uint64).tolist()
 
 
-@pytest.mark.parametrize("dn_per_delta", [0.0, 0.3, 1.0])
-def test_array_oracle_equals_scalar_oracle_bytes(dn_per_delta):
-    # xi*delta = 0, 0.25, ..., 300, then log-spaced to the node ceiling, with
-    # d_n*xi = 0, 0.3 or 1 at xi*delta = 1; the linear part also runs
-    # negated, so the array's points come unsorted and with both signs
-    scales = np.arange(0.0, 300.0 + 0.125, 0.25)
-    scales = np.concatenate([scales, -scales[::-1], np.geomspace(300.0, 33_000.0, 6)])
-    st = state_for(dn_per_delta, 1.0)
-    xis = scales * XI_REF
+@pytest.mark.parametrize("dn_xi", [0.0, 0.3, 1.0])
+def test_array_oracle_equals_scalar_oracle_bytes(dn_xi):
+    # xi*delta = 0, 0.25, ..., 300, then log-spaced to the node ceiling
+    scales = np.concatenate([np.arange(0.0, 300.0 + 0.125, 0.25), np.geomspace(300.0, 33_000.0, 6)])
+    # at d_n*xi = dn_xi exactly: one state per point, as in the dense test
+    for delta_xi in scales.tolist():
+        st = state_for(dn_xi, delta_xi)
+        point = flip_probability_quadrature(st, np.array([XI_REF]))
+        assert _bits(point) == _bits([flip_probability_quadrature(st, XI_REF)])
+    # one state over the whole grid, so one array spans every rung; with
+    # the linear part negated its points come unsorted and of both signs
+    st = state_for(dn_xi, 1.0)
+    xis = np.concatenate([scales, -scales[:1201]]) * XI_REF
     array = flip_probability_quadrature(st, xis)
     assert array.shape == xis.shape
     assert _bits(array) == _bits([flip_probability_quadrature(st, float(x)) for x in xis])
