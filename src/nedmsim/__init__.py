@@ -6,7 +6,7 @@ comagnetometer), statistical inference (inference), and the file/CLI
 surface (formats, config, cli).
 """
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 from .comagnetometer import (
     CampaignConfig,
@@ -14,7 +14,6 @@ from .comagnetometer import (
     extract_dn_pair,
     ratio_r,
     run_campaign,
-    simulate_cycle,
 )
 from .ensemble import (
     EnsembleRun,
@@ -89,7 +88,6 @@ __all__ = [
     "ratio_r",
     "rotate",
     "run_campaign",
-    "simulate_cycle",
     "simulate_quantum",
     "simulate_stochastic",
     "up_probability",

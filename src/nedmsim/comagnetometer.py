@@ -3,7 +3,7 @@
 Per cycle the simulator draws the magnetic field (nominal plus white
 drift), accumulates the Ramsey phase, converts it to spin-up/spin-down
 counts, and then runs the same analysis chain a counting experiment
-would: measured asymmetry -> phase -> neutron frequency -> ratio
+would; a block of cycles does each step as one array operation: measured asymmetry -> phase -> neutron frequency -> ratio
 
     R = f_n / f_hg  ~  |gamma_n|/|gamma_hg| + d_n E k g / (pi f_hg) + dR_sys
 
@@ -31,19 +31,24 @@ import numpy as np
 
 from .quantities import PhysicalConstants, UnitSystem, _finite_real
 from .spin_dynamics import _phase, asymmetry, up_probability
-from .streams import _MAX_INDEX, DOMAIN_CYCLE, substreams
+from .streams import _MAX_INDEX, DOMAIN_CYCLE, substream
 
 __all__ = [
+    "CAMPAIGN_BLOCK",
     "COUNTING_MODES",
     "CampaignConfig",
     "CycleRecord",
     "ratio_r",
     "extract_dn_pair",
-    "simulate_cycle",
     "run_campaign",
 ]
 
 COUNTING_MODES = ("binomial", "poisson", "expected")
+
+# Cycles per block; the streams docstring gives the draw layout. A block's
+# arrays take a few hundred kB, and its three generators (about 60 us) are
+# a small share of its arithmetic. Changing it changes every campaign's bytes.
+CAMPAIGN_BLOCK = 4096
 
 _TWO_PI = 2.0 * math.pi
 
@@ -68,7 +73,7 @@ class CampaignConfig:
     ``f_hg_noise_sd`` the relative scatter of the clock frequency, and
     ``delta_r_sys`` a constant additive offset on R. ``cycles``,
     ``neutrons_per_cycle`` and ``seed`` must be ``int`` (not ``bool``), and
-    ``cycles`` at most 2**48, one substream index per cycle. The other
+    ``cycles`` at most 2**48, the substream index limit. The other
     numeric fields must be finite real numbers: an int or a float, not a
     ``bool`` or a string; the error names the field. Defaults put the
     nominal working point near mid-fringe, where the phase readout is
@@ -116,7 +121,7 @@ class CampaignConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CycleRecord:
     """One comagnetometer cycle: counts, frequencies, and their ratio.
 
@@ -163,103 +168,111 @@ def ratio_r(
 
 
 def extract_dn_pair(
-    r_plus: float,
-    r_minus: float,
+    r_plus,
+    r_minus,
     e_magnitude: float,
-    f_hg: float,
+    f_hg,
     units: UnitSystem,
-) -> float:
+):
     """Dipole estimate from one polarity pair of ratios.
 
     d_n = pi * f_hg * (R_plus - R_minus) / (2 * E * k * g); the exact
     algebraic inverse of :func:`ratio_r` pairs in the noiseless case.
+    Elementwise for arrays of pairs; every ``f_hg`` must be > 0.
     """
     if not e_magnitude > 0:
         raise ValueError("e_magnitude must be > 0")
-    if not f_hg > 0:
+    if not np.all(f_hg > 0):
         raise ValueError("f_hg must be > 0")
     return math.pi * f_hg * (r_plus - r_minus) / (2.0 * e_magnitude * units.kick)
 
 
-def _measured_phase(phi_true: float, a_measured: float, visibility: float) -> float:
-    """Phase read back from a measured asymmetry.
+def _measured_phase(phi_true, a_measured, visibility: float):
+    """Phase read back from a measured asymmetry, elementwise.
 
     The fringe order and branch come from the true phase (the apparatus
     knows which fringe it sits on from the nominal field); the fractional
     position within the fringe comes from the counts.
     """
-    turns = math.floor(phi_true / _TWO_PI)
+    turns = np.floor(phi_true / _TWO_PI)
     residual = phi_true - _TWO_PI * turns
-    cos_hat = a_measured / visibility if visibility > 0 else 1.0
-    cos_hat = min(1.0, max(-1.0, cos_hat))
-    residual_hat = math.acos(cos_hat)
-    if residual > math.pi:
-        residual_hat = _TWO_PI - residual_hat
+    cos_hat = np.clip(a_measured / visibility, -1.0, 1.0) if visibility > 0 else 1.0
+    residual_hat = np.arccos(cos_hat)
+    residual_hat = np.where(residual > math.pi, _TWO_PI - residual_hat, residual_hat)
     return _TWO_PI * turns + residual_hat
 
 
-def simulate_cycle(
+def _block(
     config: CampaignConfig,
-    cycle_index: int,
-    polarity: int,
-    rng: np.random.Generator,
-    constants: PhysicalConstants = PhysicalConstants(),
-    units: UnitSystem = UnitSystem(),
-) -> CycleRecord:
-    """Simulate one cycle at the given field polarity.
+    start: int,
+    size: int,
+    constants: PhysicalConstants,
+    units: UnitSystem,
+) -> list[CycleRecord]:
+    """Cycles ``start`` to ``start + size - 1``, one block of the layout.
 
-    Draw order within the cycle is fixed (field drift, counts, clock
-    noise), so a record is fully determined by the substream passed in.
-    A field or dipole term large enough to make the Ramsey phase non-finite
-    raises ValueError.
+    ``start`` is a multiple of :data:`CAMPAIGN_BLOCK` and ``size`` at most
+    that. Like Python's float arithmetic, the block overflows to inf and
+    makes nan without a warning; a non-finite phase is refused.
     """
-    if polarity not in (-1, 1):
-        raise ValueError("polarity must be +1 or -1")
-
-    b_cycle = config.b_nominal + rng.normal(0.0, config.b_drift_sd)
-    e_field = polarity * config.e_magnitude
-    phi = _phase(
-        constants.mu_n, b_cycle, config.true_dn, e_field, config.free_time, units
+    index = 3 * (start // CAMPAIGN_BLOCK)
+    drift = substream(config.seed, DOMAIN_CYCLE, index).normal(0.0, config.b_drift_sd, size)
+    clock = substream(config.seed, DOMAIN_CYCLE, index + 2).normal(
+        0.0, config.f_hg_noise_sd, size
     )
-    if not math.isfinite(phi):
-        raise ValueError(
-            f"cycle {cycle_index}: the Ramsey phase is not finite; b_nominal "
-            "and b_drift_sd (or true_dn and e_magnitude) are too large"
+    polarity = 1 - 2 * (np.arange(size) % 2)  # start is even: +, -, +, -, ...
+    with np.errstate(over="ignore", invalid="ignore"):
+        b_cycle = config.b_nominal + drift
+        phi = _phase(
+            constants.mu_n,
+            b_cycle,
+            config.true_dn,
+            polarity * float(config.e_magnitude),
+            config.free_time,
+            units,
         )
-    p_up = up_probability(phi, config.visibility)
+        bad = np.flatnonzero(~np.isfinite(phi))
+        if bad.size:
+            raise ValueError(
+                f"cycle {start + int(bad[0])}: the Ramsey phase is not finite; "
+                "b_nominal and b_drift_sd (or true_dn and e_magnitude) are too large"
+            )
+        p_up = up_probability(phi, config.visibility)
 
-    n = config.neutrons_per_cycle
-    if config.counting_mode == "binomial":
-        n_up: float = int(rng.binomial(n, p_up))
-        n_down: float = n - n_up
-    elif config.counting_mode == "poisson":
-        total = int(rng.poisson(n))
-        n_up = int(rng.binomial(total, p_up)) if total > 0 else 0
-        n_down = total - n_up
-    else:  # expected: exact populations, no counting noise
-        n_up = n * p_up
-        n_down = n - n_up
+        n = config.neutrons_per_cycle
+        if config.counting_mode == "expected":  # exact populations, no counting noise
+            n_up = n * p_up
+            n_down = n - n_up
+        else:
+            counts = substream(config.seed, DOMAIN_CYCLE, index + 1)
+            totals = n
+            if config.counting_mode == "poisson":
+                totals = counts.poisson(n, CAMPAIGN_BLOCK)[:size]
+            n_up = counts.binomial(totals, p_up)
+            n_down = totals - n_up
 
-    total_counts = n_up + n_down
-    if total_counts > 0:
-        a_hat = asymmetry(n_up, n_down)
-        phi_hat = _measured_phase(phi, a_hat, config.visibility)
+        counted = np.flatnonzero(n_up + n_down > 0)
+        phi_hat = np.full(size, math.nan)
+        phi_hat[counted] = _measured_phase(
+            phi[counted], asymmetry(n_up[counted], n_down[counted]), config.visibility
+        )
         f_n = phi_hat / (_TWO_PI * config.free_time)
-    else:
-        f_n = math.nan
 
-    f_hg = abs(constants.gamma_hg * b_cycle) / _TWO_PI
-    f_hg *= 1.0 + rng.normal(0.0, config.f_hg_noise_sd)
-    r = f_n / f_hg if f_hg != 0 else math.nan
+        f_hg = abs(constants.gamma_hg * b_cycle) / _TWO_PI
+        f_hg *= 1.0 + clock
+        r = np.divide(f_n, f_hg, out=np.full(size, math.nan), where=f_hg != 0)
 
-    return CycleRecord(
-        index=cycle_index,
-        polarity=polarity,
-        n_up=n_up,
-        n_down=n_down,
-        f_n=f_n,
-        f_hg=f_hg,
-        r=r,
+    return list(
+        map(
+            CycleRecord,
+            range(start, start + size),
+            polarity.tolist(),
+            n_up.tolist(),
+            n_down.tolist(),
+            f_n.tolist(),
+            f_hg.tolist(),
+            r.tolist(),
+        )
     )
 
 
@@ -270,16 +283,15 @@ def run_campaign(
 ) -> list[CycleRecord]:
     """Simulate a full campaign with polarity alternating +, -, +, -, ...
 
-    Each cycle uses the (seed, cycle index) substream, so the record list
-    is deterministic given the seed and a longer campaign with the same
-    seed extends a shorter one without changing its cycles. The cycles share
-    one generator, re-keyed in place onto each cycle's substream by
-    :func:`~nedmsim.streams.substreams`, which draws what a new one would.
+    Cycles run in blocks of :data:`CAMPAIGN_BLOCK`, each drawing its field
+    drift, counts and clock noise as vectors from its own substreams (the
+    layout is in :mod:`nedmsim.streams`). The record list is deterministic
+    given the seed, and a longer campaign with the same seed extends a
+    shorter one without changing its cycles. A field or dipole term large
+    enough to make a Ramsey phase non-finite raises ValueError.
     """
-    records = []
-    for i, rng in enumerate(substreams(config.seed, DOMAIN_CYCLE, config.cycles)):
-        polarity = 1 if i % 2 == 0 else -1
-        records.append(
-            simulate_cycle(config, i, polarity, rng, constants=constants, units=units)
-        )
+    records: list[CycleRecord] = []
+    for start in range(0, config.cycles, CAMPAIGN_BLOCK):
+        size = min(CAMPAIGN_BLOCK, config.cycles - start)
+        records.extend(_block(config, start, size, constants, units))
     return records

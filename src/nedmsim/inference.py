@@ -41,6 +41,7 @@ asymmetry -> phase -> frequency -> ratio with the delta method.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from statistics import NormalDist
@@ -632,26 +633,32 @@ class CampaignEstimate:
     degenerate: bool = False
 
 
-def _cycle_ratio_variance(record: CycleRecord, config: CampaignConfig) -> float:
-    """Counting variance of one cycle's ratio R = f_n / f_hg (delta method).
+def _cycle_ratio_variance(
+    n_up: np.ndarray, n_down: np.ndarray, f_hg: np.ndarray, config: CampaignConfig
+) -> np.ndarray:
+    """Counting variance of each cycle's ratio R = f_n / f_hg (delta method).
 
-    Var(A) = (1 - A^2)/N from the binomial split is mapped through
-    A = visibility * cos(phi) to the phase, then through f_n = phi/(2 pi t)
-    and the record's own clock f_hg to R. Saturated cycles
-    (|A| >= visibility) have no phase sensitivity and report infinite
+    Takes 1-d arrays of the cycles' counts and clock frequencies. Var(A) =
+    (1 - A^2)/N from the binomial split is mapped through A = visibility *
+    cos(phi) to the phase, then through f_n = phi/(2 pi t) and the cycle's
+    own clock f_hg to R. Cycles without counts, and saturated cycles
+    (|A| >= visibility), have no phase sensitivity and get infinite
     variance.
     """
-    total = record.n_up + record.n_down
-    if not total > 0:
-        return math.inf
-    a_hat = asymmetry(record.n_up, record.n_down)
+    n_up = np.asarray(n_up, dtype=float)
+    n_down = np.asarray(n_down, dtype=float)
+    total = n_up + n_down
+    variance = np.full(total.shape, math.inf)
+    counted = np.flatnonzero(total > 0)
+    a_hat = asymmetry(n_up[counted], n_down[counted])
     visibility = config.visibility
-    if visibility <= 0 or abs(a_hat) >= visibility:
-        return math.inf
-    var_a = (1.0 - a_hat * a_hat) / total  # > 0, since |a_hat| < visibility <= 1
+    sensitive = np.abs(a_hat) < visibility  # none when visibility <= 0
+    cycles, a_hat = counted[sensitive], a_hat[sensitive]
+    var_a = (1.0 - a_hat * a_hat) / total[cycles]  # > 0, since |a_hat| < visibility <= 1
     var_phi = var_a / (visibility * visibility * (1.0 - (a_hat / visibility) ** 2))
     var_fn = var_phi / (2.0 * math.pi * config.free_time) ** 2
-    return var_fn / (record.f_hg * record.f_hg)
+    variance[cycles] = var_fn / (f_hg[cycles] * f_hg[cycles])
+    return variance
 
 
 def campaign_estimator(
@@ -665,10 +672,11 @@ def campaign_estimator(
     ``extract_dn_pair`` evaluated with the pair's mean measured clock
     frequency. That function is linear in R_plus - R_minus, so its value
     at a unit difference is the pair's slope, and the pair's variance is
-    slope^2 * (Var(R_plus) + Var(R_minus)). Pairs are combined with
-    inverse-variance weights. In the ``expected`` counting mode there is
-    no counting noise to propagate: the estimate is the plain mean and the
-    zero standard error is flagged as degenerate.
+    slope^2 * (Var(R_plus) + Var(R_minus)). A pair whose ratios are not
+    both finite is skipped. Pairs are combined with inverse-variance
+    weights, all pairs as arrays at once. In the ``expected`` counting mode
+    there is no counting noise to propagate: the estimate is the plain mean
+    and the zero standard error is flagged as degenerate.
 
     The reported standard error covers counting statistics only (it
     matches the seed-to-seed scatter to ~3% when counting noise is the
@@ -680,43 +688,45 @@ def campaign_estimator(
     if len(records) % 2 != 0:
         raise ValueError("lone polarity cycle: records must form +/- pairs")
 
-    estimates: list[float] = []
-    variances: list[float] = []
-    for a, b in zip(records[0::2], records[1::2]):
-        if a.polarity == b.polarity:
-            raise ValueError(
-                f"records {a.index} and {b.index} share polarity {a.polarity:+d}"
-            )
-        plus, minus = (a, b) if a.polarity == 1 else (b, a)
-        if not (math.isfinite(plus.r) and math.isfinite(minus.r)):
-            continue
-        f_hg_pair = 0.5 * (plus.f_hg + minus.f_hg)
-        estimates.append(
-            extract_dn_pair(plus.r, minus.r, config.e_magnitude, f_hg_pair, units)
-        )
-        slope = extract_dn_pair(1.0, 0.0, config.e_magnitude, f_hg_pair, units)
-        var_r = _cycle_ratio_variance(plus, config) + _cycle_ratio_variance(minus, config)
-        variances.append(slope * slope * var_r)
-
-    if not estimates:
+    polarity, n_up, n_down, f_hg, r = (
+        np.fromiter(map(operator.attrgetter(key), records), float, len(records))
+        for key in ("polarity", "n_up", "n_down", "f_hg", "r")
+    )
+    shared = np.flatnonzero(polarity[0::2] == polarity[1::2])
+    if shared.size:
+        a, b = records[2 * shared[0]], records[2 * shared[0] + 1]
+        raise ValueError(f"records {a.index} and {b.index} share polarity {a.polarity:+d}")
+    # each pair's plus and minus cycle
+    plus = np.arange(0, len(records), 2) + (polarity[0::2] != 1)
+    minus = plus ^ 1
+    usable = np.isfinite(r[plus]) & np.isfinite(r[minus])
+    plus, minus = plus[usable], minus[usable]
+    if not plus.size:
         raise ValueError("no usable polarity pairs (all saturated or invalid)")
+
+    f_hg_pair = 0.5 * (f_hg[plus] + f_hg[minus])
+    estimates = extract_dn_pair(r[plus], r[minus], config.e_magnitude, f_hg_pair, units)
 
     if config.counting_mode == "expected":
         return CampaignEstimate(
             dn_hat=float(np.mean(estimates)),
             standard_error=0.0,
-            n_pairs=len(estimates),
+            n_pairs=int(estimates.size),
             degenerate=True,
         )
 
-    weights = np.array([0.0 if not math.isfinite(v) or v <= 0 else 1.0 / v for v in variances])
-    if not np.any(weights > 0):
+    slope = extract_dn_pair(1.0, 0.0, config.e_magnitude, f_hg_pair, units)
+    var_cycle = _cycle_ratio_variance(n_up, n_down, f_hg, config)
+    variances = slope * slope * (var_cycle[plus] + var_cycle[minus])
+    weighted = np.isfinite(variances) & (variances > 0)
+    if not np.any(weighted):
         raise ValueError("no usable polarity pairs (all saturated or invalid)")
-    est = np.asarray(estimates)
-    dn_hat = float(np.sum(weights * est) / np.sum(weights))
+    weights = np.zeros(variances.shape)
+    weights[weighted] = 1.0 / variances[weighted]
+    dn_hat = float(np.sum(weights * estimates) / np.sum(weights))
     se = float(math.sqrt(1.0 / np.sum(weights)))
     return CampaignEstimate(
         dn_hat=dn_hat,
         standard_error=se,
-        n_pairs=int(np.count_nonzero(weights > 0)),
+        n_pairs=int(np.count_nonzero(weighted)),
     )

@@ -128,8 +128,11 @@ def _precession_rate(
     return mu_n * b_field + d_n * e_field * units.kick
 
 
-def _phase(mu_n, b_field, d_n, e_field, free_time, units: UnitSystem) -> float:
-    """Ramsey phase 2 * free_time * |mu_n B + d_n E k g| for floats, unchecked."""
+def _phase(mu_n, b_field, d_n, e_field, free_time, units: UnitSystem):
+    """Ramsey phase 2 * free_time * |mu_n B + d_n E k g|, unchecked.
+
+    Elementwise for arrays of fields, as a campaign block passes them.
+    """
     return 2.0 * free_time * abs(_precession_rate(mu_n, b_field, d_n, e_field, units))
 
 
@@ -187,20 +190,24 @@ def ramsey_up_probability_spinor(phi: float) -> float:
     return state.up_probability()
 
 
-def up_probability(phi: float, visibility: float = 1.0) -> float:
-    """Population model (1 + visibility*cos(phi))/2, in [0, 1]."""
+def up_probability(phi, visibility: float = 1.0):
+    """Population model (1 + visibility*cos(phi))/2, in [0, 1].
+
+    Elementwise for an array of phases; a float phase gives a numpy float.
+    """
     if not 0.0 <= visibility <= 1.0:
         raise ValueError("visibility must lie in [0, 1]")
-    return 0.5 * (1.0 + visibility * math.cos(phi))
+    return 0.5 * (1.0 + visibility * np.cos(phi))
 
 
-def asymmetry(n_up: float, n_down: float) -> float:
+def asymmetry(n_up, n_down):
     """Normalized count difference (N_up - N_down) / (N_up + N_down).
 
     Accepts real-valued counts so that exact expected populations can be
-    pushed through the same analysis as sampled ones.
+    pushed through the same analysis as sampled ones, and arrays of counts
+    elementwise; every total must be > 0.
     """
     total = n_up + n_down
-    if not total > 0:
+    if not np.all(total > 0):
         raise ValueError("asymmetry undefined: total count must be > 0")
     return (n_up - n_down) / total

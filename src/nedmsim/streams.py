@@ -5,7 +5,7 @@ keyed by ``(seed, domain, index)``. Philox is counter based: the stream is
 a pure function of its 128-bit key, so two runs that construct the same
 (seed, domain, index) triple produce identical draws no matter how work is
 scheduled. Domains keep independent parts of a simulation (each
-ensemble model's count, per-cycle noise) from sharing a stream.
+ensemble model's count, a campaign's blocks) from sharing a stream.
 
 Each ensemble model draws its whole count once, as one binomial variate:
 the quantum model from ``substream(seed, DOMAIN_QUANTUM, 0)`` and the
@@ -16,22 +16,27 @@ across versions (NEP 19); the pinned ensemble digests in the tests catch
 such a change. The :mod:`nedmsim.ensemble` docstring says where the
 sampler's counts fall on the double grid.
 
-A loop over many substreams (a campaign's cycles) need not build a
-generator for each: :func:`substreams` re-keys one Philox generator in
-place, writing each index into a reused key list and passing one reused
-state dict (counter, buffer and cached 32-bit half as in a new Philox) to
-the state setter, which copies the values. The stream is a pure function
-of the key (Salmon, Moraes, Dror & Shaw, SC'11), so each re-keyed
-generator draws exactly what ``substream`` would, for about 1 µs against
-20 µs (2-CPU host, numpy 2.4). ``numpy.random.Generator`` keeps no draw
-state beyond its bit generator; its binomial set-up cache depends on ``n``
-and ``p`` alone. :func:`_key` is the one home of the key layout and its
-range checks; :func:`substreams` calls it once, on its last index.
+A campaign draws by blocks of ``comagnetometer.CAMPAIGN_BLOCK`` = 4096
+cycles (artifact version 0.11.0 on). Block ``b`` holds cycles
+``4096 b`` to ``4096 b + 4095`` and draws from three ``DOMAIN_CYCLE``
+substreams, one per quantity, each as one vector in cycle order:
+
+- index ``3 b``: the field drift, ``normal(0, b_drift_sd, m)`` for a
+  block of ``m`` cycles;
+- index ``3 b + 1``: the counts. In ``poisson`` mode the totals of a
+  whole block come first, ``poisson(n, 4096)`` even where the campaign
+  ends inside the block, and the first ``m`` are used. Then the split,
+  ``binomial(totals, p_up)`` over the ``m`` cycles (``binomial(n, p_up)``
+  in ``binomial`` mode). ``expected`` mode draws no counts;
+- index ``3 b + 2``: the clock noise, ``normal(0, f_hg_noise_sd, m)``.
+
+numpy's vector draws consume a stream in element order, so the first
+``m`` cycles of a block draw the same whatever the block's length, and a
+longer campaign with the same seed extends a shorter one. Before 0.11.0,
+cycle ``i`` drew all three quantities from substream ``i``.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 import numpy as np
 
@@ -40,7 +45,6 @@ __all__ = [
     "DOMAIN_STOCHASTIC",
     "DOMAIN_CYCLE",
     "substream",
-    "substreams",
 ]
 
 DOMAIN_QUANTUM = 1
@@ -66,29 +70,3 @@ def _key(seed: int, domain: int, index: int) -> np.ndarray:
 def substream(seed: int, domain: int, index: int) -> np.random.Generator:
     """Generator for the (seed, domain, index) substream."""
     return np.random.Generator(np.random.Philox(key=_key(seed, domain, index)))
-
-
-def substreams(seed: int, domain: int, count: int) -> Iterator[np.random.Generator]:
-    """Yield one generator, re-keyed onto (seed, domain, i) for each i < count.
-
-    The same object is yielded each time, so a caller must be done with it
-    before asking for the next. Holds O(1) memory; nothing for count < 1.
-    """
-    if count < 1:
-        return
-    last = _key(seed, domain, count - 1)
-    rng = np.random.Generator(np.random.Philox(key=last))
-    key = last.tolist()
-    first = key[1] - (count - 1)
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": key},
-        "buffer": (0, 0, 0, 0),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    for i in range(count):
-        key[1] = first + i
-        rng.bit_generator.state = state
-        yield rng

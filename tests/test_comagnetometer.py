@@ -11,11 +11,9 @@ from nedmsim.comagnetometer import (
     extract_dn_pair,
     ratio_r,
     run_campaign,
-    simulate_cycle,
 )
 from nedmsim.inference import campaign_estimator
 from nedmsim.quantities import PhysicalConstants, UnitSystem
-from nedmsim.streams import DOMAIN_CYCLE, substream
 
 UNITS = UnitSystem()
 CONSTANTS = PhysicalConstants()
@@ -79,27 +77,29 @@ def _noiseless_config(**overrides) -> CampaignConfig:
 def test_cycle_zero_phase_puts_every_neutron_up():
     # b = 0 and dn = 0 give phi = 0; the clock frequency degenerates to 0
     config = CampaignConfig(true_dn=0.0, b_nominal=0.0, cycles=2, seed=0)
-    rec = simulate_cycle(config, 0, +1, substream(0, DOMAIN_CYCLE, 0))
-    assert rec.n_up == config.neutrons_per_cycle
-    assert rec.n_down == 0
-    assert rec.f_n == 0.0
-    assert math.isnan(rec.r)
+    for rec in run_campaign(config):
+        assert rec.n_up == config.neutrons_per_cycle
+        assert rec.n_down == 0
+        assert rec.f_n == 0.0
+        assert math.isnan(rec.r)
 
 
 def test_cycle_noiseless_ratio_matches_formula():
     config = _noiseless_config()
-    rec = simulate_cycle(config, 0, +1, substream(config.seed, DOMAIN_CYCLE, 0))
+    rec = run_campaign(config)[0]
     f_hg = abs(CONSTANTS.gamma_hg) * config.b_nominal / (2.0 * math.pi)
     expected = ratio_r(CONSTANTS, config.true_dn, +config.e_magnitude, f_hg, 0.0, UNITS)
+    assert rec.polarity == +1
     assert rec.f_hg == pytest.approx(f_hg, rel=1e-15)
     assert rec.r == pytest.approx(expected, rel=1e-12)
     assert rec.r == pytest.approx(rec.f_n / rec.f_hg, rel=1e-12)
 
 
 def test_cycle_determinism():
-    config = CampaignConfig(true_dn=0.0, cycles=2, seed=42)
-    a = simulate_cycle(config, 3, -1, substream(42, DOMAIN_CYCLE, 3))
-    b = simulate_cycle(config, 3, -1, substream(42, DOMAIN_CYCLE, 3))
+    config = CampaignConfig(true_dn=0.0, cycles=4, seed=42)
+    a = run_campaign(config)[3]
+    b = run_campaign(config)[3]
+    assert a.polarity == -1
     assert a == b
 
 

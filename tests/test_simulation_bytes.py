@@ -2,9 +2,10 @@
 
 Each digest below is the SHA-256 of a rendered output: a cycle CSV, the
 flip counts of an ensemble run, the ``repr`` of a campaign estimate, or
-the summary JSON of a ``nedmsim campaign`` run. The cycle digests were
-recorded on the kernel as it drew before any fast path existed, so a
-speedup that changes which key a cycle draws from fails here. The quantum
+the summary JSON of a ``nedmsim campaign`` run. The cycle digests pin
+the block layout of artifact version 0.11.0 (the ``nedmsim.streams``
+docstring), so a change of which substream a quantity draws from fails
+here; the layout tests below rebuild it one cycle at a time. The quantum
 digest pins the single Binomial(trials, P) draw of artifact version 0.6.0
 and the stochastic digest the single Binomial(trials, f) draw of 0.7.0,
 so they also fail if numpy's binomial sampler changes its stream.
@@ -15,22 +16,29 @@ these digests in the same change; the summary digest moves with every
 version bump, because the summary embeds the artifact version.
 """
 
+import dataclasses
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from nedmsim.cli import main
 from nedmsim.comagnetometer import (
+    CAMPAIGN_BLOCK,
     COUNTING_MODES,
     CampaignConfig,
+    CycleRecord,
+    _measured_phase,
+    extract_dn_pair,
     run_campaign,
-    simulate_cycle,
 )
 from nedmsim.config import parse_config_text
 from nedmsim.ensemble import simulate_quantum, simulate_stochastic
 from nedmsim.formats import CYCLES_HEADER, cycles_to_rows, render_csv
-from nedmsim.inference import campaign_estimator
+from nedmsim.inference import _cycle_ratio_variance, campaign_estimator
+from nedmsim.quantities import PhysicalConstants, UnitSystem
+from nedmsim.spin_dynamics import _phase, asymmetry, up_probability
 from nedmsim.streams import DOMAIN_CYCLE, substream
 from nedmsim.weak_measurement import DipoleState, flip_probability
 
@@ -39,16 +47,16 @@ XI = 1e21
 TRIALS = 3 * 65536 + 17
 
 CAMPAIGN_DIGESTS = {
-    "binomial": "a6b988d802f8aa218cc7a8409172cac1f9e8f70a21969e07975ff1517b003968",
-    "poisson": "1990987b8d1ef8154104aaab6ea7c24516dd4f60f76bef01df2ecd34198c870d",
-    "expected": "fcfca16268247e2dc53435e7f80000a8432e235a41b8a8cae8a81d45af3f09ce",
+    "binomial": "e4d7ed2e0dab13ced91aa3604d9edcebb96e44d95f75e8ba5f467baf1b880f53",
+    "poisson": "4a42cf3f15e791eb7a0edc10b36770482d7ce6b67f4751ef7b3f17ea95575179",
+    "expected": "d24449defea50100d68f02d790e145ad01a37836ff1c01520b0ba02af6d53825",
 }
 ESTIMATOR_DIGESTS = {
-    "binomial": "77c42542f4f435259deb5397b5a135cb81e905e013f8b50625becb932212d254",
-    "poisson": "60ecf16236fc0e16d6e99095c64b1d330cd22ac22ae654f579ee18e8158efead",
-    "expected": "a4a25a22bcb7c26cced1ccdaee8e47fbeb2a466f202d99e051defc8e88aa4cf1",
+    "binomial": "e5639739e54903056c32acacefda5af18bc714b18e8dd00c26a1962f884327e6",
+    "poisson": "91b87a49396906f0eb64ce2c813039f8c3478993a2f3dc74af19fa427fcce3e8",
+    "expected": "c84f7e2d580f11877a668c6e23589f1257f0151276f0ed54298df79db7c072c9",
 }
-CAMPAIGN_SUMMARY_DIGEST = "d539f6f8eeede2ee25d07d91ea77c29f63a8855cdd01705597fa88c88f7faf67"
+CAMPAIGN_SUMMARY_DIGEST = "bdb47ce620fb7aea69a0c5b3824f0c25639bc69abe3028e305018575f59ac6fb"
 # field drift, clock noise and a fringe contrast below 1 all enter the
 # estimator's error model; the drift moves a few percent of the cycles
 # onto a fringe extremum, where they saturate and their pairs get no weight
@@ -101,22 +109,118 @@ def test_campaign_estimate_bytes(mode):
     assert sha256(repr(estimate)) == ESTIMATOR_DIGESTS[mode]
 
 
-@pytest.mark.parametrize("mode", COUNTING_MODES)
-def test_campaign_equals_cycles_on_new_substreams(mode):
-    # the reference for run_campaign's re-keyed generator: one new generator
-    # per cycle. The estimator config has saturating cycles in both
-    # sampling modes
-    configs = (
-        CampaignConfig(true_dn=3e-22, b_drift_sd=1e-12, f_hg_noise_sd=1e-8,
-                       cycles=200, seed=20_261_018, counting_mode=mode),
+def reference_campaign(config: CampaignConfig) -> list[CycleRecord]:
+    """The campaign one cycle at a time, from the layout in the streams docstring.
+
+    Each block opens its three substreams; each cycle takes its drift, its
+    counts and its clock noise from them by scalar draws, and in poisson
+    mode a block draws its CAMPAIGN_BLOCK totals first.
+    """
+    constants, units = PhysicalConstants(), UnitSystem()
+    n = config.neutrons_per_cycle
+    records = []
+    for start in range(0, config.cycles, CAMPAIGN_BLOCK):
+        drift, counts, clock = (
+            substream(config.seed, DOMAIN_CYCLE, 3 * (start // CAMPAIGN_BLOCK) + q)
+            for q in range(3)
+        )
+        if config.counting_mode == "poisson":
+            totals = counts.poisson(n, CAMPAIGN_BLOCK).tolist()
+        for i in range(start, min(start + CAMPAIGN_BLOCK, config.cycles)):
+            polarity = 1 - 2 * (i % 2)
+            b = config.b_nominal + drift.normal(0.0, config.b_drift_sd)
+            phi = _phase(constants.mu_n, b, config.true_dn, polarity * config.e_magnitude,
+                         config.free_time, units)
+            p_up = up_probability(phi, config.visibility)
+            if config.counting_mode == "expected":
+                n_up = n * float(p_up)
+                n_down = n - n_up
+            else:
+                total = totals[i - start] if config.counting_mode == "poisson" else n
+                n_up = int(counts.binomial(total, p_up))
+                n_down = total - n_up
+            f_n = math.nan
+            if n_up + n_down > 0:
+                phi_hat = _measured_phase(phi, asymmetry(n_up, n_down), config.visibility)
+                f_n = float(phi_hat) / (2.0 * math.pi * config.free_time)
+            f_hg = abs(constants.gamma_hg * b) / (2.0 * math.pi)
+            f_hg *= 1.0 + clock.normal(0.0, config.f_hg_noise_sd)
+            r = f_n / f_hg if f_hg != 0 else math.nan
+            records.append(CycleRecord(i, polarity, n_up, n_down, f_n, f_hg, r))
+    return records
+
+
+def layout_configs(mode: str) -> tuple[CampaignConfig, ...]:
+    # a drifting config, the same over two blocks, and the estimator config,
+    # whose cycles saturate in both sampling modes
+    drifting = CampaignConfig(true_dn=3e-22, b_drift_sd=1e-12, f_hg_noise_sd=1e-8,
+                              cycles=200, seed=20_261_018, counting_mode=mode)
+    return (
+        drifting,
+        dataclasses.replace(drifting, cycles=CAMPAIGN_BLOCK + 200),
         parse_config_text(ESTIMATOR_INI.format(mode=mode)).campaign,
     )
-    for config in configs:
-        reference = [
-            simulate_cycle(config, i, 1 - 2 * (i % 2), substream(config.seed, DOMAIN_CYCLE, i))
-            for i in range(config.cycles)
-        ]
-        assert run_campaign(config) == reference
+
+
+@pytest.mark.parametrize("mode", COUNTING_MODES)
+def test_campaign_equals_documented_block_layout(mode):
+    for config in layout_configs(mode):
+        assert run_campaign(config) == reference_campaign(config)
+
+
+@pytest.mark.parametrize("mode", COUNTING_MODES)
+def test_campaign_extends_across_a_block_boundary(mode):
+    # cycles come in pairs, so the longest campaign is CAMPAIGN_BLOCK + 4
+    def campaign(cycles):
+        return run_campaign(CampaignConfig(true_dn=3e-22, b_drift_sd=1e-12, f_hg_noise_sd=1e-8,
+                                           cycles=cycles, seed=7, counting_mode=mode))
+
+    longest = campaign(CAMPAIGN_BLOCK + 4)
+    assert longest[:6] == campaign(6)
+    assert longest[:CAMPAIGN_BLOCK] == campaign(CAMPAIGN_BLOCK)
+    assert [r.index for r in longest] == list(range(CAMPAIGN_BLOCK + 4))
+
+
+def per_pair_estimate(records, config) -> tuple[float, float, int]:
+    """dn_hat, standard error and pairs kept, one pair at a time."""
+    units = UnitSystem()
+    estimates, weights = [], []
+    for a, b in zip(records[0::2], records[1::2]):
+        plus, minus = (a, b) if a.polarity == 1 else (b, a)
+        if not (math.isfinite(plus.r) and math.isfinite(minus.r)):
+            continue
+        f_hg_pair = 0.5 * (plus.f_hg + minus.f_hg)
+        estimates.append(extract_dn_pair(plus.r, minus.r, config.e_magnitude, f_hg_pair, units))
+        slope = extract_dn_pair(1.0, 0.0, config.e_magnitude, f_hg_pair, units)
+        var_r = sum(
+            float(_cycle_ratio_variance(np.array([rec.n_up]), np.array([rec.n_down]),
+                                        np.array([rec.f_hg]), config)[0])
+            for rec in (plus, minus)
+        )
+        variance = slope * slope * var_r
+        weights.append(1.0 / variance if math.isfinite(variance) and variance > 0 else 0.0)
+    if config.counting_mode == "expected":
+        return math.fsum(estimates) / len(estimates), 0.0, len(estimates)
+    total = math.fsum(weights)
+    dn_hat = math.fsum(w * e for w, e in zip(weights, estimates)) / total
+    return dn_hat, math.sqrt(1.0 / total), sum(w > 0 for w in weights)
+
+
+@pytest.mark.parametrize("mode", COUNTING_MODES)
+def test_vector_estimator_matches_per_pair_formula(mode):
+    config = parse_config_text(ESTIMATOR_INI.format(mode=mode)).campaign
+    records = run_campaign(config)
+    # a pair with a non-finite ratio is skipped, and a pair may come minus first
+    records[6] = dataclasses.replace(records[6], r=math.nan)
+    records[11] = dataclasses.replace(records[11], r=math.inf)
+    records[20], records[21] = records[21], records[20]
+    estimate = campaign_estimator(records, config)
+    dn_hat, se, pairs = per_pair_estimate(records, config)
+    if mode != "expected":  # saturated cycles get no weight in the sampling modes
+        assert pairs < config.cycles // 2 - 2
+    assert estimate.n_pairs == pairs
+    assert estimate.dn_hat == pytest.approx(dn_hat, rel=1e-12, abs=0.0)
+    assert estimate.standard_error == pytest.approx(se, rel=1e-12, abs=0.0)
 
 
 def test_campaign_summary_bytes(tmp_path, monkeypatch):
