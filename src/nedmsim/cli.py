@@ -114,6 +114,18 @@ def _dataset_to_cfg(dataset: FlipDataset) -> dict:
     }
 
 
+def _check_reals(cfg: dict, name: Callable[[str], str], *keys: str) -> None:
+    for key in keys:
+        if not _finite_real(cfg[key]):
+            raise ValueError(f"{name(key)} must be a finite number, got {cfg[key]!r}")
+
+
+def _check_ints(cfg: dict, name: Callable[[str], str], *keys: str) -> None:
+    for key in keys:
+        if type(cfg[key]) is not int:
+            raise ValueError(f"{name(key)} must be an int, got {cfg[key]!r}")
+
+
 # ---------------------------------------------------------------------------
 # transition
 
@@ -133,6 +145,21 @@ def _resolve_transition(args) -> dict:
         "check_oracle": bool(args.check_oracle),
         "outputs": {"report": args.out, "manifest": args.manifest_out},
     }
+
+
+def _check_transition(cfg: dict, name: Callable[[str], str]) -> None:
+    """Raise ValueError, naming the key, unless a fresh run could resolve cfg."""
+    _check_reals(cfg, name, "dn", "delta", "xi")
+    if type(cfg["check_oracle"]) is not bool:
+        raise ValueError(
+            f"{name('check_oracle')} must be true or false, got {cfg['check_oracle']!r}"
+        )
+    pulse_integral = cfg.get("pulse_integral")
+    if pulse_integral is not None:
+        _check_reals(cfg, name, "pulse_integral")
+        xi = xi_from_pulse(PulseProfile(pulse_integral), UnitSystem())
+        if cfg["xi"] != xi:
+            raise ValueError(f"{name('xi')} must be {xi!r}, the xi of {name('pulse_integral')}")
 
 
 def _execute_transition(cfg: dict) -> int:
@@ -170,6 +197,12 @@ def _resolve_contrast(args) -> dict:
         "seed": args.seed,
         "outputs": {"table": args.out, "manifest": args.manifest_out},
     }
+
+
+def _check_contrast(cfg: dict, name: Callable[[str], str]) -> None:
+    """Raise ValueError, naming the key, unless a fresh run could resolve cfg."""
+    _check_reals(cfg, name, "dn", "delta", "xi")
+    _check_ints(cfg, name, "trials", "seed")
 
 
 def _execute_contrast(cfg: dict) -> int:
@@ -210,12 +243,9 @@ def _resolve_scan(args) -> dict:
 
 def _check_scan(cfg: dict, name: Callable[[str], str]) -> None:
     """Raise ValueError, naming the key, unless a fresh run could resolve cfg."""
-    for key in ("dn", "delta", "xi_min", "xi_max"):
-        if not _finite_real(cfg[key]):
-            raise ValueError(f"{name(key)} must be a finite number, got {cfg[key]!r}")
+    _check_reals(cfg, name, "dn", "delta", "xi_min", "xi_max")
+    _check_ints(cfg, name, "points")
     points = cfg["points"]
-    if type(points) is not int:
-        raise ValueError(f"{name('points')} must be an int, got {points!r}")
     if points < 1:
         raise ValueError(f"{name('points')} must be >= 1")
     if points > SCAN_POINTS_MAX:
@@ -414,9 +444,14 @@ class Command(NamedTuple):
 
 COMMANDS = {
     "transition": Command(
-        _resolve_transition, _execute_transition, {"report": SCHEMA_SUMMARY_JSON}
+        _resolve_transition,
+        _execute_transition,
+        {"report": SCHEMA_SUMMARY_JSON},
+        _check_transition,
     ),
-    "contrast": Command(_resolve_contrast, _execute_contrast, {"table": SCHEMA_CONTRAST_CSV}),
+    "contrast": Command(
+        _resolve_contrast, _execute_contrast, {"table": SCHEMA_CONTRAST_CSV}, _check_contrast
+    ),
     "scan": Command(_resolve_scan, _execute_scan, {"table": SCHEMA_SCAN_CSV}, _check_scan),
     "campaign": Command(
         _resolve_campaign,

@@ -708,6 +708,46 @@ def test_scan_rerun_checks_the_manifest(tmp_path, capsys, key, value, message):
     assert not out.exists()
 
 
+TRANSITION_ARGV = ("transition", "--dn", "1e-26", "--delta", "1e-15", "--xi", "1e13")
+CONTRAST_ARGV = ("contrast", "--dn", "0", "--delta", "1e-15", "--xi", "1e14",
+                 "--trials", "1000", "--seed", "3")
+
+
+@pytest.mark.parametrize(
+    "argv, key, value, message",
+    [
+        # reran with exit 0 and p computed at d_n = 1
+        (TRANSITION_ARGV, "dn", True, "config.dn must be a finite number, got True"),
+        # exited 2 with the Python text "must be real number, not str"
+        (TRANSITION_ARGV, "delta", "1e-15", "config.delta must be a finite number, got '1e-15'"),
+        # ran the oracle
+        (TRANSITION_ARGV, "check_oracle", "no",
+         "config.check_oracle must be true or false, got 'no'"),
+        ((*TRANSITION_ARGV[:5], "--pulse-integral", "1e6"), "xi", 1e13,
+         "config.xi must be 8.77149470541207e+20, the xi of config.pulse_integral"),
+        # reran with exit 0 and wrote 1000.7 in the trials column
+        (CONTRAST_ARGV, "trials", 1000.7, "config.trials must be an int, got 1000.7"),
+        (CONTRAST_ARGV, "seed", 1.5, "config.seed must be an int, got 1.5"),
+        (CONTRAST_ARGV, "xi", None, "config.xi must be a finite number, got None"),
+    ],
+    ids=["transition-dn-true", "transition-delta-str", "transition-check-oracle-str",
+         "transition-xi-not-of-pulse", "contrast-trials-float", "contrast-seed-float",
+         "contrast-xi-null"],
+)
+def test_rerun_checks_transition_and_contrast_manifests(tmp_path, capsys, argv, key, value,
+                                                        message):
+    out, manifest = tmp_path / "out", tmp_path / "m.json"
+    assert run_cli(*argv, "--out", out, "--manifest-out", manifest) == 0
+    out.unlink()
+    recorded = json.loads(manifest.read_text())
+    recorded["config"][key] = value
+    manifest.write_text(json.dumps(recorded))
+    capsys.readouterr()
+    assert run_cli("rerun", manifest) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
