@@ -3,7 +3,8 @@
 Per cycle the simulator draws the magnetic field (nominal plus white
 drift), accumulates the Ramsey phase, converts it to spin-up/spin-down
 counts, and then runs the same analysis chain a counting experiment
-would; a block of cycles does each step as one array operation: measured asymmetry -> phase -> neutron frequency -> ratio
+would (a block of cycles does each step as one array operation):
+measured asymmetry -> phase -> neutron frequency -> ratio
 
     R = f_n / f_hg  ~  |gamma_n|/|gamma_hg| + d_n E k g / (pi f_hg) + dR_sys
 
@@ -284,8 +285,8 @@ def run_campaign(
     """Simulate a full campaign with polarity alternating +, -, +, -, ...
 
     Cycles run in blocks of :data:`CAMPAIGN_BLOCK`, each drawing its field
-    drift, counts and clock noise as vectors from its own substreams (the
-    layout is in :mod:`nedmsim.streams`). The record list is deterministic
+    drift, counts and clock noise as vectors, each from its own substream
+    (the layout is in :mod:`nedmsim.streams`). The record list is deterministic
     given the seed, and a longer campaign with the same seed extends a
     shorter one without changing its cycles. A field or dipole term large
     enough to make a Ramsey phase non-finite raises ValueError.

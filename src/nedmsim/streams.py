@@ -1,4 +1,4 @@
-"""Counter-based random substreams for reproducible, order-free simulation.
+"""Counter-based random streams for reproducible, order-free simulation.
 
 Every stochastic routine in this package draws from a Philox generator
 keyed by ``(seed, domain, index)``. Philox is counter based: the stream is
@@ -18,8 +18,8 @@ sampler's counts fall on the double grid.
 
 A campaign draws by blocks of ``comagnetometer.CAMPAIGN_BLOCK`` = 4096
 cycles (artifact version 0.11.0 on). Block ``b`` holds cycles
-``4096 b`` to ``4096 b + 4095`` and draws from three ``DOMAIN_CYCLE``
-substreams, one per quantity, each as one vector in cycle order:
+``4096 b`` to ``4096 b + 4095`` and draws each quantity from its own
+``DOMAIN_CYCLE`` substream, as one vector in cycle order:
 
 - index ``3 b``: the field drift, ``normal(0, b_drift_sd, m)`` for a
   block of ``m`` cycles;
