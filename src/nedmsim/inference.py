@@ -638,15 +638,13 @@ def _cycle_ratio_variance(
 ) -> np.ndarray:
     """Counting variance of each cycle's ratio R = f_n / f_hg (delta method).
 
-    Takes 1-d arrays of the cycles' counts and clock frequencies. Var(A) =
+    Takes 1-d float arrays of the cycles' counts and clocks. Var(A) =
     (1 - A^2)/N from the binomial split is mapped through A = visibility *
     cos(phi) to the phase, then through f_n = phi/(2 pi t) and the cycle's
     own clock f_hg to R. Cycles without counts, and saturated cycles
     (|A| >= visibility), have no phase sensitivity and get infinite
     variance.
     """
-    n_up = np.asarray(n_up, dtype=float)
-    n_down = np.asarray(n_down, dtype=float)
     total = n_up + n_down
     variance = np.full(total.shape, math.inf)
     counted = np.flatnonzero(total > 0)

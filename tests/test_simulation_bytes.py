@@ -193,8 +193,8 @@ def per_pair_estimate(records, config) -> tuple[float, float, int]:
         estimates.append(extract_dn_pair(plus.r, minus.r, config.e_magnitude, f_hg_pair, units))
         slope = extract_dn_pair(1.0, 0.0, config.e_magnitude, f_hg_pair, units)
         var_r = sum(
-            float(_cycle_ratio_variance(np.array([rec.n_up]), np.array([rec.n_down]),
-                                        np.array([rec.f_hg]), config)[0])
+            float(_cycle_ratio_variance(*np.array([[rec.n_up], [rec.n_down], [rec.f_hg]],
+                                                  dtype=float), config)[0])
             for rec in (plus, minus)
         )
         variance = slope * slope * var_r
