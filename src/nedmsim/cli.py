@@ -15,7 +15,8 @@ ensemble count is one draw, and no command starts a thread.
 
 Exit codes: 0 success, 2 usage/config error (a malformed manifest
 included), 3 I/O error, 4 non-convergence. Any other exception is a bug
-and propagates.
+and propagates, on a rerun too: there only a ``KeyError`` or ``TypeError``
+raised while the manifest is read and checked means a malformed manifest.
 """
 
 from __future__ import annotations
@@ -107,23 +108,33 @@ def _read_flip_dataset(path: str) -> FlipDataset:
 
 
 def _dataset_to_cfg(dataset: FlipDataset) -> dict:
-    return {
-        "xi": [float(x) for x in dataset.xi],
-        "trials": [int(n) for n in dataset.trials],
-        "flips": [int(k) for k in dataset.flips],
-    }
+    xi, trials, flips = zip(*dataset.points())
+    return {"xi": list(xi), "trials": list(trials), "flips": list(flips)}
 
 
-def _check_reals(cfg: dict, name: Callable[[str], str], *keys: str) -> None:
-    for key in keys:
-        if not _finite_real(cfg[key]):
-            raise ValueError(f"{name(key)} must be a finite number, got {cfg[key]!r}")
+# Kinds of config value: a test, and what a value of the kind must be. Each
+# Command's kinds give the kind a fresh run writes at each config key.
+REAL = (_finite_real, "a finite number")
+REAL_OR_NULL = (lambda v: v is None or _finite_real(v), "a finite number or null")
+INT = (lambda v: type(v) is int, "an int")
+BOOL = (lambda v: type(v) is bool, "true or false")
+PATH = (lambda v: type(v) is str, "a path")
+PATH_OR_NULL = (lambda v: v is None or type(v) is str, "a path or null")
+REALS = (lambda v: type(v) is list and all(map(_finite_real, v)), "a list of finite numbers")
+SPACING = (lambda v: v in ("log", "linear"), "'log' or 'linear'")
 
 
-def _check_ints(cfg: dict, name: Callable[[str], str], *keys: str) -> None:
-    for key in keys:
-        if type(cfg[key]) is not int:
-            raise ValueError(f"{name(key)} must be an int, got {cfg[key]!r}")
+def _check_kinds(cfg: dict, kinds: dict, name: Callable[[str], str], prefix: str = "") -> None:
+    """Raise ValueError, naming the key, unless each value in cfg has its kind."""
+    for key, kind in kinds.items():
+        value = cfg[key]
+        if isinstance(kind, dict):  # no other key: fit and bound pass them as keywords
+            unknown = sorted(set(value) - set(kind))
+            if unknown:
+                raise ValueError(f"{name(prefix + key)} has an unknown key {unknown[0]!r}")
+            _check_kinds(value, kind, name, f"{prefix}{key}.")
+        elif not kind[0](value):
+            raise ValueError(f"{name(prefix + key)} must be {kind[1]}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -131,32 +142,23 @@ def _check_ints(cfg: dict, name: Callable[[str], str], *keys: str) -> None:
 
 
 def _resolve_transition(args) -> dict:
-    if args.xi is not None:
-        xi = args.xi
-        pulse_integral = None
-    else:
-        pulse_integral = args.pulse_integral
-        xi = xi_from_pulse(PulseProfile(pulse_integral), UnitSystem())
+    xi = args.xi  # --xi and --pulse-integral exclude each other
+    if args.pulse_integral is not None:
+        xi = xi_from_pulse(PulseProfile(args.pulse_integral), UnitSystem())
     return {
         "dn": args.dn,
         "delta": args.delta,
         "xi": xi,
-        "pulse_integral": pulse_integral,
+        "pulse_integral": args.pulse_integral,
         "check_oracle": bool(args.check_oracle),
         "outputs": {"report": args.out, "manifest": args.manifest_out},
     }
 
 
 def _check_transition(cfg: dict, name: Callable[[str], str]) -> None:
-    """Raise ValueError, naming the key, unless a fresh run could resolve cfg."""
-    _check_reals(cfg, name, "dn", "delta", "xi")
-    if type(cfg["check_oracle"]) is not bool:
-        raise ValueError(
-            f"{name('check_oracle')} must be true or false, got {cfg['check_oracle']!r}"
-        )
-    pulse_integral = cfg.get("pulse_integral")
+    """Raise ValueError, naming the keys, unless xi is that of a set pulse_integral."""
+    pulse_integral = cfg["pulse_integral"]
     if pulse_integral is not None:
-        _check_reals(cfg, name, "pulse_integral")
         xi = xi_from_pulse(PulseProfile(pulse_integral), UnitSystem())
         if cfg["xi"] != xi:
             raise ValueError(f"{name('xi')} must be {xi!r}, the xi of {name('pulse_integral')}")
@@ -199,12 +201,6 @@ def _resolve_contrast(args) -> dict:
     }
 
 
-def _check_contrast(cfg: dict, name: Callable[[str], str]) -> None:
-    """Raise ValueError, naming the key, unless a fresh run could resolve cfg."""
-    _check_reals(cfg, name, "dn", "delta", "xi")
-    _check_ints(cfg, name, "trials", "seed")
-
-
 def _execute_contrast(cfg: dict) -> int:
     state = DipoleState(d_n=cfg["dn"], delta=cfg["delta"])
     xi, trials, seed = cfg["xi"], cfg["trials"], cfg["seed"]
@@ -242,9 +238,7 @@ def _resolve_scan(args) -> dict:
 
 
 def _check_scan(cfg: dict, name: Callable[[str], str]) -> None:
-    """Raise ValueError, naming the key, unless a fresh run could resolve cfg."""
-    _check_reals(cfg, name, "dn", "delta", "xi_min", "xi_max")
-    _check_ints(cfg, name, "points")
+    """Raise ValueError, naming the key, unless points and the xi range fit."""
     points = cfg["points"]
     if points < 1:
         raise ValueError(f"{name('points')} must be >= 1")
@@ -252,8 +246,6 @@ def _check_scan(cfg: dict, name: Callable[[str], str]) -> None:
         raise ValueError(f"{name('points')} must be <= {SCAN_POINTS_MAX}")
     if cfg["xi_max"] < cfg["xi_min"]:
         raise ValueError(f"{name('xi_max')} must be >= {name('xi_min')}")
-    if cfg["spacing"] not in ("log", "linear"):
-        raise ValueError(f"{name('spacing')} must be 'log' or 'linear', got {cfg['spacing']!r}")
     if cfg["spacing"] == "log" and cfg["xi_min"] <= 0:
         raise ValueError(f"log spacing requires {name('xi_min')} > 0")
 
@@ -294,6 +286,13 @@ def _resolve_campaign(args) -> dict:
             "manifest": args.manifest_out,
         },
     }
+
+
+def _check_campaign(cfg: dict, name: Callable[[str], str]) -> None:
+    """Raise ValueError, naming the field, unless each section builds its type."""
+    CampaignConfig(**cfg["campaign"])
+    UnitSystem(**cfg["units"])
+    PhysicalConstants(**cfg["constants"])
 
 
 def _execute_campaign(cfg: dict) -> int:
@@ -421,45 +420,65 @@ def _execute_bound(cfg: dict) -> int:
 
 
 def _flag(key: str) -> str:
-    return "--" + key.replace("_", "-")
-
-
-def _manifest_key(key: str) -> str:
-    return "config." + key
+    # a nested key, such as fit's search.dn_max, is set by its last part's flag
+    key = key.rsplit(".", 1)[-1]
+    return "--grid" if key == "grid_points" else "--" + key.replace("_", "-")
 
 
 class Command(NamedTuple):
     """How one subcommand runs: arguments -> manifest config -> outputs.
 
-    ``check(cfg, name)`` refuses a config that no fresh run resolves to,
-    naming each key through ``name``: as a flag on a fresh run, as a
-    manifest key on a rerun.
+    ``kinds`` and ``check(cfg, name)``, which holds the rules between
+    values, refuse a config that no fresh run resolves to, naming each key
+    through ``name``: as a flag on a fresh run, as a manifest key on a rerun.
     """
 
     resolve: Callable[[argparse.Namespace], dict]
     execute: Callable[[dict], int]
     formats: dict  # output name -> format version written there
+    kinds: dict  # config key -> kind, or a nested table of them
     check: Callable[[dict, Callable[[str], str]], None] = lambda cfg, name: None
 
 
+_STATE = {"dn": REAL, "delta": REAL}
+_DATASET = {"xi": REALS, "trials": REALS, "flips": REALS}  # FlipDataset checks the counts
+_REPORT = {"report": PATH_OR_NULL, "manifest": PATH_OR_NULL}
+
 COMMANDS = {
     "transition": Command(
-        _resolve_transition,
-        _execute_transition,
-        {"report": SCHEMA_SUMMARY_JSON},
+        _resolve_transition, _execute_transition, {"report": SCHEMA_SUMMARY_JSON},
+        {**_STATE, "xi": REAL, "pulse_integral": REAL_OR_NULL, "check_oracle": BOOL,
+         "outputs": _REPORT},
         _check_transition,
     ),
     "contrast": Command(
-        _resolve_contrast, _execute_contrast, {"table": SCHEMA_CONTRAST_CSV}, _check_contrast
+        _resolve_contrast, _execute_contrast, {"table": SCHEMA_CONTRAST_CSV},
+        {**_STATE, "xi": REAL, "trials": INT, "seed": INT,
+         "outputs": {"table": PATH_OR_NULL, "manifest": PATH_OR_NULL}},
     ),
-    "scan": Command(_resolve_scan, _execute_scan, {"table": SCHEMA_SCAN_CSV}, _check_scan),
+    "scan": Command(
+        _resolve_scan, _execute_scan, {"table": SCHEMA_SCAN_CSV},
+        {**_STATE, "xi_min": REAL, "xi_max": REAL, "points": INT, "spacing": SPACING,
+         "outputs": {"table": PATH, "manifest": PATH_OR_NULL}},
+        _check_scan,
+    ),
     "campaign": Command(
-        _resolve_campaign,
-        _execute_campaign,
+        _resolve_campaign, _execute_campaign,
         {"cycles": SCHEMA_CYCLES_CSV, "summary": SCHEMA_SUMMARY_JSON},
+        {"outputs": {"cycles": PATH, "summary": PATH, "manifest": PATH_OR_NULL}},
+        _check_campaign,
     ),
-    "fit": Command(_resolve_fit, _execute_fit, {"report": SCHEMA_SUMMARY_JSON}),
-    "bound": Command(_resolve_bound, _execute_bound, {"report": SCHEMA_SUMMARY_JSON}),
+    "fit": Command(
+        _resolve_fit, _execute_fit, {"report": SCHEMA_SUMMARY_JSON},
+        {"dataset": _DATASET, "cl": REAL, "outputs": _REPORT,
+         "search": {"dn_min": REAL, "dn_max": REAL, "delta_min": REAL, "delta_max": REAL,
+                    "grid_points": INT, "resolution": REAL}},
+    ),
+    "bound": Command(
+        _resolve_bound, _execute_bound, {"report": SCHEMA_SUMMARY_JSON},
+        {"dataset": _DATASET, "cl": REAL, "delta_min": REAL, "delta_max": REAL,
+         "dn_max": REAL, "resolution": REAL, "outputs": _REPORT},
+    ),
 }
 
 
@@ -473,14 +492,19 @@ def _manifest(command: str, cfg: dict) -> dict:
     }
 
 
-def _run(command: str, cfg: dict, name: Callable[[str], str]) -> int:
-    """Check and execute a resolved run, then write its manifest.
+def _check(command: str, cfg: dict, name: Callable[[str], str]) -> None:
+    """Refuse a config that no fresh run of command resolves to."""
+    _check_kinds(cfg, COMMANDS[command].kinds, name)
+    COMMANDS[command].check(cfg, name)
+
+
+def _run(command: str, cfg: dict) -> int:
+    """Execute a checked run, then write its manifest.
 
     A run that did not converge (exit 4) still gets its manifest, so it can
     be rerun; a run rejected while checked or executed (exit 2 or 3) leaves
-    none. ``name`` renders a config key in the check's messages.
+    none.
     """
-    COMMANDS[command].check(cfg, name)
     path = cfg["outputs"].get("manifest")
     try:
         code = COMMANDS[command].execute(cfg)
@@ -502,16 +526,18 @@ def _rerun(path: str) -> int:
     schema = manifest.get("schema") if isinstance(manifest, dict) else None
     if schema != SCHEMA_MANIFEST_JSON:
         raise ValueError(f"not a manifest: schema {schema!r}")
-    # keys missing from the manifest, or not taken by its command, raise here
+    # keys missing from the manifest, or not taken by its command, raise
+    # while it is checked; what execute raises propagates as on a fresh run
     try:
-        command = manifest["command"]
+        command, cfg = manifest["command"], manifest["config"]
         if command not in COMMANDS:
             raise ValueError(f"manifest names unknown command {command!r}")
-        return _run(command, manifest["config"], _manifest_key)
+        _check(command, cfg, lambda key: "config." + key)
     except KeyError as exc:
         raise ValueError(f"malformed manifest {path}: missing key {exc}") from exc
     except TypeError as exc:
         raise ValueError(f"malformed manifest {path}: {exc}") from exc
+    return _run(command, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +629,9 @@ def main(argv=None) -> int:
         with np.errstate(over="ignore"):
             if args.command == "rerun":
                 return _rerun(args.manifest)
-            return _run(args.command, COMMANDS[args.command].resolve(args), _flag)
+            cfg = COMMANDS[args.command].resolve(args)
+            _check(args.command, cfg, _flag)
+            return _run(args.command, cfg)
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE

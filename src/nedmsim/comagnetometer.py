@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ensemble import _MAX_TRIALS
 from .quantities import PhysicalConstants, UnitSystem, _finite_real
 from .spin_dynamics import _phase, asymmetry, up_probability
 from .streams import _MAX_INDEX, DOMAIN_CYCLE, substream
@@ -73,8 +74,9 @@ class CampaignConfig:
     time in s. ``b_drift_sd`` is the white per-cycle field scatter,
     ``f_hg_noise_sd`` the relative scatter of the clock frequency, and
     ``delta_r_sys`` a constant additive offset on R. ``cycles``,
-    ``neutrons_per_cycle`` and ``seed`` must be ``int`` (not ``bool``), and
-    ``cycles`` at most 2**48, the substream index limit. The other
+    ``neutrons_per_cycle`` and ``seed`` must be ``int`` (not ``bool``),
+    ``cycles`` at most 2**48, the substream index limit, and
+    ``neutrons_per_cycle`` at most 2**63 - 1, numpy's count limit. The other
     numeric fields must be finite real numbers: an int or a float, not a
     ``bool`` or a string; the error names the field. Defaults put the
     nominal working point near mid-fringe, where the phase readout is
@@ -105,8 +107,8 @@ class CampaignConfig:
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not 2 <= self.cycles <= _MAX_INDEX or self.cycles % 2 != 0:
             raise ValueError("cycles must be an even number in [2, 2**48]")
-        if self.neutrons_per_cycle < 1:
-            raise ValueError("neutrons_per_cycle must be >= 1")
+        if not 1 <= self.neutrons_per_cycle <= _MAX_TRIALS:
+            raise ValueError("neutrons_per_cycle must lie in [1, 2**63 - 1]")
         if self.e_magnitude <= 0:
             raise ValueError("e_magnitude must be > 0")
         if not 0.0 <= self.visibility <= 1.0:

@@ -25,12 +25,11 @@ Example::
 from __future__ import annotations
 
 import configparser
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .comagnetometer import CampaignConfig
 from .inference import CL_DEFAULT, GRID_POINTS_DEFAULT, RESOLUTION_DEFAULT
-from .quantities import PhysicalConstants, UnitSystem
+from .quantities import PhysicalConstants, UnitSystem, _require_finite
 
 __all__ = [
     "ConfigError",
@@ -70,9 +69,9 @@ class InferenceSettings:
     cl: float = CL_DEFAULT
 
     def __post_init__(self) -> None:
-        for v in (self.dn_max_e_cm, self.delta_max_e_cm):
-            if v is not None and not math.isfinite(v):
-                raise ValueError("search bounds must be finite")
+        # a nan or inf here would reach the fit and bound checks, which name
+        # the flag that overrides the key, not the key
+        _require_finite(**{key: v for key, v in asdict(self).items() if v is not None})
 
 
 @dataclass(frozen=True)

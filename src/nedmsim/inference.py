@@ -76,6 +76,9 @@ _P_CEIL = float(np.nextafter(1.0, 0.0))
 # Defaults shared by the library calls, the [inference] config section and
 # the fit and bound commands; delta ceilings are in widths (search_ceilings).
 GRID_POINTS_DEFAULT = 48
+# Most coarse grid points per axis: the grid's likelihood temporaries hold
+# grid_points**2 doubles per data point, 8 MiB each at this ceiling.
+GRID_POINTS_MAX = 1024
 RESOLUTION_DEFAULT = 1e-7
 CL_DEFAULT = 0.95
 FIT_DELTA_WIDTHS = 5.0
@@ -171,7 +174,8 @@ class SearchBox:
 
     ``resolution`` is relative to each axis width: the maximum, the
     profiles and the interval edges are each located to within
-    resolution * width of their axis.
+    resolution * width of their axis. ``grid_points`` lies in
+    [4, GRID_POINTS_MAX].
     """
 
     dn_max: float
@@ -188,8 +192,8 @@ class SearchBox:
             raise ValueError("need 0 <= delta_min < delta_max, both finite")
         if not (math.isfinite(self.dn_max) and math.isfinite(self.delta_max)):
             raise ValueError("search bounds must be finite")
-        if self.grid_points < 4:
-            raise ValueError("grid_points must be >= 4")
+        if not 4 <= self.grid_points <= GRID_POINTS_MAX:
+            raise ValueError(f"grid_points must lie in [4, {GRID_POINTS_MAX}]")
         if not 0 < self.resolution < 1:
             raise ValueError("resolution must lie in (0, 1)")
 

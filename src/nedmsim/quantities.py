@@ -68,7 +68,11 @@ MU_N_RAD_PER_S_T = abs(GAMMA_N_RAD_PER_S_T) / 2.0
 
 
 def _require_finite(**values: float) -> None:
-    bad = [name for name, v in values.items() if not math.isfinite(v)]
+    """Raise ValueError naming each value that is not a finite real number.
+
+    A bool, a string or None is refused like a nan, never with a TypeError.
+    """
+    bad = [f"{name}={v!r}" for name, v in values.items() if not _finite_real(v)]
     if bad:
         raise ValueError(f"non-finite input: {', '.join(bad)}")
 

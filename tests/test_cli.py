@@ -22,6 +22,7 @@ from nedmsim.formats import (
     render_csv,
 )
 from nedmsim.cli import SCAN_POINTS_MAX
+from nedmsim.inference import GRID_POINTS_MAX
 from nedmsim.weak_measurement import (
     NODE_COUNT_MAX,
     DipoleState,
@@ -748,6 +749,148 @@ def test_rerun_checks_transition_and_contrast_manifests(tmp_path, capsys, argv, 
     assert not out.exists()
 
 
+def fresh_argv(tmp_path, command):
+    """Inputs of a fit, bound or campaign that exits 0, written to tmp_path."""
+    if command == "campaign":
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(NOISELESS_INI)
+        return ("campaign", "--config", cfg)
+    data = tmp_path / "flips.csv"
+    write_flip_csv(data, INTERIOR_POINTS[::2] if command == "fit" else zero_flip_points())
+    return (command, "--data", data)
+
+
+FIT_XI = [k * 1.25e20 for k in (1, 3, 5, 7)]
+
+
+@pytest.mark.parametrize(
+    "command, key, value, message",
+    [
+        # reran with exit 0: a null dn_max is upper_bound's derived ceiling,
+        # and numpy took true as 1 and "1e20" as 1e20
+        ("bound", "dn_max", None, "config.dn_max must be a finite number, got None"),
+        ("bound", "dn_max", True, "config.dn_max must be a finite number, got True"),
+        ("fit", "dataset.xi", [True, *FIT_XI[1:]],
+         f"config.dataset.xi must be a list of finite numbers, got {[True, *FIT_XI[1:]]!r}"),
+        ("fit", "dataset.xi", ["1e20", *FIT_XI[1:]],
+         f"config.dataset.xi must be a list of finite numbers, got {['1e20', *FIT_XI[1:]]!r}"),
+        ("fit", "dataset.flips", [True, 12611, 35019, 67151],
+         "config.dataset.flips must be a list of finite numbers, got [True, 12611, 35019, 67151]"),
+        ("campaign", "units.geometric_factor", True, "non-finite input: geometric_factor=True"),
+        # exited 2 with a Python error text
+        ("bound", "cl", "0.95", "config.cl must be a finite number, got '0.95'"),
+        ("fit", "search.grid_points", 4.5, "config.search.grid_points must be an int, got 4.5"),
+        ("bound", "delta_max", "1", "config.delta_max must be a finite number, got '1'"),
+        ("campaign", "units.geometric_factor", "0.5", "non-finite input: geometric_factor='0.5'"),
+        ("campaign", "constants.mu_n", None, "non-finite input: mu_n=None"),
+        ("campaign", "outputs.summary", ["x"], "config.outputs.summary must be a path, got ['x']"),
+    ],
+    ids=["bound-dn-max-null", "bound-dn-max-true", "fit-xi-true", "fit-xi-str", "fit-flips-true",
+         "campaign-geometric-factor-true", "bound-cl-str", "fit-grid-points-float",
+         "bound-delta-max-str", "campaign-geometric-factor-str", "campaign-mu-n-null",
+         "campaign-summary-list"],
+)
+def test_rerun_checks_fit_bound_and_campaign_manifests(tmp_path, capsys, command, key, value,
+                                                       message):
+    out, summary, manifest = tmp_path / "out", tmp_path / "out.summary.json", tmp_path / "m.json"
+    assert run_cli(*fresh_argv(tmp_path, command), "--out", out, "--manifest-out", manifest) == 0
+    out.unlink()
+    summary.unlink(missing_ok=True)
+    recorded = json.loads(manifest.read_text())
+    *tables, leaf = key.split(".")
+    table = recorded["config"]
+    for part in tables:
+        table = table[part]
+    table[leaf] = value
+    manifest.write_text(json.dumps(recorded))
+    capsys.readouterr()
+    assert run_cli("rerun", manifest) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists() and not summary.exists()
+
+
+@pytest.mark.parametrize("command, table", [("fit", "dataset"), ("fit", "search"),
+                                            ("bound", "dataset")])
+def test_rerun_refuses_unknown_keys_in_nested_tables(tmp_path, capsys, command, table):
+    # fit and bound pass these tables to the library as keywords
+    out, manifest = tmp_path / "out", tmp_path / "m.json"
+    assert run_cli(*fresh_argv(tmp_path, command), "--out", out, "--manifest-out", manifest) == 0
+    out.unlink()
+    recorded = json.loads(manifest.read_text())
+    recorded["config"][table]["weights"] = [1.0]
+    manifest.write_text(json.dumps(recorded))
+    capsys.readouterr()
+    assert run_cli("rerun", manifest) == 2
+    assert capsys.readouterr().err == f"error: config.{table} has an unknown key 'weights'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # the nested search.dn_max is set by --dn-max; the library said
+        # "search bounds must be finite"
+        (("fit", "--dn-max", "inf"), "--dn-max must be a finite number, got inf"),
+        (("fit", "--dn-min", "nan"), "--dn-min must be a finite number, got nan"),
+        (("bound", "--delta-max", "inf"), "--delta-max must be a finite number, got inf"),
+        (("bound", "--cl", "nan"), "--cl must be a finite number, got nan"),
+    ],
+    ids=["fit-dn-max-inf", "fit-dn-min-nan", "bound-delta-max-inf", "bound-cl-nan"],
+)
+def test_fit_and_bound_flags_are_named_in_errors(tmp_path, capsys, argv, message):
+    data, manifest = tmp_path / "flips.csv", tmp_path / "m.json"
+    write_flip_csv(data, INTERIOR_POINTS)
+    assert run_cli(*argv, "--data", data, "--manifest-out", manifest) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not manifest.exists()
+
+
+GRID_ERROR = f"error: grid_points must lie in [4, {GRID_POINTS_MAX}]\n"
+
+
+def test_fit_grid_above_the_ceiling_exits_2_by_flag_config_and_rerun(tmp_path, capsys):
+    # SearchBox refuses the value before any grid is built; 10**6 points
+    # asked numpy for 29 TiB
+    data, manifest = tmp_path / "flips.csv", tmp_path / "m.json"
+    write_flip_csv(data, INTERIOR_POINTS)
+    above = GRID_POINTS_MAX + 1
+    assert run_cli("fit", "--data", data, "--grid", above, "--manifest-out", manifest) == 2
+    assert capsys.readouterr() == ("", GRID_ERROR)
+    assert not manifest.exists()
+    ini = tmp_path / "inf.ini"
+    ini.write_text(f"[inference]\ngrid_points = {above}\n")
+    assert run_cli("fit", "--data", data, "--config", ini, "--manifest-out", manifest) == 2
+    assert capsys.readouterr() == ("", GRID_ERROR)
+    assert not manifest.exists()
+    assert run_cli("fit", "--data", data, "--manifest-out", manifest) == 0
+    recorded = json.loads(manifest.read_text())
+    recorded["config"]["search"]["grid_points"] = above
+    manifest.write_text(json.dumps(recorded))
+    capsys.readouterr()
+    assert run_cli("rerun", manifest) == 2
+    assert capsys.readouterr() == ("", GRID_ERROR)
+
+
+def test_campaign_neutrons_above_int64_exit_2_fresh_and_on_rerun(tmp_path, capsys):
+    # numpy's count draw exited 1 with "Python int too large to convert to C long"
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"{NOISELESS_INI}neutrons_per_cycle = {2**63}\n")
+    out = tmp_path / "cycles.csv"
+    assert run_cli("campaign", "--config", cfg, "--out", out) == 2
+    assert "neutrons_per_cycle must lie in [1, 2**63 - 1]" in capsys.readouterr().err
+    assert not out.exists()
+    err = rerun_edited_campaign(tmp_path, capsys, "neutrons_per_cycle", 2**63)
+    assert err == "error: neutrons_per_cycle must lie in [1, 2**63 - 1]\n"
+
+
+@pytest.mark.parametrize("mode", ["binomial", "poisson", "expected"])
+def test_campaign_at_the_int64_neutron_limit_exits_0_or_2(tmp_path, capsys, mode):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[campaign]\ncycles = 2\nneutrons_per_cycle = {2**63 - 1}\n"
+                   f"counting_mode = {mode}\n")
+    assert run_cli("campaign", "--config", cfg, "--out", tmp_path / "cycles.csv") in (0, 2)
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
@@ -870,6 +1013,21 @@ def test_internal_key_and_type_errors_propagate(tmp_path, monkeypatch, error):
     write_flip_csv(data, zero_flip_points())
     with pytest.raises(error):
         run_cli("bound", "--data", data)
+
+
+@pytest.mark.parametrize("error", [KeyError, TypeError])
+def test_internal_key_and_type_errors_propagate_on_rerun(tmp_path, monkeypatch, error):
+    # a rerun once reported these as "malformed manifest ...: internal", exit 2
+    data, manifest = tmp_path / "flips.csv", tmp_path / "m.json"
+    write_flip_csv(data, zero_flip_points())
+    assert run_cli("bound", "--data", data, "--manifest-out", manifest) == 0
+
+    def broken(*args, **kwargs):
+        raise error("internal")
+
+    monkeypatch.setattr("nedmsim.cli.upper_bound", broken)
+    with pytest.raises(error):
+        run_cli("rerun", manifest)
 
 
 def test_version_is_read_from_the_package():

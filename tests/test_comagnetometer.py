@@ -12,6 +12,7 @@ from nedmsim.comagnetometer import (
     ratio_r,
     run_campaign,
 )
+from nedmsim.ensemble import _MAX_TRIALS
 from nedmsim.inference import campaign_estimator
 from nedmsim.quantities import PhysicalConstants, UnitSystem
 
@@ -255,6 +256,13 @@ def test_config_cycles_stop_at_the_substream_index_limit():
     for cycles in ((1 << 48) + 2, 1 << 50):
         with pytest.raises(ValueError, match="cycles"):
             CampaignConfig(cycles=cycles)
+
+
+def test_config_neutrons_stop_at_the_int64_limit():
+    # the count draws take an int64, as contrast's trials do
+    assert CampaignConfig(neutrons_per_cycle=_MAX_TRIALS).neutrons_per_cycle == 2**63 - 1
+    with pytest.raises(ValueError, match=r"neutrons_per_cycle must lie in \[1, 2\*\*63 - 1\]"):
+        CampaignConfig(neutrons_per_cycle=_MAX_TRIALS + 1)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -93,3 +93,13 @@ def test_contract_violation_reported():
 def test_unparseable_ini():
     with pytest.raises(ConfigError, match="unparseable"):
         parse_config_text("not an ini file at all\n")
+
+
+@pytest.mark.parametrize("key", ["dn_max_e_cm", "dn_min_e_cm", "resolution", "cl"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_inference_values_must_be_finite(key, value):
+    # a nan resolution, cl or dn_min once reached fit and bound, whose
+    # checks name the overriding flag (--resolution) rather than the key
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(f"[inference]\n{key} = {value}\n")
+    assert str(err.value) == f"invalid [inference] section: non-finite input: {key}={value}"

@@ -10,6 +10,7 @@ import pytest
 from nedmsim.comagnetometer import CampaignConfig, CycleRecord, run_campaign
 from nedmsim.inference import (
     FIT_DELTA_WIDTHS,
+    GRID_POINTS_MAX,
     FlipDataset,
     NonConvergenceError,
     SearchBox,
@@ -524,6 +525,14 @@ def test_fit_resolution_below_double_precision_terminates():
     assert not result.converged
     assert "zoom steps" in result.message
     assert result.dn_hat == pytest.approx(0.3 / XI_MAX, rel=0.05)
+
+
+def test_search_box_grid_points_stop_at_the_ceiling():
+    # the coarse grid's temporaries hold grid_points**2 doubles per data point
+    assert default_box(grid_points=GRID_POINTS_MAX).grid_points == GRID_POINTS_MAX
+    for grid_points in (3, GRID_POINTS_MAX + 1):
+        with pytest.raises(ValueError, match=rf"grid_points must lie in \[4, {GRID_POINTS_MAX}\]"):
+            default_box(grid_points=grid_points)
 
 
 def test_search_ceilings_from_largest_xi():

@@ -94,6 +94,16 @@ def test_unit_system_validation():
         UnitSystem(phase_per_edm_field_time=math.inf)
 
 
+@pytest.mark.parametrize("value", [True, "0.5", None, 10**400],
+                         ids=["true", "str", "null", "int-beyond-double"])
+@pytest.mark.parametrize("cls, field", [(UnitSystem, "geometric_factor"),
+                                        (PhysicalConstants, "mu_n")])
+def test_units_and_constants_refuse_values_that_are_not_finite_numbers(cls, field, value):
+    # a bool was taken as 1 or 0, and a string or None raised TypeError
+    with pytest.raises(ValueError, match=f"^non-finite input: {field}="):
+        cls(**{field: value})
+
+
 def test_constants_validation_and_defaults():
     with pytest.raises(ValueError):
         PhysicalConstants(gamma_hg=0.0)
