@@ -6,7 +6,7 @@ comagnetometer), statistical inference (inference), and the file/CLI
 surface (formats, config, cli).
 """
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 from .comagnetometer import (
     CampaignConfig,

@@ -259,14 +259,15 @@ def _execute_scan(cfg: dict) -> int:
 
 
 def _scan_rows(state: DipoleState, xis: np.ndarray) -> Iterator[list]:
-    # one array call: a scan past the node ceiling is refused before any
-    # point is evaluated. The closed form stays per point, since Python's
-    # square of a float can differ in the last bit from an array's. Rows
-    # are yielded, so the table is never held beside its text
+    # one array call per column, each equal to its float calls byte for
+    # byte: a scan past the node ceiling is refused before any point is
+    # evaluated. Rows are yielded from 4096-point slices of the columns, so
+    # neither the table nor a whole column of floats is held beside the text
     p_quads = flip_probability_quadrature(state, xis)
-    for xi, p_quad in zip(xis.tolist(), p_quads.tolist()):
-        p_closed = flip_probability(state, xi)
-        yield [xi, p_closed, p_quad, abs(p_closed - p_quad)]
+    columns = np.stack([xis, flip_probability(state, xis), p_quads])
+    for at in range(0, xis.size, 4096):
+        for xi, p, p_quad in zip(*columns[:, at : at + 4096].tolist()):
+            yield [xi, p, p_quad, abs(p - p_quad)]
 
 
 # ---------------------------------------------------------------------------

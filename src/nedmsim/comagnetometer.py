@@ -54,6 +54,9 @@ CAMPAIGN_BLOCK = 4096
 
 _TWO_PI = 2.0 * math.pi
 
+# numpy's Poisson sampler refuses a mean whose double exceeds this
+_POISSON_MAX = _MAX_TRIALS - 10.0 * math.sqrt(_MAX_TRIALS)
+
 _REAL_FIELDS = (
     "true_dn",
     "b_nominal",
@@ -76,11 +79,12 @@ class CampaignConfig:
     ``delta_r_sys`` a constant additive offset on R. ``cycles``,
     ``neutrons_per_cycle`` and ``seed`` must be ``int`` (not ``bool``),
     ``cycles`` at most 2**48, the substream index limit, and
-    ``neutrons_per_cycle`` at most 2**63 - 1, numpy's count limit. The other
-    numeric fields must be finite real numbers: an int or a float, not a
-    ``bool`` or a string; the error names the field. Defaults put the
-    nominal working point near mid-fringe, where the phase readout is
-    most sensitive.
+    ``neutrons_per_cycle`` at most 2**63 - 1, numpy's count limit, and in
+    ``poisson`` mode at most 2**63 - 1 - 10*sqrt(2**63 - 1) as a double,
+    numpy's Poisson limit. The other numeric fields must be finite real
+    numbers: an int or a float, not a ``bool`` or a string; the error
+    names the field. Defaults put the nominal working point near
+    mid-fringe, where the phase readout is most sensitive.
     """
 
     true_dn: float = 0.0
@@ -109,6 +113,8 @@ class CampaignConfig:
             raise ValueError("cycles must be an even number in [2, 2**48]")
         if not 1 <= self.neutrons_per_cycle <= _MAX_TRIALS:
             raise ValueError("neutrons_per_cycle must lie in [1, 2**63 - 1]")
+        if self.counting_mode == "poisson" and float(self.neutrons_per_cycle) > _POISSON_MAX:
+            raise ValueError(f"neutrons_per_cycle must be <= {_POISSON_MAX:.16g} in poisson mode")
         if self.e_magnitude <= 0:
             raise ValueError("e_magnitude must be > 0")
         if not 0.0 <= self.visibility <= 1.0:

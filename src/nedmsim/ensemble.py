@@ -130,5 +130,7 @@ def expected_stochastic_fraction(state: DipoleState, xi: float) -> float:
     overflowing s gives exactly 1/2.
     """
     check_phase(state, xi)
-    two_s2 = 2.0 * float(np.multiply(xi, state.delta) ** 2)
-    return -0.5 * math.expm1(-two_s2) + math.exp(-two_s2) * math.sin(state.d_n * xi) ** 2
+    s = np.multiply(xi, state.delta)
+    two_s2 = 2.0 * float(s * s)
+    sine = math.sin(state.d_n * xi)
+    return -0.5 * math.expm1(-two_s2) + math.exp(-two_s2) * (sine * sine)

@@ -52,7 +52,7 @@ import numpy as np
 from .comagnetometer import CampaignConfig, CycleRecord, extract_dn_pair
 from .quantities import UnitSystem
 from .spin_dynamics import asymmetry
-from .weak_measurement import flip_envelope, flip_kernel, flip_oscillation
+from .weak_measurement import flip_envelope, flip_oscillation
 
 __all__ = [
     "FlipDataset",
@@ -233,16 +233,23 @@ def _binomial_terms(p: np.ndarray, dataset: FlipDataset) -> np.ndarray:
     return terms
 
 
-def log_likelihood(d_n: float, delta: float, dataset: FlipDataset) -> float:
-    """Binomial log likelihood of the dataset at (d_n, delta).
+def log_likelihood(d_n, delta, dataset: FlipDataset):
+    """Binomial log likelihood of the dataset at (d_n, delta), broadcasting.
 
+    ``d_n`` and ``delta`` are floats or arrays that broadcast together: a
+    float pair gives a float, and arrays an array of their broadcast
+    shape, each element equal to the float call at its pair byte for byte.
     Probabilities are clamped away from 0 and 1 inside the logs, so
     degenerate points contribute a large finite penalty instead of -inf.
     """
-    if delta < 0:
+    if (np.asarray(delta) < 0).any():
         raise ValueError("delta must be >= 0")
-    p = flip_kernel(d_n, delta, dataset.xi)
-    return float(np.sum(_binomial_terms(p, dataset)))
+    ll = _log_likelihood_batch(
+        flip_oscillation(np.asarray(d_n)[..., None], dataset.xi),
+        flip_envelope(np.asarray(delta)[..., None], dataset.xi),
+        dataset,
+    )
+    return float(ll) if ll.ndim == 0 else ll
 
 
 @lru_cache(maxsize=64)
@@ -270,27 +277,11 @@ def _log_likelihood_batch(oscillation, envelope, dataset: FlipDataset) -> np.nda
     return _binomial_terms(oscillation * envelope, dataset).sum(axis=-1)
 
 
-def _log_likelihood_at(dns, deltas, dataset: FlipDataset) -> np.ndarray:
-    """Log likelihood at the broadcast pairs of dns and deltas, vectorized."""
-    return _log_likelihood_batch(
-        flip_oscillation(np.asarray(dns)[..., None], dataset.xi),
-        flip_envelope(np.asarray(deltas)[..., None], dataset.xi),
-        dataset,
-    )
-
-
-def _log_likelihood_grid(
-    dns: np.ndarray, deltas: np.ndarray, dataset: FlipDataset
-) -> np.ndarray:
-    """Log likelihood on the outer grid dns x deltas, vectorized."""
-    return _log_likelihood_at(dns[:, None], deltas[None, :], dataset)
-
-
 def _coarse_max(dataset: FlipDataset, search: SearchBox):
     """Best point of the coarse geometric grid: (d_n grid, d_n index, delta, ll)."""
     dns = _grid_axis(search.dn_min, search.dn_max, search.grid_points)
     des = _grid_axis(search.delta_min, search.delta_max, search.grid_points)
-    grid_ll = _log_likelihood_grid(dns, des, dataset)
+    grid_ll = log_likelihood(dns[:, None], des[None, :], dataset)
     i, j = np.unravel_index(int(np.argmax(grid_ll)), grid_ll.shape)
     return dns, int(i), float(des[j]), float(grid_ll[i, j])
 
@@ -597,8 +588,6 @@ def upper_bound(
         raise ValueError("cl must lie in [0.5, 1)")
     dn_ceiling, delta_ceiling = search_ceilings(dataset, BOUND_DELTA_WIDTHS)
     de_lo, de_hi = (0.0, delta_ceiling) if delta_bounds is None else delta_bounds
-    if not (0.0 <= de_lo < de_hi):
-        raise ValueError("delta_bounds must satisfy 0 <= low < high")
     if dn_max is None:
         dn_max = dn_ceiling
     # chi2.ppf(2 cl - 1, df=1): the one-sided half-chi-square threshold, 0 at cl = 0.5

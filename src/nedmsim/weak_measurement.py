@@ -108,17 +108,18 @@ class QuadratureSpec:
 
 def flip_oscillation(d_n, xi):
     """The factor sin(d_n xi)^2 of the closed form: unchecked, broadcasting."""
-    return np.sin(d_n * xi) ** 2
+    s = np.sin(d_n * xi)
+    return s * s
 
 
 def flip_envelope(delta, xi):
     """The factor exp(-(xi delta)^2) of the closed form: unchecked, broadcasting.
 
-    The product is formed by numpy even for Python floats, so a product
-    beyond about 1.3e154 squares to inf (a numpy overflow warning) and the
-    envelope is 0, where Python float power would raise OverflowError.
+    The product is formed by numpy even for Python floats: beyond about
+    1.3e154 it squares to inf (a numpy overflow warning), and the envelope is 0.
     """
-    return np.exp(-(np.multiply(xi, delta) ** 2))
+    s = np.multiply(xi, delta)
+    return np.exp(-(s * s))
 
 
 def flip_kernel(d_n, delta, xi):
@@ -157,10 +158,9 @@ def flip_probability(state: DipoleState, xi):
 
     A scalar is evaluated in numpy scalars: a Python float skips the array
     conversion, and a float, an np.float64 and a 0-d array give the same
-    float. An array's squares are numpy's elementwise squares, which differ
-    in the last bit from a scalar's ``pow`` at about one value in a
-    thousand, so ``flip_probability(state, xs)[i]`` need not equal
-    ``flip_probability(state, float(xs[i]))`` byte for byte.
+    float. Every square is a multiplication, so an array call equals its
+    float calls byte for byte: ``flip_probability(state, xs)[i] ==
+    flip_probability(state, float(xs[i]))``.
 
     Raises
     ------
@@ -300,7 +300,7 @@ def _quadrature_array(state: DipoleState, xi: np.ndarray, spec: QuadratureSpec) 
                 hi = mid
         if needed == 0:
             index = order[start:hi]
-            out[index] = [math.sin(state.d_n * x) ** 2 for x in flat[index].tolist()]
+            out[index] = np.square([math.sin(state.d_n * x) for x in flat[index].tolist()])
         else:
             d = _scaled_nodes(state.d_n, state.delta, needed)
             _, w = _panel_rule(needed // _PANEL_NODES)
@@ -309,7 +309,7 @@ def _quadrature_array(state: DipoleState, xi: np.ndarray, spec: QuadratureSpec) 
                 index = order[first : min(first + rows, hi)]
                 values = np.multiply.outer(flat[index], d)
                 np.sin(values, out=values)
-                out[index] = [float(np.dot(w, row)) ** 2 for row in values]
+                out[index] = np.square([np.dot(w, row) for row in values])
         start = hi
     return out.reshape(xi.shape)
 
@@ -347,8 +347,9 @@ def flip_probability_quadrature(
     check_phase(state, xi)
     needed = required_node_count(xi, state.delta)
     if needed == 0:
-        return math.sin(state.d_n * xi) ** 2
+        sine = math.sin(state.d_n * xi)
+        return sine * sine
     _refuse_undersampled(state, xi, needed, spec)
     _, w = _panel_rule(needed // _PANEL_NODES)
     amplitude = float(np.dot(w, np.sin(_scaled_nodes(state.d_n, state.delta, needed) * xi)))
-    return amplitude**2
+    return amplitude * amplitude

@@ -265,6 +265,17 @@ def test_config_neutrons_stop_at_the_int64_limit():
         CampaignConfig(neutrons_per_cycle=_MAX_TRIALS + 1)
 
 
+def test_config_poisson_neutrons_stop_at_numpy_poisson_limit():
+    # numpy refuses a Poisson mean whose double exceeds 2**63 - 1 - 10 sqrt(2**63 - 1);
+    # the largest int that rounds down to that double is accepted
+    largest = 9223372006484771328
+    for n in (largest, largest + 1):
+        CampaignConfig(neutrons_per_cycle=n, counting_mode="binomial")
+    CampaignConfig(neutrons_per_cycle=largest, counting_mode="poisson")
+    with pytest.raises(ValueError, match="neutrons_per_cycle must be <= .* in poisson mode"):
+        CampaignConfig(neutrons_per_cycle=largest + 1, counting_mode="poisson")
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_overflowing_field_is_refused_by_the_phase_check(seed):
     # the drift overflows the field to inf at some seeds, and at the others

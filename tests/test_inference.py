@@ -23,8 +23,6 @@ from nedmsim.inference import (
 from nedmsim.inference import (
     _crossing,
     _grid_axis,
-    _log_likelihood_at,
-    _log_likelihood_grid,
     _maximize,
     _profile,
     _scan_crossing,
@@ -87,7 +85,7 @@ def test_log_likelihood_against_brute_grid():
     ds = make_dataset(seed=8)
     dns = _grid_axis(0.0, 1.0 / XI_MAX, 50)
     des = _grid_axis(0.0, 3.0 / XI_MAX, 50)
-    grid = _log_likelihood_grid(dns, des, ds)
+    grid = log_likelihood(dns[:, None], des[None, :], ds)
     brute = np.array([[brute_log_likelihood(d, e, ds) for e in des] for d in dns])
     assert np.allclose(grid, brute, rtol=1e-10, atol=1e-6)
     # likelihood-ratio ordering is reproduced
@@ -100,12 +98,12 @@ def test_log_likelihood_against_brute_grid():
 
 
 def test_grid_and_scalar_likelihood_agree_exactly():
-    # the public scalar likelihood and the batched grid evaluate one kernel
+    # a grid call equals its float calls byte for byte
     ds = make_dataset(seed=2)
     dns = _grid_axis(0.0, 1.0 / XI_MAX, 7)
     des = _grid_axis(0.0, 3.0 / XI_MAX, 5)
     scalar = np.array([[log_likelihood(d, e, ds) for e in des] for d in dns])
-    assert np.array_equal(_log_likelihood_grid(dns, des, ds), scalar)
+    assert np.array_equal(log_likelihood(dns[:, None], des[None, :], ds), scalar)
 
 
 def test_single_point_mle_identity():
@@ -139,7 +137,7 @@ def _dense_max_2d(dataset, box, points=401):
     dn = np.linspace(box.dn_min, box.dn_max, points)
     de = np.linspace(box.delta_min, box.delta_max, points)
     for _ in range(2):
-        vals = _log_likelihood_at(dn[:, None], de[None, :], dataset)
+        vals = log_likelihood(dn[:, None], de[None, :], dataset)
         i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
         best = float(vals[i, j])
         dn_step, de_step = dn[1] - dn[0], de[1] - de[0]
@@ -194,23 +192,23 @@ def test_profile_matches_coarse_grid_and_brute_force(axis):
     if axis == "dn":
         values = np.array([0.0, 0.1, 0.29, 0.3, 0.31, 0.5, 1.0]) / XI_MAX
         lo, hi, n = box.delta_min, box.delta_max, 33
-        coarse = _log_likelihood_grid(values, _grid_axis(lo, hi, n), ds)
+        coarse = log_likelihood(values[:, None], _grid_axis(lo, hi, n)[None, :], ds)
     else:
         values = np.array([0.0, 0.5, 0.97, 1.0, 1.03, 2.0, 3.0]) / XI_MAX
         lo, hi, n = box.dn_min, box.dn_max, 65
-        coarse = _log_likelihood_grid(_grid_axis(lo, hi, n), values, ds).T
+        coarse = log_likelihood(_grid_axis(lo, hi, n)[:, None], values[None, :], ds).T
     profile, nuisance = _profile(ds, axis, values, box)
     # the best value evaluated: never below the row's coarse-grid maximum
     assert np.all(profile >= coarse.max(axis=1))
     # and the nuisance value reported with it attains it
     assert np.all((lo <= nuisance) & (nuisance <= hi))
     at = (values, nuisance) if axis == "dn" else (nuisance, values)
-    assert np.allclose(_log_likelihood_at(*at, ds), profile, rtol=1e-15, atol=0.0)
+    assert np.allclose(log_likelihood(*at, ds), profile, rtol=1e-15, atol=0.0)
     for v, got in zip(values, profile):
         if axis == "dn":
-            brute = _dense_max(lambda x: _log_likelihood_at(v, x, ds), lo, hi)
+            brute = _dense_max(lambda x: log_likelihood(v, x, ds), lo, hi)
         else:
-            brute = _dense_max(lambda x: _log_likelihood_at(x, v, ds), lo, hi)
+            brute = _dense_max(lambda x: log_likelihood(x, v, ds), lo, hi)
         assert got == pytest.approx(brute, abs=1e-8)
 
 
@@ -371,7 +369,7 @@ def test_fit_optimum_beats_grid_oracle():
         result = fit(ds, box)
         dns = _grid_axis(box.dn_min, box.dn_max, 50)
         des = _grid_axis(box.delta_min, box.delta_max, 50)
-        grid_best = float(np.max(_log_likelihood_grid(dns, des, ds)))
+        grid_best = float(np.max(log_likelihood(dns[:, None], des[None, :], ds)))
         assert result.max_log_likelihood >= grid_best - 1e-6
 
 
@@ -557,6 +555,11 @@ def test_upper_bound_validates_cl():
         upper_bound(ds, cl=0.4, delta_bounds=(0.0, 1.0 / XI_MAX))
     with pytest.raises(ValueError):
         upper_bound(ds, cl=1.0, delta_bounds=(0.0, 1.0 / XI_MAX))
+    # the delta range is checked by the search box the bound builds
+    with pytest.raises(ValueError, match="delta_min < delta_max"):
+        upper_bound(ds, cl=0.95, delta_bounds=(1.0 / XI_MAX, 0.5 / XI_MAX))
+    with pytest.raises(ValueError, match="0 <= delta_min"):
+        upper_bound(ds, cl=0.95, delta_bounds=(-1.0 / XI_MAX, 1.0 / XI_MAX))
 
 
 def test_dataset_validation():

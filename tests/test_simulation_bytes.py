@@ -56,7 +56,7 @@ ESTIMATOR_DIGESTS = {
     "poisson": "91b87a49396906f0eb64ce2c813039f8c3478993a2f3dc74af19fa427fcce3e8",
     "expected": "c84f7e2d580f11877a668c6e23589f1257f0151276f0ed54298df79db7c072c9",
 }
-CAMPAIGN_SUMMARY_DIGEST = "bdb47ce620fb7aea69a0c5b3824f0c25639bc69abe3028e305018575f59ac6fb"
+CAMPAIGN_SUMMARY_DIGEST = "4395de70e88ebbda20581b76fb634b12aef1b18621c25871a45771317e675380"
 # field drift, clock noise and a fringe contrast below 1 all enter the
 # estimator's error model; the drift moves a few percent of the cycles
 # onto a fringe extremum, where they saturate and their pairs get no weight

@@ -171,13 +171,12 @@ def test_array_oracle_equals_scalar_oracle_bytes(dn_xi):
 
 
 def test_array_oracle_at_zero_delta_is_point_evaluation():
-    # the scalar path squares by Python's pow: numpy's squares of these
-    # sines differ from it at 12 of the 20,001 points
+    # squared by multiplication: Python's pow differs from it at 12 of
+    # these 20,001 points
     st = DipoleState(3e-14, 0.0)
     xis = np.linspace(-1e15, 1e15, 20_001)
-    assert _bits(flip_probability_quadrature(st, xis)) == _bits(
-        [math.sin(st.d_n * x) ** 2 for x in xis.tolist()]
-    )
+    sines = [math.sin(st.d_n * x) for x in xis.tolist()]
+    assert _bits(flip_probability_quadrature(st, xis)) == _bits([s * s for s in sines])
 
 
 def test_array_oracle_refuses_before_evaluating(monkeypatch):
@@ -311,6 +310,16 @@ def test_flip_probability_vectorized_over_xi():
     assert vec.shape == (7,)
     for x, v in zip(xis, vec):
         assert v == flip_probability(st, float(x))
+
+
+def test_flip_probability_array_equals_float_calls_bytes():
+    # squares are multiplications in both paths, so no last bit moves
+    st = DipoleState(3e-22, 1e-21)
+    grid = np.geomspace(1e18, 1e23, 50_000)
+    xis = np.concatenate([grid, -grid[::-1]])
+    assert _bits(flip_probability(st, xis)) == _bits(
+        [flip_probability(st, x) for x in xis.tolist()]
+    )
 
 
 def test_dipole_state_validation():
