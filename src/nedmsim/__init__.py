@@ -1,16 +1,18 @@
 """Spin-flip statistics and bound-setting for dipole-moment searches.
 
 The package splits into value-level physics (quantities, spin_dynamics,
-weak_measurement), Monte Carlo machinery (streams, ensemble,
-comagnetometer), statistical inference (inference), and the file/CLI
-surface (formats, config, cli).
+weak_measurement), Monte Carlo machinery (streams, ensemble, and
+comagnetometer with its campaign estimator), flip-count inference
+(inference), and the file/CLI surface (formats, config, cli).
 """
 
 __version__ = "0.12.0"
 
 from .comagnetometer import (
     CampaignConfig,
+    CampaignEstimate,
     CycleRecord,
+    campaign_estimator,
     extract_dn_pair,
     ratio_r,
     run_campaign,
@@ -22,12 +24,10 @@ from .ensemble import (
     simulate_stochastic,
 )
 from .inference import (
-    CampaignEstimate,
     FitResult,
     FlipDataset,
     NonConvergenceError,
     SearchBox,
-    campaign_estimator,
     fit,
     log_likelihood,
     upper_bound,

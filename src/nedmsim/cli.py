@@ -31,7 +31,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from . import __version__
-from .comagnetometer import CampaignConfig, run_campaign
+from .comagnetometer import CampaignConfig, _columns, _estimate
 from .config import ConfigError, InferenceSettings, load_config
 from .ensemble import expected_stochastic_fraction, simulate_quantum, simulate_stochastic
 from .formats import (
@@ -45,7 +45,6 @@ from .formats import (
     SCHEMA_SCAN_CSV,
     SCHEMA_SUMMARY_JSON,
     atomic_write_text,
-    cycles_to_rows,
     parse_csv,
     render_csv,
     render_json,
@@ -57,7 +56,6 @@ from .inference import (
     FlipDataset,
     NonConvergenceError,
     SearchBox,
-    campaign_estimator,
     fit,
     search_ceilings,
     upper_bound,
@@ -253,21 +251,22 @@ def _check_scan(cfg: dict, name: Callable[[str], str]) -> None:
 def _execute_scan(cfg: dict) -> int:
     state = DipoleState(d_n=cfg["dn"], delta=cfg["delta"])
     spaced = np.geomspace if cfg["spacing"] == "log" else np.linspace
-    rows = _scan_rows(state, spaced(cfg["xi_min"], cfg["xi_max"], cfg["points"]))
+    xis = spaced(cfg["xi_min"], cfg["xi_max"], cfg["points"])
+    # one array call per column, each equal to its float calls byte for
+    # byte: a scan past the node ceiling is refused before any point is
+    # evaluated
+    p_quads = flip_probability_quadrature(state, xis)
+    p = flip_probability(state, xis)
+    rows = _rows([xis, p, p_quads, np.abs(p - p_quads)])
     _emit(render_csv(SCAN_HEADER, rows), cfg["outputs"]["table"])
     return EXIT_OK
 
 
-def _scan_rows(state: DipoleState, xis: np.ndarray) -> Iterator[list]:
-    # one array call per column, each equal to its float calls byte for
-    # byte: a scan past the node ceiling is refused before any point is
-    # evaluated. Rows are yielded from 4096-point slices of the columns, so
-    # neither the table nor a whole column of floats is held beside the text
-    p_quads = flip_probability_quadrature(state, xis)
-    columns = np.stack([xis, flip_probability(state, xis), p_quads])
-    for at in range(0, xis.size, 4096):
-        for xi, p, p_quad in zip(*columns[:, at : at + 4096].tolist()):
-            yield [xi, p, p_quad, abs(p - p_quad)]
+def _rows(columns: list[np.ndarray]) -> Iterator[tuple]:
+    # rows from 4096-row slices of the columns, so neither the table nor a
+    # whole column of Python numbers is held beside the rendered text
+    for at in range(0, len(columns[0]), 4096):
+        yield from zip(*[column[at : at + 4096].tolist() for column in columns])
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +299,12 @@ def _execute_campaign(cfg: dict) -> int:
     campaign = CampaignConfig(**cfg["campaign"])
     units = UnitSystem(**cfg["units"])
     constants = PhysicalConstants(**cfg["constants"])
-    records = run_campaign(campaign, constants=constants, units=units)
-    estimate = campaign_estimator(records, campaign, units=units)
-    atomic_write_text(
-        cfg["outputs"]["cycles"], render_csv(CYCLES_HEADER, cycles_to_rows(records))
-    )
+    columns = _columns(campaign, constants, units)
+    _, polarity, n_up, n_down, _, f_hg, r = columns
+    # the counts as float64, as campaign_estimator reads them from records
+    estimate = _estimate(polarity, n_up.astype(float), n_down.astype(float), f_hg, r,
+                         campaign, units)
+    atomic_write_text(cfg["outputs"]["cycles"], render_csv(CYCLES_HEADER, _rows(columns)))
     summary = {
         "schema": SCHEMA_SUMMARY_JSON,
         "command": "campaign",

@@ -82,7 +82,8 @@ def render_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     lines.extend(
         ",".join([formatter(type(c), format_number)(c) for c in row]) for row in rows
     )
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without copying the joined text
+    return "\n".join(lines)
 
 
 def parse_csv(text: str, expected_header: Sequence[str]) -> list[list]:

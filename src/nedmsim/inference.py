@@ -1,4 +1,4 @@
-"""Likelihood fits, profile upper bounds, and the campaign estimator.
+"""Likelihood fits and profile upper bounds on flip-count data.
 
 Flip-count data at several kick strengths constrain the dipole expectation
 value and its uncertainty jointly, because the two enter the flip
@@ -31,27 +31,19 @@ at most _MAX_ROUNDS steps; each bracket of a row-wise search stops on
 its own, so it ends where a search of that bracket alone would. Without
 flips the likelihood rises with delta, so a d_n profile is the
 likelihood at the delta ceiling, one kernel call with no nuisance search.
-
-The campaign estimator turns a cycle table into per-pair dipole estimates
-via the ratio difference and combines them with inverse-variance weights;
-per-cycle variances are propagated from counting statistics through
-asymmetry -> phase -> frequency -> ratio with the delta method.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from statistics import NormalDist
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .comagnetometer import CampaignConfig, CycleRecord, extract_dn_pair
-from .quantities import UnitSystem
-from .spin_dynamics import asymmetry
+from .comagnetometer import CampaignEstimate, campaign_estimator  # re-exported
 from .weak_measurement import flip_envelope, flip_oscillation
 
 __all__ = [
@@ -614,110 +606,3 @@ def upper_bound(
     start = dn_hat if dn_hat > 0 else dn_max * 1e-9
     grid = np.geomspace(start, dn_max, 256)
     return _scan_crossing(q, grid, dn_hat, threshold, resolution)
-
-
-@dataclass(frozen=True)
-class CampaignEstimate:
-    """Inverse-variance combination of per-pair dipole estimates."""
-
-    dn_hat: float
-    standard_error: float
-    n_pairs: int
-    degenerate: bool = False
-
-
-def _cycle_ratio_variance(
-    n_up: np.ndarray, n_down: np.ndarray, f_hg: np.ndarray, config: CampaignConfig
-) -> np.ndarray:
-    """Counting variance of each cycle's ratio R = f_n / f_hg (delta method).
-
-    Takes 1-d float arrays of the cycles' counts and clocks. Var(A) =
-    (1 - A^2)/N from the binomial split is mapped through A = visibility *
-    cos(phi) to the phase, then through f_n = phi/(2 pi t) and the cycle's
-    own clock f_hg to R. Cycles without counts, and saturated cycles
-    (|A| >= visibility), have no phase sensitivity and get infinite
-    variance.
-    """
-    total = n_up + n_down
-    variance = np.full(total.shape, math.inf)
-    counted = np.flatnonzero(total > 0)
-    a_hat = asymmetry(n_up[counted], n_down[counted])
-    visibility = config.visibility
-    sensitive = np.abs(a_hat) < visibility  # none when visibility <= 0
-    cycles, a_hat = counted[sensitive], a_hat[sensitive]
-    var_a = (1.0 - a_hat * a_hat) / total[cycles]  # > 0, since |a_hat| < visibility <= 1
-    var_phi = var_a / (visibility * visibility * (1.0 - (a_hat / visibility) ** 2))
-    var_fn = var_phi / (2.0 * math.pi * config.free_time) ** 2
-    variance[cycles] = var_fn / (f_hg[cycles] * f_hg[cycles])
-    return variance
-
-
-def campaign_estimator(
-    records: Sequence[CycleRecord],
-    config: CampaignConfig,
-    units: UnitSystem = UnitSystem(),
-) -> CampaignEstimate:
-    """Dipole estimate and standard error from a campaign cycle table.
-
-    Consecutive records form polarity pairs; each pair yields
-    ``extract_dn_pair`` evaluated with the pair's mean measured clock
-    frequency. That function is linear in R_plus - R_minus, so its value
-    at a unit difference is the pair's slope, and the pair's variance is
-    slope^2 * (Var(R_plus) + Var(R_minus)). A pair whose ratios are not
-    both finite is skipped. Pairs are combined with inverse-variance
-    weights, all pairs as arrays at once. In the ``expected`` counting mode
-    there is no counting noise to propagate: the estimate is the plain mean
-    and the zero standard error is flagged as degenerate.
-
-    The reported standard error covers counting statistics only (it
-    matches the seed-to-seed scatter to ~3% when counting noise is the
-    only noise source); field-drift and clock-noise contributions are not
-    part of the error model and widen the true scatter beyond it.
-    """
-    if len(records) < 2:
-        raise ValueError("at least one polarity pair is required")
-    if len(records) % 2 != 0:
-        raise ValueError("lone polarity cycle: records must form +/- pairs")
-
-    polarity, n_up, n_down, f_hg, r = (
-        np.fromiter(map(operator.attrgetter(key), records), float, len(records))
-        for key in ("polarity", "n_up", "n_down", "f_hg", "r")
-    )
-    shared = np.flatnonzero(polarity[0::2] == polarity[1::2])
-    if shared.size:
-        a, b = records[2 * shared[0]], records[2 * shared[0] + 1]
-        raise ValueError(f"records {a.index} and {b.index} share polarity {a.polarity:+d}")
-    # each pair's plus and minus cycle
-    plus = np.arange(0, len(records), 2) + (polarity[0::2] != 1)
-    minus = plus ^ 1
-    usable = np.isfinite(r[plus]) & np.isfinite(r[minus])
-    plus, minus = plus[usable], minus[usable]
-    if not plus.size:
-        raise ValueError("no usable polarity pairs (all saturated or invalid)")
-
-    f_hg_pair = 0.5 * (f_hg[plus] + f_hg[minus])
-    estimates = extract_dn_pair(r[plus], r[minus], config.e_magnitude, f_hg_pair, units)
-
-    if config.counting_mode == "expected":
-        return CampaignEstimate(
-            dn_hat=float(np.mean(estimates)),
-            standard_error=0.0,
-            n_pairs=int(estimates.size),
-            degenerate=True,
-        )
-
-    slope = extract_dn_pair(1.0, 0.0, config.e_magnitude, f_hg_pair, units)
-    var_cycle = _cycle_ratio_variance(n_up, n_down, f_hg, config)
-    variances = slope * slope * (var_cycle[plus] + var_cycle[minus])
-    weighted = np.isfinite(variances) & (variances > 0)
-    if not np.any(weighted):
-        raise ValueError("no usable polarity pairs (all saturated or invalid)")
-    weights = np.zeros(variances.shape)
-    weights[weighted] = 1.0 / variances[weighted]
-    dn_hat = float(np.sum(weights * estimates) / np.sum(weights))
-    se = float(math.sqrt(1.0 / np.sum(weights)))
-    return CampaignEstimate(
-        dn_hat=dn_hat,
-        standard_error=se,
-        n_pairs=int(np.count_nonzero(weighted)),
-    )

@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 import nedmsim
-from nedmsim.comagnetometer import CampaignConfig, run_campaign
+from nedmsim.comagnetometer import CampaignConfig, campaign_estimator, run_campaign
 from nedmsim.ensemble import (
     expected_stochastic_fraction,
     simulate_quantum,
     simulate_stochastic,
 )
-from nedmsim.inference import FlipDataset, SearchBox, campaign_estimator, fit, upper_bound
+from nedmsim.inference import FlipDataset, SearchBox, fit, upper_bound
 from nedmsim.quantities import PhysicalConstants, UnitSystem
 from nedmsim.spin_dynamics import (
     RamseyConfig,

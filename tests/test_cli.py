@@ -1,5 +1,6 @@
 """CLI surface: commands, exit codes, formats, manifests, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,10 +15,19 @@ import pytest
 
 import nedmsim
 from nedmsim.cli import main
+from nedmsim.comagnetometer import (
+    CAMPAIGN_BLOCK,
+    COUNTING_MODES,
+    campaign_estimator,
+    run_campaign,
+)
+from nedmsim.config import parse_config_text
 from nedmsim.formats import (
     CONTRAST_HEADER,
+    CYCLES_HEADER,
     FLIPS_HEADER,
     SCAN_HEADER,
+    cycles_to_rows,
     parse_csv,
     render_csv,
 )
@@ -319,6 +329,63 @@ def test_campaign_overflowing_field_exits_2(tmp_path, capsys):
     assert run_cli("campaign", "--config", cfg, "--out", tmp_path / "cycles.csv") == 2
     err = capsys.readouterr().err
     assert "b_nominal and b_drift_sd" in err and "math domain error" not in err
+
+
+@pytest.mark.parametrize("neutrons", [10_000, 2**62 + 1])
+@pytest.mark.parametrize("mode", COUNTING_MODES)
+def test_campaign_command_matches_library_without_records(tmp_path, monkeypatch, mode, neutrons):
+    # two blocks, so the CLI's columns are concatenated as the library's are;
+    # near 2**63 neutrons, counts summed as int64 would round otherwise
+    ini = (f"[campaign]\ntrue_dn_e_cm = 3e-22\nb_drift_sd_tesla = 1e-10\nvisibility = 0.8\n"
+           f"cycles = {CAMPAIGN_BLOCK + 4}\nneutrons_per_cycle = {neutrons}\nseed = 17\n"
+           f"counting_mode = {mode}\n")
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(ini)
+    config = parse_config_text(ini).campaign
+    records = run_campaign(config)
+    expected_csv = render_csv(CYCLES_HEADER, cycles_to_rows(records))
+    estimate = campaign_estimator(records, config)
+
+    def no_records(*args):
+        raise AssertionError("nedmsim campaign built a CycleRecord")
+
+    monkeypatch.setattr(nedmsim.comagnetometer, "CycleRecord", no_records)
+    out = tmp_path / "cycles.csv"
+    assert run_cli("campaign", "--config", cfg, "--out", out) == 0
+    assert out.read_text() == expected_csv
+    summary = json.loads((tmp_path / "cycles.summary.json").read_text())
+    assert [summary[key] for key in ("dn_hat", "standard_error", "n_pairs", "degenerate")] == [
+        estimate.dn_hat, estimate.standard_error, estimate.n_pairs, estimate.degenerate]
+    assert nedmsim.inference.campaign_estimator is nedmsim.comagnetometer.campaign_estimator
+
+
+# the Ramsey phase overflows above about 9.343e297 T; at this seed the first
+# drift past it is cycle 6491, in the second block. With no fringe contrast
+# no pair has phase sensitivity, so the estimator would refuse every pair too
+LATE_OVERFLOW_INI = """\
+[campaign]
+b_nominal_tesla = 9.31e297
+b_drift_sd_tesla = 9.34e294
+visibility = 0
+cycles = 12288
+seed = 2
+"""
+
+
+def test_campaign_late_block_phase_error_writes_nothing(tmp_path, capsys):
+    config = parse_config_text(LATE_OVERFLOW_INI).campaign
+    first_block = dataclasses.replace(config, cycles=CAMPAIGN_BLOCK)
+    # fields this large overflow the pair slope's square, as main lets them
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="no usable polarity"):
+        campaign_estimator(run_campaign(first_block), first_block)
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(LATE_OVERFLOW_INI)
+    out, manifest = tmp_path / "cycles.csv", tmp_path / "run.manifest.json"
+    assert run_cli("campaign", "--config", cfg, "--out", out, "--manifest-out", manifest) == 2
+    err = capsys.readouterr().err
+    assert "error: cycle 6491: the Ramsey phase is not finite" in err
+    assert "usable" not in err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["c.ini"]
 
 
 def rerun_edited_campaign(tmp_path, capsys, field, value) -> str:

@@ -8,12 +8,12 @@ import pytest
 from nedmsim.comagnetometer import (
     CampaignConfig,
     CycleRecord,
+    campaign_estimator,
     extract_dn_pair,
     ratio_r,
     run_campaign,
 )
 from nedmsim.ensemble import _MAX_TRIALS
-from nedmsim.inference import campaign_estimator
 from nedmsim.quantities import PhysicalConstants, UnitSystem
 
 UNITS = UnitSystem()

@@ -84,6 +84,27 @@ def test_expected_fraction_limits():
     assert expected_stochastic_fraction(st, xi) == pytest.approx(0.5, abs=1e-15)
 
 
+def test_expected_fraction_squares_by_multiplication_bytes():
+    # pow(x, 2) misses x * x in the last bit for about one x in a thousand.
+    # Along delta = 0 the result is sin^2 alone, and along dn = 0 it is the
+    # envelope term alone, so a last-bit change in either square shows there
+    def reference(d_n, delta, xi):
+        s = xi * delta
+        two_s2 = 2.0 * (s * s)
+        sine = math.sin(d_n * xi)
+        return -0.5 * math.expm1(-two_s2) + math.exp(-two_s2) * (sine * sine)
+
+    xi = 1e21
+    xi_delta = [0.0, *np.geomspace(1e-9, 10.0, 20_000).tolist()]
+    dn_xi = [0.0, *np.geomspace(1e-9, 3.2, 20_000).tolist()]
+    grid = [(a, b) for a in xi_delta[::67] for b in dn_xi[::67]]
+    grid += [(a, 0.0) for a in xi_delta] + [(0.0, b) for b in dn_xi]
+    states = [DipoleState(b / xi, a / xi) for a, b in grid]
+    assert [expected_stochastic_fraction(st, xi) for st in states] == [
+        reference(st.d_n, st.delta, xi) for st in states
+    ]
+
+
 def test_zero_state_never_flips_either_model():
     st = DipoleState(0.0, 0.0)
     assert simulate_quantum(st, 1e14, 10_000, seed=1).flips == 0

@@ -7,14 +7,13 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from nedmsim.comagnetometer import CampaignConfig, CycleRecord, run_campaign
+from nedmsim.comagnetometer import CampaignConfig, CycleRecord, campaign_estimator, run_campaign
 from nedmsim.inference import (
     FIT_DELTA_WIDTHS,
     GRID_POINTS_MAX,
     FlipDataset,
     NonConvergenceError,
     SearchBox,
-    campaign_estimator,
     fit,
     log_likelihood,
     search_ceilings,

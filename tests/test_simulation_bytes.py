@@ -29,14 +29,15 @@ from nedmsim.comagnetometer import (
     COUNTING_MODES,
     CampaignConfig,
     CycleRecord,
+    _cycle_ratio_variance,
     _measured_phase,
+    campaign_estimator,
     extract_dn_pair,
     run_campaign,
 )
 from nedmsim.config import parse_config_text
 from nedmsim.ensemble import simulate_quantum, simulate_stochastic
 from nedmsim.formats import CYCLES_HEADER, cycles_to_rows, render_csv
-from nedmsim.inference import _cycle_ratio_variance, campaign_estimator
 from nedmsim.quantities import PhysicalConstants, UnitSystem
 from nedmsim.spin_dynamics import _phase, asymmetry, up_probability
 from nedmsim.streams import DOMAIN_CYCLE, substream
