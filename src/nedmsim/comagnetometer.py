@@ -364,9 +364,18 @@ def _estimate(polarity, n_up, n_down, f_hg, r, config, units) -> CampaignEstimat
             degenerate=True,
         )
 
-    slope = extract_dn_pair(1.0, 0.0, config.e_magnitude, f_hg_pair, units)
-    var_cycle = _cycle_ratio_variance(n_up, n_down, f_hg, config)
-    variances = slope * slope * (var_cycle[plus] + var_cycle[minus])
+    # the slope and the ratio variance square the clock, which overflows
+    # beyond about 1e154 Hz and goes subnormal below 1e-154 Hz. Each pair's
+    # clocks are scaled by the power of two that brings their mean into
+    # [0.5, 1): the variance's factors scale by exact, cancelling powers of
+    # two, so it keeps its bits wherever no factor overflows or is subnormal
+    _, exponent = np.frexp(f_hg_pair)
+    slope = extract_dn_pair(1.0, 0.0, config.e_magnitude, np.ldexp(f_hg_pair, -exponent), units)
+    cycles = np.concatenate([plus, minus])
+    var_plus, var_minus = _cycle_ratio_variance(
+        n_up[cycles], n_down[cycles], np.ldexp(f_hg[cycles], np.tile(-exponent, 2)), config
+    ).reshape(2, -1)
+    variances = slope * slope * (var_plus + var_minus)
     weighted = np.isfinite(variances) & (variances > 0)
     if not np.any(weighted):
         raise ValueError("no usable polarity pairs (all saturated or invalid)")

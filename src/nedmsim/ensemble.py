@@ -35,8 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .streams import DOMAIN_QUANTUM, DOMAIN_STOCHASTIC, substream
 from .weak_measurement import DipoleState, check_phase, flip_probability
 
@@ -126,11 +124,12 @@ def expected_stochastic_fraction(state: DipoleState, xi: float) -> float:
     evaluated as -expm1(-2 s^2)/2 + exp(-2 s^2) sin(d_n xi)^2, which has
     no cancellation at small phases. Reduces to sin(d_n xi)^2 at
     delta = 0 and saturates at 1/2 when s is large (fully randomized
-    phase). s^2 is formed by numpy, as in ``flip_envelope``, so an
-    overflowing s gives exactly 1/2.
+    phase). s and s^2 are float products, as in :func:`flip_probability`'s
+    float path, so an overflowing s squares to inf without a warning and
+    gives exactly 1/2.
     """
     check_phase(state, xi)
-    s = np.multiply(xi, state.delta)
-    two_s2 = 2.0 * float(s * s)
+    s = xi * state.delta
+    two_s2 = 2.0 * (s * s)
     sine = math.sin(state.d_n * xi)
     return -0.5 * math.expm1(-two_s2) + math.exp(-two_s2) * (sine * sine)

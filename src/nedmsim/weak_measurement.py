@@ -156,19 +156,25 @@ def flip_probability(state: DipoleState, xi):
     -------
     float or ndarray in [0, 1]; exactly 0.0 wherever d_n == 0.
 
-    A scalar is evaluated in numpy scalars: a Python float skips the array
-    conversion, and a float, an np.float64 and a 0-d array give the same
-    float. Every square is a multiplication, so an array call equals its
-    float calls byte for byte: ``flip_probability(state, xs)[i] ==
-    flip_probability(state, float(xs[i]))``.
+    A Python float is evaluated in floats: :func:`flip_kernel`'s operations
+    in its order, with numpy's ``sin`` and ``exp`` on floats, and no array
+    call. An overflowing xi*delta squares to inf there without a warning,
+    and the envelope is 0. An np.float64 or a 0-d array takes
+    :func:`flip_kernel` and gives the same float. Every square is a
+    multiplication, so an array call equals its float calls byte for byte:
+    ``flip_probability(state, xs)[i] == flip_probability(state, float(xs[i]))``.
 
     Raises
     ------
     ValueError
         If an xi, or the phase d_n*xi, is not finite (:func:`check_phase`).
     """
-    if type(xi) is not float:
-        xi = np.asarray(xi, dtype=float)
+    if type(xi) is float:
+        check_phase(state, xi)
+        sine = float(np.sin(state.d_n * xi))
+        scale = xi * state.delta
+        return sine * sine * float(np.exp(-(scale * scale)))
+    xi = np.asarray(xi, dtype=float)
     check_phase(state, xi)
     p = flip_kernel(state.d_n, state.delta, xi)
     return float(p) if p.ndim == 0 else p

@@ -286,6 +286,21 @@ def test_overflowing_field_is_refused_by_the_phase_check(seed):
         run_campaign(config)
 
 
+@pytest.mark.parametrize("b_nominal", [1e140, 1e150, 1e290])
+def test_estimator_keeps_pairs_whose_clock_squares_overflow(b_nominal):
+    # f_hg is about 7.6e156 Hz at 1e150 T, so f_hg^2 and the pair slope's
+    # square overflow; the pairs are unsaturated and all kept, with the
+    # standard error of the same campaign at 1 uT up to rounding. The
+    # warning filter fails the test on any numpy overflow warning
+    config = CampaignConfig(b_nominal=b_nominal, visibility=1.0, cycles=4096, seed=2)
+    reference = CampaignConfig(b_nominal=1e-6, visibility=1.0, cycles=4096, seed=2)
+    estimate = campaign_estimator(run_campaign(config), config)
+    assert estimate.n_pairs == 2048 and not estimate.degenerate
+    assert estimate.standard_error == pytest.approx(
+        campaign_estimator(run_campaign(reference), reference).standard_error, rel=1e-12
+    )
+
+
 def test_cycle_record_validation():
     with pytest.raises(ValueError):
         CycleRecord(0, 0, 10, 10, 1.0, 1.0, 1.0)

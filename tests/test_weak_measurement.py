@@ -1,6 +1,7 @@
 """Flip probability: closed form vs the quadrature oracle and its rule."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -194,8 +195,8 @@ def test_array_oracle_refuses_before_evaluating(monkeypatch):
 
 
 def test_scalar_inputs_give_identical_floats():
-    # a Python float takes flip_probability's fast path, which skips the
-    # array round trip; np.float64 and a 0-d array take the array path
+    # a Python float takes flip_probability's float path, which never calls
+    # flip_kernel; np.float64 and a 0-d array go through flip_kernel
     st = DipoleState(3e-22, 1e-21)
     for x in np.geomspace(1e19, 1e22, 300).tolist():
         for call in (flip_probability, flip_probability_quadrature):
@@ -320,6 +321,49 @@ def test_flip_probability_array_equals_float_calls_bytes():
     assert _bits(flip_probability(st, xis)) == _bits(
         [flip_probability(st, x) for x in xis.tolist()]
     )
+
+
+@pytest.mark.parametrize(
+    "state, xi_max",
+    [
+        (DipoleState(0.0, 1e-21), 1e23),
+        (DipoleState(-3e-22, 1e-21), 1e23),
+        (DipoleState(0.0, 1e-13), 1e170),
+        (DipoleState(-3e-171, 1e-13), 1e170),
+    ],
+    ids=["dn_zero", "dn_negative", "dn_zero_envelope_overflows", "envelope_overflows"],
+)
+def test_float_calls_equal_array_call_bytes_at_the_edges(state, xi_max):
+    # xi of both signs; in the last two cases xi*delta runs from 1e152 to
+    # 1e157, past 1.3e154, where its square overflows and the envelope is 0
+    grid = np.geomspace(xi_max * 1e-5, xi_max, 20_000)
+    xis = np.concatenate([grid, -grid[::-1]])
+    with np.errstate(over="ignore"):
+        array = flip_probability(state, xis)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        floats = [flip_probability(state, x) for x in xis.tolist()]
+    assert _bits(array) == _bits(floats)
+    if state.d_n == 0.0:
+        assert set(_bits(floats)) == {0}
+    overflowing = np.abs(xis) * state.delta > 1.3e154
+    if xi_max > 1e160:
+        assert 0 < np.count_nonzero(overflowing) < xis.size
+        assert set(_bits(array[overflowing])) == {0}
+
+
+def test_float_path_never_calls_the_kernel(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("flip_kernel was called")
+
+    st = DipoleState(3e-22, 1e-21)
+    expected = float(flip_kernel(st.d_n, st.delta, 1e21))
+    monkeypatch.setattr("nedmsim.weak_measurement.flip_kernel", refuse)
+    p = flip_probability(st, 1e21)
+    assert type(p) is float and _bits([p]) == _bits([expected])
+    for xi in (np.array([1e21]), np.array(1e21), np.float64(1e21)):
+        with pytest.raises(AssertionError, match="flip_kernel was called"):
+            flip_probability(st, xi)
 
 
 def test_dipole_state_validation():
