@@ -6,7 +6,7 @@ counts, and then runs the same analysis chain a counting experiment
 would (a block of cycles does each step as one array operation):
 measured asymmetry -> phase -> neutron frequency -> ratio
 
-    R = f_n / f_hg  ~  |gamma_n|/|gamma_hg| + d_n E k g / (pi f_hg) + dR_sys
+    R = f_n / f_hg + dR_sys  ~  |gamma_n|/|gamma_hg| + d_n E k g / (pi f_hg) + dR_sys
 
 The fringe order (number of completed turns) is taken as known from the
 nominal field, as it is in practice; only the fractional phase is read
@@ -24,8 +24,9 @@ makes a noise-free campaign reproduce its configured dipole exactly.
 
 :func:`campaign_estimator` combines per-pair dipole estimates with
 inverse-variance weights, propagating counting variance through asymmetry
--> phase -> frequency -> ratio (delta method); ``nedmsim campaign`` runs it
-on the campaign's columns without building a :class:`CycleRecord`.
+-> phase (delta method) and weighing the pairs in phase units; ``nedmsim
+campaign`` runs it on the campaign's columns without building a
+:class:`CycleRecord`.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ class CycleRecord:
     """One comagnetometer cycle: counts, frequencies, and their ratio.
 
     Counts are ints in sampling modes and floats in ``expected`` mode.
-    ``r`` always equals ``f_n / f_hg`` as computed.
+    ``r`` always equals ``f_n / f_hg + delta_r_sys`` as computed.
     """
 
     index: int
@@ -278,6 +279,7 @@ def _block(
         f_hg = abs(constants.gamma_hg * b_cycle) / _TWO_PI
         f_hg *= 1.0 + clock
         r = np.divide(f_n, f_hg, out=np.full(size, math.nan), where=f_hg != 0)
+        r += config.delta_r_sys
 
     return index, polarity, n_up, n_down, f_n, f_hg, r
 
@@ -317,29 +319,22 @@ class CampaignEstimate:
     degenerate: bool = False
 
 
-def _cycle_ratio_variance(
-    n_up: np.ndarray, n_down: np.ndarray, f_hg: np.ndarray, config: CampaignConfig
-) -> np.ndarray:
-    """Counting variance of each cycle's ratio R = f_n / f_hg (delta method).
+def _phase_variance(n_up: np.ndarray, n_down: np.ndarray, visibility: float) -> np.ndarray:
+    """Counting variance of each cycle's measured phase (delta method).
 
-    Takes 1-d float arrays of the cycles' counts and clocks. Var(A) =
-    (1 - A^2)/N from the binomial split is mapped through A = visibility *
-    cos(phi) to the phase, then through f_n = phi/(2 pi t) and the cycle's
-    own clock f_hg to R. Cycles without counts, and saturated cycles
-    (|A| >= visibility), have no phase sensitivity and get infinite
-    variance.
+    Takes 1-d float arrays of the cycles' counts. Var(A) = (1 - A^2)/N from
+    the binomial split is mapped through A = visibility * cos(phi) to the
+    phase. Cycles without counts, and saturated cycles (|A| >= visibility),
+    have no phase sensitivity and get infinite variance.
     """
     total = n_up + n_down
     variance = np.full(total.shape, math.inf)
     counted = np.flatnonzero(total > 0)
     a_hat = asymmetry(n_up[counted], n_down[counted])
-    visibility = config.visibility
     sensitive = np.abs(a_hat) < visibility  # none when visibility <= 0
     cycles, a_hat = counted[sensitive], a_hat[sensitive]
     var_a = (1.0 - a_hat * a_hat) / total[cycles]  # > 0, since |a_hat| < visibility <= 1
-    var_phi = var_a / (visibility * visibility * (1.0 - (a_hat / visibility) ** 2))
-    var_fn = var_phi / (2.0 * math.pi * config.free_time) ** 2
-    variance[cycles] = var_fn / (f_hg[cycles] * f_hg[cycles])
+    variance[cycles] = var_a / (visibility * visibility * (1.0 - (a_hat / visibility) ** 2))
     return variance
 
 
@@ -357,37 +352,26 @@ def _estimate(polarity, n_up, n_down, f_hg, r, config, units) -> CampaignEstimat
     estimates = extract_dn_pair(r[plus], r[minus], config.e_magnitude, f_hg_pair, units)
 
     if config.counting_mode == "expected":
-        return CampaignEstimate(
-            dn_hat=float(np.mean(estimates)),
-            standard_error=0.0,
-            n_pairs=int(estimates.size),
-            degenerate=True,
-        )
+        return CampaignEstimate(float(np.mean(estimates)), 0.0, estimates.size, degenerate=True)
 
-    # the slope and the ratio variance square the clock, which overflows
-    # beyond about 1e154 Hz and goes subnormal below 1e-154 Hz. Each pair's
-    # clocks are scaled by the power of two that brings their mean into
-    # [0.5, 1): the variance's factors scale by exact, cancelling powers of
-    # two, so it keeps its bits wherever no factor overflows or is subnormal
-    _, exponent = np.frexp(f_hg_pair)
-    slope = extract_dn_pair(1.0, 0.0, config.e_magnitude, np.ldexp(f_hg_pair, -exponent), units)
+    # each cycle's phase variance, times (f / f_c)^2 for its pair's mean clock f
     cycles = np.concatenate([plus, minus])
-    var_plus, var_minus = _cycle_ratio_variance(
-        n_up[cycles], n_down[cycles], np.ldexp(f_hg[cycles], np.tile(-exponent, 2)), config
-    ).reshape(2, -1)
-    variances = slope * slope * (var_plus + var_minus)
+    clock = np.tile(f_hg_pair, 2) / f_hg[cycles]
+    variances = (_phase_variance(n_up[cycles], n_down[cycles], config.visibility)
+                 * (clock * clock)).reshape(2, -1).sum(axis=0)
     weighted = np.isfinite(variances) & (variances > 0)
     if not np.any(weighted):
         raise ValueError("no usable polarity pairs (all saturated or invalid)")
     weights = np.zeros(variances.shape)
     weights[weighted] = 1.0 / variances[weighted]
     dn_hat = float(np.sum(weights * estimates) / np.sum(weights))
-    se = float(math.sqrt(1.0 / np.sum(weights)))
-    return CampaignEstimate(
-        dn_hat=dn_hat,
-        standard_error=se,
-        n_pairs=int(np.count_nonzero(weighted)),
-    )
+    # k, the dipole per unit phase; dividing by t last forms no product with t
+    per_phase = extract_dn_pair(1.0, 0.0, config.e_magnitude, 1.0, units) / _TWO_PI
+    se = per_phase / config.free_time * math.sqrt(1.0 / np.sum(weights))
+    if not 0.0 < se < math.inf:
+        raise ValueError(f"standard error {se!r} is not positive and finite: "
+                         "e_magnitude or free_time is too small or too large")
+    return CampaignEstimate(dn_hat, se, int(np.count_nonzero(weighted)))
 
 
 def campaign_estimator(
@@ -399,13 +383,16 @@ def campaign_estimator(
 
     Consecutive records form polarity pairs; each pair yields
     ``extract_dn_pair`` evaluated with the pair's mean measured clock
-    frequency. That function is linear in R_plus - R_minus, so its value
-    at a unit difference is the pair's slope, and the pair's variance is
-    slope^2 * (Var(R_plus) + Var(R_minus)). A pair whose ratios are not
-    both finite is skipped. Pairs are combined with inverse-variance
-    weights, all pairs as arrays at once. In the ``expected`` counting mode
-    there is no counting noise to propagate: the estimate is the plain mean
-    and the zero standard error is flagged as degenerate.
+    frequency f. That function is linear in R_plus - R_minus, and a
+    cycle's R = phi_c / (2 pi t f_c), so the pair's variance is
+    k^2 * sum_c Var(phi_c) * (f / f_c)^2 over its two cycles, where k =
+    ``extract_dn_pair(1, 0, E, 1) / (2 pi t)`` is the dipole per unit phase.
+    Pairs are weighed in phase units, by 1 / sum_c Var(phi_c) * (f / f_c)^2,
+    and k scales the standard error alone; one that is not positive and
+    finite raises ValueError. A pair whose ratios are not both finite is
+    skipped; all pairs are combined as arrays at once. In the ``expected``
+    counting mode there is no counting noise to propagate: the estimate is
+    the plain mean and the zero standard error is flagged as degenerate.
 
     The reported standard error covers counting statistics only (it
     matches the seed-to-seed scatter to ~3% when counting noise is the

@@ -44,7 +44,7 @@ from typing import Iterable
 import numpy as np
 
 from .comagnetometer import CampaignEstimate, campaign_estimator  # re-exported
-from .weak_measurement import flip_envelope, flip_oscillation
+from .weak_measurement import DipoleState, check_phase, flip_envelope, flip_oscillation
 
 __all__ = [
     "FlipDataset",
@@ -474,6 +474,11 @@ def search_ceilings(dataset: FlipDataset, delta_widths: float) -> tuple[float, f
     return 0.5 * math.pi / xi_max, delta_widths / xi_max
 
 
+def _check_dn_ceiling(dn_max: float, dataset: FlipDataset) -> None:
+    """Raise ValueError unless the largest phase searched, dn_max*max|xi|, is finite."""
+    check_phase(DipoleState(dn_max, 0.0), float(np.max(np.abs(dataset.xi))))
+
+
 def fit(
     dataset: FlipDataset, search: SearchBox, interval_cl: float = CL_DEFAULT
 ) -> FitResult:
@@ -486,12 +491,13 @@ def fit(
     _MAX_ROUNDS zoom steps. Datasets in which every point is all-zero or
     all-full carry no joint information: the result then sits at the
     search floor or the best coarse-grid point with ``converged=False``
-    and an explanatory message.
+    and an explanatory message. A non-finite dn_max*max|xi| raises ValueError.
     """
     if not 0 < interval_cl < 1:
         raise ValueError("interval_cl must lie in (0, 1)")
     if dataset.distinct_xi_count < 2:
         raise ValueError("joint fitting requires >= 2 distinct xi values")
+    _check_dn_ceiling(search.dn_max, dataset)
 
     # chi2.ppf(interval_cl, df=1), from the upper tail to avoid cancellation
     threshold = NormalDist().inv_cdf((1.0 - interval_cl) / 2.0) ** 2
@@ -571,6 +577,8 @@ def upper_bound(
 
     Raises
     ------
+    ValueError
+        If dn_max*max|xi| is not finite.
     NonConvergenceError
         If the maximum likelihood does not converge to ``resolution`` (as
         in :func:`fit`), or the statistic never crosses the threshold
@@ -592,6 +600,7 @@ def upper_bound(
         delta_min=de_lo,
         resolution=resolution,
     )
+    _check_dn_ceiling(dn_max, dataset)
     if np.all(dataset.flips == 0):
         dn_hat, ll_hat = 0.0, 0.0
     else:

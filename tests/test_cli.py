@@ -331,6 +331,25 @@ def test_campaign_overflowing_field_exits_2(tmp_path, capsys):
     assert "b_nominal and b_drift_sd" in err and "math domain error" not in err
 
 
+def test_campaign_huge_free_time_exits_0(tmp_path):
+    # the ratio variance's (2 pi t)**2 raised OverflowError: exit 1, a traceback
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[campaign]\nfree_time_s = 1e160\ncycles = 8\nseed = 2\n")
+    assert run_cli("campaign", "--config", cfg, "--out", tmp_path / "cycles.csv") == 0
+    summary = json.loads((tmp_path / "cycles.summary.json").read_text())
+    assert summary["n_pairs"] == 4 and 0.0 < summary["standard_error"] < math.inf
+
+
+def test_campaign_huge_field_standard_error_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[campaign]\ne_field_v_per_cm = 1e300\ncycles = 8\nseed = 2\n")
+    assert run_cli("campaign", "--config", cfg, "--out", tmp_path / "cycles.csv") == 2
+    assert capsys.readouterr().err == (
+        "error: standard error 0.0 is not positive and finite: "
+        "e_magnitude or free_time is too small or too large\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["c.ini"]
+
+
 @pytest.mark.parametrize("neutrons", [10_000, 2**62 + 1])
 @pytest.mark.parametrize("mode", COUNTING_MODES)
 def test_campaign_command_matches_library_without_records(tmp_path, monkeypatch, mode, neutrons):
@@ -375,8 +394,7 @@ seed = 2
 def test_campaign_late_block_phase_error_writes_nothing(tmp_path, capsys):
     config = parse_config_text(LATE_OVERFLOW_INI).campaign
     first_block = dataclasses.replace(config, cycles=CAMPAIGN_BLOCK)
-    # fields this large overflow the pair slope's square, as main lets them
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="no usable polarity"):
+    with pytest.raises(ValueError, match="no usable polarity"):
         campaign_estimator(run_campaign(first_block), first_block)
     cfg = tmp_path / "c.ini"
     cfg.write_text(LATE_OVERFLOW_INI)
@@ -910,6 +928,32 @@ def test_fit_and_bound_flags_are_named_in_errors(tmp_path, capsys, argv, message
     assert run_cli(*argv, "--data", data, "--manifest-out", manifest) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not manifest.exists()
+
+
+@pytest.mark.parametrize("command, key", [("fit", ("search", "dn_max")), ("bound", ("dn_max",))],
+                         ids=["fit", "bound"])
+def test_dn_max_whose_phase_overflows_exits_2_fresh_and_on_rerun(tmp_path, capsys, command, key):
+    # fit exited 0 with a NaN max_log_likelihood and numpy's warning, and
+    # bound exited 4 saying the statistic stayed below the threshold
+    data, manifest, out = tmp_path / "flips.csv", tmp_path / "m.json", tmp_path / "out.json"
+    write_flip_csv(data, [(1e20, 1000, 10), (2e20, 1000, 30)])
+    error = "error: xi and the phase d_n*xi must be finite (d_n = 1e+300)\n"
+    assert run_cli(command, "--data", data, "--dn-max", "1e300", "--out", out,
+                   "--manifest-out", manifest) == 2
+    assert capsys.readouterr() == ("", error)
+    assert not out.exists() and not manifest.exists()
+    assert run_cli(command, "--data", data, "--out", out, "--manifest-out", manifest) == 0
+    out.unlink()
+    recorded = json.loads(manifest.read_text())
+    table = recorded["config"]
+    for part in key[:-1]:
+        table = table[part]
+    table[key[-1]] = 1e300
+    manifest.write_text(json.dumps(recorded))
+    capsys.readouterr()
+    assert run_cli("rerun", manifest) == 2
+    assert capsys.readouterr() == ("", error)
+    assert not out.exists()
 
 
 GRID_ERROR = f"error: grid_points must lie in [4, {GRID_POINTS_MAX}]\n"

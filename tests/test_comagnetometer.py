@@ -1,5 +1,6 @@
 """Campaign simulation: ratio algebra, cycle records, reproducibility."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -299,6 +300,35 @@ def test_estimator_keeps_pairs_whose_clock_squares_overflow(b_nominal):
     assert estimate.standard_error == pytest.approx(
         campaign_estimator(run_campaign(reference), reference).standard_error, rel=1e-12
     )
+
+
+def test_estimator_keeps_pairs_of_a_huge_free_time():
+    # each pair's ratio variance, with its 1/(2 pi t)^2, underflowed to 0
+    # here, and the campaign was refused as having no usable pairs
+    config = CampaignConfig(b_nominal=4e-160, free_time=1e151, cycles=8, seed=2)
+    estimate = campaign_estimator(run_campaign(config), config)
+    assert estimate.n_pairs == 4
+    assert 0.0 < estimate.standard_error < math.inf
+
+
+@pytest.mark.parametrize("mode", ["binomial", "poisson", "expected"])
+def test_delta_r_sys_offsets_every_ratio_and_cancels_in_the_estimate(mode):
+    base = CampaignConfig(true_dn=3e-22, b_drift_sd=1e-12, f_hg_noise_sd=1e-8,
+                          cycles=400, seed=20_261_018, counting_mode=mode)
+    shifted = dataclasses.replace(base, delta_r_sys=0.001)
+    records, moved = run_campaign(base), run_campaign(shifted)
+    for record, offset in zip(records, moved):
+        assert dataclasses.replace(offset, r=record.r) == record
+        assert abs(offset.r - record.r - 0.001) <= math.ulp(offset.r)
+    estimate = campaign_estimator(records, base)
+    offset_estimate = campaign_estimator(moved, shifted)
+    # each ratio lies below 4, so the offset's rounding moves a pair's
+    # difference by at most two ulps of 4
+    rounding = extract_dn_pair(2.0 * math.ulp(4.0), 0.0, base.e_magnitude,
+                               max(record.f_hg for record in records), UNITS)
+    assert abs(offset_estimate.dn_hat - estimate.dn_hat) <= rounding
+    assert offset_estimate.standard_error == estimate.standard_error
+    assert offset_estimate.n_pairs == estimate.n_pairs
 
 
 def test_cycle_record_validation():

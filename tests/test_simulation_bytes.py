@@ -9,8 +9,9 @@ here; the layout tests below rebuild it one cycle at a time. The quantum
 digest pins the single Binomial(trials, P) draw of artifact version 0.6.0
 and the stochastic digest the single Binomial(trials, f) draw of 0.7.0,
 so they also fail if numpy's binomial sampler changes its stream.
-The estimator digests pin its error model (pair slope, cycle asymmetry,
-inverse-variance weights) to the last bit. A deliberate change of stream
+The estimator digests pin its error model (phase variance from the cycle
+asymmetry, phase-unit pair weights, the dipole per unit phase) to the last
+bit, as of artifact version 0.13.0. A deliberate change of stream
 layout or of the estimator must bump the artifact version and re-pin
 these digests in the same change; the summary digest moves with every
 version bump, because the summary embeds the artifact version.
@@ -20,7 +21,6 @@ import dataclasses
 import hashlib
 import math
 
-import numpy as np
 import pytest
 
 from nedmsim.cli import main
@@ -29,7 +29,6 @@ from nedmsim.comagnetometer import (
     COUNTING_MODES,
     CampaignConfig,
     CycleRecord,
-    _cycle_ratio_variance,
     _measured_phase,
     campaign_estimator,
     extract_dn_pair,
@@ -53,11 +52,11 @@ CAMPAIGN_DIGESTS = {
     "expected": "d24449defea50100d68f02d790e145ad01a37836ff1c01520b0ba02af6d53825",
 }
 ESTIMATOR_DIGESTS = {
-    "binomial": "e5639739e54903056c32acacefda5af18bc714b18e8dd00c26a1962f884327e6",
-    "poisson": "91b87a49396906f0eb64ce2c813039f8c3478993a2f3dc74af19fa427fcce3e8",
+    "binomial": "16d1a4b673fa6bc84679a99f1d6ea5d4c68f51493811dd6108d57addc04bdb11",
+    "poisson": "60c72777932bb10abf1ea983f27baeaa3a288ac5bad6734c1daa59bb86de6ad3",
     "expected": "c84f7e2d580f11877a668c6e23589f1257f0151276f0ed54298df79db7c072c9",
 }
-CAMPAIGN_SUMMARY_DIGEST = "4395de70e88ebbda20581b76fb634b12aef1b18621c25871a45771317e675380"
+CAMPAIGN_SUMMARY_DIGEST = "fb6527bc8325c957ed7ef3780c32dcd25c7628d5096ce98fd32be27d4dd11b84"
 # field drift, clock noise and a fringe contrast below 1 all enter the
 # estimator's error model; the drift moves a few percent of the cycles
 # onto a fringe extremum, where they saturate and their pairs get no weight
@@ -146,7 +145,7 @@ def reference_campaign(config: CampaignConfig) -> list[CycleRecord]:
                 f_n = float(phi_hat) / (2.0 * math.pi * config.free_time)
             f_hg = abs(constants.gamma_hg * b) / (2.0 * math.pi)
             f_hg *= 1.0 + clock.normal(0.0, config.f_hg_noise_sd)
-            r = f_n / f_hg if f_hg != 0 else math.nan
+            r = f_n / f_hg + config.delta_r_sys if f_hg != 0 else math.nan
             records.append(CycleRecord(i, polarity, n_up, n_down, f_n, f_hg, r))
     return records
 
@@ -182,8 +181,26 @@ def test_campaign_extends_across_a_block_boundary(mode):
     assert [r.index for r in longest] == list(range(CAMPAIGN_BLOCK + 4))
 
 
+def cycle_ratio_variance(record: CycleRecord, config: CampaignConfig) -> float:
+    """Counting variance of one cycle's R = f_n / f_hg, by the delta method in floats.
+
+    Var(A) = (1 - A^2)/N; A = V cos(phi) gives |dA/dphi| = sqrt(V^2 - A^2),
+    and R = phi / (2 pi t f_hg). A cycle without counts, or one at or past
+    the fringe's extremum (|A| >= V), has no phase sensitivity.
+    """
+    total = record.n_up + record.n_down
+    if total == 0:
+        return math.inf
+    a = (record.n_up - record.n_down) / total
+    v = config.visibility
+    if not abs(a) < v:
+        return math.inf
+    var_phi = (1.0 - a * a) / total / (v * v - a * a)
+    return var_phi / (2.0 * math.pi * config.free_time * record.f_hg) ** 2
+
+
 def per_pair_estimate(records, config) -> tuple[float, float, int]:
-    """dn_hat, standard error and pairs kept, one pair at a time."""
+    """dn_hat, standard error and pairs kept, one pair at a time, in ratio units."""
     units = UnitSystem()
     estimates, weights = [], []
     for a, b in zip(records[0::2], records[1::2]):
@@ -193,12 +210,8 @@ def per_pair_estimate(records, config) -> tuple[float, float, int]:
         f_hg_pair = 0.5 * (plus.f_hg + minus.f_hg)
         estimates.append(extract_dn_pair(plus.r, minus.r, config.e_magnitude, f_hg_pair, units))
         slope = extract_dn_pair(1.0, 0.0, config.e_magnitude, f_hg_pair, units)
-        var_r = sum(
-            float(_cycle_ratio_variance(*np.array([[rec.n_up], [rec.n_down], [rec.f_hg]],
-                                                  dtype=float), config)[0])
-            for rec in (plus, minus)
-        )
-        variance = slope * slope * var_r
+        variance = slope * slope * (cycle_ratio_variance(plus, config)
+                                    + cycle_ratio_variance(minus, config))
         weights.append(1.0 / variance if math.isfinite(variance) and variance > 0 else 0.0)
     if config.counting_mode == "expected":
         return math.fsum(estimates) / len(estimates), 0.0, len(estimates)
