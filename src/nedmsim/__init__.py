@@ -6,7 +6,7 @@ comagnetometer with its campaign estimator), flip-count inference
 (inference), and the file/CLI surface (formats, config, cli).
 """
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 from .comagnetometer import (
     CampaignConfig,

@@ -105,11 +105,6 @@ def _read_flip_dataset(path: str) -> FlipDataset:
     return rows_to_flip_dataset(rows)
 
 
-def _dataset_to_cfg(dataset: FlipDataset) -> dict:
-    xi, trials, flips = zip(*dataset.points())
-    return {"xi": list(xi), "trials": list(trials), "flips": list(flips)}
-
-
 # Kinds of config value: a test, and what a value of the kind must be. Each
 # Command's kinds give the kind a fresh run writes at each config key.
 REAL = (_finite_real, "a finite number")
@@ -120,6 +115,13 @@ PATH = (lambda v: type(v) is str, "a path")
 PATH_OR_NULL = (lambda v: v is None or type(v) is str, "a path or null")
 REALS = (lambda v: type(v) is list and all(map(_finite_real, v)), "a list of finite numbers")
 SPACING = (lambda v: v in ("log", "linear"), "'log' or 'linear'")
+TABLE = (lambda v: type(v) is dict, "a table")  # campaign's sections build their own types
+
+
+def _config(values: dict, kinds: dict) -> dict:
+    """The config of a fresh run: each key of kinds, nested tables included, from values."""
+    return {key: _config(values, kind) if isinstance(kind, dict) else values[key]
+            for key, kind in kinds.items()}
 
 
 def _check_kinds(cfg: dict, kinds: dict, name: Callable[[str], str], prefix: str = "") -> None:
@@ -140,17 +142,10 @@ def _check_kinds(cfg: dict, kinds: dict, name: Callable[[str], str], prefix: str
 
 
 def _resolve_transition(args) -> dict:
-    xi = args.xi  # --xi and --pulse-integral exclude each other
-    if args.pulse_integral is not None:
-        xi = xi_from_pulse(PulseProfile(args.pulse_integral), UnitSystem())
-    return {
-        "dn": args.dn,
-        "delta": args.delta,
-        "xi": xi,
-        "pulse_integral": args.pulse_integral,
-        "check_oracle": bool(args.check_oracle),
-        "outputs": {"report": args.out, "manifest": args.manifest_out},
-    }
+    values = vars(args)
+    if args.pulse_integral is not None:  # --xi and --pulse-integral exclude each other
+        values["xi"] = xi_from_pulse(PulseProfile(args.pulse_integral), UnitSystem())
+    return values
 
 
 def _check_transition(cfg: dict, name: Callable[[str], str]) -> None:
@@ -188,17 +183,6 @@ def _execute_transition(cfg: dict) -> int:
 # contrast
 
 
-def _resolve_contrast(args) -> dict:
-    return {
-        "dn": args.dn,
-        "delta": args.delta,
-        "xi": args.xi,
-        "trials": args.trials,
-        "seed": args.seed,
-        "outputs": {"table": args.out, "manifest": args.manifest_out},
-    }
-
-
 def _execute_contrast(cfg: dict) -> int:
     state = DipoleState(d_n=cfg["dn"], delta=cfg["delta"])
     xi, trials, seed = cfg["xi"], cfg["trials"], cfg["seed"]
@@ -221,18 +205,6 @@ def _execute_contrast(cfg: dict) -> int:
 
 # ---------------------------------------------------------------------------
 # scan
-
-
-def _resolve_scan(args) -> dict:
-    return {
-        "dn": args.dn,
-        "delta": args.delta,
-        "xi_min": args.xi_min,
-        "xi_max": args.xi_max,
-        "points": args.points,
-        "spacing": "log" if args.log else "linear",
-        "outputs": {"table": args.out, "manifest": args.manifest_out},
-    }
 
 
 def _check_scan(cfg: dict, name: Callable[[str], str]) -> None:
@@ -275,17 +247,9 @@ def _rows(columns: list[np.ndarray]) -> Iterator[tuple]:
 
 def _resolve_campaign(args) -> dict:
     resolved = load_config(args.config)
-    summary_out = args.summary_out or os.path.splitext(args.out)[0] + ".summary.json"
-    return {
-        "campaign": asdict(resolved.campaign),
-        "units": asdict(resolved.units),
-        "constants": asdict(resolved.constants),
-        "outputs": {
-            "cycles": args.out,
-            "summary": summary_out,
-            "manifest": args.manifest_out,
-        },
-    }
+    sections = {key: asdict(getattr(resolved, key)) for key in ("campaign", "units", "constants")}
+    summary = args.summary or os.path.splitext(args.cycles)[0] + ".summary.json"
+    return {**vars(args), **sections, "summary": summary}
 
 
 def _check_campaign(cfg: dict, name: Callable[[str], str]) -> None:
@@ -324,41 +288,30 @@ def _execute_campaign(cfg: dict) -> int:
 # fit / bound
 
 
-def _search_settings(args, dataset: FlipDataset, delta_widths: float) -> dict:
-    """Inference settings of a fit or bound, keyed as in [inference].
+def _search_settings(delta_widths: float) -> Callable[[argparse.Namespace], dict]:
+    """Resolve a fit or bound, each [inference] key under its manifest key.
 
-    A flag (its dest is the setting's key) overrides the config file,
-    which overrides the library defaults; ceilings set by neither are
-    derived from the dataset.
+    A flag overrides the config file, which overrides the library
+    defaults; ceilings set by neither are derived from the dataset.
     """
-    settings = asdict(load_config(args.config).inference if args.config else InferenceSettings())
-    for key, value in vars(args).items():
-        if key in settings and value is not None:
-            settings[key] = value
-    dn_ceiling, delta_ceiling = search_ceilings(dataset, delta_widths)
-    if settings["dn_max_e_cm"] is None:
-        settings["dn_max_e_cm"] = dn_ceiling
-    if settings["delta_max_e_cm"] is None:
-        settings["delta_max_e_cm"] = delta_ceiling
-    return settings
 
+    def resolve(args) -> dict:
+        dataset = _read_flip_dataset(args.data)
+        settings = load_config(args.config).inference if args.config else InferenceSettings()
+        xi, trials, flips = zip(*dataset.points())
+        values = {**vars(args), "xi": list(xi), "trials": list(trials), "flips": list(flips)}
+        for key, value in asdict(settings).items():
+            key = key.removesuffix("_e_cm")
+            if values.get(key) is None:
+                values[key] = value
+        dn_ceiling, delta_ceiling = search_ceilings(dataset, delta_widths)
+        if values["dn_max"] is None:
+            values["dn_max"] = dn_ceiling
+        if values["delta_max"] is None:
+            values["delta_max"] = delta_ceiling
+        return values
 
-def _resolve_fit(args) -> dict:
-    dataset = _read_flip_dataset(args.data)
-    settings = _search_settings(args, dataset, FIT_DELTA_WIDTHS)
-    return {
-        "dataset": _dataset_to_cfg(dataset),
-        "search": {
-            "dn_min": settings["dn_min_e_cm"],
-            "dn_max": settings["dn_max_e_cm"],
-            "delta_min": settings["delta_min_e_cm"],
-            "delta_max": settings["delta_max_e_cm"],
-            "grid_points": settings["grid_points"],
-            "resolution": settings["resolution"],
-        },
-        "cl": settings["cl"],
-        "outputs": {"report": args.out, "manifest": args.manifest_out},
-    }
+    return resolve
 
 
 def _execute_fit(cfg: dict) -> int:
@@ -379,20 +332,6 @@ def _execute_fit(cfg: dict) -> int:
     }
     _emit(render_json(report), cfg["outputs"].get("report"))
     return EXIT_OK if result.converged else EXIT_NONCONVERGENCE
-
-
-def _resolve_bound(args) -> dict:
-    dataset = _read_flip_dataset(args.data)
-    settings = _search_settings(args, dataset, BOUND_DELTA_WIDTHS)
-    return {
-        "dataset": _dataset_to_cfg(dataset),
-        "cl": settings["cl"],
-        "delta_min": settings["delta_min_e_cm"],
-        "delta_max": settings["delta_max_e_cm"],
-        "dn_max": settings["dn_max_e_cm"],
-        "resolution": settings["resolution"],
-        "outputs": {"report": args.out, "manifest": args.manifest_out},
-    }
 
 
 def _execute_bound(cfg: dict) -> int:
@@ -420,21 +359,27 @@ def _execute_bound(cfg: dict) -> int:
 # command table, manifests and rerun
 
 
+# flags not named after their config key
+_FLAGS = {"grid_points": "--grid", "report": "--out", "table": "--out", "cycles": "--out",
+          "summary": "--summary-out", "manifest": "--manifest-out"}
+
+
 def _flag(key: str) -> str:
     # a nested key, such as fit's search.dn_max, is set by its last part's flag
     key = key.rsplit(".", 1)[-1]
-    return "--grid" if key == "grid_points" else "--" + key.replace("_", "-")
+    return _FLAGS.get(key, "--" + key.replace("_", "-"))
 
 
 class Command(NamedTuple):
     """How one subcommand runs: arguments -> manifest config -> outputs.
 
-    ``kinds`` and ``check(cfg, name)``, which holds the rules between
+    ``kinds`` lists every config key once: a fresh run's config is built
+    from it. It and ``check(cfg, name)``, which holds the rules between
     values, refuse a config that no fresh run resolves to, naming each key
     through ``name``: as a flag on a fresh run, as a manifest key on a rerun.
     """
 
-    resolve: Callable[[argparse.Namespace], dict]
+    resolve: Callable[[argparse.Namespace], dict]  # flat values, keyed as in kinds
     execute: Callable[[dict], int]
     formats: dict  # output name -> format version written there
     kinds: dict  # config key -> kind, or a nested table of them
@@ -453,12 +398,12 @@ COMMANDS = {
         _check_transition,
     ),
     "contrast": Command(
-        _resolve_contrast, _execute_contrast, {"table": SCHEMA_CONTRAST_CSV},
+        vars, _execute_contrast, {"table": SCHEMA_CONTRAST_CSV},
         {**_STATE, "xi": REAL, "trials": INT, "seed": INT,
          "outputs": {"table": PATH_OR_NULL, "manifest": PATH_OR_NULL}},
     ),
     "scan": Command(
-        _resolve_scan, _execute_scan, {"table": SCHEMA_SCAN_CSV},
+        vars, _execute_scan, {"table": SCHEMA_SCAN_CSV},
         {**_STATE, "xi_min": REAL, "xi_max": REAL, "points": INT, "spacing": SPACING,
          "outputs": {"table": PATH, "manifest": PATH_OR_NULL}},
         _check_scan,
@@ -466,17 +411,18 @@ COMMANDS = {
     "campaign": Command(
         _resolve_campaign, _execute_campaign,
         {"cycles": SCHEMA_CYCLES_CSV, "summary": SCHEMA_SUMMARY_JSON},
-        {"outputs": {"cycles": PATH, "summary": PATH, "manifest": PATH_OR_NULL}},
+        {"campaign": TABLE, "units": TABLE, "constants": TABLE,
+         "outputs": {"cycles": PATH, "summary": PATH, "manifest": PATH_OR_NULL}},
         _check_campaign,
     ),
     "fit": Command(
-        _resolve_fit, _execute_fit, {"report": SCHEMA_SUMMARY_JSON},
+        _search_settings(FIT_DELTA_WIDTHS), _execute_fit, {"report": SCHEMA_SUMMARY_JSON},
         {"dataset": _DATASET, "cl": REAL, "outputs": _REPORT,
          "search": {"dn_min": REAL, "dn_max": REAL, "delta_min": REAL, "delta_max": REAL,
                     "grid_points": INT, "resolution": REAL}},
     ),
     "bound": Command(
-        _resolve_bound, _execute_bound, {"report": SCHEMA_SUMMARY_JSON},
+        _search_settings(BOUND_DELTA_WIDTHS), _execute_bound, {"report": SCHEMA_SUMMARY_JSON},
         {"dataset": _DATASET, "cl": REAL, "delta_min": REAL, "delta_max": REAL,
          "dn_max": REAL, "resolution": REAL, "outputs": _REPORT},
     ),
@@ -496,6 +442,13 @@ def _manifest(command: str, cfg: dict) -> dict:
 def _check(command: str, cfg: dict, name: Callable[[str], str]) -> None:
     """Refuse a config that no fresh run of command resolves to."""
     _check_kinds(cfg, COMMANDS[command].kinds, name)
+    # two outputs on one file: the later write would silently replace the earlier
+    written = {}  # absolute path -> the output key that names it
+    for key, path in cfg["outputs"].items():
+        other = key if path is None else written.setdefault(os.path.abspath(path), key)
+        if other != key:
+            raise ValueError(f"{name('outputs.' + other)} and {name('outputs.' + key)} "
+                             f"both name {path!r}")
     COMMANDS[command].check(cfg, name)
 
 
@@ -550,19 +503,20 @@ def _add_state(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=float, required=True, help="dipole uncertainty, e.cm")
 
 
-def _add_outputs(p: argparse.ArgumentParser, **out) -> None:
-    p.add_argument("--out", **out)
-    p.add_argument("--manifest-out", help="write the run manifest here")
+def _add_outputs(p: argparse.ArgumentParser, dest: str, **out) -> None:
+    p.add_argument("--out", dest=dest, metavar="OUT", **out)
+    p.add_argument("--manifest-out", dest="manifest", metavar="MANIFEST_OUT",
+                   help="write the run manifest here")
 
 
 def _add_search(p: argparse.ArgumentParser, cl_help: str) -> None:
     p.add_argument("--data", required=True, help="flip-count CSV (xi,trials,flips)")
     p.add_argument("--config", help="INI config providing [inference] defaults")
-    # each dest is the [inference] key the flag overrides
+    # each dest is the [inference] key the flag overrides, less any _e_cm
     p.add_argument("--cl", type=float, help=cl_help)
-    p.add_argument("--dn-max", dest="dn_max_e_cm", type=float, help="dipole search ceiling")
-    p.add_argument("--delta-min", dest="delta_min_e_cm", type=float)
-    p.add_argument("--delta-max", dest="delta_max_e_cm", type=float, help="delta profiling ceiling")
+    p.add_argument("--dn-max", type=float, help="dipole search ceiling")
+    p.add_argument("--delta-min", type=float)
+    p.add_argument("--delta-max", type=float, help="delta profiling ceiling")
     p.add_argument("--resolution", type=float, help="relative refinement stop")
 
 
@@ -584,37 +538,39 @@ def build_parser() -> argparse.ArgumentParser:
         help="field-time integral, (V/cm)*s; converted to xi with default units",
     )
     p.add_argument("--check-oracle", action="store_true", help="also run the quadrature oracle")
-    _add_outputs(p, help="write the JSON record here instead of stdout")
+    _add_outputs(p, "report", help="write the JSON record here instead of stdout")
 
     p = sub.add_parser("contrast", help="quantum vs stochastic counting run")
     _add_state(p)
     p.add_argument("--xi", type=float, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    _add_outputs(p, help="write the CSV table here instead of stdout")
+    _add_outputs(p, "table", help="write the CSV table here instead of stdout")
 
     p = sub.add_parser("scan", help="P vs xi table with quadrature oracle")
     _add_state(p)
     p.add_argument("--xi-min", type=float, required=True)
     p.add_argument("--xi-max", type=float, required=True)
     p.add_argument("--points", type=int, required=True)
-    p.add_argument("--log", action="store_true", help="log-spaced xi grid")
-    _add_outputs(p, required=True, help="output CSV path")
+    p.add_argument("--log", dest="spacing", action="store_const", const="log",
+                   default="linear", help="log-spaced xi grid")
+    _add_outputs(p, "table", required=True, help="output CSV path")
 
     p = sub.add_parser("campaign", help="simulate a comagnetometer campaign")
     p.add_argument("--config", required=True, help="INI config file")
-    p.add_argument("--summary-out", help="summary JSON path (default: <out>.summary.json)")
-    _add_outputs(p, required=True, help="cycle table CSV path")
+    p.add_argument("--summary-out", dest="summary", metavar="SUMMARY_OUT",
+                   help="summary JSON path (default: <out>.summary.json)")
+    _add_outputs(p, "cycles", required=True, help="cycle table CSV path")
 
     p = sub.add_parser("fit", help="joint (dn, delta) likelihood fit")
     _add_search(p, cl_help="interval confidence level")
-    p.add_argument("--dn-min", dest="dn_min_e_cm", type=float)
+    p.add_argument("--dn-min", type=float)
     p.add_argument("--grid", dest="grid_points", type=int, help="coarse grid points per axis")
-    _add_outputs(p, help="write the JSON report here instead of stdout")
+    _add_outputs(p, "report", help="write the JSON report here instead of stdout")
 
     p = sub.add_parser("bound", help="profile-likelihood upper bound on dn")
     _add_search(p, cl_help="one-sided confidence level")
-    _add_outputs(p, help="write the JSON report here instead of stdout")
+    _add_outputs(p, "report", help="write the JSON report here instead of stdout")
 
     p = sub.add_parser("rerun", help="re-execute a command from its manifest")
     p.add_argument("manifest", help="manifest JSON written by a previous run")
@@ -630,7 +586,8 @@ def main(argv=None) -> int:
         with np.errstate(over="ignore"):
             if args.command == "rerun":
                 return _rerun(args.manifest)
-            cfg = COMMANDS[args.command].resolve(args)
+            command = COMMANDS[args.command]
+            cfg = _config(command.resolve(args), command.kinds)
             _check(args.command, cfg, _flag)
             return _run(args.command, cfg)
     except NonConvergenceError as exc:

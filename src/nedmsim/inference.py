@@ -490,8 +490,8 @@ def fit(
     d_n bracket reached ``search.resolution`` times the d_n width within
     _MAX_ROUNDS zoom steps. Datasets in which every point is all-zero or
     all-full carry no joint information: the result then sits at the
-    search floor or the best coarse-grid point with ``converged=False``
-    and an explanatory message. A non-finite dn_max*max|xi| raises ValueError.
+    search floor (its delta maximizing the likelihood there) or the best
+    coarse-grid point with ``converged=False`` and an explanatory message. A non-finite dn_max*max|xi| raises ValueError.
     """
     if not 0 < interval_cl < 1:
         raise ValueError("interval_cl must lie in (0, 1)")
@@ -506,8 +506,10 @@ def fit(
     flat = all_zero or bool(np.all(dataset.flips == dataset.trials))
     converged = False
     if all_zero:
-        dn_hat, delta_hat = search.dn_min, search.delta_min
-        ll_hat = log_likelihood(dn_hat, delta_hat, dataset)
+        # the likelihood falls as d_n rises above the floor and rises with delta
+        dn_hat = search.dn_min
+        ll, deltas = _profile(dataset, "dn", [dn_hat], search)
+        ll_hat, delta_hat = float(ll[0]), float(deltas[0])
         message = (
             "flat likelihood: no flips anywhere, d_n estimate pinned to "
             "the search floor and delta unidentified"

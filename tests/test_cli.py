@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -596,6 +597,14 @@ def test_bad_dataset_header_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["fit", "bound"])
+def test_dataset_without_rows_exits_2(tmp_path, capsys, command):
+    data = tmp_path / "flips.csv"
+    data.write_text("xi,trials,flips\n")
+    assert run_cli(command, "--data", data) == 2
+    assert capsys.readouterr().err == f"error: flip dataset {data} contains no data rows\n"
+
+
+@pytest.mark.parametrize("command", ["fit", "bound"])
 def test_short_dataset_row_exits_2(tmp_path, capsys, command):
     data = tmp_path / "flips.csv"
     data.write_text("xi,trials,flips\n1e21,100\n")
@@ -919,8 +928,11 @@ def test_rerun_refuses_unknown_keys_in_nested_tables(tmp_path, capsys, command, 
         (("fit", "--dn-min", "nan"), "--dn-min must be a finite number, got nan"),
         (("bound", "--delta-max", "inf"), "--delta-max must be a finite number, got inf"),
         (("bound", "--cl", "nan"), "--cl must be a finite number, got nan"),
+        # a finite --cl outside (0, 1) is refused by fit, which names its keyword
+        (("fit", "--cl", "1.5"), "interval_cl must lie in (0, 1)"),
     ],
-    ids=["fit-dn-max-inf", "fit-dn-min-nan", "bound-delta-max-inf", "bound-cl-nan"],
+    ids=["fit-dn-max-inf", "fit-dn-min-nan", "bound-delta-max-inf", "bound-cl-nan",
+         "fit-cl-1.5"],
 )
 def test_fit_and_bound_flags_are_named_in_errors(tmp_path, capsys, argv, message):
     data, manifest = tmp_path / "flips.csv", tmp_path / "m.json"
@@ -1114,6 +1126,15 @@ def test_rerun_rejects_non_manifest(tmp_path, capsys):
     assert run_cli("rerun", bad) == 2
 
 
+def test_rerun_manifest_of_unknown_command_exits_2(tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(
+        {"schema": "nedmsim.manifest-json/1", "command": "simulate", "config": {}}
+    ))
+    assert run_cli("rerun", manifest) == 2
+    assert capsys.readouterr().err == "error: manifest names unknown command 'simulate'\n"
+
+
 def test_rerun_manifest_missing_key_exits_2(tmp_path, capsys):
     manifest = tmp_path / "m.json"
     assert run_cli("transition", "--dn", "1e-26", "--delta", "0", "--xi", "1e13",
@@ -1175,3 +1196,60 @@ def test_version_is_read_from_the_package():
     assert "version" not in project["project"]
     assert project["project"]["dynamic"] == ["version"]
     assert project["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "nedmsim.__version__"}
+
+
+@pytest.mark.parametrize(
+    "argv, second",
+    [
+        (("transition", "--dn", "0", "--delta", "0", "--xi", "1e13"), "--manifest-out"),
+        (("campaign", "--config", "c.ini"), "--summary-out"),
+    ],
+    ids=["transition", "campaign"],
+)
+def test_two_outputs_on_one_file_exit_2_and_write_nothing(tmp_path, monkeypatch, capsys,
+                                                          argv, second):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.ini").write_text(NOISELESS_INI)
+    # one file, spelled two ways
+    assert run_cli(*argv, "--out", "a.out", second, "sub/../a.out") == 2
+    assert capsys.readouterr().err == f"error: --out and {second} both name 'sub/../a.out'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini"]
+
+
+def test_rerun_of_two_outputs_on_one_file_exits_2_and_writes_nothing(tmp_path, capsys):
+    report, manifest = tmp_path / "r.json", tmp_path / "m.json"
+    assert run_cli("transition", "--dn", "1e-26", "--delta", "0", "--xi", "1e13",
+                   "--out", report, "--manifest-out", manifest) == 0
+    recorded = json.loads(manifest.read_text())
+    recorded["config"]["outputs"]["report"] = str(manifest)
+    manifest.write_text(json.dumps(recorded))
+    report.unlink()
+    assert run_cli("rerun", manifest) == 2
+    assert capsys.readouterr().err == (
+        f"error: config.outputs.manifest and config.outputs.report both name {str(manifest)!r}\n"
+    )
+    assert json.loads(manifest.read_text()) == recorded
+    assert not report.exists()
+
+
+# each subcommand's flags, as its --help lists them
+FLAGS = {
+    "transition": "--dn --delta --xi --pulse-integral --check-oracle --out --manifest-out",
+    "contrast": "--dn --delta --xi --trials --seed --out --manifest-out",
+    "scan": "--dn --delta --xi-min --xi-max --points --log --out --manifest-out",
+    "campaign": "--config --summary-out --out --manifest-out",
+    "fit": "--data --config --cl --dn-max --delta-min --delta-max --resolution --dn-min --grid "
+           "--out --manifest-out",
+    "bound": "--data --config --cl --dn-max --delta-min --delta-max --resolution "
+             "--out --manifest-out",
+    "rerun": "",
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_each_subcommand_takes_exactly_its_flags(capsys, command):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == {"--help", *FLAGS[command].split()}

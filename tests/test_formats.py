@@ -118,3 +118,14 @@ def test_atomic_write(tmp_path):
     assert path.read_text() == "hello\n"
     # no temporary droppings left behind
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_atomic_write_that_fails_leaves_no_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr("nedmsim.formats.os.replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        atomic_write_text(str(tmp_path / "out.csv"), "hello\n")
+    # neither the target nor the .nedmsim-*.tmp sibling it was written to
+    assert list(tmp_path.iterdir()) == []

@@ -383,6 +383,24 @@ def test_fit_all_zero_flips_pins_floor():
     assert result.dn_interval[1] < default_box().dn_max
 
 
+def test_fit_all_zero_flips_above_a_positive_floor_reports_the_maximum():
+    # at d_n = dn_min > 0 the likelihood rises with delta: its maximum over
+    # the box is at (dn_min, delta_max), not at (dn_min, delta_min)
+    ds = FlipDataset([1e21, 2e21, 4e21], [10**6] * 3, [0, 0, 0])
+    box = SearchBox(dn_max=3e-22, delta_max=2e-22, dn_min=1e-25)
+    result = fit(ds, box)
+    assert (result.dn_hat, result.delta_hat) == (1e-25, 2e-22)
+    assert result.max_log_likelihood == pytest.approx(log_likelihood(1e-25, 2e-22, ds), rel=1e-15)
+    dns, deltas = np.linspace(1e-25, 3e-22, 41), np.linspace(0.0, 2e-22, 41)
+    assert np.max(log_likelihood(dns[:, None], deltas[None, :], ds)) <= result.max_log_likelihood
+    # the interval's upper edge is where the statistic from that maximum
+    # crosses the 95% threshold, chi2.ppf(0.95, 1) = 3.841, to within the
+    # search resolution
+    edge = result.dn_interval[1]
+    q = 2.0 * (result.max_log_likelihood - log_likelihood(edge, 2e-22, ds))
+    assert q == pytest.approx(NormalDist().inv_cdf(0.025) ** 2, rel=1e-3)
+
+
 def test_fit_all_full_flips_flagged():
     ds = FlipDataset.from_points([(1e20, 100, 100), (1e21, 100, 100)])
     result = fit(ds, default_box())

@@ -38,10 +38,10 @@ FIT_DIGESTS = {
     "dn0.01_delta0.3": "5bab22bff6e7c85a3fbae57b1bb6ab8a56fde4bc4bd48a22151cc97e2386a456",
     "dn0.01_delta1.0": "a6ff1f0c750c9e0acdc8f343c9c4b61ac5d6b93d9cf53bcd745d936d71dddadb",
     "dn0.01_delta2.5": "2d8a96b9e92dec938691f3ca34d7a01c246f3ec008c6738d2c5beb13bace8ca9",
-    "dn0.0_delta0.0": "1c05274136cc6ca30576a46317103ded87b923285a0aa3815662b96cd654f9d0",
-    "dn0.0_delta0.3": "1c05274136cc6ca30576a46317103ded87b923285a0aa3815662b96cd654f9d0",
-    "dn0.0_delta1.0": "1c05274136cc6ca30576a46317103ded87b923285a0aa3815662b96cd654f9d0",
-    "dn0.0_delta2.5": "1c05274136cc6ca30576a46317103ded87b923285a0aa3815662b96cd654f9d0",
+    "dn0.0_delta0.0": "5bdcfaea3c93c9c57d2cbab95862e87698dd5f10ec98596ddc85d0fc9b2ee2ec",
+    "dn0.0_delta0.3": "5bdcfaea3c93c9c57d2cbab95862e87698dd5f10ec98596ddc85d0fc9b2ee2ec",
+    "dn0.0_delta1.0": "5bdcfaea3c93c9c57d2cbab95862e87698dd5f10ec98596ddc85d0fc9b2ee2ec",
+    "dn0.0_delta2.5": "5bdcfaea3c93c9c57d2cbab95862e87698dd5f10ec98596ddc85d0fc9b2ee2ec",
     "dn0.3_delta0.0": "0b46abf912d9cc62148115f07592b319d672fc14c12715c490febb1507420949",
     "dn0.3_delta0.3": "d66763e1c6abeca6d4d5716d9074404139f8d83752fa1b77790778944f78222a",
     "dn0.3_delta1.0": "c70ca4f3e42ef0f05aff24587e1b7a78774553b77655b7c63da31c37bff84202",
@@ -50,8 +50,8 @@ FIT_DIGESTS = {
     "dn0.9_delta0.3": "a7d94fc102ec19ad677f67eed161284e206ab9347a5910a4a023b2bea0e15a25",
     "dn0.9_delta1.0": "a37f2cb8b9489df02a29252af2518d4fdacb7680f874ee5a7a6b66f7700c095d",
     "dn0.9_delta2.5": "e6f3d5c540dc97e8c7681c16bad4d94ef94d4aa7cc0d657ae439e2d68ddb7ffb",
-    "zero_flip_8e6": "1871aaa6983487fd21f1cf8c1ce8f889e7d9bf161bfc61239e047cf00df9ac9d",
-    "zero_flip_8e8": "2f30315f53d7d0bc39058835d237a1febef301c68d537004f10a0a77503deb34",
+    "zero_flip_8e6": "d61696c737f102e7f95bc59910c290d586b6627e4187d193bc52c66f721f884d",
+    "zero_flip_8e8": "da5ec7ce6612d807b17e94d1b292ba9776cc7a8935267eeb1781873640bfb4c1",
 }
 # per case: bounds at CL 0.9 and 0.95 over the case's delta range
 BOUND_DIGESTS = {

@@ -56,7 +56,7 @@ ESTIMATOR_DIGESTS = {
     "poisson": "60c72777932bb10abf1ea983f27baeaa3a288ac5bad6734c1daa59bb86de6ad3",
     "expected": "c84f7e2d580f11877a668c6e23589f1257f0151276f0ed54298df79db7c072c9",
 }
-CAMPAIGN_SUMMARY_DIGEST = "fb6527bc8325c957ed7ef3780c32dcd25c7628d5096ce98fd32be27d4dd11b84"
+CAMPAIGN_SUMMARY_DIGEST = "dbf325c71d6f69395073a90da06a689fd24d9557acffca520ef8e735b6c5741e"
 # field drift, clock noise and a fringe contrast below 1 all enter the
 # estimator's error model; the drift moves a few percent of the cycles
 # onto a fringe extremum, where they saturate and their pairs get no weight
