@@ -60,7 +60,17 @@ from .inference import (
     search_ceilings,
     upper_bound,
 )
-from .quantities import PhysicalConstants, PulseProfile, UnitSystem, _finite_real, xi_from_pulse
+from .quantities import (
+    INT,
+    REAL,
+    REAL_OR_NULL,
+    PhysicalConstants,
+    PulseProfile,
+    UnitSystem,
+    _finite_real,
+    field_kinds,
+    xi_from_pulse,
+)
 from .weak_measurement import (
     DipoleState,
     flip_probability,
@@ -105,30 +115,31 @@ def _read_flip_dataset(path: str) -> FlipDataset:
     return rows_to_flip_dataset(rows)
 
 
-# Kinds of config value: a test, and what a value of the kind must be. Each
-# Command's kinds give the kind a fresh run writes at each config key.
-REAL = (_finite_real, "a finite number")
-REAL_OR_NULL = (lambda v: v is None or _finite_real(v), "a finite number or null")
-INT = (lambda v: type(v) is int, "an int")
+# Kinds of config value beside those of quantities: a test, and what a value
+# of the kind must be. Each Command's kinds give the kind a fresh run writes
+# at each config key. An empty path would name the working directory's parent.
 BOOL = (lambda v: type(v) is bool, "true or false")
-PATH = (lambda v: type(v) is str, "a path")
-PATH_OR_NULL = (lambda v: v is None or type(v) is str, "a path or null")
+PATH = (lambda v: type(v) is str and v != "", "a path")
+PATH_OR_NULL = (lambda v: v is None or PATH[0](v), "a path or null")
 REALS = (lambda v: type(v) is list and all(map(_finite_real, v)), "a list of finite numbers")
 SPACING = (lambda v: v in ("log", "linear"), "'log' or 'linear'")
-TABLE = (lambda v: type(v) is dict, "a table")  # campaign's sections build their own types
 
 
 def _config(values: dict, kinds: dict) -> dict:
-    """The config of a fresh run: each key of kinds, nested tables included, from values."""
-    return {key: _config(values, kind) if isinstance(kind, dict) else values[key]
-            for key, kind in kinds.items()}
+    """The config of a fresh run: each key of kinds from values.
+
+    A nested table is read from its own table in values where there is one,
+    as campaign's sections are, and else from values itself.
+    """
+    return {key: _config(values.get(key, values), kind) if isinstance(kind, dict)
+            else values[key] for key, kind in kinds.items()}
 
 
 def _check_kinds(cfg: dict, kinds: dict, name: Callable[[str], str], prefix: str = "") -> None:
     """Raise ValueError, naming the key, unless each value in cfg has its kind."""
     for key, kind in kinds.items():
         value = cfg[key]
-        if isinstance(kind, dict):  # no other key: fit and bound pass them as keywords
+        if isinstance(kind, dict):  # no other key: most tables are passed as keywords
             unknown = sorted(set(value) - set(kind))
             if unknown:
                 raise ValueError(f"{name(prefix + key)} has an unknown key {unknown[0]!r}")
@@ -250,13 +261,6 @@ def _resolve_campaign(args) -> dict:
     sections = {key: asdict(getattr(resolved, key)) for key in ("campaign", "units", "constants")}
     summary = args.summary or os.path.splitext(args.cycles)[0] + ".summary.json"
     return {**vars(args), **sections, "summary": summary}
-
-
-def _check_campaign(cfg: dict, name: Callable[[str], str]) -> None:
-    """Raise ValueError, naming the field, unless each section builds its type."""
-    CampaignConfig(**cfg["campaign"])
-    UnitSystem(**cfg["units"])
-    PhysicalConstants(**cfg["constants"])
 
 
 def _execute_campaign(cfg: dict) -> int:
@@ -411,9 +415,9 @@ COMMANDS = {
     "campaign": Command(
         _resolve_campaign, _execute_campaign,
         {"cycles": SCHEMA_CYCLES_CSV, "summary": SCHEMA_SUMMARY_JSON},
-        {"campaign": TABLE, "units": TABLE, "constants": TABLE,
+        {"campaign": field_kinds(CampaignConfig), "units": field_kinds(UnitSystem),
+         "constants": field_kinds(PhysicalConstants),
          "outputs": {"cycles": PATH, "summary": PATH, "manifest": PATH_OR_NULL}},
-        _check_campaign,
     ),
     "fit": Command(
         _search_settings(FIT_DELTA_WIDTHS), _execute_fit, {"report": SCHEMA_SUMMARY_JSON},
@@ -470,7 +474,7 @@ def _run(command: str, cfg: dict) -> int:
 
 
 def _write_manifest(path: str | None, command: str, cfg: dict) -> None:
-    if path:
+    if path is not None:
         atomic_write_text(path, render_json(_manifest(command, cfg)))
 
 

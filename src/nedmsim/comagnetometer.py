@@ -33,13 +33,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .ensemble import _MAX_TRIALS
-from .quantities import PhysicalConstants, UnitSystem, _finite_real
+from .quantities import PhysicalConstants, UnitSystem, check_fields
 from .spin_dynamics import _phase, asymmetry, up_probability
 from .streams import _MAX_INDEX, DOMAIN_CYCLE, substream
 
@@ -67,17 +67,6 @@ _TWO_PI = 2.0 * math.pi
 # numpy's Poisson sampler refuses a mean whose double exceeds this
 _POISSON_MAX = _MAX_TRIALS - 10.0 * math.sqrt(_MAX_TRIALS)
 
-_REAL_FIELDS = (
-    "true_dn",
-    "b_nominal",
-    "b_drift_sd",
-    "e_magnitude",
-    "free_time",
-    "visibility",
-    "delta_r_sys",
-    "f_hg_noise_sd",
-)
-
 
 @dataclass(frozen=True)
 class CampaignConfig:
@@ -94,31 +83,26 @@ class CampaignConfig:
     numpy's Poisson limit. The other numeric fields must be finite real
     numbers: an int or a float, not a ``bool`` or a string; the error
     names the field. Defaults put the nominal working point near
-    mid-fringe, where the phase readout is most sensitive.
+    mid-fringe, where the phase readout is most sensitive. A field's
+    ``ini`` metadata is its key in a config file's ``[campaign]`` section,
+    where that differs from the field's name.
     """
 
-    true_dn: float = 0.0
-    b_nominal: float = 1e-6
-    b_drift_sd: float = 0.0
-    e_magnitude: float = 1e4
-    free_time: float = 105.0
+    true_dn: float = field(default=0.0, metadata={"ini": "true_dn_e_cm"})
+    b_nominal: float = field(default=1e-6, metadata={"ini": "b_nominal_tesla"})
+    b_drift_sd: float = field(default=0.0, metadata={"ini": "b_drift_sd_tesla"})
+    e_magnitude: float = field(default=1e4, metadata={"ini": "e_field_v_per_cm"})
+    free_time: float = field(default=105.0, metadata={"ini": "free_time_s"})
     neutrons_per_cycle: int = 10_000
     cycles: int = 100
     visibility: float = 1.0
     delta_r_sys: float = 0.0
-    f_hg_noise_sd: float = 0.0
+    f_hg_noise_sd: float = field(default=0.0, metadata={"ini": "f_hg_noise_sd_rel"})
     seed: int = 0
     counting_mode: str = "binomial"
 
     def __post_init__(self) -> None:
-        for name in ("cycles", "neutrons_per_cycle", "seed"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        for name in _REAL_FIELDS:
-            value = getattr(self, name)
-            if not _finite_real(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        check_fields(self)
         if not 2 <= self.cycles <= _MAX_INDEX or self.cycles % 2 != 0:
             raise ValueError("cycles must be an even number in [2, 2**48]")
         if not 1 <= self.neutrons_per_cycle <= _MAX_TRIALS:
@@ -129,8 +113,10 @@ class CampaignConfig:
             raise ValueError("e_magnitude must be > 0")
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError("visibility must lie in [0, 1]")
-        if self.b_drift_sd < 0 or self.f_hg_noise_sd < 0:
-            raise ValueError("noise standard deviations must be >= 0")
+        if self.b_drift_sd < 0:
+            raise ValueError("b_drift_sd must be >= 0")
+        if self.f_hg_noise_sd < 0:
+            raise ValueError("f_hg_noise_sd must be >= 0")
         if self.free_time <= 0:
             raise ValueError("free_time must be > 0")
         if self.counting_mode not in COUNTING_MODES:

@@ -1,10 +1,13 @@
 """Typed INI configuration for campaigns, units, constants, inference.
 
-Flat key-value sections; every physical quantity carries its unit in the
-key name (``e_field_v_per_cm``, ``free_time_s``, ...) so a config file
-cannot be misread in the wrong unit silently. Unknown sections or keys,
-unparseable values, and contract violations are all reported together as
-a :class:`ConfigError` listing the offending ``section.key`` entries.
+Flat key-value sections, one per config type: each key is a field of the
+section's type, named by the field's ``ini`` metadata where that differs
+from the field's name, and parsed as the field's annotation says. Every
+physical quantity carries its unit in the key name (``e_field_v_per_cm``,
+``free_time_s``, ...) so a config file cannot be misread in the wrong
+unit silently. Unknown sections or keys and unparseable values are
+reported together as a :class:`ConfigError` listing the offending
+``section.key`` entries; then each section's type checks its values.
 
 Example::
 
@@ -25,11 +28,11 @@ Example::
 from __future__ import annotations
 
 import configparser
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 from .comagnetometer import CampaignConfig
 from .inference import CL_DEFAULT, GRID_POINTS_DEFAULT, RESOLUTION_DEFAULT
-from .quantities import PhysicalConstants, UnitSystem, _require_finite
+from .quantities import PhysicalConstants, UnitSystem, check_fields
 
 __all__ = [
     "ConfigError",
@@ -71,7 +74,7 @@ class InferenceSettings:
     def __post_init__(self) -> None:
         # a nan or inf here would reach the fit and bound checks, which name
         # the flag that overrides the key, not the key
-        _require_finite(**{key: v for key, v in asdict(self).items() if v is not None})
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -82,58 +85,21 @@ class ResolvedConfig:
     inference: InferenceSettings
 
 
-def _parse_non_negative_float(text: str) -> float:
-    v = float(text)
-    if v < 0.0:
-        raise ValueError("must be >= 0.0")
-    return v
-
-
-def _parse_int(text: str) -> int:
-    return int(text, 10)
-
-
-# section -> key -> (parser, dataclass field name)
-_SCHEMA: dict[str, dict[str, tuple]] = {
-    "campaign": {
-        "true_dn_e_cm": (float, "true_dn"),
-        "b_nominal_tesla": (float, "b_nominal"),
-        "b_drift_sd_tesla": (_parse_non_negative_float, "b_drift_sd"),
-        "e_field_v_per_cm": (float, "e_magnitude"),
-        "free_time_s": (float, "free_time"),
-        "neutrons_per_cycle": (_parse_int, "neutrons_per_cycle"),
-        "cycles": (_parse_int, "cycles"),
-        "visibility": (float, "visibility"),
-        "delta_r_sys": (float, "delta_r_sys"),
-        "f_hg_noise_sd_rel": (_parse_non_negative_float, "f_hg_noise_sd"),
-        "seed": (_parse_int, "seed"),
-        "counting_mode": (str, "counting_mode"),
-    },
-    "units": {
-        "phase_per_edm_field_time": (float, "phase_per_edm_field_time"),
-        "geometric_factor": (float, "geometric_factor"),
-    },
-    "constants": {
-        "gamma_n_rad_per_s_tesla": (float, "gamma_n"),
-        "gamma_hg_rad_per_s_tesla": (float, "gamma_hg"),
-        "mu_n_rad_per_s_tesla": (float, "mu_n"),
-    },
-    "inference": {
-        "dn_max_e_cm": (float, "dn_max_e_cm"),
-        "delta_max_e_cm": (float, "delta_max_e_cm"),
-        "dn_min_e_cm": (float, "dn_min_e_cm"),
-        "delta_min_e_cm": (float, "delta_min_e_cm"),
-        "grid_points": (_parse_int, "grid_points"),
-        "resolution": (float, "resolution"),
-        "cl": (float, "cl"),
-    },
-}
-
 _SECTION_TYPES = {
     "campaign": CampaignConfig,
     "units": UnitSystem,
     "constants": PhysicalConstants,
     "inference": InferenceSettings,
+}
+
+# the parser of each field annotation's text; an int is read in base 10 only
+_PARSERS = {"float": float, "float | None": float, "int": lambda text: int(text, 10), "str": str}
+
+# section -> key -> (parser, field name); a field's key is its name unless
+# its metadata names another
+_KEYS = {
+    section: {f.metadata.get("ini", f.name): (_PARSERS[f.type], f.name) for f in fields(cls)}
+    for section, cls in _SECTION_TYPES.items()
 }
 
 
@@ -147,18 +113,18 @@ def parse_config_text(text: str) -> ResolvedConfig:
         raise ConfigError(f"unparseable config: {exc}") from exc
 
     offending: list[str] = []
-    kwargs: dict[str, dict] = {name: {} for name in _SCHEMA}
+    kwargs: dict[str, dict] = {name: {} for name in _KEYS}
 
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _KEYS:
             offending.append(f"{section} (unknown section)")
             continue
-        schema = _SCHEMA[section]
+        keys = _KEYS[section]
         for key, raw in parser.items(section):
-            if key not in schema:
+            if key not in keys:
                 offending.append(f"{section}.{key} (unknown key)")
                 continue
-            parse, target = schema[key]
+            parse, target = keys[key]
             try:
                 kwargs[section][target] = parse(raw)
             except ValueError as exc:
@@ -172,12 +138,7 @@ def parse_config_text(text: str) -> ResolvedConfig:
             built[section] = cls(**kwargs[section])
         except ValueError as exc:
             raise ConfigError(f"invalid [{section}] section: {exc}") from exc
-    return ResolvedConfig(
-        campaign=built["campaign"],
-        units=built["units"],
-        constants=built["constants"],
-        inference=built["inference"],
-    )
+    return ResolvedConfig(**built)
 
 
 def load_config(path: str) -> ResolvedConfig:

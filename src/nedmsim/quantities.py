@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 __all__ = [
     "E_CHARGE_C",
@@ -80,14 +79,42 @@ def _require_finite(**values: float) -> None:
 def _finite_real(value) -> bool:
     """True for a finite real number, numpy's included, and False for a bool.
 
-    An int beyond the double range is not finite here, where math.isfinite
-    would raise OverflowError.
+    An int beyond the double range is not finite here. It is not compared
+    with the largest double: numpy casts that double to a float32's type,
+    which overflows and warns.
     """
-    return (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and abs(value) <= sys.float_info.max
-    )
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the double range
+        return False
+
+
+# Kinds of config value: a test, and what a value of the kind must be. A
+# config dataclass's field has the kind that its annotation's text names.
+REAL = (_finite_real, "a finite number")
+REAL_OR_NULL = (lambda v: v is None or _finite_real(v), "a finite number or null")
+INT = (lambda v: type(v) is int, "an int")
+STR = (lambda v: type(v) is str, "a string")
+_KINDS = {"float": REAL, "float | None": REAL_OR_NULL, "int": INT, "str": STR}
+
+
+def field_kinds(cls) -> dict:
+    """Each field name of a config dataclass -> the kind of its annotation."""
+    return {f.name: _KINDS[f.type] for f in fields(cls)}
+
+
+def check_fields(obj) -> None:
+    """Raise ValueError, naming the field, unless each field of obj has its kind.
+
+    A bool, a string or None is refused where a number is due, never with
+    a TypeError.
+    """
+    for name, (test, text) in field_kinds(obj).items():
+        value = getattr(obj, name)
+        if not test(value):
+            raise ValueError(f"{name} must be {text}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -107,10 +134,7 @@ class UnitSystem:
     geometric_factor: float = GEOMETRIC_FACTOR_DEFAULT
 
     def __post_init__(self) -> None:
-        _require_finite(
-            phase_per_edm_field_time=self.phase_per_edm_field_time,
-            geometric_factor=self.geometric_factor,
-        )
+        check_fields(self)
         if self.phase_per_edm_field_time <= 0:
             raise ValueError("phase_per_edm_field_time must be > 0")
         if self.geometric_factor <= 0:
@@ -129,15 +153,19 @@ class PhysicalConstants:
     ``mu_n`` is mu/hbar in rad/s per tesla, so the spin-1/2 Larmor
     frequency is f = mu_n * B / pi. The default keeps mu_n = |gamma_n|/2
     exactly, which makes the frequency ratio formed by the comagnetometer
-    reduce to |gamma_n|/|gamma_hg| with no residual field dependence.
+    reduce to |gamma_n|/|gamma_hg| with no residual field dependence. A
+    field's ``ini`` metadata is its key in a config file's ``[constants]``
+    section.
     """
 
-    gamma_n: float = GAMMA_N_RAD_PER_S_T
-    gamma_hg: float = GAMMA_HG_RAD_PER_S_T
-    mu_n: float = MU_N_RAD_PER_S_T
+    gamma_n: float = field(default=GAMMA_N_RAD_PER_S_T,
+                           metadata={"ini": "gamma_n_rad_per_s_tesla"})
+    gamma_hg: float = field(default=GAMMA_HG_RAD_PER_S_T,
+                            metadata={"ini": "gamma_hg_rad_per_s_tesla"})
+    mu_n: float = field(default=MU_N_RAD_PER_S_T, metadata={"ini": "mu_n_rad_per_s_tesla"})
 
     def __post_init__(self) -> None:
-        _require_finite(gamma_n=self.gamma_n, gamma_hg=self.gamma_hg, mu_n=self.mu_n)
+        check_fields(self)
         if self.gamma_hg == 0:
             raise ValueError("gamma_hg must be nonzero")
 
@@ -154,7 +182,7 @@ class PulseProfile:
     field_time_integral: float
 
     def __post_init__(self) -> None:
-        _require_finite(field_time_integral=self.field_time_integral)
+        check_fields(self)
 
     @classmethod
     def rectangular(cls, amplitude: float, duration: float) -> "PulseProfile":

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .quantities import PhysicalConstants, UnitSystem, _require_finite
+from .quantities import PhysicalConstants, UnitSystem, _require_finite, check_fields
 
 __all__ = [
     "Spinor",
@@ -81,11 +81,7 @@ class RamseyConfig:
     visibility: float = 1.0
 
     def __post_init__(self) -> None:
-        if not all(
-            math.isfinite(v)
-            for v in (self.b_field, self.e_field, self.free_time, self.visibility)
-        ):
-            raise ValueError("non-finite Ramsey configuration value")
+        check_fields(self)
         if self.free_time < 0:
             raise ValueError("free_time must be >= 0")
         if not 0.0 <= self.visibility <= 1.0:

@@ -32,6 +32,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .quantities import check_fields
+
 __all__ = [
     "NODE_COUNT_MAX",
     "DipoleState",
@@ -77,8 +79,7 @@ class DipoleState:
     delta: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.d_n) and math.isfinite(self.delta)):
-            raise ValueError("dipole state values must be finite")
+        check_fields(self)
         if self.delta < 0:
             raise ValueError("delta must be >= 0")
 

@@ -446,7 +446,7 @@ def test_campaign_rerun_refuses_edited_reals(tmp_path, capsys, field, value):
     # true would have rerun at 1 T with exit 0, and a string failed with a
     # Python TypeError text
     err = rerun_edited_campaign(tmp_path, capsys, field, value)
-    assert err == f"error: {field} must be a finite number, got {value!r}\n"
+    assert err == f"error: config.campaign.{field} must be a finite number, got {value!r}\n"
 
 
 def test_fit_command_reports(tmp_path, capsys):
@@ -870,13 +870,15 @@ FIT_XI = [k * 1.25e20 for k in (1, 3, 5, 7)]
          f"config.dataset.xi must be a list of finite numbers, got {['1e20', *FIT_XI[1:]]!r}"),
         ("fit", "dataset.flips", [True, 12611, 35019, 67151],
          "config.dataset.flips must be a list of finite numbers, got [True, 12611, 35019, 67151]"),
-        ("campaign", "units.geometric_factor", True, "non-finite input: geometric_factor=True"),
+        ("campaign", "units.geometric_factor", True,
+         "config.units.geometric_factor must be a finite number, got True"),
         # exited 2 with a Python error text
         ("bound", "cl", "0.95", "config.cl must be a finite number, got '0.95'"),
         ("fit", "search.grid_points", 4.5, "config.search.grid_points must be an int, got 4.5"),
         ("bound", "delta_max", "1", "config.delta_max must be a finite number, got '1'"),
-        ("campaign", "units.geometric_factor", "0.5", "non-finite input: geometric_factor='0.5'"),
-        ("campaign", "constants.mu_n", None, "non-finite input: mu_n=None"),
+        ("campaign", "units.geometric_factor", "0.5",
+         "config.units.geometric_factor must be a finite number, got '0.5'"),
+        ("campaign", "constants.mu_n", None, "config.constants.mu_n must be a finite number, got None"),
         ("campaign", "outputs.summary", ["x"], "config.outputs.summary must be a path, got ['x']"),
     ],
     ids=["bound-dn-max-null", "bound-dn-max-true", "fit-xi-true", "fit-xi-str", "fit-flips-true",
@@ -1159,7 +1161,23 @@ def test_rerun_manifest_unexpected_key_exits_2(tmp_path, capsys):
     manifest.write_text(json.dumps(recorded))
     assert run_cli("rerun", manifest) == 2
     err = capsys.readouterr().err
-    assert str(manifest) in err and "bogus_key" in err
+    assert err == "error: config.campaign has an unknown key 'bogus_key'\n"
+
+
+def test_rerun_manifest_missing_campaign_key_exits_2(tmp_path, capsys):
+    # reran with exit 0 at the field's default, which the recorded run need not have used
+    cfg, out, manifest = tmp_path / "c.ini", tmp_path / "cycles.csv", tmp_path / "m.json"
+    cfg.write_text(NOISELESS_INI)
+    assert run_cli("campaign", "--config", cfg, "--out", out, "--manifest-out", manifest) == 0
+    out.unlink()
+    recorded = json.loads(manifest.read_text())
+    del recorded["config"]["campaign"]["visibility"]
+    manifest.write_text(json.dumps(recorded))
+    assert run_cli("rerun", manifest) == 2
+    assert capsys.readouterr().err == (
+        f"error: malformed manifest {manifest}: missing key 'visibility'\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("error", [KeyError, TypeError])
@@ -1230,6 +1248,42 @@ def test_rerun_of_two_outputs_on_one_file_exits_2_and_writes_nothing(tmp_path, c
     )
     assert json.loads(manifest.read_text()) == recorded
     assert not report.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag, kind",
+    [
+        (TRANSITION_ARGV, "--out", "a path or null"),
+        (TRANSITION_ARGV, "--manifest-out", "a path or null"),
+        (("campaign", "--config", "c.ini"), "--out", "a path"),
+    ],
+    ids=["transition-out", "transition-manifest-out", "campaign-out"],
+)
+def test_an_empty_output_path_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys,
+                                                         argv, flag, kind):
+    # --out "" aimed a temporary file at the parent directory and exited 3;
+    # --manifest-out "" exited 0 and wrote no manifest
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.ini").write_text(NOISELESS_INI)
+    assert run_cli(*argv, flag, "") == 2
+    assert capsys.readouterr() == ("", f"error: {flag} must be {kind}, got ''\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini"]
+
+
+@pytest.mark.parametrize("key", ["report", "manifest"])
+def test_rerun_of_an_empty_output_path_exits_2_and_writes_nothing(tmp_path, capsys, key):
+    report, manifest = tmp_path / "r.json", tmp_path / "m.json"
+    assert run_cli(*TRANSITION_ARGV, "--out", report, "--manifest-out", manifest) == 0
+    recorded = json.loads(manifest.read_text())
+    recorded["config"]["outputs"][key] = ""
+    manifest.write_text(json.dumps(recorded))
+    report.unlink()
+    capsys.readouterr()
+    assert run_cli("rerun", manifest) == 2
+    assert capsys.readouterr() == (
+        "", f"error: config.outputs.{key} must be a path or null, got ''\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
 
 
 # each subcommand's flags, as its --help lists them

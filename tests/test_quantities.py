@@ -100,8 +100,15 @@ def test_unit_system_validation():
                                         (PhysicalConstants, "mu_n")])
 def test_units_and_constants_refuse_values_that_are_not_finite_numbers(cls, field, value):
     # a bool was taken as 1 or 0, and a string or None raised TypeError
-    with pytest.raises(ValueError, match=f"^non-finite input: {field}="):
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number, got "):
         cls(**{field: value})
+
+
+@pytest.mark.parametrize("value", [np.float32(0.5), 10**300], ids=["float32", "int-within-double"])
+def test_units_take_numpy_and_large_finite_numbers_without_warning(value):
+    # a float32 was compared with the largest double, which numpy cast to a
+    # float32 with an overflow warning
+    assert UnitSystem(geometric_factor=value).geometric_factor == value
 
 
 def test_constants_validation_and_defaults():

@@ -146,3 +146,13 @@ def test_ramsey_config_validation():
         RamseyConfig(1e-6, 1e4, free_time=-1.0)
     with pytest.raises(ValueError):
         RamseyConfig(1e-6, 1e4, 10.0, visibility=1.2)
+
+
+@pytest.mark.parametrize("value", [True, "1.0", None, math.nan],
+                         ids=["bool", "str", "null", "nan"])
+@pytest.mark.parametrize("field", ["b_field", "e_field", "free_time", "visibility"])
+def test_ramsey_config_refuses_values_that_are_not_finite_numbers(field, value):
+    # a bool was taken as 1 or 0, and a string or None raised TypeError
+    values = {"b_field": 1e-6, "e_field": 1e4, "free_time": 10.0, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number, got "):
+        RamseyConfig(**values)

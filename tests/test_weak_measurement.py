@@ -372,3 +372,12 @@ def test_dipole_state_validation():
     with pytest.raises(ValueError):
         DipoleState(math.nan, 0.0)
 
+
+@pytest.mark.parametrize("value", [True, "1e-21", None, math.nan],
+                         ids=["bool", "str", "null", "nan"])
+@pytest.mark.parametrize("field", ["d_n", "delta"])
+def test_dipole_state_refuses_values_that_are_not_finite_numbers(field, value):
+    # a bool was taken as 1 or 0, and a string or None raised TypeError
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number, got "):
+        DipoleState(**{"d_n": 0.0, "delta": 0.0, field: value})
+
