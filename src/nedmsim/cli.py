@@ -9,9 +9,10 @@ and ``rerun`` (re-execute a recorded run).
 Every command resolves its arguments, defaults included, into a manifest
 (command name, full configuration, seed, output paths, artifact version).
 Nothing time- or host-dependent enters any output, so rerunning from the
-manifest reproduces every byte. The ``NEDMSIM_THREADS`` environment
-variable is validated for ensemble commands but has no effect: each
-ensemble count is one draw, and no command starts a thread.
+manifest under the artifact version that wrote it reproduces every byte;
+under another, ``rerun`` says so on stderr. The ``NEDMSIM_THREADS``
+environment variable is validated for ensemble commands but has no
+effect: each ensemble count is one draw, and no command starts a thread.
 
 Exit codes: 0 success, 2 usage/config error (a malformed manifest
 included), 3 I/O error, 4 non-convergence. Any other exception is a bug
@@ -45,6 +46,7 @@ from .formats import (
     SCHEMA_SCAN_CSV,
     SCHEMA_SUMMARY_JSON,
     atomic_write_text,
+    csv_lines,
     parse_csv,
     render_csv,
     render_json,
@@ -241,13 +243,13 @@ def _execute_scan(cfg: dict) -> int:
     p_quads = flip_probability_quadrature(state, xis)
     p = flip_probability(state, xis)
     rows = _rows([xis, p, p_quads, np.abs(p - p_quads)])
-    _emit(render_csv(SCAN_HEADER, rows), cfg["outputs"]["table"])
+    atomic_write_text(cfg["outputs"]["table"], csv_lines(SCAN_HEADER, rows))
     return EXIT_OK
 
 
 def _rows(columns: list[np.ndarray]) -> Iterator[tuple]:
     # rows from 4096-row slices of the columns, so neither the table nor a
-    # whole column of Python numbers is held beside the rendered text
+    # whole column of Python numbers is held beside the columns
     for at in range(0, len(columns[0]), 4096):
         yield from zip(*[column[at : at + 4096].tolist() for column in columns])
 
@@ -269,10 +271,8 @@ def _execute_campaign(cfg: dict) -> int:
     constants = PhysicalConstants(**cfg["constants"])
     columns = _columns(campaign, constants, units)
     _, polarity, n_up, n_down, _, f_hg, r = columns
-    # the counts as float64, as campaign_estimator reads them from records
-    estimate = _estimate(polarity, n_up.astype(float), n_down.astype(float), f_hg, r,
-                         campaign, units)
-    atomic_write_text(cfg["outputs"]["cycles"], render_csv(CYCLES_HEADER, _rows(columns)))
+    estimate = _estimate(polarity, n_up, n_down, f_hg, r, campaign, units)
+    atomic_write_text(cfg["outputs"]["cycles"], csv_lines(CYCLES_HEADER, _rows(columns)))
     summary = {
         "schema": SCHEMA_SUMMARY_JSON,
         "command": "campaign",
@@ -495,6 +495,13 @@ def _rerun(path: str) -> int:
         raise ValueError(f"malformed manifest {path}: missing key {exc}") from exc
     except TypeError as exc:
         raise ValueError(f"malformed manifest {path}: {exc}") from exc
+    # bytes are reproduced under the version that wrote the manifest; say when
+    # another one runs, without changing what the rerun writes or exits with
+    written = manifest.get("artifact_version", "unknown")
+    if written != __version__ or manifest.get("formats") != COMMANDS[command].formats:
+        print(f"note: {path} was written by nedmsim {written}, this is nedmsim {__version__}; "
+              "where versions or formats differ, outputs may too (CHANGES.md lists what moved)",
+              file=sys.stderr)
     return _run(command, cfg)
 
 

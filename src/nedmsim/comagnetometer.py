@@ -325,7 +325,7 @@ def _phase_variance(n_up: np.ndarray, n_down: np.ndarray, visibility: float) -> 
 
 
 def _estimate(polarity, n_up, n_down, f_hg, r, config, units) -> CampaignEstimate:
-    """:func:`campaign_estimator` on +/- pairs of float64 columns, counts included."""
+    """:func:`campaign_estimator` on +/- pairs of columns, counts read as float64."""
     # each pair's plus and minus cycle
     plus = np.arange(0, polarity.size, 2) + (polarity[0::2] != 1)
     minus = plus ^ 1
@@ -343,7 +343,8 @@ def _estimate(polarity, n_up, n_down, f_hg, r, config, units) -> CampaignEstimat
     # each cycle's phase variance, times (f / f_c)^2 for its pair's mean clock f
     cycles = np.concatenate([plus, minus])
     clock = np.tile(f_hg_pair, 2) / f_hg[cycles]
-    variances = (_phase_variance(n_up[cycles], n_down[cycles], config.visibility)
+    up, down = (np.asarray(n[cycles], float) for n in (n_up, n_down))  # as in records
+    variances = (_phase_variance(up, down, config.visibility)
                  * (clock * clock)).reshape(2, -1).sum(axis=0)
     weighted = np.isfinite(variances) & (variances > 0)
     if not np.any(weighted):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .comagnetometer import CycleRecord
 from .inference import FlipDataset
@@ -29,6 +29,7 @@ __all__ = [
     "CONTRAST_HEADER",
     "format_number",
     "parse_number",
+    "csv_lines",
     "render_csv",
     "parse_csv",
     "render_json",
@@ -72,18 +73,20 @@ def parse_number(text: str):
 _CELL_FORMATTERS = {int: str, float: float.__repr__, str: str}
 
 
-def render_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """Render a table; cells are numbers or strings, newline-terminated.
+def csv_lines(header: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]:
+    """A table's lines, header first, each newline-terminated.
 
-    ``rows`` is read once, so a generator renders without holding its rows.
+    Cells are numbers or strings. ``rows`` is read once, as lines are taken.
     """
     formatter = _CELL_FORMATTERS.get
-    lines = [",".join(header)]
-    lines.extend(
-        ",".join([formatter(type(c), format_number)(c) for c in row]) for row in rows
-    )
-    lines.append("")  # the final newline, without copying the joined text
-    return "\n".join(lines)
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join([formatter(type(c), format_number)(c) for c in row]) + "\n"
+
+
+def render_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The text of :func:`csv_lines`."""
+    return "".join(csv_lines(header, rows))
 
 
 def parse_csv(text: str, expected_header: Sequence[str]) -> list[list]:
@@ -125,13 +128,13 @@ def render_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write text via a temporary sibling file and rename into place."""
+def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
+    """Write text, or each of its pieces, via a temporary sibling renamed into place."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".nedmsim-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -243,22 +243,25 @@ def test_scan_single_point(tmp_path):
 
 
 def test_scan_table_properties(tmp_path):
-    out = tmp_path / "scan.csv"
-    assert (
-        run_cli(
-            "scan", "--dn", "3e-22", "--delta", "2e-21", "--xi-min", "1e19",
-            "--xi-max", "2e21", "--points", "40", "--log", "--out", out,
+    # 4097 points cross a 4096-row slice of the streamed rows
+    for points in (40, 4097):
+        out = tmp_path / f"scan{points}.csv"
+        assert (
+            run_cli(
+                "scan", "--dn", "3e-22", "--delta", "2e-21", "--xi-min", "1e19",
+                "--xi-max", "2e21", "--points", points, "--log", "--out", out,
+            )
+            == 0
         )
-        == 0
-    )
-    rows = parse_csv(out.read_text(), SCAN_HEADER)
-    xis = [row[0] for row in rows]
-    assert xis == sorted(xis)
-    for xi, p_closed, p_quad, diff in rows:
-        assert diff <= 1e-10
-        assert p_closed <= math.exp(-((xi * 2e-21) ** 2)) * (1 + 1e-12)
-    # emitted bytes round-trip through parse/render
-    assert render_csv(SCAN_HEADER, rows) == out.read_text()
+        rows = parse_csv(out.read_text(), SCAN_HEADER)
+        assert len(rows) == points
+        xis = [row[0] for row in rows]
+        assert xis == sorted(xis)
+        for xi, p_closed, p_quad, diff in rows:
+            assert diff <= 1e-10
+            assert p_closed <= math.exp(-((xi * 2e-21) ** 2)) * (1 + 1e-12)
+        # emitted bytes round-trip through parse/render
+        assert render_csv(SCAN_HEADER, rows) == out.read_text()
 
 
 def test_scan_unwritable_path_exits_3(tmp_path, capsys):
@@ -377,6 +380,23 @@ def test_campaign_command_matches_library_without_records(tmp_path, monkeypatch,
     assert [summary[key] for key in ("dn_hat", "standard_error", "n_pairs", "degenerate")] == [
         estimate.dn_hat, estimate.standard_error, estimate.n_pairs, estimate.degenerate]
     assert nedmsim.inference.campaign_estimator is nedmsim.comagnetometer.campaign_estimator
+
+
+def test_scan_and_campaign_write_their_tables_without_render_csv(tmp_path, monkeypatch):
+    # both stream csv_lines to the file; neither builds the whole table's text
+    def no_text(*args):
+        raise AssertionError("the table was rendered as one string")
+
+    monkeypatch.setattr("nedmsim.cli.render_csv", no_text)
+    scan = tmp_path / "scan.csv"
+    assert run_cli("scan", "--dn", "3e-22", "--delta", "2e-21", "--xi-min", "1e19",
+                   "--xi-max", "2e21", "--points", "5000", "--out", scan) == 0
+    assert len(parse_csv(scan.read_text(), SCAN_HEADER)) == 5000
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(NOISELESS_INI)
+    cycles = tmp_path / "cycles.csv"
+    assert run_cli("campaign", "--config", cfg, "--out", cycles) == 0
+    assert len(parse_csv(cycles.read_text(), CYCLES_HEADER)) == 4
 
 
 # the Ramsey phase overflows above about 9.343e297 T; at this seed the first

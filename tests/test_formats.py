@@ -129,3 +129,12 @@ def test_atomic_write_that_fails_leaves_no_file(tmp_path, monkeypatch):
         atomic_write_text(str(tmp_path / "out.csv"), "hello\n")
     # neither the target nor the .nedmsim-*.tmp sibling it was written to
     assert list(tmp_path.iterdir()) == []
+
+    def pieces():
+        yield "hello\n"
+        raise ValueError("second piece refused")
+
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="second piece refused"):
+        atomic_write_text(str(tmp_path / "out.csv"), pieces())
+    assert list(tmp_path.iterdir()) == []

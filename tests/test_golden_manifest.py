@@ -252,3 +252,48 @@ def test_manifest_config_is_pinned(case, workdir, capsys):
         "formats": formats,
         "config": expected_config,
     }
+
+
+def rerun(workdir, capsys, manifest):
+    """Exit code, stdout, stderr and every file's bytes after rerunning manifest."""
+    (workdir / "rerun.json").write_text(json.dumps(manifest))
+    code = main(["rerun", "rerun.json"])
+    out, err = capsys.readouterr()
+    return code, out, err, {path.name: path.read_bytes() for path in workdir.iterdir()}
+
+
+def fresh_manifest(case, workdir, capsys):
+    argv, exit_code, _, _ = CASES[case]
+    assert main([*argv, "--manifest-out", "rerun.json"]) == exit_code
+    capsys.readouterr()
+    return json.loads((workdir / "rerun.json").read_text())
+
+
+def version_note(written):
+    return (f"note: rerun.json was written by nedmsim {written}, this is nedmsim "
+            f"{nedmsim.__version__}; where versions or formats differ, outputs may too "
+            "(CHANGES.md lists what moved)\n")
+
+
+@pytest.mark.parametrize("case", ["campaign", "fit_defaults"])
+@pytest.mark.parametrize("edit", [{"artifact_version": "0.12.0"},
+                                  {"formats": {"table": "nedmsim.scan-csv/0"}}])
+def test_rerun_of_an_edited_golden_manifest_notes_it_and_writes_the_same_bytes(
+        case, edit, workdir, capsys):
+    manifest = fresh_manifest(case, workdir, capsys)
+    same_version = rerun(workdir, capsys, manifest)
+    code, out, err, files = rerun(workdir, capsys, {**manifest, **edit})
+    assert err == version_note(edit.get("artifact_version", nedmsim.__version__))
+    assert (code, out, files) == (same_version[0], same_version[1], same_version[3])
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_same_version_rerun_writes_nothing_to_stderr(case, workdir, capsys):
+    assert rerun(workdir, capsys, fresh_manifest(case, workdir, capsys))[2] == ""
+
+
+def test_rerun_of_a_manifest_without_artifact_version_gets_the_note(workdir, capsys):
+    manifest = fresh_manifest("scan", workdir, capsys)
+    del manifest["artifact_version"]
+    code, _, err, _ = rerun(workdir, capsys, manifest)
+    assert (code, err) == (0, version_note("unknown"))
