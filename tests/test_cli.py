@@ -606,6 +606,38 @@ def test_bound_nonconvergence_exits_4(tmp_path, capsys):
     assert json.loads(manifest.read_text())["command"] == "bound"
 
 
+# SHA-256 of the exact stdout of each report: a changed field, key or last
+# bit fails here, as does a field added to FitResult, which fit's report is
+REPORT_CASES = {
+    "transition": (("transition", "--dn", "3e-22", "--delta", "1e-21",
+                    "--pulse-integral", "2e6", "--check-oracle"), 0,
+                   "1b1f53e4f36e570c93e2575642cac682eaca7ffcaf4f19c009edebbd1bd657f1"),
+    "contrast": (("contrast", "--dn", "1e-22", "--delta", "1e-21", "--xi", "1e21",
+                  "--trials", "1000", "--seed", "7"), 0,
+                 "aa7baebd4d0e94ada126f05a64f987b27e388be9f3bdbf7e6d877bc52e9607f5"),
+    "fit": (("fit", "--data", "interior.csv"), 0,
+            "796b43276da97e073b4f4343caa499536647ea65a52934c3fcd18c624d826869"),
+    "fit-zero-flips": (("fit", "--data", "zero.csv"), 4,
+                       "2bc587fc336f351c8d5ce89b876525e16e9707bfaf19c3a57260e03866612af2"),
+    "bound": (("bound", "--data", "interior.csv", "--resolution", "1e-5"), 0,
+              "241abeaf6d03aae7c258934a5a3e305e1c0e3c2ddb20eb60d6488fda5308e02f"),
+    "bound-zero-flips": (("bound", "--data", "design.csv", "--cl", "0.95"), 0,
+                         "82e25738a42d8bca02eaf4938c0685608fc0de903356d0d253e78c0e73bf6d8b"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_CASES))
+def test_report_bytes(tmp_path, monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    write_flip_csv(tmp_path / "interior.csv", INTERIOR_POINTS)
+    write_flip_csv(tmp_path / "zero.csv", [(1e20, 1000, 0), (1e21, 1000, 0)])
+    write_flip_csv(tmp_path / "design.csv", zero_flip_points())
+    argv, code, digest = REPORT_CASES[case]
+    assert run_cli(*argv) == code
+    report = capsys.readouterr().out
+    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == digest
+
+
 def test_missing_data_file_exits_3(tmp_path, capsys):
     assert run_cli("fit", "--data", tmp_path / "nope.csv") == 3
 
