@@ -102,13 +102,6 @@ def _workers() -> int:
     return value
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        atomic_write_text(path, text)
-
-
 def _read_flip_dataset(path: str) -> FlipDataset:
     with open(path, "r", encoding="utf-8") as handle:
         rows = parse_csv(handle.read(), FLIPS_HEADER)
@@ -170,17 +163,10 @@ def _check_transition(cfg: dict, name: Callable[[str], str]) -> None:
             raise ValueError(f"{name('xi')} must be {xi!r}, the xi of {name('pulse_integral')}")
 
 
-def _execute_transition(cfg: dict) -> int:
+def _execute_transition(cfg: dict) -> tuple[dict, int]:
     state = DipoleState(d_n=cfg["dn"], delta=cfg["delta"])
     xi = cfg["xi"]
-    record = {
-        "schema": SCHEMA_SUMMARY_JSON,
-        "command": "transition",
-        "dn": state.d_n,
-        "delta": state.delta,
-        "xi": xi,
-        "p": flip_probability(state, xi),
-    }
+    record = {"dn": state.d_n, "delta": state.delta, "xi": xi, "p": flip_probability(state, xi)}
     if cfg.get("pulse_integral") is not None:
         record["pulse_integral"] = cfg["pulse_integral"]
     if cfg["check_oracle"]:
@@ -188,15 +174,14 @@ def _execute_transition(cfg: dict) -> int:
         record["p_quadrature"] = p_quad
         record["abs_diff"] = abs(record["p"] - p_quad)
         record["nodes"] = required_node_count(xi, state.delta)
-    _emit(render_json(record), cfg["outputs"].get("report"))
-    return EXIT_OK
+    return {"report": record}, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # contrast
 
 
-def _execute_contrast(cfg: dict) -> int:
+def _execute_contrast(cfg: dict) -> tuple[dict, int]:
     state = DipoleState(d_n=cfg["dn"], delta=cfg["delta"])
     xi, trials, seed = cfg["xi"], cfg["trials"], cfg["seed"]
     workers = _workers()
@@ -212,8 +197,7 @@ def _execute_contrast(cfg: dict) -> int:
             expected_stochastic_fraction(state, xi),
         ],
     ]
-    _emit(render_csv(CONTRAST_HEADER, rows), cfg["outputs"].get("table"))
-    return EXIT_OK
+    return {"table": render_csv(CONTRAST_HEADER, rows)}, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +217,7 @@ def _check_scan(cfg: dict, name: Callable[[str], str]) -> None:
         raise ValueError(f"log spacing requires {name('xi_min')} > 0")
 
 
-def _execute_scan(cfg: dict) -> int:
+def _execute_scan(cfg: dict) -> tuple[dict, int]:
     state = DipoleState(d_n=cfg["dn"], delta=cfg["delta"])
     spaced = np.geomspace if cfg["spacing"] == "log" else np.linspace
     xis = spaced(cfg["xi_min"], cfg["xi_max"], cfg["points"])
@@ -243,8 +227,7 @@ def _execute_scan(cfg: dict) -> int:
     p_quads = flip_probability_quadrature(state, xis)
     p = flip_probability(state, xis)
     rows = _rows([xis, p, p_quads, np.abs(p - p_quads)])
-    atomic_write_text(cfg["outputs"]["table"], csv_lines(SCAN_HEADER, rows))
-    return EXIT_OK
+    return {"table": csv_lines(SCAN_HEADER, rows)}, EXIT_OK
 
 
 def _rows(columns: list[np.ndarray]) -> Iterator[tuple]:
@@ -265,27 +248,16 @@ def _resolve_campaign(args) -> dict:
     return {**vars(args), **sections, "summary": summary}
 
 
-def _execute_campaign(cfg: dict) -> int:
+def _execute_campaign(cfg: dict) -> tuple[dict, int]:
     campaign = CampaignConfig(**cfg["campaign"])
     units = UnitSystem(**cfg["units"])
     constants = PhysicalConstants(**cfg["constants"])
     columns = _columns(campaign, constants, units)
     _, polarity, n_up, n_down, _, f_hg, r = columns
     estimate = _estimate(polarity, n_up, n_down, f_hg, r, campaign, units)
-    atomic_write_text(cfg["outputs"]["cycles"], csv_lines(CYCLES_HEADER, _rows(columns)))
-    summary = {
-        "schema": SCHEMA_SUMMARY_JSON,
-        "command": "campaign",
-        "dn_hat": estimate.dn_hat,
-        "standard_error": estimate.standard_error,
-        "n_pairs": estimate.n_pairs,
-        "degenerate": estimate.degenerate,
-        "seed": campaign.seed,
-        "cycles": campaign.cycles,
-        "manifest": _manifest("campaign", cfg),
-    }
-    atomic_write_text(cfg["outputs"]["summary"], render_json(summary))
-    return EXIT_OK
+    summary = {**asdict(estimate), "seed": campaign.seed, "cycles": campaign.cycles,
+               "manifest": _manifest("campaign", cfg)}
+    return {"cycles": csv_lines(CYCLES_HEADER, _rows(columns)), "summary": summary}, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +268,9 @@ def _search_settings(delta_widths: float) -> Callable[[argparse.Namespace], dict
     """Resolve a fit or bound, each [inference] key under its manifest key.
 
     A flag overrides the config file, which overrides the library
-    defaults; ceilings set by neither are derived from the dataset.
+    defaults; ceilings set by neither are derived from the dataset. bound
+    takes five of the keys, those in its kinds: upper_bound searches from
+    d_n = 0 on a 48-point grid, whatever grid_points and dn_min are set.
     """
 
     def resolve(args) -> dict:
@@ -318,27 +292,13 @@ def _search_settings(delta_widths: float) -> Callable[[argparse.Namespace], dict
     return resolve
 
 
-def _execute_fit(cfg: dict) -> int:
+def _execute_fit(cfg: dict) -> tuple[dict, int]:
     dataset = FlipDataset(**cfg["dataset"])
-    search = SearchBox(**cfg["search"])
-    result = fit(dataset, search, interval_cl=cfg["cl"])
-    report = {
-        "schema": SCHEMA_SUMMARY_JSON,
-        "command": "fit",
-        "dn_hat": result.dn_hat,
-        "delta_hat": result.delta_hat,
-        "max_log_likelihood": result.max_log_likelihood,
-        "dn_interval": list(result.dn_interval),
-        "delta_interval": list(result.delta_interval),
-        "interval_cl": result.interval_cl,
-        "converged": result.converged,
-        "message": result.message,
-    }
-    _emit(render_json(report), cfg["outputs"].get("report"))
-    return EXIT_OK if result.converged else EXIT_NONCONVERGENCE
+    result = fit(dataset, SearchBox(**cfg["search"]), interval_cl=cfg["cl"])
+    return {"report": asdict(result)}, EXIT_OK if result.converged else EXIT_NONCONVERGENCE
 
 
-def _execute_bound(cfg: dict) -> int:
+def _execute_bound(cfg: dict) -> tuple[dict, int]:
     dataset = FlipDataset(**cfg["dataset"])
     bound = upper_bound(
         dataset,
@@ -347,16 +307,9 @@ def _execute_bound(cfg: dict) -> int:
         dn_max=cfg["dn_max"],
         resolution=cfg["resolution"],
     )
-    report = {
-        "schema": SCHEMA_SUMMARY_JSON,
-        "command": "bound",
-        "upper_bound": bound,
-        "cl": cfg["cl"],
-        "delta_bounds": [cfg["delta_min"], cfg["delta_max"]],
-        "dn_max": cfg["dn_max"],
-    }
-    _emit(render_json(report), cfg["outputs"].get("report"))
-    return EXIT_OK
+    report = {"upper_bound": bound, "cl": cfg["cl"],
+              "delta_bounds": [cfg["delta_min"], cfg["delta_max"]], "dn_max": cfg["dn_max"]}
+    return {"report": report}, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +334,13 @@ class Command(NamedTuple):
     from it. It and ``check(cfg, name)``, which holds the rules between
     values, refuse a config that no fresh run resolves to, naming each key
     through ``name``: as a flag on a fresh run, as a manifest key on a rerun.
+    ``execute(cfg)`` writes nothing: it returns its outputs, each name of
+    ``formats`` mapped to a JSON record (a dict) or to a table's text (or
+    its lines, where the output's path cannot be null), and its exit code.
     """
 
     resolve: Callable[[argparse.Namespace], dict]  # flat values, keyed as in kinds
-    execute: Callable[[dict], int]
+    execute: Callable[[dict], tuple[dict, int]]
     formats: dict  # output name -> format version written there
     kinds: dict  # config key -> kind, or a nested table of them
     check: Callable[[dict, Callable[[str], str]], None] = lambda cfg, name: None
@@ -457,25 +413,36 @@ def _check(command: str, cfg: dict, name: Callable[[str], str]) -> None:
 
 
 def _run(command: str, cfg: dict) -> int:
-    """Execute a checked run, then write its manifest.
+    """Execute a checked run, write its outputs, then its manifest.
 
-    A run that did not converge (exit 4) still gets its manifest, so it can
-    be rerun; a run rejected while checked or executed (exit 2 or 3) leaves
+    The executor computes every output first. Each is then written in
+    ``formats`` order, a JSON record under its format and command: to
+    stdout where its path is null, else atomically to the path. A run that
+    did not converge (exit 4) still gets its manifest, so it can be rerun;
+    a run rejected while checked, executed or written (exit 2 or 3) leaves
     none.
     """
-    path = cfg["outputs"].get("manifest")
+    formats, paths = COMMANDS[command].formats, cfg["outputs"]
     try:
-        code = COMMANDS[command].execute(cfg)
+        outputs, code = COMMANDS[command].execute(cfg)
     except NonConvergenceError:
-        _write_manifest(path, command, cfg)
+        _write_manifest(command, cfg)
         raise
-    _write_manifest(path, command, cfg)
+    for name, schema in formats.items():
+        text = outputs[name]
+        if isinstance(text, dict):
+            text = render_json({"schema": schema, "command": command, **text})
+        if paths[name] is None:
+            sys.stdout.write(text)
+        else:
+            atomic_write_text(paths[name], text)
+    _write_manifest(command, cfg)
     return code
 
 
-def _write_manifest(path: str | None, command: str, cfg: dict) -> None:
-    if path is not None:
-        atomic_write_text(path, render_json(_manifest(command, cfg)))
+def _write_manifest(command: str, cfg: dict) -> None:
+    if cfg["outputs"]["manifest"] is not None:
+        atomic_write_text(cfg["outputs"]["manifest"], render_json(_manifest(command, cfg)))
 
 
 def _rerun(path: str) -> int:
@@ -600,6 +567,12 @@ def main(argv=None) -> int:
             command = COMMANDS[args.command]
             cfg = _config(command.resolve(args), command.kinds)
             _check(args.command, cfg, _flag)
+            # an output on the run's own input would replace what it read
+            for flag in ("data", "config"):
+                source = getattr(args, flag, None)
+                for key, path in cfg["outputs"].items():
+                    if source and path and os.path.abspath(path) == os.path.abspath(source):
+                        raise ValueError(f"{_flag(key)} and --{flag} both name {path!r}")
             return _run(args.command, cfg)
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

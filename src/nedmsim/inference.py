@@ -491,7 +491,8 @@ def fit(
     _MAX_ROUNDS zoom steps. Datasets in which every point is all-zero or
     all-full carry no joint information: the result then sits at the
     search floor (its delta maximizing the likelihood there) or the best
-    coarse-grid point with ``converged=False`` and an explanatory message. A non-finite dn_max*max|xi| raises ValueError.
+    coarse-grid point with ``converged=False`` and an explanatory
+    message. A non-finite dn_max*max|xi| raises ValueError.
     """
     if not 0 < interval_cl < 1:
         raise ValueError("interval_cl must lie in (0, 1)")

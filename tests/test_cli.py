@@ -264,20 +264,6 @@ def test_scan_table_properties(tmp_path):
         assert render_csv(SCAN_HEADER, rows) == out.read_text()
 
 
-def test_scan_unwritable_path_exits_3(tmp_path, capsys):
-    out = tmp_path / "missing-dir" / "scan.csv"
-    manifest = tmp_path / "m.json"
-    assert (
-        run_cli(
-            "scan", "--dn", "0", "--delta", "0", "--xi-min", "1", "--xi-max", "2",
-            "--points", "2", "--out", out, "--manifest-out", manifest,
-        )
-        == 3
-    )
-    # a run that failed while executing leaves no manifest to rerun
-    assert not manifest.exists()
-
-
 def test_campaign_noiseless_round_trip(tmp_path):
     cfg = tmp_path / "c.ini"
     cfg.write_text(NOISELESS_INI)
@@ -904,6 +890,50 @@ def fresh_argv(tmp_path, command):
     data = tmp_path / "flips.csv"
     write_flip_csv(data, INTERIOR_POINTS[::2] if command == "fit" else zero_flip_points())
     return (command, "--data", data)
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("transition", "--out"), ("contrast", "--out"), ("scan", "--out"), ("campaign", "--out"),
+     ("campaign", "--summary-out"), ("fit", "--out"), ("bound", "--out")],
+    ids=["transition", "contrast", "scan", "campaign-out", "campaign-summary-out", "fit", "bound"],
+)
+def test_unwritable_output_exits_3_and_leaves_no_manifest(tmp_path, capsys, command, flag):
+    fixed = {"transition": TRANSITION_ARGV, "contrast": CONTRAST_ARGV, "scan": SCAN_ARGV}
+    argv = fixed.get(command) or fresh_argv(tmp_path, command)
+    outputs = {"--out": tmp_path / "out", flag: tmp_path / "missing-dir" / "out"}
+    manifest = tmp_path / "m.json"
+    assert run_cli(*argv, *[a for pair in outputs.items() for a in pair],
+                   "--manifest-out", manifest) == 3
+    assert "No such file or directory" in capsys.readouterr().err
+    # the manifest is written last, so a run whose output failed has none to rerun
+    assert not manifest.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag, source",
+    [
+        (("fit", "--data", "d.csv"), "--out", "--data"),
+        (("bound", "--data", "d.csv"), "--out", "--data"),
+        (("fit", "--data", "d.csv", "--config", "c.ini"), "--out", "--config"),
+        (("campaign", "--config", "c.ini"), "--out", "--config"),
+        (("campaign", "--config", "c.ini", "--out", "cycles.csv"), "--summary-out", "--config"),
+    ],
+    ids=["fit-data", "bound-data", "fit-config", "campaign-config-out",
+         "campaign-config-summary-out"],
+)
+def test_an_output_on_the_runs_input_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys,
+                                                                argv, flag, source):
+    # fit --data d.csv --out d.csv replaced the flip table with the report, and
+    # campaign --out c.ini replaced the INI with the cycle table
+    monkeypatch.chdir(tmp_path)
+    write_flip_csv(tmp_path / "d.csv", INTERIOR_POINTS)
+    (tmp_path / "c.ini").write_text(NOISELESS_INI if argv[0] == "campaign" else "[inference]\n")
+    inputs = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    target = argv[argv.index(source) + 1]
+    assert run_cli(*argv, flag, target, "--manifest-out", "m.json") == 2
+    assert capsys.readouterr() == ("", f"error: {flag} and {source} both name {target!r}\n")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == inputs
 
 
 FIT_XI = [k * 1.25e20 for k in (1, 3, 5, 7)]
