@@ -1,10 +1,13 @@
-"""The CI's two large runs of the CLI, each checked against its bounds.
+"""The CI's two large runs of the CLI and its benchmark runs, each checked.
 
     python .github/ci_checks.py scan       # a 2^20-point scan against its oracle
     python .github/ci_checks.py campaign   # a 2^18-cycle campaign recovers its dipole
+    python .github/ci_checks.py bench W    # benchmark workload W passes every check
 
-Each runs ``python -m nedmsim`` in the working directory, where it leaves
-its outputs, prints one line of results and exits 1 if a bound is broken.
+The first two run ``python -m nedmsim`` in the working directory, where
+they leave their outputs; ``bench`` runs ``bench/run.py`` and leaves its
+output in ``bench.out``. Each prints one line of results and exits 1 if a
+bound or a check is broken.
 """
 
 import csv
@@ -13,6 +16,7 @@ import resource
 import subprocess
 import sys
 import time
+from functools import partial
 
 
 def _run(argv: list[str]) -> tuple[int, float, float]:
@@ -72,8 +76,32 @@ def campaign() -> bool:
             and pairs == cycles // 2 and recovered)
 
 
+WORKLOADS = ("cli_rerun", "fit_study", "simulate")
+
+
+def bench(workload: str) -> bool:
+    """One second of a benchmark workload at seed 7919 is deterministic and fails nothing.
+
+    ``correct`` is false when two batches of one seed give different output
+    bytes or check verdicts. At this seed every operation of each workload
+    passes its checks: the campaign keeps every pair, every oracle point
+    agrees with the closed form to 1e-10, and every rerun is byte-identical.
+    """
+    with open("bench.out", "w") as out:
+        code = subprocess.run(["timeout", "600", sys.executable, "bench/run.py", "--workload",
+                               workload, "--seed", "7919", "--seconds", "1", "--trace", "0"],
+                              stdout=out).returncode
+    with open("bench.out") as handle:
+        last = handle.read().splitlines()[-1]
+    print(last)
+    result = json.loads(last)
+    return code == 0 and result["correct"] is True and result["failed"] == 0
+
+
 if __name__ == "__main__":
-    checks = {"scan": scan, "campaign": campaign}
-    if len(sys.argv) != 2 or sys.argv[1] not in checks:
-        sys.exit(f"usage: {sys.argv[0]} {'|'.join(checks)}")
-    sys.exit(not checks[sys.argv[1]]())
+    checks = {("scan",): scan, ("campaign",): campaign,
+              **{("bench", workload): partial(bench, workload) for workload in WORKLOADS}}
+    check = checks.get(tuple(sys.argv[1:]))
+    if check is None:
+        sys.exit(f"usage: {sys.argv[0]} scan|campaign|bench {'|'.join(WORKLOADS)}")
+    sys.exit(not check())

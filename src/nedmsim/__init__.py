@@ -11,7 +11,7 @@ __version__ = "0.14.0"
 from .comagnetometer import (
     CampaignConfig,
     CampaignEstimate,
-    CycleRecord,
+    CycleTable,
     campaign_estimator,
     extract_dn_pair,
     ratio_r,
@@ -60,7 +60,7 @@ __all__ = [
     "__version__",
     "CampaignConfig",
     "CampaignEstimate",
-    "CycleRecord",
+    "CycleTable",
     "DipoleState",
     "EnsembleRun",
     "FitResult",

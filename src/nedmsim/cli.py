@@ -27,12 +27,16 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .comagnetometer import CampaignConfig, _columns, _estimate
+from .comagnetometer import (
+    CampaignConfig,
+    campaign_estimator,
+    run_campaign,
+)
 from .config import ConfigError, InferenceSettings, load_config
 from .ensemble import expected_stochastic_fraction, simulate_quantum, simulate_stochastic
 from .formats import (
@@ -45,8 +49,10 @@ from .formats import (
     SCHEMA_MANIFEST_JSON,
     SCHEMA_SCAN_CSV,
     SCHEMA_SUMMARY_JSON,
-    atomic_write_text,
+    atomic_write_texts,
+    column_rows,
     csv_lines,
+    cycles_to_rows,
     parse_csv,
     render_csv,
     render_json,
@@ -226,15 +232,8 @@ def _execute_scan(cfg: dict) -> tuple[dict, int]:
     # evaluated
     p_quads = flip_probability_quadrature(state, xis)
     p = flip_probability(state, xis)
-    rows = _rows([xis, p, p_quads, np.abs(p - p_quads)])
+    rows = column_rows([xis, p, p_quads, np.abs(p - p_quads)])
     return {"table": csv_lines(SCAN_HEADER, rows)}, EXIT_OK
-
-
-def _rows(columns: list[np.ndarray]) -> Iterator[tuple]:
-    # rows from 4096-row slices of the columns, so neither the table nor a
-    # whole column of Python numbers is held beside the columns
-    for at in range(0, len(columns[0]), 4096):
-        yield from zip(*[column[at : at + 4096].tolist() for column in columns])
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +250,11 @@ def _resolve_campaign(args) -> dict:
 def _execute_campaign(cfg: dict) -> tuple[dict, int]:
     campaign = CampaignConfig(**cfg["campaign"])
     units = UnitSystem(**cfg["units"])
-    constants = PhysicalConstants(**cfg["constants"])
-    columns = _columns(campaign, constants, units)
-    _, polarity, n_up, n_down, _, f_hg, r = columns
-    estimate = _estimate(polarity, n_up, n_down, f_hg, r, campaign, units)
+    table = run_campaign(campaign, PhysicalConstants(**cfg["constants"]), units)
+    estimate = campaign_estimator(table, campaign, units)
     summary = {**asdict(estimate), "seed": campaign.seed, "cycles": campaign.cycles,
                "manifest": _manifest("campaign", cfg)}
-    return {"cycles": csv_lines(CYCLES_HEADER, _rows(columns)), "summary": summary}, EXIT_OK
+    return {"cycles": csv_lines(CYCLES_HEADER, cycles_to_rows(table)), "summary": summary}, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -413,36 +410,35 @@ def _check(command: str, cfg: dict, name: Callable[[str], str]) -> None:
 
 
 def _run(command: str, cfg: dict) -> int:
-    """Execute a checked run, write its outputs, then its manifest.
+    """Execute a checked run, then write its outputs and its manifest.
 
-    The executor computes every output first. Each is then written in
-    ``formats`` order, a JSON record under its format and command: to
-    stdout where its path is null, else atomically to the path. A run that
-    did not converge (exit 4) still gets its manifest, so it can be rerun;
-    a run rejected while checked, executed or written (exit 2 or 3) leaves
-    none.
+    The executor computes every output first. The manifest and each output
+    with a path are written together, none renamed into place until all
+    are written; then each output with a null path goes to stdout. A run
+    that did not converge (exit 4) still gets its manifest, so it can be
+    rerun; a run rejected while checked, executed or written (exit 2 or 3)
+    leaves no file.
     """
     formats, paths = COMMANDS[command].formats, cfg["outputs"]
+    files = {} if paths["manifest"] is None else {  # path -> its text, or its lines
+        paths["manifest"]: render_json(_manifest(command, cfg))}
     try:
         outputs, code = COMMANDS[command].execute(cfg)
     except NonConvergenceError:
-        _write_manifest(command, cfg)
+        atomic_write_texts(files)
         raise
+    printed = []
     for name, schema in formats.items():
         text = outputs[name]
-        if isinstance(text, dict):
+        if isinstance(text, dict):  # a JSON record, under its format and command
             text = render_json({"schema": schema, "command": command, **text})
         if paths[name] is None:
-            sys.stdout.write(text)
+            printed.append(text)
         else:
-            atomic_write_text(paths[name], text)
-    _write_manifest(command, cfg)
+            files[paths[name]] = text
+    atomic_write_texts(files)
+    sys.stdout.writelines(printed)
     return code
-
-
-def _write_manifest(command: str, cfg: dict) -> None:
-    if cfg["outputs"]["manifest"] is not None:
-        atomic_write_text(cfg["outputs"]["manifest"], render_json(_manifest(command, cfg)))
 
 
 def _rerun(path: str) -> int:

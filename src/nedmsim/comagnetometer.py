@@ -22,19 +22,17 @@ Counting modes: ``binomial`` (default) draws N_up at fixed total,
 real-valued populations through the chain (no counting noise), which
 makes a noise-free campaign reproduce its configured dipole exactly.
 
+A campaign is a :class:`CycleTable`, one array per column.
 :func:`campaign_estimator` combines per-pair dipole estimates with
 inverse-variance weights, propagating counting variance through asymmetry
--> phase (delta method) and weighing the pairs in phase units; ``nedmsim
-campaign`` runs it on the campaign's columns without building a
-:class:`CycleRecord`.
+-> phase (delta method) and weighing the pairs in phase units.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,7 +46,7 @@ __all__ = [
     "COUNTING_MODES",
     "CampaignConfig",
     "CampaignEstimate",
-    "CycleRecord",
+    "CycleTable",
     "ratio_r",
     "extract_dn_pair",
     "run_campaign",
@@ -126,27 +124,18 @@ class CampaignConfig:
             )
 
 
-@dataclass(frozen=True, slots=True)
-class CycleRecord:
-    """One comagnetometer cycle: counts, frequencies, and their ratio.
+class CycleTable(NamedTuple):
+    """A campaign's cycles, one equal-length array per field: int64 index,
+    polarity and sampling-mode counts; float64 ``expected``-mode counts,
+    frequencies and ``r`` = ``f_n / f_hg + delta_r_sys``. ``len`` counts fields."""
 
-    Counts are ints in sampling modes and floats in ``expected`` mode.
-    ``r`` always equals ``f_n / f_hg + delta_r_sys`` as computed.
-    """
-
-    index: int
-    polarity: int
-    n_up: float
-    n_down: float
-    f_n: float
-    f_hg: float
-    r: float
-
-    def __post_init__(self) -> None:
-        if self.polarity not in (-1, 1):
-            raise ValueError("polarity must be +1 or -1")
-        if self.n_up < 0 or self.n_down < 0:
-            raise ValueError("counts must be >= 0")
+    index: np.ndarray
+    polarity: np.ndarray
+    n_up: np.ndarray
+    n_down: np.ndarray
+    f_n: np.ndarray
+    f_hg: np.ndarray
+    r: np.ndarray
 
 
 def ratio_r(
@@ -212,7 +201,7 @@ def _block(
 ) -> tuple[np.ndarray, ...]:
     """The block of cycles from ``start``, a multiple of :data:`CAMPAIGN_BLOCK`.
 
-    Returns its columns in :class:`CycleRecord`'s field order, with int64
+    Returns its columns in :class:`CycleTable`'s field order, with int64
     counts in the sampling modes. Like Python's float arithmetic, the block
     overflows to inf and makes nan without a warning; a non-finite phase is
     refused.
@@ -270,29 +259,24 @@ def _block(
     return index, polarity, n_up, n_down, f_n, f_hg, r
 
 
-def _columns(config: CampaignConfig, constants: PhysicalConstants, units: UnitSystem) -> list:
-    """The campaign's columns: its blocks, all computed first, concatenated."""
-    starts = range(0, config.cycles, CAMPAIGN_BLOCK)
-    blocks = [_block(config, start, constants, units) for start in starts]
-    return [np.concatenate(column) for column in zip(*blocks)]
-
-
 def run_campaign(
     config: CampaignConfig,
     constants: PhysicalConstants = PhysicalConstants(),
     units: UnitSystem = UnitSystem(),
-) -> list[CycleRecord]:
+) -> CycleTable:
     """Simulate a full campaign with polarity alternating +, -, +, -, ...
 
     Cycles run in blocks of :data:`CAMPAIGN_BLOCK`, each drawing its field
     drift, counts and clock noise as vectors, each from its own substream
-    (the layout is in :mod:`nedmsim.streams`). The record list is deterministic
-    given the seed, and a longer campaign with the same seed extends a
-    shorter one without changing its cycles. A field or dipole term large
-    enough to make a Ramsey phase non-finite raises ValueError.
+    (the layout is in :mod:`nedmsim.streams`); all blocks are computed
+    first, then concatenated. The table is deterministic given the seed,
+    and a longer campaign with the same seed extends a shorter one without
+    changing its cycles. A field or dipole term large enough to make a
+    Ramsey phase non-finite raises ValueError.
     """
-    _, *columns = _columns(config, constants, units)
-    return list(map(CycleRecord, range(config.cycles), *(c.tolist() for c in columns)))
+    starts = range(0, config.cycles, CAMPAIGN_BLOCK)
+    blocks = [_block(config, start, constants, units) for start in starts]
+    return CycleTable(*map(np.concatenate, zip(*blocks)))
 
 
 @dataclass(frozen=True)
@@ -324,8 +308,44 @@ def _phase_variance(n_up: np.ndarray, n_down: np.ndarray, visibility: float) -> 
     return variance
 
 
-def _estimate(polarity, n_up, n_down, f_hg, r, config, units) -> CampaignEstimate:
-    """:func:`campaign_estimator` on +/- pairs of columns, counts read as float64."""
+def campaign_estimator(
+    table: CycleTable,
+    config: CampaignConfig,
+    units: UnitSystem = UnitSystem(),
+) -> CampaignEstimate:
+    """Dipole estimate and standard error from a campaign's cycle table.
+
+    Consecutive cycles form polarity pairs, each one +1 and one -1 cycle in
+    either order; each pair yields ``extract_dn_pair`` evaluated with the
+    pair's mean measured clock frequency f. That function is linear in
+    R_plus - R_minus, and a cycle's R = phi_c / (2 pi t f_c), so the pair's
+    variance is k^2 * sum_c Var(phi_c) * (f / f_c)^2 over its two cycles,
+    where k = ``extract_dn_pair(1, 0, E, 1) / (2 pi t)`` is the dipole per
+    unit phase. Pairs are weighed in phase units, by
+    1 / sum_c Var(phi_c) * (f / f_c)^2, and k scales the standard error
+    alone; one that is not positive and finite raises ValueError. A pair
+    whose ratios are not both finite is skipped; all pairs are combined as
+    arrays at once, counts as float64. In the ``expected`` counting mode
+    there is no counting noise to propagate: the estimate is the plain
+    mean and the zero standard error is flagged as degenerate.
+
+    The reported standard error covers counting statistics only (it
+    matches the seed-to-seed scatter to ~3% when counting noise is the
+    only noise source); field-drift and clock-noise contributions are not
+    part of the error model and widen the true scatter beyond it.
+    """
+    index, polarity, n_up, n_down, _, f_hg, r = table
+    if polarity.size < 2:
+        raise ValueError("at least one polarity pair is required")
+    if polarity.size % 2 != 0:
+        raise ValueError("lone polarity cycle: cycles must form +/- pairs")
+    if np.any((polarity != 1) & (polarity != -1)):
+        raise ValueError("polarity must be +1 or -1")
+    shared = np.flatnonzero(polarity[0::2] == polarity[1::2])
+    if shared.size:
+        a, b = index[2 * shared[0] : 2 * shared[0] + 2]
+        raise ValueError(f"cycles {a} and {b} share polarity {int(polarity[2 * shared[0]]):+d}")
+
     # each pair's plus and minus cycle
     plus = np.arange(0, polarity.size, 2) + (polarity[0::2] != 1)
     minus = plus ^ 1
@@ -343,7 +363,7 @@ def _estimate(polarity, n_up, n_down, f_hg, r, config, units) -> CampaignEstimat
     # each cycle's phase variance, times (f / f_c)^2 for its pair's mean clock f
     cycles = np.concatenate([plus, minus])
     clock = np.tile(f_hg_pair, 2) / f_hg[cycles]
-    up, down = (np.asarray(n[cycles], float) for n in (n_up, n_down))  # as in records
+    up, down = (np.asarray(n[cycles], float) for n in (n_up, n_down))
     variances = (_phase_variance(up, down, config.visibility)
                  * (clock * clock)).reshape(2, -1).sum(axis=0)
     weighted = np.isfinite(variances) & (variances > 0)
@@ -359,44 +379,3 @@ def _estimate(polarity, n_up, n_down, f_hg, r, config, units) -> CampaignEstimat
         raise ValueError(f"standard error {se!r} is not positive and finite: "
                          "e_magnitude or free_time is too small or too large")
     return CampaignEstimate(dn_hat, se, int(np.count_nonzero(weighted)))
-
-
-def campaign_estimator(
-    records: Sequence[CycleRecord],
-    config: CampaignConfig,
-    units: UnitSystem = UnitSystem(),
-) -> CampaignEstimate:
-    """Dipole estimate and standard error from a campaign cycle table.
-
-    Consecutive records form polarity pairs; each pair yields
-    ``extract_dn_pair`` evaluated with the pair's mean measured clock
-    frequency f. That function is linear in R_plus - R_minus, and a
-    cycle's R = phi_c / (2 pi t f_c), so the pair's variance is
-    k^2 * sum_c Var(phi_c) * (f / f_c)^2 over its two cycles, where k =
-    ``extract_dn_pair(1, 0, E, 1) / (2 pi t)`` is the dipole per unit phase.
-    Pairs are weighed in phase units, by 1 / sum_c Var(phi_c) * (f / f_c)^2,
-    and k scales the standard error alone; one that is not positive and
-    finite raises ValueError. A pair whose ratios are not both finite is
-    skipped; all pairs are combined as arrays at once. In the ``expected``
-    counting mode there is no counting noise to propagate: the estimate is
-    the plain mean and the zero standard error is flagged as degenerate.
-
-    The reported standard error covers counting statistics only (it
-    matches the seed-to-seed scatter to ~3% when counting noise is the
-    only noise source); field-drift and clock-noise contributions are not
-    part of the error model and widen the true scatter beyond it.
-    """
-    if len(records) < 2:
-        raise ValueError("at least one polarity pair is required")
-    if len(records) % 2 != 0:
-        raise ValueError("lone polarity cycle: records must form +/- pairs")
-
-    polarity, n_up, n_down, f_hg, r = (
-        np.fromiter(map(operator.attrgetter(key), records), float, len(records))
-        for key in ("polarity", "n_up", "n_down", "f_hg", "r")
-    )
-    shared = np.flatnonzero(polarity[0::2] == polarity[1::2])
-    if shared.size:
-        a, b = records[2 * shared[0]], records[2 * shared[0] + 1]
-        raise ValueError(f"records {a.index} and {b.index} share polarity {a.polarity:+d}")
-    return _estimate(polarity, n_up, n_down, f_hg, r, config, units)

@@ -2,19 +2,22 @@
 
 Every number is emitted in shortest round-trip form (``repr``), integers
 as integers, so parsing an emitted file and re-emitting it reproduces the
-bytes exactly. Files are written to a temporary sibling and renamed into
+bytes exactly. Files are written to temporary siblings and renamed into
 place. Schema identifiers are recorded in manifests so consumers can
 detect format drift.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
 from typing import Iterable, Iterator, Sequence
 
-from .comagnetometer import CycleRecord
+import numpy as np
+
+from .comagnetometer import CycleTable
 from .inference import FlipDataset
 
 __all__ = [
@@ -27,13 +30,16 @@ __all__ = [
     "FLIPS_HEADER",
     "SCAN_HEADER",
     "CONTRAST_HEADER",
+    "ROW_SLICE",
     "format_number",
     "parse_number",
+    "column_rows",
     "csv_lines",
     "render_csv",
     "parse_csv",
     "render_json",
     "atomic_write_text",
+    "atomic_write_texts",
     "cycles_to_rows",
     "rows_to_cycles",
     "flip_dataset_to_rows",
@@ -50,6 +56,9 @@ CYCLES_HEADER = ("index", "polarity", "n_up", "n_down", "f_n", "f_hg", "R")
 FLIPS_HEADER = ("xi", "trials", "flips")
 SCAN_HEADER = ("xi", "p_closed", "p_quadrature", "abs_diff")
 CONTRAST_HEADER = ("model", "trials", "flips", "fraction", "expected_fraction")
+
+# Rows that column_rows turns into Python numbers at a time
+ROW_SLICE = 4096
 
 
 def format_number(value) -> str:
@@ -71,6 +80,13 @@ def parse_number(text: str):
 
 # format_number's text for these exact types; bool and numpy scalars go through it
 _CELL_FORMATTERS = {int: str, float: float.__repr__, str: str}
+
+
+def column_rows(columns: Sequence[np.ndarray]) -> Iterator[tuple]:
+    """The rows of equal-length arrays as tuples of Python numbers, made a slice
+    of ROW_SLICE rows at a time: no whole column of Python numbers is held."""
+    for at in range(0, len(columns[0]), ROW_SLICE):
+        yield from zip(*[column[at : at + ROW_SLICE].tolist() for column in columns])
 
 
 def csv_lines(header: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]:
@@ -130,40 +146,45 @@ def render_json(obj) -> str:
 
 def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
     """Write text, or each of its pieces, via a temporary sibling renamed into place."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".nedmsim-", suffix=".tmp")
+    atomic_write_texts({path: text})
+
+
+def atomic_write_texts(texts: dict[str, str | Iterable[str]]) -> None:
+    """:func:`atomic_write_text` for each path, renaming none until all are
+    written; a failure removes each temporary file and each path renamed."""
+    temporary, renamed = {}, []  # path -> its temporary sibling; paths in place
     try:
-        with os.fdopen(fd, "w", newline="\n") as handle:
-            handle.writelines([text] if isinstance(text, str) else text)
-        os.replace(tmp, path)
+        for path, text in texts.items():
+            fd, temporary[path] = tempfile.mkstemp(
+                dir=os.path.dirname(os.path.abspath(path)), prefix=".nedmsim-", suffix=".tmp")
+            with os.fdopen(fd, "w", newline="\n") as handle:
+                handle.writelines([text] if isinstance(text, str) else text)
+        for path, tmp in temporary.items():
+            os.replace(tmp, path)
+            renamed.append(path)
     except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        for path, tmp in temporary.items():
+            with contextlib.suppress(OSError):
+                os.unlink(path if path in renamed else tmp)
         raise
 
 
-def cycles_to_rows(records: Sequence[CycleRecord]) -> list[list]:
-    return [
-        [rec.index, rec.polarity, rec.n_up, rec.n_down, rec.f_n, rec.f_hg, rec.r]
-        for rec in records
-    ]
+def cycles_to_rows(table: CycleTable) -> Iterator[tuple]:
+    return column_rows(table)
 
 
-def rows_to_cycles(rows: Sequence[Sequence]) -> list[CycleRecord]:
-    return [
-        CycleRecord(
-            index=int(row[0]),
-            polarity=int(row[1]),
-            n_up=row[2],
-            n_down=row[3],
-            f_n=float(row[4]),
-            f_hg=float(row[5]),
-            r=float(row[6]),
-        )
-        for row in rows
-    ]
+def rows_to_cycles(rows: Sequence[Sequence]) -> CycleTable:
+    """A cycle table from parsed rows; counts take numpy's dtype for their cells:
+    int64 for ints, float64 where one is a float (``expected`` mode). A
+    polarity other than +1 or -1, or a negative count, raises ValueError."""
+    index, polarity, *counts, f_n, f_hg, r = list(zip(*rows)) or [()] * 7
+    if not set(polarity) <= {1, -1}:
+        raise ValueError("polarity must be +1 or -1")
+    table = CycleTable(np.array(index, np.int64), np.array(polarity, np.int64),
+                       *map(np.array, counts), *np.array([f_n, f_hg, r], float))
+    if np.any(table.n_up < 0) or np.any(table.n_down < 0):
+        raise ValueError("counts must be >= 0")
+    return table
 
 
 def flip_dataset_to_rows(dataset: FlipDataset) -> list[list]:

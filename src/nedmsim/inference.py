@@ -43,7 +43,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .comagnetometer import CampaignEstimate, campaign_estimator  # re-exported
+from .comagnetometer import (  # re-exported
+    CampaignEstimate,
+    campaign_estimator,
+)
 from .weak_measurement import DipoleState, check_phase, flip_envelope, flip_oscillation
 
 __all__ = [

@@ -342,23 +342,18 @@ def test_campaign_huge_field_standard_error_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("neutrons", [10_000, 2**62 + 1])
 @pytest.mark.parametrize("mode", COUNTING_MODES)
-def test_campaign_command_matches_library_without_records(tmp_path, monkeypatch, mode, neutrons):
-    # two blocks, so the CLI's columns are concatenated as the library's are;
-    # near 2**63 neutrons, counts summed as int64 would round otherwise
+def test_campaign_command_matches_library_without_records(tmp_path, mode, neutrons):
+    # two blocks, so the table's columns are concatenated; near 2**63
+    # neutrons, counts summed as int64 would round otherwise
     ini = (f"[campaign]\ntrue_dn_e_cm = 3e-22\nb_drift_sd_tesla = 1e-10\nvisibility = 0.8\n"
            f"cycles = {CAMPAIGN_BLOCK + 4}\nneutrons_per_cycle = {neutrons}\nseed = 17\n"
            f"counting_mode = {mode}\n")
     cfg = tmp_path / "c.ini"
     cfg.write_text(ini)
     config = parse_config_text(ini).campaign
-    records = run_campaign(config)
-    expected_csv = render_csv(CYCLES_HEADER, cycles_to_rows(records))
-    estimate = campaign_estimator(records, config)
-
-    def no_records(*args):
-        raise AssertionError("nedmsim campaign built a CycleRecord")
-
-    monkeypatch.setattr(nedmsim.comagnetometer, "CycleRecord", no_records)
+    table = run_campaign(config)
+    expected_csv = render_csv(CYCLES_HEADER, cycles_to_rows(table))
+    estimate = campaign_estimator(table, config)
     out = tmp_path / "cycles.csv"
     assert run_cli("campaign", "--config", cfg, "--out", out) == 0
     assert out.read_text() == expected_csv
@@ -906,8 +901,32 @@ def test_unwritable_output_exits_3_and_leaves_no_manifest(tmp_path, capsys, comm
     assert run_cli(*argv, *[a for pair in outputs.items() for a in pair],
                    "--manifest-out", manifest) == 3
     assert "No such file or directory" in capsys.readouterr().err
-    # the manifest is written last, so a run whose output failed has none to rerun
+    # no file is renamed into place until all are written, so a run whose
+    # output failed has no manifest to rerun
     assert not manifest.exists()
+
+
+def test_unwritable_output_leaves_none_of_the_runs_files(tmp_path, monkeypatch, capsys):
+    # the summary's directory is missing: the cycle table, written first, is
+    # never renamed into place, and no temporary file is left
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.ini").write_text(NOISELESS_INI)
+    assert run_cli("campaign", "--config", "c.ini", "--out", "cy.csv",
+                   "--summary-out", "nope/s.json", "--manifest-out", "m.json") == 3
+    assert "No such file or directory" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["c.ini"]
+    # a summary path that is a directory fails at its rename: the cycle table,
+    # already renamed, is removed again
+    (tmp_path / "s.json").mkdir()
+    assert run_cli("campaign", "--config", "c.ini", "--out", "cy.csv",
+                   "--summary-out", "s.json", "--manifest-out", "m.json") == 3
+    assert "Is a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini", "s.json"]
+    assert list((tmp_path / "s.json").iterdir()) == []
+    # a report bound for stdout is printed only once the manifest is written
+    assert run_cli(*TRANSITION_ARGV, "--manifest-out", "nope/m.json") == 3
+    assert capsys.readouterr().out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini", "s.json"]
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Campaign simulation: ratio algebra, cycle records, reproducibility."""
+"""Campaign simulation: ratio algebra, cycle tables, reproducibility."""
 
 import dataclasses
 import math
@@ -8,18 +8,35 @@ import pytest
 
 from nedmsim.comagnetometer import (
     CampaignConfig,
-    CycleRecord,
+    CycleTable,
     campaign_estimator,
     extract_dn_pair,
     ratio_r,
     run_campaign,
 )
 from nedmsim.ensemble import _MAX_TRIALS
+from nedmsim.formats import rows_to_cycles
 from nedmsim.quantities import PhysicalConstants, UnitSystem
 
 UNITS = UnitSystem()
 CONSTANTS = PhysicalConstants()
 KICK = UNITS.phase_per_edm_field_time * UNITS.geometric_factor
+
+
+def cycle(table: CycleTable, i: int) -> tuple:
+    """Cycle i of a table, its fields as Python numbers."""
+    return tuple(column[i].item() for column in table)
+
+
+def head(table: CycleTable, cycles: int) -> CycleTable:
+    """The table's first cycles (a slice of the table itself takes fields)."""
+    return CycleTable(*(column[:cycles] for column in table))
+
+
+def assert_same_table(a: CycleTable, b: CycleTable) -> None:
+    """Column by column: the same values (nan equal to nan) and dtypes."""
+    for x, y in zip(a, b, strict=True):
+        np.testing.assert_array_equal(x, y, strict=True)
 
 
 def test_ratio_r_no_dipole_is_gamma_ratio():
@@ -79,53 +96,56 @@ def _noiseless_config(**overrides) -> CampaignConfig:
 def test_cycle_zero_phase_puts_every_neutron_up():
     # b = 0 and dn = 0 give phi = 0; the clock frequency degenerates to 0
     config = CampaignConfig(true_dn=0.0, b_nominal=0.0, cycles=2, seed=0)
-    for rec in run_campaign(config):
-        assert rec.n_up == config.neutrons_per_cycle
-        assert rec.n_down == 0
-        assert rec.f_n == 0.0
-        assert math.isnan(rec.r)
+    table = run_campaign(config)
+    assert table.index.size == 2
+    assert np.all(table.n_up == config.neutrons_per_cycle)
+    assert np.all(table.n_down == 0)
+    assert np.all(table.f_n == 0.0)
+    assert np.all(np.isnan(table.r))
 
 
 def test_cycle_noiseless_ratio_matches_formula():
     config = _noiseless_config()
-    rec = run_campaign(config)[0]
+    _, polarity, _, _, f_n, rec_f_hg, r = cycle(run_campaign(config), 0)
     f_hg = abs(CONSTANTS.gamma_hg) * config.b_nominal / (2.0 * math.pi)
     expected = ratio_r(CONSTANTS, config.true_dn, +config.e_magnitude, f_hg, 0.0, UNITS)
-    assert rec.polarity == +1
-    assert rec.f_hg == pytest.approx(f_hg, rel=1e-15)
-    assert rec.r == pytest.approx(expected, rel=1e-12)
-    assert rec.r == pytest.approx(rec.f_n / rec.f_hg, rel=1e-12)
+    assert polarity == +1
+    assert rec_f_hg == pytest.approx(f_hg, rel=1e-15)
+    assert r == pytest.approx(expected, rel=1e-12)
+    assert r == pytest.approx(f_n / rec_f_hg, rel=1e-12)
 
 
 def test_cycle_determinism():
     config = CampaignConfig(true_dn=0.0, cycles=4, seed=42)
-    a = run_campaign(config)[3]
-    b = run_campaign(config)[3]
-    assert a.polarity == -1
-    assert a == b
+    a = run_campaign(config)
+    b = run_campaign(config)
+    assert a.polarity[3] == -1
+    assert cycle(a, 3) == cycle(b, 3)
 
 
 def test_campaign_length_and_polarity_pattern():
     config = CampaignConfig(cycles=6, seed=0)
-    records = run_campaign(config)
-    assert len(records) == 6
-    assert [r.polarity for r in records] == [1, -1, 1, -1, 1, -1]
-    assert [r.index for r in records] == list(range(6))
+    table = run_campaign(config)
+    assert [column.shape for column in table] == [(6,)] * 7
+    assert table.polarity.tolist() == [1, -1, 1, -1, 1, -1]
+    assert table.index.tolist() == list(range(6))
 
 
 def test_campaign_prefix_preservation():
     # doubling the cycle count with a fixed seed extends, not reshuffles
     short = run_campaign(CampaignConfig(cycles=8, seed=11))
     long = run_campaign(CampaignConfig(cycles=16, seed=11))
-    assert long[:8] == short
+    assert_same_table(head(long, 8), short)
 
 
 def test_noiseless_pair_extraction_recovers_dipole():
     config = _noiseless_config(cycles=6)
-    records = run_campaign(config)
-    for plus, minus in zip(records[0::2], records[1::2]):
+    table = run_campaign(config)
+    assert table.r.size == 6
+    for plus, minus in zip(range(0, 6, 2), range(1, 6, 2)):
         est = extract_dn_pair(
-            plus.r, minus.r, config.e_magnitude, 0.5 * (plus.f_hg + minus.f_hg), UNITS
+            table.r[plus], table.r[minus], config.e_magnitude,
+            0.5 * (table.f_hg[plus] + table.f_hg[minus]), UNITS
         )
         assert est == pytest.approx(config.true_dn, rel=1e-10)
 
@@ -193,8 +213,8 @@ def test_common_mode_field_shift_within_statistics():
 
 def test_poisson_mode_runs_and_fluctuates_totals():
     config = CampaignConfig(cycles=20, seed=2, counting_mode="poisson")
-    records = run_campaign(config)
-    totals = {r.n_up + r.n_down for r in records}
+    table = run_campaign(config)
+    totals = set((table.n_up + table.n_down).tolist())
     assert len(totals) > 1  # the total itself fluctuates
 
 
@@ -316,23 +336,32 @@ def test_delta_r_sys_offsets_every_ratio_and_cancels_in_the_estimate(mode):
     base = CampaignConfig(true_dn=3e-22, b_drift_sd=1e-12, f_hg_noise_sd=1e-8,
                           cycles=400, seed=20_261_018, counting_mode=mode)
     shifted = dataclasses.replace(base, delta_r_sys=0.001)
-    records, moved = run_campaign(base), run_campaign(shifted)
-    for record, offset in zip(records, moved):
-        assert dataclasses.replace(offset, r=record.r) == record
-        assert abs(offset.r - record.r - 0.001) <= math.ulp(offset.r)
-    estimate = campaign_estimator(records, base)
+    table, moved = run_campaign(base), run_campaign(shifted)
+    assert_same_table(moved._replace(r=table.r), table)
+    assert table.r.size == 400
+    for r, offset in zip(table.r.tolist(), moved.r.tolist()):
+        assert abs(offset - r - 0.001) <= math.ulp(offset)
+    estimate = campaign_estimator(table, base)
     offset_estimate = campaign_estimator(moved, shifted)
     # each ratio lies below 4, so the offset's rounding moves a pair's
     # difference by at most two ulps of 4
     rounding = extract_dn_pair(2.0 * math.ulp(4.0), 0.0, base.e_magnitude,
-                               max(record.f_hg for record in records), UNITS)
+                               max(table.f_hg.tolist()), UNITS)
     assert abs(offset_estimate.dn_hat - estimate.dn_hat) <= rounding
     assert offset_estimate.standard_error == estimate.standard_error
     assert offset_estimate.n_pairs == estimate.n_pairs
 
 
-def test_cycle_record_validation():
-    with pytest.raises(ValueError):
-        CycleRecord(0, 0, 10, 10, 1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        CycleRecord(0, 1, -1, 10, 1.0, 1.0, 1.0)
+def test_cycle_table_validation():
+    # a cycle file may hold a polarity of 0 or a negative count; a campaign cannot
+    for polarity in (0, 0.5, 2**64, "+"):
+        with pytest.raises(ValueError, match="polarity must be"):
+            rows_to_cycles([[0, polarity, 10, 10, 1.0, 1.0, 1.0], [1, -1, 10, 10, 1.0, 1.0, 1.0]])
+    with pytest.raises(ValueError, match="counts must be"):
+        rows_to_cycles([[0, 1, -1, 10, 1.0, 1.0, 1.0], [1, -1, 10, 10, 1.0, 1.0, 1.0]])
+    config = CampaignConfig(cycles=4, seed=0)
+    table = run_campaign(config)
+    polarity = table.polarity.copy()
+    polarity[2] = 0
+    with pytest.raises(ValueError, match="polarity must be"):
+        campaign_estimator(table._replace(polarity=polarity), config)

@@ -10,6 +10,7 @@ from nedmsim.formats import (
     CYCLES_HEADER,
     FLIPS_HEADER,
     atomic_write_text,
+    atomic_write_texts,
     cycles_to_rows,
     flip_dataset_to_rows,
     format_number,
@@ -21,6 +22,12 @@ from nedmsim.formats import (
     rows_to_flip_dataset,
 )
 from nedmsim.inference import FlipDataset
+
+
+def assert_same_table(a, b) -> None:
+    """Column by column: the same values (nan equal to nan) and dtypes."""
+    for x, y in zip(a, b, strict=True):
+        np.testing.assert_array_equal(x, y, strict=True)
 
 
 def test_format_number_round_trip():
@@ -82,18 +89,19 @@ def test_csv_row_length_mismatch_rejected(text, header):
 
 def test_cycles_round_trip_bytes():
     config = CampaignConfig(true_dn=5e-21, cycles=4, seed=9)
-    records = run_campaign(config)
-    text = render_csv(CYCLES_HEADER, cycles_to_rows(records))
+    table = run_campaign(config)
+    text = render_csv(CYCLES_HEADER, cycles_to_rows(table))
     parsed = rows_to_cycles(parse_csv(text, CYCLES_HEADER))
-    assert parsed == records
+    assert_same_table(parsed, table)
     assert render_csv(CYCLES_HEADER, cycles_to_rows(parsed)) == text
 
 
 def test_expected_mode_counts_round_trip_as_floats():
     config = CampaignConfig(true_dn=5e-21, cycles=2, seed=9, counting_mode="expected")
-    records = run_campaign(config)
-    text = render_csv(CYCLES_HEADER, cycles_to_rows(records))
-    assert rows_to_cycles(parse_csv(text, CYCLES_HEADER)) == records
+    table = run_campaign(config)
+    text = render_csv(CYCLES_HEADER, cycles_to_rows(table))
+    assert_same_table(rows_to_cycles(parse_csv(text, CYCLES_HEADER)), table)
+    assert table.n_up.dtype == table.n_down.dtype == np.float64
 
 
 def test_flip_dataset_round_trip():
@@ -138,3 +146,23 @@ def test_atomic_write_that_fails_leaves_no_file(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="second piece refused"):
         atomic_write_text(str(tmp_path / "out.csv"), pieces())
     assert list(tmp_path.iterdir()) == []
+
+
+def test_atomic_writes_rename_nothing_until_all_are_written(tmp_path, monkeypatch):
+    # the second file's directory is missing: the first is never renamed
+    texts = {str(tmp_path / "a.csv"): "a\n", str(tmp_path / "nope" / "b.json"): "b\n"}
+    with pytest.raises(FileNotFoundError):
+        atomic_write_texts(texts)
+    assert list(tmp_path.iterdir()) == []
+
+    # the second rename fails: the first file, already in place, is removed
+    (tmp_path / "b.json").mkdir()
+    texts = {str(tmp_path / "a.csv"): "a\n", str(tmp_path / "b.json"): "b\n"}
+    with pytest.raises(IsADirectoryError):
+        atomic_write_texts(texts)
+    assert [p.name for p in tmp_path.iterdir()] == ["b.json"]
+    assert list((tmp_path / "b.json").iterdir()) == []
+
+    atomic_write_texts({str(tmp_path / "a.csv"): "a\n", str(tmp_path / "c.csv"): ["c", "\n"]})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.json", "c.csv"]
+    assert (tmp_path / "c.csv").read_text() == "c\n"

@@ -7,7 +7,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from nedmsim.comagnetometer import CampaignConfig, CycleRecord, campaign_estimator, run_campaign
+from nedmsim.comagnetometer import CampaignConfig, CycleTable, campaign_estimator, run_campaign
 from nedmsim.inference import (
     FIT_DELTA_WIDTHS,
     GRID_POINTS_MAX,
@@ -640,17 +640,18 @@ def test_campaign_estimator_reported_se_scaling():
 
 def test_campaign_estimator_rejects_lone_polarity():
     config = CampaignConfig(cycles=4, seed=0)
-    records = run_campaign(config)
+    table = run_campaign(config)
+    # a slice of the table itself would take its fields, not its cycles
     with pytest.raises(ValueError, match="lone polarity"):
-        campaign_estimator(records[:3], config)
+        campaign_estimator(CycleTable(*(column[:3] for column in table)), config)
     with pytest.raises(ValueError, match="pair"):
-        campaign_estimator(records[:1], config)
+        campaign_estimator(CycleTable(*(column[:1] for column in table)), config)
 
 
 def test_campaign_estimator_rejects_same_polarity_pair():
     config = CampaignConfig(cycles=4, seed=0)
-    records = run_campaign(config)
-    bad = [records[0], records[2]]  # both +1
+    table = run_campaign(config)
+    bad = CycleTable(*(column[[0, 2]] for column in table))  # both +1
     with pytest.raises(ValueError, match="share polarity"):
         campaign_estimator(bad, config)
 
@@ -658,9 +659,10 @@ def test_campaign_estimator_rejects_same_polarity_pair():
 def test_campaign_estimator_saturated_cycles_rejected():
     # asymmetry at the visibility ceiling carries no phase information
     config = CampaignConfig(cycles=2, seed=0)
-    records = [
-        CycleRecord(0, +1, 10_000, 0, 29.0, 7.59, 29.0 / 7.59),
-        CycleRecord(1, -1, 10_000, 0, 29.0, 7.59, 29.0 / 7.59),
+    cycles = [
+        (0, +1, 10_000, 0, 29.0, 7.59, 29.0 / 7.59),
+        (1, -1, 10_000, 0, 29.0, 7.59, 29.0 / 7.59),
     ]
+    table = CycleTable(*map(np.array, zip(*cycles)))
     with pytest.raises(ValueError, match="saturated"):
-        campaign_estimator(records, config)
+        campaign_estimator(table, config)

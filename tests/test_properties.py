@@ -1,13 +1,29 @@
-"""Property tests of the exact null and of shape independence."""
+"""Property tests of the exact null, of shape independence and of the cycle format."""
+
+import itertools
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given  # noqa: E402
+from hypothesis import Phase, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from nedmsim.comagnetometer import (  # noqa: E402
+    CAMPAIGN_BLOCK,
+    COUNTING_MODES,
+    CampaignConfig,
+    campaign_estimator,
+    run_campaign,
+)
 from nedmsim.ensemble import simulate_quantum  # noqa: E402
+from nedmsim.formats import (  # noqa: E402
+    CYCLES_HEADER,
+    cycles_to_rows,
+    parse_csv,
+    render_csv,
+    rows_to_cycles,
+)
 from nedmsim.inference import FlipDataset, log_likelihood  # noqa: E402
 from nedmsim.weak_measurement import DipoleState, flip_kernel, flip_probability  # noqa: E402
 
@@ -68,3 +84,68 @@ def test_log_likelihood_on_grid_equals_float_calls(dataset, dns, deltas):
     grid = log_likelihood(np.array(dns)[:, None], np.array(deltas)[None, :], dataset)
     assert grid.shape == (len(dns), len(deltas))
     assert _bits(grid) == _bits([[log_likelihood(d, e, dataset) for e in deltas] for d in dns])
+
+
+def assert_same_text(a: str, b: str) -> None:
+    """a == b, reporting the first line that differs: pytest's own diff of
+    two texts of thousands of lines takes minutes."""
+    if a != b:
+        pairs = itertools.zip_longest(a.splitlines(True), b.splitlines(True))
+        line, (x, y) = next((n, p) for n, p in enumerate(pairs, 1) if p[0] != p[1])
+        pytest.fail(f"line {line}: {x!r} != {y!r}")
+
+
+@st.composite
+def campaigns(draw, mode: str, cycles: int) -> CampaignConfig:
+    # few neutrons leave some poisson cycles without counts (f_n and R nan),
+    # and a zero field leaves the clock at 0 (R nan)
+    return CampaignConfig(
+        true_dn=draw(st.floats(-1e-20, 1e-20)),
+        b_nominal=draw(st.sampled_from([0.0, 1e-6])) + draw(st.floats(0.0, 1e-6)),
+        b_drift_sd=draw(st.floats(0.0, 1e-9)),
+        neutrons_per_cycle=draw(st.integers(1, 2**62)),
+        visibility=draw(st.floats(0.0, 1.0)),
+        delta_r_sys=draw(st.floats(-1.0, 1.0)),
+        f_hg_noise_sd=draw(st.floats(0.0, 1e-6)),
+        seed=draw(st.integers(0, 2**63)),
+        cycles=cycles,
+        counting_mode=mode,
+    )
+
+
+@pytest.mark.parametrize("cycles", [2, CAMPAIGN_BLOCK, CAMPAIGN_BLOCK + 2])
+@pytest.mark.parametrize("mode", COUNTING_MODES)
+# a 4098-cycle text takes tens of ms each way, so a failing example is
+# reported as drawn, not shrunk
+@settings(max_examples=4, phases=[Phase.generate])
+@given(data=st.data())
+def test_cycle_csv_round_trips_byte_for_byte(mode, cycles, data):
+    table = run_campaign(data.draw(campaigns(mode, cycles)))
+    text = render_csv(CYCLES_HEADER, cycles_to_rows(table))
+    parsed = rows_to_cycles(parse_csv(text, CYCLES_HEADER))
+    assert_same_text(render_csv(CYCLES_HEADER, cycles_to_rows(parsed)), text)
+    assert [column.dtype for column in parsed] == [column.dtype for column in table]
+
+
+@given(
+    cycle=st.integers(0, 3),
+    polarity=st.integers(-2**63, 2**63 - 1).filter(lambda p: abs(p) != 1),
+    count=st.one_of(st.integers(-2**63, -1), st.floats(max_value=-1e-300)),
+    field=st.sampled_from(["n_up", "n_down"]),
+)
+def test_a_bad_polarity_or_count_is_refused(cycle, polarity, count, field):
+    # from a file by rows_to_cycles, and a bad polarity by the estimator too
+    config = CampaignConfig(cycles=4, seed=0)
+    table = run_campaign(config)
+    rows = [list(row) for row in cycles_to_rows(table)]
+    rows[cycle][1] = polarity
+    with pytest.raises(ValueError, match="polarity must be"):
+        rows_to_cycles(rows)
+    column = table.polarity.copy()
+    column[cycle] = polarity
+    with pytest.raises(ValueError, match="polarity must be"):
+        campaign_estimator(table._replace(polarity=column), config)
+    rows = [list(row) for row in cycles_to_rows(table)]
+    rows[cycle][CYCLES_HEADER.index(field)] = count
+    with pytest.raises(ValueError, match="counts must be"):
+        rows_to_cycles(rows)

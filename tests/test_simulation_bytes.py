@@ -20,7 +20,9 @@ version bump, because the summary embeds the artifact version.
 import dataclasses
 import hashlib
 import math
+from collections import namedtuple
 
+import numpy as np
 import pytest
 
 from nedmsim.cli import main
@@ -28,7 +30,7 @@ from nedmsim.comagnetometer import (
     CAMPAIGN_BLOCK,
     COUNTING_MODES,
     CampaignConfig,
-    CycleRecord,
+    CycleTable,
     _measured_phase,
     campaign_estimator,
     extract_dn_pair,
@@ -84,8 +86,32 @@ STOCHASTIC_STATES = (
 )
 
 
+# one cycle of a table, its fields as Python numbers
+Cycle = namedtuple("Cycle", CycleTable._fields)
+
+
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def cycles(table: CycleTable) -> list[Cycle]:
+    return [Cycle(*row) for row in zip(*(column.tolist() for column in table))]
+
+
+def table_of(cycle_list: list[Cycle]) -> CycleTable:
+    """A table whose columns numpy infers from the cycles' Python numbers."""
+    return CycleTable(*map(np.array, zip(*cycle_list)))
+
+
+def assert_same_table(a: CycleTable, b: CycleTable) -> None:
+    """Column by column: the same values (nan equal to nan) and dtypes."""
+    for x, y in zip(a, b, strict=True):
+        np.testing.assert_array_equal(x, y, strict=True)
+
+
+def head(table: CycleTable, count: int) -> CycleTable:
+    """The table's first count cycles (a slice of the table itself takes fields)."""
+    return CycleTable(*(column[:count] for column in table))
 
 
 @pytest.mark.parametrize("mode", sorted(CAMPAIGN_DIGESTS))
@@ -109,12 +135,13 @@ def test_campaign_estimate_bytes(mode):
     assert sha256(repr(estimate)) == ESTIMATOR_DIGESTS[mode]
 
 
-def reference_campaign(config: CampaignConfig) -> list[CycleRecord]:
+def reference_campaign(config: CampaignConfig) -> list[Cycle]:
     """The campaign one cycle at a time, from the layout in the streams docstring.
 
     Each block opens its three substreams; each cycle takes its drift, its
     counts and its clock noise from them by scalar draws, and in poisson
-    mode a block draws its CAMPAIGN_BLOCK totals first.
+    mode a block draws its CAMPAIGN_BLOCK totals first. Counts are ints in
+    the sampling modes and floats in expected mode.
     """
     constants, units = PhysicalConstants(), UnitSystem()
     n = config.neutrons_per_cycle
@@ -146,7 +173,7 @@ def reference_campaign(config: CampaignConfig) -> list[CycleRecord]:
             f_hg = abs(constants.gamma_hg * b) / (2.0 * math.pi)
             f_hg *= 1.0 + clock.normal(0.0, config.f_hg_noise_sd)
             r = f_n / f_hg + config.delta_r_sys if f_hg != 0 else math.nan
-            records.append(CycleRecord(i, polarity, n_up, n_down, f_n, f_hg, r))
+            records.append(Cycle(i, polarity, n_up, n_down, f_n, f_hg, r))
     return records
 
 
@@ -165,7 +192,12 @@ def layout_configs(mode: str) -> tuple[CampaignConfig, ...]:
 @pytest.mark.parametrize("mode", COUNTING_MODES)
 def test_campaign_equals_documented_block_layout(mode):
     for config in layout_configs(mode):
-        assert run_campaign(config) == reference_campaign(config)
+        table, reference = run_campaign(config), table_of(reference_campaign(config))
+        assert reference.index.size == config.cycles
+        assert_same_table(table, reference)
+        counts = np.float64 if mode == "expected" else np.int64
+        assert [column.dtype for column in table] == [np.int64] * 2 + [counts] * 2 + [
+            np.float64] * 3
 
 
 @pytest.mark.parametrize("mode", COUNTING_MODES)
@@ -176,12 +208,12 @@ def test_campaign_extends_across_a_block_boundary(mode):
                                            cycles=cycles, seed=7, counting_mode=mode))
 
     longest = campaign(CAMPAIGN_BLOCK + 4)
-    assert longest[:6] == campaign(6)
-    assert longest[:CAMPAIGN_BLOCK] == campaign(CAMPAIGN_BLOCK)
-    assert [r.index for r in longest] == list(range(CAMPAIGN_BLOCK + 4))
+    assert_same_table(head(longest, 6), campaign(6))
+    assert_same_table(head(longest, CAMPAIGN_BLOCK), campaign(CAMPAIGN_BLOCK))
+    assert longest.index.tolist() == list(range(CAMPAIGN_BLOCK + 4))
 
 
-def cycle_ratio_variance(record: CycleRecord, config: CampaignConfig) -> float:
+def cycle_ratio_variance(record: Cycle, config: CampaignConfig) -> float:
     """Counting variance of one cycle's R = f_n / f_hg, by the delta method in floats.
 
     Var(A) = (1 - A^2)/N; A = V cos(phi) gives |dA/dphi| = sqrt(V^2 - A^2),
@@ -223,12 +255,12 @@ def per_pair_estimate(records, config) -> tuple[float, float, int]:
 @pytest.mark.parametrize("mode", COUNTING_MODES)
 def test_vector_estimator_matches_per_pair_formula(mode):
     config = parse_config_text(ESTIMATOR_INI.format(mode=mode)).campaign
-    records = run_campaign(config)
+    records = cycles(run_campaign(config))
     # a pair with a non-finite ratio is skipped, and a pair may come minus first
-    records[6] = dataclasses.replace(records[6], r=math.nan)
-    records[11] = dataclasses.replace(records[11], r=math.inf)
+    records[6] = records[6]._replace(r=math.nan)
+    records[11] = records[11]._replace(r=math.inf)
     records[20], records[21] = records[21], records[20]
-    estimate = campaign_estimator(records, config)
+    estimate = campaign_estimator(table_of(records), config)
     dn_hat, se, pairs = per_pair_estimate(records, config)
     if mode != "expected":  # saturated cycles get no weight in the sampling modes
         assert pairs < config.cycles // 2 - 2
