@@ -76,6 +76,7 @@ from .quantities import (
     PulseProfile,
     UnitSystem,
     _finite_real,
+    check_kinds,
     field_kinds,
     xi_from_pulse,
 )
@@ -134,19 +135,6 @@ def _config(values: dict, kinds: dict) -> dict:
     """
     return {key: _config(values.get(key, values), kind) if isinstance(kind, dict)
             else values[key] for key, kind in kinds.items()}
-
-
-def _check_kinds(cfg: dict, kinds: dict, name: Callable[[str], str], prefix: str = "") -> None:
-    """Raise ValueError, naming the key, unless each value in cfg has its kind."""
-    for key, kind in kinds.items():
-        value = cfg[key]
-        if isinstance(kind, dict):  # no other key: most tables are passed as keywords
-            unknown = sorted(set(value) - set(kind))
-            if unknown:
-                raise ValueError(f"{name(prefix + key)} has an unknown key {unknown[0]!r}")
-            _check_kinds(value, kind, name, f"{prefix}{key}.")
-        elif not kind[0](value):
-            raise ValueError(f"{name(prefix + key)} must be {kind[1]}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +250,7 @@ def _execute_campaign(cfg: dict) -> tuple[dict, int]:
 
 
 def _search_settings(delta_widths: float) -> Callable[[argparse.Namespace], dict]:
-    """Resolve a fit or bound, each [inference] key under its manifest key.
+    """Resolve a fit or bound, each [inference] setting under its field name.
 
     A flag overrides the config file, which overrides the library
     defaults; ceilings set by neither are derived from the dataset. bound
@@ -276,7 +264,6 @@ def _search_settings(delta_widths: float) -> Callable[[argparse.Namespace], dict
         xi, trials, flips = zip(*dataset.points())
         values = {**vars(args), "xi": list(xi), "trials": list(trials), "flips": list(flips)}
         for key, value in asdict(settings).items():
-            key = key.removesuffix("_e_cm")
             if values.get(key) is None:
                 values[key] = value
         dn_ceiling, delta_ceiling = search_ceilings(dataset, delta_widths)
@@ -375,8 +362,7 @@ COMMANDS = {
     "fit": Command(
         _search_settings(FIT_DELTA_WIDTHS), _execute_fit, {"report": SCHEMA_SUMMARY_JSON},
         {"dataset": _DATASET, "cl": REAL, "outputs": _REPORT,
-         "search": {"dn_min": REAL, "dn_max": REAL, "delta_min": REAL, "delta_max": REAL,
-                    "grid_points": INT, "resolution": REAL}},
+         "search": field_kinds(SearchBox)},
     ),
     "bound": Command(
         _search_settings(BOUND_DELTA_WIDTHS), _execute_bound, {"report": SCHEMA_SUMMARY_JSON},
@@ -398,7 +384,7 @@ def _manifest(command: str, cfg: dict) -> dict:
 
 def _check(command: str, cfg: dict, name: Callable[[str], str]) -> None:
     """Refuse a config that no fresh run of command resolves to."""
-    _check_kinds(cfg, COMMANDS[command].kinds, name)
+    check_kinds(cfg, COMMANDS[command].kinds, name)
     # two outputs on one file: the later write would silently replace the earlier
     written = {}  # absolute path -> the output key that names it
     for key, path in cfg["outputs"].items():
@@ -486,7 +472,7 @@ def _add_outputs(p: argparse.ArgumentParser, dest: str, **out) -> None:
 def _add_search(p: argparse.ArgumentParser, cl_help: str) -> None:
     p.add_argument("--data", required=True, help="flip-count CSV (xi,trials,flips)")
     p.add_argument("--config", help="INI config providing [inference] defaults")
-    # each dest is the [inference] key the flag overrides, less any _e_cm
+    # each dest is the InferenceSettings field the flag overrides
     p.add_argument("--cl", type=float, help=cl_help)
     p.add_argument("--dn-max", type=float, help="dipole search ceiling")
     p.add_argument("--delta-min", type=float)

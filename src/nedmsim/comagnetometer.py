@@ -324,7 +324,7 @@ def campaign_estimator(
     unit phase. Pairs are weighed in phase units, by
     1 / sum_c Var(phi_c) * (f / f_c)^2, and k scales the standard error
     alone; one that is not positive and finite raises ValueError. A pair
-    whose ratios are not both finite is skipped; all pairs are combined as
+    with a ratio that is not finite is skipped; all pairs are combined as
     arrays at once, counts as float64. In the ``expected`` counting mode
     there is no counting noise to propagate: the estimate is the plain
     mean and the zero standard error is flagged as degenerate.

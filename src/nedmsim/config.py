@@ -28,7 +28,7 @@ Example::
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .comagnetometer import CampaignConfig
 from .inference import CL_DEFAULT, GRID_POINTS_DEFAULT, RESOLUTION_DEFAULT
@@ -60,20 +60,20 @@ class InferenceSettings:
     ``None`` ceilings mean "not configured": the commands then derive
     them from the dataset with :func:`nedmsim.inference.search_ceilings`
     (half a flip oscillation at the largest xi for the dipole; for delta,
-    five envelope widths in ``fit`` and one in ``bound``).
+    five envelope widths in ``fit`` and one in ``bound``). A field's
+    ``ini`` metadata is its key in a config file's ``[inference]`` section.
     """
 
-    dn_max_e_cm: float | None = None
-    delta_max_e_cm: float | None = None
-    dn_min_e_cm: float = 0.0
-    delta_min_e_cm: float = 0.0
+    dn_max: float | None = field(default=None, metadata={"ini": "dn_max_e_cm"})
+    delta_max: float | None = field(default=None, metadata={"ini": "delta_max_e_cm"})
+    dn_min: float = field(default=0.0, metadata={"ini": "dn_min_e_cm"})
+    delta_min: float = field(default=0.0, metadata={"ini": "delta_min_e_cm"})
     grid_points: int = GRID_POINTS_DEFAULT
     resolution: float = RESOLUTION_DEFAULT
     cl: float = CL_DEFAULT
 
     def __post_init__(self) -> None:
-        # a nan or inf here would reach the fit and bound checks, which name
-        # the flag that overrides the key, not the key
+        # a nan here would reach fit's and bound's checks, which name the flag
         check_fields(self)
 
 

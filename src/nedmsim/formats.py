@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .comagnetometer import CycleTable
-from .inference import FlipDataset
+from .inference import FlipDataset, _int64_counts
 
 __all__ = [
     "SCHEMA_CYCLES_CSV",
@@ -174,14 +174,16 @@ def cycles_to_rows(table: CycleTable) -> Iterator[tuple]:
 
 
 def rows_to_cycles(rows: Sequence[Sequence]) -> CycleTable:
-    """A cycle table from parsed rows; counts take numpy's dtype for their cells:
-    int64 for ints, float64 where one is a float (``expected`` mode). A
-    polarity other than +1 or -1, or a negative count, raises ValueError."""
+    """A cycle table from parsed rows, a count column float64 where a cell is
+    a float (``expected`` mode); ValueError for a polarity other than +1 or
+    -1, a negative count, or an index or integer count beyond int64."""
     index, polarity, *counts, f_n, f_hg, r = list(zip(*rows)) or [()] * 7
     if not set(polarity) <= {1, -1}:
         raise ValueError("polarity must be +1 or -1")
-    table = CycleTable(np.array(index, np.int64), np.array(polarity, np.int64),
-                       *map(np.array, counts), *np.array([f_n, f_hg, r], float))
+    counts = [np.array(cells, float) if any(isinstance(c, float) for c in cells)
+              else _int64_counts(cells, name) for cells, name in zip(counts, CYCLES_HEADER[2:4])]
+    table = CycleTable(_int64_counts(index, "index"), np.array(polarity, np.int64),
+                       *counts, *np.array([f_n, f_hg, r], float))
     if np.any(table.n_up < 0) or np.any(table.n_down < 0):
         raise ValueError("counts must be >= 0")
     return table

@@ -47,6 +47,7 @@ from .comagnetometer import (  # re-exported
     CampaignEstimate,
     campaign_estimator,
 )
+from .quantities import check_fields
 from .weak_measurement import DipoleState, check_phase, flip_envelope, flip_oscillation
 
 __all__ = [
@@ -169,8 +170,8 @@ class SearchBox:
 
     ``resolution`` is relative to each axis width: the maximum, the
     profiles and the interval edges are each located to within
-    resolution * width of their axis. ``grid_points`` lies in
-    [4, GRID_POINTS_MAX].
+    resolution * width of their axis. ``grid_points`` is an ``int`` in
+    [4, GRID_POINTS_MAX], the other fields finite numbers.
     """
 
     dn_max: float
@@ -181,12 +182,11 @@ class SearchBox:
     resolution: float = RESOLUTION_DEFAULT
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if not (0.0 <= self.dn_min < self.dn_max):
-            raise ValueError("need 0 <= dn_min < dn_max, both finite")
+            raise ValueError("need 0 <= dn_min < dn_max")
         if not (0.0 <= self.delta_min < self.delta_max):
-            raise ValueError("need 0 <= delta_min < delta_max, both finite")
-        if not (math.isfinite(self.dn_max) and math.isfinite(self.delta_max)):
-            raise ValueError("search bounds must be finite")
+            raise ValueError("need 0 <= delta_min < delta_max")
         if not 4 <= self.grid_points <= GRID_POINTS_MAX:
             raise ValueError(f"grid_points must lie in [4, {GRID_POINTS_MAX}]")
         if not 0 < self.resolution < 1:

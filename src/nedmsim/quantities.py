@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, fields
+from typing import Callable
 
 __all__ = [
     "E_CHARGE_C",
@@ -66,16 +67,6 @@ GAMMA_HG_RAD_PER_S_T = abs(GAMMA_N_RAD_PER_S_T) / 3.8424574
 MU_N_RAD_PER_S_T = abs(GAMMA_N_RAD_PER_S_T) / 2.0
 
 
-def _require_finite(**values: float) -> None:
-    """Raise ValueError naming each value that is not a finite real number.
-
-    A bool, a string or None is refused like a nan, never with a TypeError.
-    """
-    bad = [f"{name}={v!r}" for name, v in values.items() if not _finite_real(v)]
-    if bad:
-        raise ValueError(f"non-finite input: {', '.join(bad)}")
-
-
 def _finite_real(value) -> bool:
     """True for a finite real number, numpy's included, and False for a bool.
 
@@ -105,16 +96,33 @@ def field_kinds(cls) -> dict:
     return {f.name: _KINDS[f.type] for f in fields(cls)}
 
 
-def check_fields(obj) -> None:
-    """Raise ValueError, naming the field, unless each field of obj has its kind.
+def check_kinds(values: dict, kinds: dict, name: Callable[[str], str] = str,
+                prefix: str = "") -> None:
+    """Raise ValueError, naming the key, unless each value has its kind.
 
-    A bool, a string or None is refused where a number is due, never with
-    a TypeError.
+    A nested table of kinds checks a nested dict, which may hold no other
+    key; ``name`` gives a dotted key's name in the message. A bool, a string
+    or None is refused where a number is due, never with a TypeError.
     """
-    for name, (test, text) in field_kinds(obj).items():
-        value = getattr(obj, name)
-        if not test(value):
-            raise ValueError(f"{name} must be {text}, got {value!r}")
+    for key, kind in kinds.items():
+        value = values[key]
+        if isinstance(kind, dict):  # no other key: most tables are passed as keywords
+            unknown = sorted(set(value) - set(kind))
+            if unknown:
+                raise ValueError(f"{name(prefix + key)} has an unknown key {unknown[0]!r}")
+            check_kinds(value, kind, name, f"{prefix}{key}.")
+        elif not kind[0](value):
+            raise ValueError(f"{name(prefix + key)} must be {kind[1]}, got {value!r}")
+
+
+def check_fields(obj) -> None:
+    """Raise ValueError, naming the field, unless each field of obj has its kind."""
+    check_kinds(vars(obj), field_kinds(obj))
+
+
+def _require_finite(**values: float) -> None:
+    """Raise ValueError, naming the first, unless each value is a finite number."""
+    check_kinds(values, dict.fromkeys(values, REAL))
 
 
 @dataclass(frozen=True)

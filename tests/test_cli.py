@@ -1025,8 +1025,8 @@ def test_rerun_refuses_unknown_keys_in_nested_tables(tmp_path, capsys, command, 
 @pytest.mark.parametrize(
     "argv, message",
     [
-        # the nested search.dn_max is set by --dn-max; the library said
-        # "search bounds must be finite"
+        # the nested search.dn_max is set by --dn-max; SearchBox's own check
+        # would name the field, dn_max, not the flag
         (("fit", "--dn-max", "inf"), "--dn-max must be a finite number, got inf"),
         (("fit", "--dn-min", "nan"), "--dn-min must be a finite number, got nan"),
         (("bound", "--delta-max", "inf"), "--delta-max must be a finite number, got inf"),

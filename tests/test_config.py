@@ -84,8 +84,8 @@ def test_every_key_lands_on_its_field():
         "units": {"phase_per_edm_field_time": 1.5e15, "geometric_factor": 0.5},
         "constants": {"gamma_n": -1.8e8, "gamma_hg": 4.8e7, "mu_n": 9e7},
         "inference": {
-            "dn_max_e_cm": 1e-20, "delta_max_e_cm": 2e-20, "dn_min_e_cm": 1e-22,
-            "delta_min_e_cm": 1e-23, "grid_points": 9, "resolution": 1e-3, "cl": 0.9,
+            "dn_max": 1e-20, "delta_max": 2e-20, "dn_min": 1e-22,
+            "delta_min": 1e-23, "grid_points": 9, "resolution": 1e-3, "cl": 0.9,
         },
     }
 
@@ -101,7 +101,7 @@ def test_empty_config_is_all_defaults():
     cfg = parse_config_text("")
     assert cfg.campaign.cycles == 100
     assert cfg.units.geometric_factor == pytest.approx(0.5773502691896258)
-    assert cfg.inference.dn_max_e_cm is None
+    assert cfg.inference.dn_max is None
 
 
 def test_unknown_key_listed():
@@ -156,4 +156,5 @@ def test_inference_values_must_be_finite(key, value):
     with pytest.raises(ConfigError) as err:
         parse_config_text(f"[inference]\n{key} = {value}\n")
     kind = "a finite number or null" if key == "dn_max_e_cm" else "a finite number"
-    assert str(err.value) == f"invalid [inference] section: {key} must be {kind}, got {value}"
+    field = key.removesuffix("_e_cm")
+    assert str(err.value) == f"invalid [inference] section: {field} must be {kind}, got {value}"

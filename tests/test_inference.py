@@ -548,6 +548,11 @@ def test_search_box_grid_points_stop_at_the_ceiling():
     for grid_points in (3, GRID_POINTS_MAX + 1):
         with pytest.raises(ValueError, match=rf"grid_points must lie in \[4, {GRID_POINTS_MAX}\]"):
             default_box(grid_points=grid_points)
+    # a value of the wrong kind is refused naming its field, never with a TypeError
+    for field, value in (("grid_points", 5.0), ("grid_points", np.int64(5)), ("dn_max", "1"),
+                         ("resolution", None), ("delta_max", True)):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            default_box(**{field: value})
 
 
 def test_search_ceilings_from_largest_xi():

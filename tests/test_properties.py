@@ -19,10 +19,13 @@ from nedmsim.comagnetometer import (  # noqa: E402
 from nedmsim.ensemble import simulate_quantum  # noqa: E402
 from nedmsim.formats import (  # noqa: E402
     CYCLES_HEADER,
+    FLIPS_HEADER,
     cycles_to_rows,
+    flip_dataset_to_rows,
     parse_csv,
     render_csv,
     rows_to_cycles,
+    rows_to_flip_dataset,
 )
 from nedmsim.inference import FlipDataset, log_likelihood  # noqa: E402
 from nedmsim.weak_measurement import DipoleState, flip_kernel, flip_probability  # noqa: E402
@@ -132,9 +135,12 @@ def test_cycle_csv_round_trips_byte_for_byte(mode, cycles, data):
     polarity=st.integers(-2**63, 2**63 - 1).filter(lambda p: abs(p) != 1),
     count=st.one_of(st.integers(-2**63, -1), st.floats(max_value=-1e-300)),
     field=st.sampled_from(["n_up", "n_down"]),
+    wide=st.one_of(st.integers(min_value=2**63), st.integers(max_value=-2**63 - 1)),
+    wide_field=st.sampled_from(["index", "n_up", "n_down"]),
 )
-def test_a_bad_polarity_or_count_is_refused(cycle, polarity, count, field):
-    # from a file by rows_to_cycles, and a bad polarity by the estimator too
+def test_a_bad_polarity_or_count_is_refused(cycle, polarity, count, field, wide, wide_field):
+    # from a file by rows_to_cycles, and a bad polarity by the estimator too;
+    # an index or count beyond int64 is refused, not read as uint64 or object
     config = CampaignConfig(cycles=4, seed=0)
     table = run_campaign(config)
     rows = [list(row) for row in cycles_to_rows(table)]
@@ -149,3 +155,24 @@ def test_a_bad_polarity_or_count_is_refused(cycle, polarity, count, field):
     rows[cycle][CYCLES_HEADER.index(field)] = count
     with pytest.raises(ValueError, match="counts must be"):
         rows_to_cycles(rows)
+    rows = [list(row) for row in cycles_to_rows(table)]
+    rows[cycle][CYCLES_HEADER.index(wide_field)] = wide
+    with pytest.raises(ValueError, match=f"^{wide_field} must be integers in the int64 range"):
+        rows_to_cycles(rows)
+
+
+# xi of both signs, subnormals and zeros drawn apart so each run has some
+xis = st.one_of(finite, st.floats(min_value=-2.0**-1022, max_value=2.0**-1022))
+
+
+@st.composite
+def flip_rows(draw) -> list:
+    trials = draw(st.integers(1, 2**63 - 1))
+    return [draw(xis), trials, draw(st.integers(0, trials))]
+
+
+@given(rows=st.lists(flip_rows(), min_size=1, max_size=20))
+def test_flip_csv_round_trips_byte_for_byte(rows):
+    text = render_csv(FLIPS_HEADER, rows)
+    dataset = rows_to_flip_dataset(parse_csv(text, FLIPS_HEADER))
+    assert render_csv(FLIPS_HEADER, flip_dataset_to_rows(dataset)) == text
