@@ -7,7 +7,8 @@
 The first two run ``python -m nedmsim`` in the working directory, where
 they leave their outputs; ``bench`` runs ``bench/run.py`` and leaves its
 output in ``bench.out``. Each prints one line of results and exits 1 if a
-bound or a check is broken.
+bound or a check is broken; a run that fails is reported by its exit code
+alone, before any of its outputs is read.
 """
 
 import csv
@@ -27,6 +28,13 @@ def _run(argv: list[str]) -> tuple[int, float, float]:
     return code, wall, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
 
 
+def _failed(code: int, what: str) -> bool:
+    """Print a failed run's exit code in one line; True if the run failed."""
+    if code != 0:
+        print(f"exit {code}: {what} failed, its outputs were not read")
+    return code != 0
+
+
 def scan() -> bool:
     """The largest scan the CLI accepts fits in 160 MB and agrees with its oracle.
 
@@ -40,6 +48,8 @@ def scan() -> bool:
     code, wall, rss = _run(["scan", "--dn", "3e-22", "--delta", "1e-21", "--xi-min", "1e19",
                             "--xi-max", "1e22", "--points", "1048576", "--log",
                             "--out", "scan.csv"])
+    if _failed(code, "nedmsim scan"):
+        return False
     with open("scan.csv", newline="") as handle:
         diffs = [float(row["abs_diff"]) for row in csv.DictReader(handle)]
     # a nan fails the comparison and is counted as outside
@@ -63,6 +73,8 @@ def campaign() -> bool:
         handle.write("[campaign]\ntrue_dn_e_cm = 3e-22\nb_drift_sd_tesla = 1e-12\n"
                      f"f_hg_noise_sd_rel = 1e-8\ncycles = {cycles}\nseed = 20261018\n")
     code, wall, rss = _run(["campaign", "--config", "campaign.ini", "--out", "cycles.csv"])
+    if _failed(code, "nedmsim campaign"):
+        return False
     with open("cycles.csv", "rb") as handle:
         lines = sum(1 for _ in handle)
     with open("cycles.summary.json") as handle:
@@ -91,11 +103,17 @@ def bench(workload: str) -> bool:
         code = subprocess.run(["timeout", "600", sys.executable, "bench/run.py", "--workload",
                                workload, "--seed", "7919", "--seconds", "1", "--trace", "0"],
                               stdout=out).returncode
+    if _failed(code, "bench/run.py"):
+        return False
     with open("bench.out") as handle:
-        last = handle.read().splitlines()[-1]
+        last = (handle.read().splitlines() or [""])[-1]
+    try:
+        result = json.loads(last)
+    except json.JSONDecodeError:
+        print(f"the last line of bench.out is not JSON: {last!r}")
+        return False
     print(last)
-    result = json.loads(last)
-    return code == 0 and result["correct"] is True and result["failed"] == 0
+    return result["correct"] is True and result["failed"] == 0
 
 
 if __name__ == "__main__":

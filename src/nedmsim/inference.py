@@ -96,6 +96,9 @@ _MAX_ROUNDS = 20
 _ZOOM_T = np.linspace(0.0, 1.0, _ZOOM_POINTS)
 _ZOOM_S = 1.0 - _ZOOM_T
 _SECTION_T = np.arange(1, _SECTIONS + 1) / (_SECTIONS + 1)
+# each zoom candidate's neighbours, the ends of the two cells kept around it
+_ZOOM_LEFT = np.maximum(np.arange(_ZOOM_POINTS) - 1, 0)
+_ZOOM_RIGHT = np.minimum(np.arange(_ZOOM_POINTS) + 1, _ZOOM_POINTS - 1)
 _UNCONVERGED = (
     "the d_n bracket was still wider than the requested resolution "
     f"after {_MAX_ROUNDS} zoom steps"
@@ -111,9 +114,13 @@ def _int64_counts(values, name: str) -> np.ndarray:
     counts = np.asarray(values)
     if counts.dtype.kind not in "bi":
         real = counts.astype(float)
-        bad = real[~((np.abs(real) < 2.0**63) & (real == np.trunc(real)))]
+        (bad,) = np.nonzero(~((np.abs(real) < 2.0**63) & (real == np.trunc(real))).ravel())
         if bad.size:
-            raise ValueError(f"{name} must be integers in the int64 range, got {bad[0].item()!r}")
+            # quote the cell as written: asarray rounds an integer beyond int64
+            # to a double when it shares its column with numpy integers
+            cell = np.asarray(values, dtype=object).ravel()[bad[0]]
+            cell = cell.item() if isinstance(cell, np.generic) else cell
+            raise ValueError(f"{name} must be integers in the int64 range, got {cell!r}")
     return counts.astype(np.int64)
 
 
@@ -124,6 +131,10 @@ class FlipDataset:
     Stored as parallel arrays (xi in rad per e·cm, integer trials and
     flips). Counts given as floats must be integral and within the int64
     range. Joint (d_n, delta) fitting needs at least two distinct xi.
+
+    The likelihood's count factors, float64 ``trials - flips`` and, if any
+    point has flips, float64 ``flips`` (else None), are cast once here and
+    kept as private attributes, not fields.
     """
 
     xi: np.ndarray
@@ -147,6 +158,8 @@ class FlipDataset:
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "flips", flips)
+        object.__setattr__(self, "_miss_factor", (trials - flips).astype(float))
+        object.__setattr__(self, "_flip_factor", flips.astype(float) if flips.any() else None)
 
     @classmethod
     def from_points(cls, points: Iterable[tuple[float, int, int]]) -> "FlipDataset":
@@ -213,17 +226,18 @@ def _binomial_terms(p: np.ndarray, dataset: FlipDataset) -> np.ndarray:
     Each log sees its own one-sided clamp, so a probability of exactly 0
     with zero flips (or 1 with all flips) contributes exactly 0. Without
     flips anywhere the k ln p term is a signed zero at every point, and
-    adding it would not change a bit of the sum, so it is not formed.
+    adding it would not change a bit of the sum, so it is not formed. The
+    count factors are the dataset's float64 casts, which numpy would
+    otherwise make inside each product, so the bytes are the same.
     """
-    flips = dataset.flips
     terms = np.minimum(p, _P_CEIL)
     np.negative(terms, out=terms)
     np.log1p(terms, out=terms)
-    terms *= dataset.trials - flips
-    if flips.any():
+    terms *= dataset._miss_factor
+    if dataset._flip_factor is not None:
         np.maximum(p, _P_FLOOR, out=p)
         np.log(p, out=p)
-        p *= flips
+        p *= dataset._flip_factor
         terms += p
     return terms
 
@@ -236,12 +250,19 @@ def log_likelihood(d_n, delta, dataset: FlipDataset):
     shape, each element equal to the float call at its pair byte for byte.
     Probabilities are clamped away from 0 and 1 inside the logs, so
     degenerate points contribute a large finite penalty instead of -inf.
+    A non-finite ``d_n`` or ``delta``, or a negative ``delta``, raises
+    ValueError naming the argument.
     """
-    if (np.asarray(delta) < 0).any():
+    d_n, delta = np.asarray(d_n), np.asarray(delta)
+    for name, value in (("d_n", d_n), ("delta", delta)):
+        finite = np.isfinite(value)
+        if not finite.all():
+            raise ValueError(f"{name} must be finite, got {value[~finite].tolist()[0]!r}")
+    if (delta < 0).any():
         raise ValueError("delta must be >= 0")
     ll = _log_likelihood_batch(
-        flip_oscillation(np.asarray(d_n)[..., None], dataset.xi),
-        flip_envelope(np.asarray(delta)[..., None], dataset.xi),
+        flip_oscillation(d_n[..., None], dataset.xi),
+        flip_envelope(delta[..., None], dataset.xi),
         dataset,
     )
     return float(ll) if ll.ndim == 0 else ll
@@ -269,7 +290,7 @@ def _log_likelihood_batch(oscillation, envelope, dataset: FlipDataset) -> np.nda
     xi on the last axis. Every coarse grid and every zoom step of the
     optimizer is one call of this function.
     """
-    return _binomial_terms(oscillation * envelope, dataset).sum(axis=-1)
+    return np.add.reduce(_binomial_terms(oscillation * envelope, dataset), axis=-1)
 
 
 def _coarse_max(dataset: FlipDataset, search: SearchBox):
@@ -337,7 +358,7 @@ def _profile(
     """
     values = np.asarray(values, dtype=float)
     xi = dataset.xi
-    if axis == "dn" and not dataset.flips.any():
+    if axis == "dn" and dataset._flip_factor is None:
         envelope = flip_envelope(search.delta_max, xi)
         best = _log_likelihood_batch(flip_oscillation(values[:, None], xi), envelope, dataset)
         return best, np.full(values.shape, search.delta_max)
@@ -354,7 +375,7 @@ def _profile(
     grid = _grid_axis(lo_box, hi_box, n)
     rows = np.arange(values.size)
     vals = ll(grid[None, :])
-    j = np.argmax(vals, axis=1)
+    j = vals.argmax(axis=1)
     best = vals[rows, j]
     arg = grid[j]
     lo = grid[np.maximum(j - 1, 0)]
@@ -366,13 +387,13 @@ def _profile(
             break
         cand = lo[:, None] * _ZOOM_S + hi[:, None] * _ZOOM_T
         vals = ll(cand)
-        k = np.argmax(vals, axis=1)
+        k = vals.argmax(axis=1)
         top = vals[rows, k]
         better = top > best
-        best = np.where(better, top, best)
-        arg = np.where(better, cand[rows, k], arg)
-        lo = cand[rows, np.maximum(k - 1, 0)]
-        hi = cand[rows, np.minimum(k + 1, _ZOOM_POINTS - 1)]
+        np.copyto(best, top, where=better)
+        np.copyto(arg, cand[rows, k], where=better)
+        lo = cand[rows, _ZOOM_LEFT[k]]
+        hi = cand[rows, _ZOOM_RIGHT[k]]
         width *= 2.0 / (_ZOOM_POINTS - 1)
     return best, arg
 
@@ -506,7 +527,7 @@ def fit(
     # chi2.ppf(interval_cl, df=1), from the upper tail to avoid cancellation
     threshold = NormalDist().inv_cdf((1.0 - interval_cl) / 2.0) ** 2
 
-    all_zero = bool(np.all(dataset.flips == 0))
+    all_zero = dataset._flip_factor is None
     flat = all_zero or bool(np.all(dataset.flips == dataset.trials))
     converged = False
     if all_zero:
@@ -607,7 +628,7 @@ def upper_bound(
         resolution=resolution,
     )
     _check_dn_ceiling(dn_max, dataset)
-    if np.all(dataset.flips == 0):
+    if dataset._flip_factor is None:
         dn_hat, ll_hat = 0.0, 0.0
     else:
         dn_hat, _, ll_hat, converged = _maximize(dataset, search)

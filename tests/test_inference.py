@@ -1,5 +1,6 @@
 """Likelihood, joint fit, profile bounds, and the campaign estimator."""
 
+import dataclasses
 import math
 import re
 from statistics import NormalDist
@@ -20,6 +21,8 @@ from nedmsim.inference import (
     upper_bound,
 )
 from nedmsim.inference import (
+    _P_CEIL,
+    _P_FLOOR,
     _crossing,
     _grid_axis,
     _maximize,
@@ -27,7 +30,12 @@ from nedmsim.inference import (
     _scan_crossing,
 )
 from nedmsim.streams import substream
-from nedmsim.weak_measurement import DipoleState, flip_probability
+from nedmsim.weak_measurement import (
+    DipoleState,
+    flip_envelope,
+    flip_oscillation,
+    flip_probability,
+)
 from test_pinned_edges import FIT_BOX, FIT_CASES
 
 XI_MAX = 1e21
@@ -69,6 +77,57 @@ def test_log_likelihood_zero_flips_at_null_is_zero():
     ds = FlipDataset.from_points([(1e20, 1000, 0), (1e21, 1000, 0)])
     assert log_likelihood(0.0, 0.0, ds) == 0.0
     assert log_likelihood(0.0, 1e-21, ds) == 0.0
+
+
+@pytest.mark.parametrize(
+    "d_n, delta, bad",
+    [
+        (0.0, math.nan, "delta must be finite, got nan"),
+        (math.nan, 0.0, "d_n must be finite, got nan"),
+        (math.inf, 0.0, "d_n must be finite, got inf"),
+        (0.0, math.inf, "delta must be finite, got inf"),
+        (np.array([1e-22, -math.inf]), 1e-22, "d_n must be finite, got -inf"),
+        (1e-22, np.array([[0.0], [math.nan]]), "delta must be finite, got nan"),
+    ],
+)
+def test_log_likelihood_refuses_nonfinite_arguments(d_n, delta, bad):
+    ds = make_dataset(seed=1)
+    with pytest.raises(ValueError, match=f"^{re.escape(bad)}$"):
+        log_likelihood(d_n, delta, ds)
+
+
+def int64_product_log_likelihood(d_n, delta, dataset):
+    """The likelihood with its count factors left int64, as numpy casts them
+    inside each product; the terms and their order are the package's."""
+    p = flip_oscillation(d_n, dataset.xi) * flip_envelope(delta, dataset.xi)
+    terms = np.log1p(-np.minimum(p, _P_CEIL)) * (dataset.trials - dataset.flips)
+    if dataset.flips.any():
+        terms += np.log(np.maximum(p, _P_FLOOR)) * dataset.flips
+    return float(terms.sum())
+
+
+def test_count_factors_cast_once_give_the_int64_products_bytes():
+    # counts that a double does not hold, beside a point without flips:
+    # 2**53 + 1 rounds when cast, and 2**62 + 511 misses round to 2**62,
+    # where casting 2**62 + 513 trials and 2 flips apart would give 2**62 + 1024
+    xi, trials = [1e20, 3e20, 1e21], [2**62 + 1, 1000, 2**62 + 513]
+    flips = [2**53 + 1, 0, 2]
+    ds = FlipDataset(xi=xi, trials=trials, flips=flips)
+    no_flips = FlipDataset(xi=xi, trials=trials, flips=[0, 0, 0])
+    pairs = [(0.0, 0.0), (1e-22, 0.0), (3e-22, 1e-22), (1e-21, 5e-22)]
+    for data in (ds, no_flips):
+        for d_n, delta in pairs:
+            got = log_likelihood(d_n, delta, data)
+            assert got.hex() == int64_product_log_likelihood(d_n, delta, data).hex()
+    # a replaced dataset casts its own counts, in either direction
+    for replaced, fresh in (
+        (dataclasses.replace(ds, flips=[0, 0, 0]), no_flips),
+        (dataclasses.replace(no_flips, flips=flips), ds),
+    ):
+        for d_n, delta in pairs:
+            assert log_likelihood(d_n, delta, replaced).hex() == (
+                log_likelihood(d_n, delta, fresh).hex()
+            )
 
 
 def test_log_likelihood_reorder_invariance():
@@ -601,8 +660,11 @@ def test_dataset_validation():
         ([math.inf, 100], [0, 0], "got inf"),
         ([math.nan, 100], [0, 0], "got nan"),
         ([1e30, 100], [0, 0], "got 1e+30"),
-        ([10**30, 100], [0, 0], "got 1e+30"),
+        ([10**30, 100], [0, 0], "got 1000000000000000000000000000000"),
         (np.array([2**64 - 1, 100], dtype=np.uint64), [0, 0], "trials must be integers"),
+        # an integer beyond int64 is quoted as written, not as its rounded double
+        ([2**63, 100], [0, 0], "got 9223372036854775808"),
+        ([2**64 + 5, 100], [0, 0], "got 18446744073709551621"),
     ],
 )
 def test_dataset_refuses_counts_that_are_not_int64_integers(trials, flips, bad):

@@ -157,7 +157,9 @@ def test_a_bad_polarity_or_count_is_refused(cycle, polarity, count, field, wide,
         rows_to_cycles(rows)
     rows = [list(row) for row in cycles_to_rows(table)]
     rows[cycle][CYCLES_HEADER.index(wide_field)] = wide
-    with pytest.raises(ValueError, match=f"^{wide_field} must be integers in the int64 range"):
+    # the message quotes the cell as written, not its rounded double
+    message = f"^{wide_field} must be integers in the int64 range, got {wide}$"
+    with pytest.raises(ValueError, match=message):
         rows_to_cycles(rows)
 
 
