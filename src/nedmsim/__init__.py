@@ -14,7 +14,6 @@ from .comagnetometer import (
     CycleTable,
     campaign_estimator,
     extract_dn_pair,
-    ratio_r,
     run_campaign,
 )
 from .ensemble import (
@@ -36,14 +35,12 @@ from .quantities import (
     PhysicalConstants,
     PulseProfile,
     UnitSystem,
-    phase_factor,
     xi_from_pulse,
 )
 from .spin_dynamics import (
     RamseyConfig,
     Spinor,
     asymmetry,
-    larmor_frequencies,
     ramsey_phase,
     ramsey_up_probability_spinor,
     rotate,
@@ -80,12 +77,9 @@ __all__ = [
     "fit",
     "flip_probability",
     "flip_probability_quadrature",
-    "larmor_frequencies",
     "log_likelihood",
-    "phase_factor",
     "ramsey_phase",
     "ramsey_up_probability_spinor",
-    "ratio_r",
     "rotate",
     "run_campaign",
     "simulate_quantum",

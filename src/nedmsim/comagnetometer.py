@@ -47,7 +47,6 @@ __all__ = [
     "CampaignConfig",
     "CampaignEstimate",
     "CycleTable",
-    "ratio_r",
     "extract_dn_pair",
     "run_campaign",
     "campaign_estimator",
@@ -138,29 +137,6 @@ class CycleTable(NamedTuple):
     r: np.ndarray
 
 
-def ratio_r(
-    constants: PhysicalConstants,
-    d_n: float,
-    e_signed: float,
-    f_hg: float,
-    delta_r_sys: float,
-    units: UnitSystem,
-) -> float:
-    """Frequency ratio R for a signed electric field.
-
-    R = |gamma_n|/|gamma_hg| + d_n * k * g * E_signed / (pi * f_hg)
-    + delta_r_sys. The dipole term flips with the field polarity; the
-    additive systematic does not, so it cancels in polarity differences.
-    """
-    if not f_hg > 0:
-        raise ValueError("f_hg must be > 0")
-    return (
-        abs(constants.gamma_n) / abs(constants.gamma_hg)
-        + d_n * units.kick * e_signed / (math.pi * f_hg)
-        + delta_r_sys
-    )
-
-
 def extract_dn_pair(
     r_plus,
     r_minus,
@@ -170,8 +146,9 @@ def extract_dn_pair(
 ):
     """Dipole estimate from one polarity pair of ratios.
 
-    d_n = pi * f_hg * (R_plus - R_minus) / (2 * E * k * g); the exact
-    algebraic inverse of :func:`ratio_r` pairs in the noiseless case.
+    d_n = pi * f_hg * (R_plus - R_minus) / (2 * E * k * g), which inverts
+    R(+-E) = |gamma_n|/|gamma_hg| +- d_n E k g / (pi f_hg) + dR_sys exactly
+    in the noiseless case.
     Elementwise for arrays of pairs; every ``f_hg`` must be > 0.
     """
     if not e_magnitude > 0:

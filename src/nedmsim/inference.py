@@ -124,7 +124,7 @@ def _int64_counts(values, name: str) -> np.ndarray:
     return counts.astype(np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlipDataset:
     """Flip counts at a set of kick strengths.
 
@@ -134,7 +134,8 @@ class FlipDataset:
 
     The likelihood's count factors, float64 ``trials - flips`` and, if any
     point has flips, float64 ``flips`` (else None), are cast once here and
-    kept as private attributes, not fields.
+    kept as private attributes, not fields. Two datasets are equal, and
+    hash alike, when their three arrays hold the same bytes.
     """
 
     xi: np.ndarray
@@ -175,6 +176,17 @@ class FlipDataset:
     @property
     def distinct_xi_count(self) -> int:
         return int(np.unique(self.xi).size)
+
+    def _bytes(self) -> tuple[bytes, bytes, bytes]:
+        return self.xi.tobytes(), self.trials.tobytes(), self.flips.tobytes()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FlipDataset):
+            return NotImplemented
+        return self._bytes() == other._bytes()
+
+    def __hash__(self) -> int:
+        return hash(self._bytes())
 
 
 @dataclass(frozen=True)

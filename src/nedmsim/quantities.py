@@ -39,7 +39,6 @@ __all__ = [
     "UnitSystem",
     "PhysicalConstants",
     "PulseProfile",
-    "phase_factor",
     "xi_from_pulse",
 ]
 
@@ -120,11 +119,6 @@ def check_fields(obj) -> None:
     check_kinds(vars(obj), field_kinds(obj))
 
 
-def _require_finite(**values: float) -> None:
-    """Raise ValueError, naming the first, unless each value is a finite number."""
-    check_kinds(values, dict.fromkeys(values, REAL))
-
-
 @dataclass(frozen=True)
 class UnitSystem:
     """Conversion constants between laboratory units and internal phase.
@@ -195,31 +189,11 @@ class PulseProfile:
     @classmethod
     def rectangular(cls, amplitude: float, duration: float) -> "PulseProfile":
         """Constant field of the given amplitude over the given duration."""
-        _require_finite(amplitude=amplitude, duration=duration)
+        check_kinds({"amplitude": amplitude, "duration": duration},
+                    {"amplitude": REAL, "duration": REAL})
         if duration < 0:
             raise ValueError("duration must be >= 0")
         return cls(field_time_integral=amplitude * duration)
-
-
-def phase_factor(
-    dipole: float, field_time_integral: float, units: UnitSystem
-) -> float:
-    """Phase (rad) accumulated by a dipole over a field pulse.
-
-    Returns ``dipole * units.kick * field_time_integral``, linear in each
-    argument.
-
-    Parameters
-    ----------
-    dipole : float
-        Dipole moment in e·cm.
-    field_time_integral : float
-        Integral of E(t) dt in (V/cm)*s.
-    units : UnitSystem
-        Conversion constants.
-    """
-    _require_finite(dipole=dipole, field_time_integral=field_time_integral)
-    return dipole * units.kick * field_time_integral
 
 
 def xi_from_pulse(profile: PulseProfile, units: UnitSystem) -> float:

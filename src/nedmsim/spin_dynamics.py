@@ -21,13 +21,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .quantities import PhysicalConstants, UnitSystem, _require_finite, check_fields
+from .quantities import PhysicalConstants, UnitSystem, check_fields
 
 __all__ = [
     "Spinor",
     "RamseyConfig",
     "rotate",
-    "larmor_frequencies",
     "ramsey_phase",
     "ramsey_up_probability_spinor",
     "up_probability",
@@ -70,22 +69,17 @@ class Spinor:
 class RamseyConfig:
     """Fields and timing of one free-precession interval.
 
-    ``e_field`` is signed: its sign encodes the E orientation relative to
-    B. ``visibility`` scales the fringe contrast in the population model;
-    1.0 means an ideal apparatus.
+    ``e_field`` is signed: its sign encodes the E orientation relative to B.
     """
 
     b_field: float
     e_field: float
     free_time: float
-    visibility: float = 1.0
 
     def __post_init__(self) -> None:
         check_fields(self)
         if self.free_time < 0:
             raise ValueError("free_time must be >= 0")
-        if not 0.0 <= self.visibility <= 1.0:
-            raise ValueError("visibility must lie in [0, 1]")
 
 
 def rotate(state: Spinor, axis: Sequence[float], angle: float) -> Spinor:
@@ -130,26 +124,6 @@ def _phase(mu_n, b_field, d_n, e_field, free_time, units: UnitSystem):
     Elementwise for arrays of fields, as a campaign block passes them.
     """
     return 2.0 * free_time * abs(_precession_rate(mu_n, b_field, d_n, e_field, units))
-
-
-def larmor_frequencies(
-    mu_n: float,
-    b_field: float,
-    d_n: float,
-    e_field: float,
-    units: UnitSystem,
-) -> tuple[float, float]:
-    """Precession frequencies (Hz) with E parallel and antiparallel to B.
-
-    Returns ``((1/pi)|mu_n B + d_n E k g|, (1/pi)|mu_n B - d_n E k g|)``
-    where k*g = ``units.kick`` converts dipole times field to angular frequency.
-    Flipping the sign of ``e_field`` swaps the pair.
-    """
-    _require_finite(mu_n=mu_n, b_field=b_field, d_n=d_n, e_field=e_field)
-    return (
-        abs(_precession_rate(mu_n, b_field, d_n, e_field, units)) / math.pi,
-        abs(_precession_rate(mu_n, b_field, d_n, -e_field, units)) / math.pi,
-    )
 
 
 def ramsey_phase(

@@ -11,7 +11,6 @@ from nedmsim.comagnetometer import (
     CycleTable,
     campaign_estimator,
     extract_dn_pair,
-    ratio_r,
     run_campaign,
 )
 from nedmsim.ensemble import _MAX_TRIALS
@@ -39,39 +38,15 @@ def assert_same_table(a: CycleTable, b: CycleTable) -> None:
         np.testing.assert_array_equal(x, y, strict=True)
 
 
-def test_ratio_r_no_dipole_is_gamma_ratio():
-    base = abs(CONSTANTS.gamma_n) / abs(CONSTANTS.gamma_hg)
-    for e in (1e4, -1e4):
-        assert ratio_r(CONSTANTS, 0.0, e, 7.59, 0.0, UNITS) == base
-
-
-def test_ratio_r_polarity_difference():
-    d, e, f_hg = 1e-20, 1e4, 7.59
-    plus = ratio_r(CONSTANTS, d, +e, f_hg, 0.0, UNITS)
-    minus = ratio_r(CONSTANTS, d, -e, f_hg, 0.0, UNITS)
-    assert plus - minus == pytest.approx(2.0 * d * KICK * e / (math.pi * f_hg), rel=1e-9)
-
-
-def test_ratio_r_systematic_cancels_in_difference():
-    d, e, f_hg, sys = 1e-20, 1e4, 7.59, 3.7e-4
-    diff_clean = ratio_r(CONSTANTS, d, +e, f_hg, 0.0, UNITS) - ratio_r(
-        CONSTANTS, d, -e, f_hg, 0.0, UNITS
-    )
-    diff_sys = ratio_r(CONSTANTS, d, +e, f_hg, sys, UNITS) - ratio_r(
-        CONSTANTS, d, -e, f_hg, sys, UNITS
-    )
-    assert diff_sys == pytest.approx(diff_clean, rel=1e-9)
-
-
-def test_ratio_r_rejects_bad_clock():
-    with pytest.raises(ValueError):
-        ratio_r(CONSTANTS, 0.0, 1e4, 0.0, 0.0, UNITS)
+def ratio(d_n: float, e_signed: float, f_hg: float, delta_r_sys: float = 0.0) -> float:
+    """R(E) = |gamma_n|/|gamma_hg| + d_n E k g / (pi f_hg) + dR_sys, signed E."""
+    return (abs(CONSTANTS.gamma_n) / abs(CONSTANTS.gamma_hg)
+            + d_n * e_signed * KICK / (math.pi * f_hg) + delta_r_sys)
 
 
 def test_extract_is_inverse_of_ratio():
     d, e, f_hg = 1e-20, 1e4, 7.59
-    plus = ratio_r(CONSTANTS, d, +e, f_hg, 1e-5, UNITS)
-    minus = ratio_r(CONSTANTS, d, -e, f_hg, 1e-5, UNITS)
+    plus, minus = ratio(d, +e, f_hg, 1e-5), ratio(d, -e, f_hg, 1e-5)
     assert extract_dn_pair(plus, minus, e, f_hg, UNITS) == pytest.approx(d, rel=1e-12)
 
 
@@ -106,13 +81,18 @@ def test_cycle_zero_phase_puts_every_neutron_up():
 
 def test_cycle_noiseless_ratio_matches_formula():
     config = _noiseless_config()
-    _, polarity, _, _, f_n, rec_f_hg, r = cycle(run_campaign(config), 0)
+    table = run_campaign(config)
     f_hg = abs(CONSTANTS.gamma_hg) * config.b_nominal / (2.0 * math.pi)
-    expected = ratio_r(CONSTANTS, config.true_dn, +config.e_magnitude, f_hg, 0.0, UNITS)
-    assert polarity == +1
-    assert rec_f_hg == pytest.approx(f_hg, rel=1e-15)
-    assert r == pytest.approx(expected, rel=1e-12)
-    assert r == pytest.approx(f_n / rec_f_hg, rel=1e-12)
+    for i, sign in enumerate((+1, -1)):
+        _, polarity, _, _, f_n, rec_f_hg, r = cycle(table, i)
+        assert polarity == sign
+        assert rec_f_hg == pytest.approx(f_hg, rel=1e-15)
+        assert r == pytest.approx(ratio(config.true_dn, sign * config.e_magnitude, f_hg),
+                                  rel=1e-12)
+        assert r == pytest.approx(f_n / rec_f_hg, rel=1e-12)
+    # the polarity difference, which the estimator inverts
+    difference = 2.0 * config.true_dn * config.e_magnitude * KICK / (math.pi * f_hg)
+    assert table.r[0] - table.r[1] == pytest.approx(difference, rel=1e-11)
 
 
 def test_cycle_determinism():

@@ -678,6 +678,19 @@ def test_dataset_accepts_integral_float_counts():
     assert ds.points() == [(1e20, 1000, 3), (1e21, 2**62, 0)]
 
 
+def test_datasets_with_the_same_arrays_are_equal_and_hash_alike():
+    # the generated __eq__ compared tuples of arrays, which raised ValueError
+    ds = FlipDataset([1e20, 1e21], [10, 10], [1, 0])
+    same = FlipDataset(np.array([1e20, 1e21]), [10.0, 10.0], np.array([1, 0], dtype=np.int32))
+    assert ds == same and not ds != same
+    assert hash(ds) == hash(same)
+    assert len({ds, same}) == 1
+    assert ds != FlipDataset([1e20, 1e21], [10, 10], [1, 1])
+    assert ds != FlipDataset([1e20, 2e21], [10, 10], [1, 0])
+    assert ds != ds.points()
+    assert dataclasses.replace(ds, flips=[0, 0]) == FlipDataset([1e20, 1e21], [10, 10], [0, 0])
+
+
 def test_campaign_estimator_noiseless_degenerate():
     config = CampaignConfig(true_dn=5e-21, cycles=4, counting_mode="expected", seed=1)
     est = campaign_estimator(run_campaign(config), config)

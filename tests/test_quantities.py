@@ -1,4 +1,4 @@
-"""Unit conversions: kick parameter, phase factor, pulse profiles."""
+"""Unit conversions: kick parameter, pulse profiles."""
 
 import math
 
@@ -13,7 +13,6 @@ from nedmsim.quantities import (
     PhysicalConstants,
     PulseProfile,
     UnitSystem,
-    phase_factor,
     xi_from_pulse,
 )
 
@@ -36,36 +35,6 @@ def test_kick_is_kappa_times_geometric_factor():
     units = UnitSystem(phase_per_edm_field_time=3.0, geometric_factor=0.25)
     assert units.kick == 0.75
     assert xi_from_pulse(PulseProfile(2.0), units) == 1.5
-    assert phase_factor(2.0, 2.0, units) == 3.0
-
-
-def test_phase_factor_zero_dipole_and_zero_integral():
-    assert phase_factor(0.0, 123.4, UNITS) == 0.0
-    assert phase_factor(1e-26, 0.0, UNITS) == 0.0
-
-
-def test_phase_factor_direct_product():
-    # choose the integral so the kick parameter is exactly 1e13 per e.cm
-    integral = 1e13 / (UNITS.geometric_factor * UNITS.phase_per_edm_field_time)
-    assert phase_factor(1e-26, integral, UNITS) == pytest.approx(1e-13, rel=1e-12)
-
-
-def test_phase_factor_linear_in_each_argument():
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        d = rng.uniform(-1e-20, 1e-20)
-        integral = rng.uniform(-1e7, 1e7)
-        a = rng.uniform(-1e3, 1e3)
-        base = phase_factor(d, integral, UNITS)
-        assert phase_factor(a * d, integral, UNITS) == pytest.approx(a * base, rel=1e-12, abs=1e-300)
-        assert phase_factor(d, a * integral, UNITS) == pytest.approx(a * base, rel=1e-12, abs=1e-300)
-
-
-def test_phase_factor_rejects_nonfinite():
-    with pytest.raises(ValueError, match="^dipole must be a finite number, got nan$"):
-        phase_factor(math.nan, 1.0, UNITS)
-    with pytest.raises(ValueError, match="^field_time_integral must be a finite number, got inf$"):
-        phase_factor(1.0, math.inf, UNITS)
 
 
 def test_xi_zero_amplitude_pulse():
@@ -83,6 +52,16 @@ def test_xi_rectangular_pulse():
 def test_pulse_profile_validation():
     with pytest.raises(ValueError):
         PulseProfile(field_time_integral=math.nan)
+
+
+@pytest.mark.parametrize("amplitude, duration, message", [
+    (math.nan, 1.0, "amplitude must be a finite number, got nan"),
+    (1e4, math.inf, "duration must be a finite number, got inf"),
+    (1e4, -1.0, "duration must be >= 0"),
+], ids=["nan-amplitude", "inf-duration", "negative-duration"])
+def test_rectangular_pulse_refuses_bad_arguments(amplitude, duration, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PulseProfile.rectangular(amplitude, duration)
 
 
 def test_unit_system_validation():
