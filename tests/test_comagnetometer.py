@@ -90,8 +90,15 @@ def test_cycle_noiseless_ratio_matches_formula():
         assert r == pytest.approx(ratio(config.true_dn, sign * config.e_magnitude, f_hg),
                                   rel=1e-12)
         assert r == pytest.approx(f_n / rec_f_hg, rel=1e-12)
-    # the polarity difference, which the estimator inverts
+
+
+def test_ratio_r_polarity_difference():
+    # R(+E) - R(-E) of a campaign's own cycles, the difference the estimator inverts
+    config = _noiseless_config()
+    table = run_campaign(config)
+    f_hg = abs(CONSTANTS.gamma_hg) * config.b_nominal / (2.0 * math.pi)
     difference = 2.0 * config.true_dn * config.e_magnitude * KICK / (math.pi * f_hg)
+    assert table.polarity[0] == +1 and table.polarity[1] == -1
     assert table.r[0] - table.r[1] == pytest.approx(difference, rel=1e-11)
 
 
