@@ -56,7 +56,6 @@ from .formats import (
     parse_csv,
     render_csv,
     render_json,
-    rows_to_flip_dataset,
 )
 from .inference import (
     BOUND_DELTA_WIDTHS,
@@ -114,7 +113,7 @@ def _read_flip_dataset(path: str) -> FlipDataset:
         rows = parse_csv(handle.read(), FLIPS_HEADER)
     if not rows:
         raise ValueError(f"flip dataset {path} contains no data rows")
-    return rows_to_flip_dataset(rows)
+    return FlipDataset(*zip(*rows))
 
 
 # Kinds of config value beside those of quantities: a test, and what a value
@@ -261,8 +260,8 @@ def _search_settings(delta_widths: float) -> Callable[[argparse.Namespace], dict
     def resolve(args) -> dict:
         dataset = _read_flip_dataset(args.data)
         settings = load_config(args.config).inference if args.config else InferenceSettings()
-        xi, trials, flips = zip(*dataset.points())
-        values = {**vars(args), "xi": list(xi), "trials": list(trials), "flips": list(flips)}
+        values = {**vars(args), "xi": dataset.xi.tolist(), "trials": dataset.trials.tolist(),
+                  "flips": dataset.flips.tolist()}
         for key, value in asdict(settings).items():
             if values.get(key) is None:
                 values[key] = value

@@ -44,13 +44,7 @@ __all__ = [
 
 
 class ConfigError(ValueError):
-    """Configuration rejected; ``offending_keys`` lists section.key names."""
-
-    def __init__(self, message: str, offending_keys: list[str] | None = None):
-        self.offending_keys = offending_keys or []
-        if self.offending_keys:
-            message = f"{message}: {', '.join(self.offending_keys)}"
-        super().__init__(message)
+    """Configuration rejected; the message names what was refused."""
 
 
 @dataclass(frozen=True)
@@ -130,7 +124,7 @@ def parse_config_text(text: str) -> ResolvedConfig:
             except ValueError as exc:
                 offending.append(f"{section}.{key} ({exc})")
     if offending:
-        raise ConfigError("invalid configuration", offending)
+        raise ConfigError(f"invalid configuration: {', '.join(offending)}")
 
     built = {}
     for section, cls in _SECTION_TYPES.items():

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .comagnetometer import CycleTable
-from .inference import FlipDataset, _int64_counts
+from .inference import _float64, _int64_counts
 
 __all__ = [
     "SCHEMA_CYCLES_CSV",
@@ -42,8 +42,6 @@ __all__ = [
     "atomic_write_texts",
     "cycles_to_rows",
     "rows_to_cycles",
-    "flip_dataset_to_rows",
-    "rows_to_flip_dataset",
 ]
 
 SCHEMA_CYCLES_CSV = "nedmsim.cycles-csv/1"
@@ -176,23 +174,16 @@ def cycles_to_rows(table: CycleTable) -> Iterator[tuple]:
 def rows_to_cycles(rows: Sequence[Sequence]) -> CycleTable:
     """A cycle table from parsed rows, a count column float64 where a cell is
     a float (``expected`` mode); ValueError for a polarity other than +1 or
-    -1, a negative count, or an index or integer count beyond int64."""
+    -1, a negative count, an index or integer count beyond int64, or an
+    integer beyond the double range in a float64 column."""
     index, polarity, *counts, f_n, f_hg, r = list(zip(*rows)) or [()] * 7
     if not set(polarity) <= {1, -1}:
         raise ValueError("polarity must be +1 or -1")
-    counts = [np.array(cells, float) if any(isinstance(c, float) for c in cells)
+    counts = [_float64(cells, name) if any(isinstance(c, float) for c in cells)
               else _int64_counts(cells, name) for cells, name in zip(counts, CYCLES_HEADER[2:4])]
     table = CycleTable(_int64_counts(index, "index"), np.array(polarity, np.int64),
-                       *counts, *np.array([f_n, f_hg, r], float))
+                       *counts, *map(_float64, (f_n, f_hg, r), CYCLES_HEADER[4:]))
     if np.any(table.n_up < 0) or np.any(table.n_down < 0):
         raise ValueError("counts must be >= 0")
     return table
 
-
-def flip_dataset_to_rows(dataset: FlipDataset) -> list[list]:
-    return [[x, n, k] for x, n, k in dataset.points()]
-
-
-def rows_to_flip_dataset(rows: Sequence[Sequence]) -> FlipDataset:
-    # FlipDataset refuses counts that are not integers int64 can hold
-    return FlipDataset.from_points(rows)

@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from statistics import NormalDist
-from typing import Iterable
 
 import numpy as np
 
@@ -110,27 +109,42 @@ class NonConvergenceError(RuntimeError):
 
 
 def _int64_counts(values, name: str) -> np.ndarray:
-    """``values`` as int64; ValueError for counts like 100.7, inf or 1e30 (1e3 passes)."""
+    """``values`` as int64, each integer cell exactly; ValueError for a cell
+    like 100.7, inf, 1e30 or 2**63 (1e3 passes).
+
+    Only an integer array is cast whole: numpy would pass a column holding
+    a float cell through float64, rounding its integers above 2**53.
+    """
     counts = np.asarray(values)
-    if counts.dtype.kind not in "bi":
-        real = counts.astype(float)
-        (bad,) = np.nonzero(~((np.abs(real) < 2.0**63) & (real == np.trunc(real))).ravel())
-        if bad.size:
-            # quote the cell as written: asarray rounds an integer beyond int64
-            # to a double when it shares its column with numpy integers
-            cell = np.asarray(values, dtype=object).ravel()[bad[0]]
-            cell = cell.item() if isinstance(cell, np.generic) else cell
+    if counts.dtype.kind in "bi":
+        return counts.astype(np.int64)
+    exact = []
+    for cell in np.asarray(values, dtype=object).flat:  # each cell as given
+        cell = cell.item() if isinstance(cell, np.generic) else cell
+        value = cell if isinstance(cell, int) else float(cell)
+        if not (-(2**63) <= value < 2**63 and value == int(value)):
+            # quote the cell as written, not as a rounded double
             raise ValueError(f"{name} must be integers in the int64 range, got {cell!r}")
-    return counts.astype(np.int64)
+        exact.append(int(value))
+    return np.array(exact, np.int64).reshape(counts.shape)
+
+
+def _float64(values, name: str) -> np.ndarray:
+    """``values`` as float64; ValueError for an integer beyond the double range."""
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{name} must lie in the double range") from None
 
 
 @dataclass(frozen=True, eq=False)
 class FlipDataset:
     """Flip counts at a set of kick strengths.
 
-    Stored as parallel arrays (xi in rad per e·cm, integer trials and
-    flips). Counts given as floats must be integral and within the int64
-    range. Joint (d_n, delta) fitting needs at least two distinct xi.
+    Built from, and read as, three parallel columns (xi in rad per e·cm,
+    integer trials and flips). A count column may mix integers and
+    integral floats; each cell keeps its exact value and must lie in the
+    int64 range. Joint (d_n, delta) fitting needs at least two distinct xi.
 
     The likelihood's count factors, float64 ``trials - flips`` and, if any
     point has flips, float64 ``flips`` (else None), are cast once here and
@@ -143,7 +157,7 @@ class FlipDataset:
     flips: np.ndarray
 
     def __post_init__(self) -> None:
-        xi = np.asarray(self.xi, dtype=float)
+        xi = _float64(self.xi, "xi")
         trials = _int64_counts(self.trials, "trials")
         flips = _int64_counts(self.flips, "flips")
         if not (xi.ndim == 1 and xi.shape == trials.shape == flips.shape):
@@ -161,21 +175,6 @@ class FlipDataset:
         object.__setattr__(self, "flips", flips)
         object.__setattr__(self, "_miss_factor", (trials - flips).astype(float))
         object.__setattr__(self, "_flip_factor", flips.astype(float) if flips.any() else None)
-
-    @classmethod
-    def from_points(cls, points: Iterable[tuple[float, int, int]]) -> "FlipDataset":
-        columns = tuple(zip(*points))  # xi, trials, flips
-        return cls(*columns) if columns else cls([], [], [])
-
-    def points(self) -> list[tuple[float, int, int]]:
-        return [
-            (float(x), int(n), int(k))
-            for x, n, k in zip(self.xi, self.trials, self.flips)
-        ]
-
-    @property
-    def distinct_xi_count(self) -> int:
-        return int(np.unique(self.xi).size)
 
     def _bytes(self) -> tuple[bytes, bytes, bytes]:
         return self.xi.tobytes(), self.trials.tobytes(), self.flips.tobytes()
@@ -532,7 +531,7 @@ def fit(
     """
     if not 0 < interval_cl < 1:
         raise ValueError("interval_cl must lie in (0, 1)")
-    if dataset.distinct_xi_count < 2:
+    if np.unique(dataset.xi).size < 2:
         raise ValueError("joint fitting requires >= 2 distinct xi values")
     _check_dn_ceiling(search.dn_max, dataset)
 

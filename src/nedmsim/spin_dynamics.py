@@ -111,19 +111,12 @@ def rotate(state: Spinor, axis: Sequence[float], angle: float) -> Spinor:
     )
 
 
-def _precession_rate(
-    mu_n: float, b_field: float, d_n: float, e_field: float, units: UnitSystem
-) -> float:
-    """Signed angular rate mu_n B + d_n E k g for a signed electric field."""
-    return mu_n * b_field + d_n * e_field * units.kick
-
-
 def _phase(mu_n, b_field, d_n, e_field, free_time, units: UnitSystem):
     """Ramsey phase 2 * free_time * |mu_n B + d_n E k g|, unchecked.
 
     Elementwise for arrays of fields, as a campaign block passes them.
     """
-    return 2.0 * free_time * abs(_precession_rate(mu_n, b_field, d_n, e_field, units))
+    return 2.0 * free_time * abs(mu_n * b_field + d_n * e_field * units.kick)
 
 
 def ramsey_phase(

@@ -33,7 +33,7 @@ from nedmsim.formats import (
     render_csv,
 )
 from nedmsim.cli import SCAN_POINTS_MAX
-from nedmsim.inference import GRID_POINTS_MAX
+from nedmsim.inference import GRID_POINTS_MAX, FlipDataset
 from nedmsim.weak_measurement import (
     NODE_COUNT_MAX,
     DipoleState,
@@ -659,6 +659,34 @@ def test_non_integer_dataset_counts_exit_2(tmp_path, capsys, command, row, error
     data.write_text(f"xi,trials,flips\n1e21,100,0\n{row}\n")
     assert run_cli(command, "--data", data) == 2
     assert capsys.readouterr().err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("command", ["fit", "bound"])
+def test_dataset_xi_beyond_the_double_range_exits_2(tmp_path, capsys, command):
+    # bad file input exits 2, as a nan xi does; no OverflowError escapes
+    data = tmp_path / "flips.csv"
+    data.write_text(f"xi,trials,flips\n{10**400},10,0\n1e20,10,1\n")
+    assert run_cli(command, "--data", data) == 2
+    assert capsys.readouterr().err == "error: xi must lie in the double range\n"
+
+
+def test_flip_file_cells_reach_the_manifest_unchanged(tmp_path, capsys):
+    # an integral float and the largest int64 share the trials column, and
+    # each keeps its exact value; a negative and a subnormal xi pass as written
+    data = tmp_path / "flips.csv"
+    data.write_text("xi,trials,flips\n1e21,1e3,0\n-2e20,9223372036854775807,0\n5e-324,7,0\n")
+    manifest, report = tmp_path / "m.json", tmp_path / "r.json"
+    assert run_cli("bound", "--data", data, "--manifest-out", manifest, "--out", report) == 0
+    recorded = json.loads(manifest.read_text())["config"]["dataset"]
+    assert recorded == {"xi": [1e21, -2e20, 5e-324], "trials": [1000, 2**63 - 1, 7],
+                        "flips": [0, 0, 0]}
+    assert all(type(n) is int for n in recorded["trials"] + recorded["flips"])
+    dataset = FlipDataset(*zip(*parse_csv(data.read_text(), FLIPS_HEADER)))
+    assert recorded == {"xi": dataset.xi.tolist(), "trials": dataset.trials.tolist(),
+                        "flips": dataset.flips.tolist()}
+    written = report.read_bytes()
+    assert run_cli("rerun", manifest) == 0
+    assert report.read_bytes() == written
 
 
 def test_rerun_manifest_with_non_integer_trials_exits_2(tmp_path, capsys):

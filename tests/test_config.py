@@ -109,12 +109,18 @@ def test_unknown_key_listed():
     with pytest.raises(ConfigError) as err:
         parse_config_text(text)
     assert "campaign.true_dn" in str(err.value)
-    assert err.value.offending_keys == ["campaign.true_dn (unknown key)"]
+    assert str(err.value) == "invalid configuration: campaign.true_dn (unknown key)"
 
 
 def test_unknown_section_listed():
     with pytest.raises(ConfigError, match="campain"):
         parse_config_text("[campain]\ncycles = 4\n")
+
+
+def test_unknown_section_message():
+    with pytest.raises(ConfigError) as err:
+        parse_config_text("[campain]\ncycles = 4\n")
+    assert str(err.value) == "invalid configuration: campain (unknown section)"
 
 
 def test_bad_value_listed():
@@ -135,7 +141,10 @@ def test_multiple_problems_reported_together():
     text = "[campaign]\ncycles = four\nbogus = 1\n"
     with pytest.raises(ConfigError) as err:
         parse_config_text(text)
-    assert len(err.value.offending_keys) == 2
+    assert str(err.value) == (
+        "invalid configuration: campaign.cycles (invalid literal for int() with base 10: "
+        "'four'), campaign.bogus (unknown key)"
+    )
 
 
 def test_contract_violation_reported():

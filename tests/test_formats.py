@@ -11,15 +11,14 @@ from nedmsim.formats import (
     FLIPS_HEADER,
     atomic_write_text,
     atomic_write_texts,
+    column_rows,
     cycles_to_rows,
-    flip_dataset_to_rows,
     format_number,
     parse_csv,
     parse_number,
     render_csv,
     render_json,
     rows_to_cycles,
-    rows_to_flip_dataset,
 )
 from nedmsim.inference import FlipDataset
 
@@ -104,14 +103,25 @@ def test_expected_mode_counts_round_trip_as_floats():
     assert table.n_up.dtype == table.n_down.dtype == np.float64
 
 
+@pytest.mark.parametrize("column", ["n_up", "n_down", "f_n", "f_hg", "R"])
+def test_rows_to_cycles_refuses_an_integer_beyond_the_double_range(column):
+    # a float64 column (expected-mode counts, frequencies, ratios) refuses
+    # it with a ValueError naming the column, never an OverflowError
+    config = CampaignConfig(true_dn=5e-21, cycles=2, seed=9, counting_mode="expected")
+    rows = [list(row) for row in cycles_to_rows(run_campaign(config))]
+    rows[1][CYCLES_HEADER.index(column)] = 10**400
+    with pytest.raises(ValueError, match=f"^{column} must lie in the double range$"):
+        rows_to_cycles(rows)
+
+
 def test_flip_dataset_round_trip():
-    ds = FlipDataset.from_points([(1e20, 1000, 3), (1e21, 2000, 0)])
-    text = render_csv(FLIPS_HEADER, flip_dataset_to_rows(ds))
-    back = rows_to_flip_dataset(parse_csv(text, FLIPS_HEADER))
+    ds = FlipDataset([1e20, 1e21], [1000, 2000], [3, 0])
+    text = render_csv(FLIPS_HEADER, column_rows((ds.xi, ds.trials, ds.flips)))
+    back = FlipDataset(*zip(*parse_csv(text, FLIPS_HEADER)))
     assert np.array_equal(back.xi, ds.xi)
     assert np.array_equal(back.trials, ds.trials)
     assert np.array_equal(back.flips, ds.flips)
-    assert render_csv(FLIPS_HEADER, flip_dataset_to_rows(back)) == text
+    assert render_csv(FLIPS_HEADER, column_rows((back.xi, back.trials, back.flips))) == text
 
 
 def test_render_json_deterministic():

@@ -44,7 +44,7 @@ XI_MAX = 1e21
 def brute_log_likelihood(dn, delta, dataset):
     """Independent scalar-math implementation used as the grid oracle."""
     total = 0.0
-    for xi, n, k in dataset.points():
+    for xi, n, k in zip(dataset.xi.tolist(), dataset.trials.tolist(), dataset.flips.tolist()):
         p = math.sin(dn * xi) ** 2 * math.exp(-((xi * delta) ** 2))
         p = min(max(p, 1e-300), 1.0 - 1e-16)
         total += k * math.log(p) + (n - k) * math.log1p(-p)
@@ -74,7 +74,7 @@ def zero_flip_dataset(scale=1.0):
 
 
 def test_log_likelihood_zero_flips_at_null_is_zero():
-    ds = FlipDataset.from_points([(1e20, 1000, 0), (1e21, 1000, 0)])
+    ds = FlipDataset([1e20, 1e21], [1000, 1000], [0, 0])
     assert log_likelihood(0.0, 0.0, ds) == 0.0
     assert log_likelihood(0.0, 1e-21, ds) == 0.0
 
@@ -167,7 +167,7 @@ def test_grid_and_scalar_likelihood_agree_exactly():
 def test_single_point_mle_identity():
     # with one point the optimum likelihood equals the binomial identity
     xi, n, k = 1e21, 10**6, 37_500
-    ds = FlipDataset.from_points([(xi, n, k)])
+    ds = FlipDataset([xi], [n], [k])
     target = k * math.log(k / n) + (n - k) * math.log1p(-k / n)
     _, _, best, converged = _maximize(
         ds, SearchBox(dn_max=0.5 * math.pi / xi, delta_max=1.0 / xi)
@@ -401,7 +401,7 @@ def test_likelihood_call_budget(monkeypatch):
 
 
 def test_fit_requires_two_distinct_xi():
-    ds = FlipDataset.from_points([(1e21, 100, 3), (1e21, 100, 5)])
+    ds = FlipDataset([1e21, 1e21], [100, 100], [3, 5])
     with pytest.raises(ValueError, match="distinct xi"):
         fit(ds, default_box())
 
@@ -461,7 +461,7 @@ def test_fit_all_zero_flips_above_a_positive_floor_reports_the_maximum():
 
 
 def test_fit_all_full_flips_flagged():
-    ds = FlipDataset.from_points([(1e20, 100, 100), (1e21, 100, 100)])
+    ds = FlipDataset([1e20, 1e21], [100, 100], [100, 100])
     result = fit(ds, default_box())
     assert not result.converged
     assert "flat" in result.message
@@ -495,7 +495,7 @@ def zero_flip_statistic(d, delta_hi, dataset):
     """
     return -2.0 * sum(
         n * math.log1p(-(math.sin(d * xi) ** 2) * math.exp(-((xi * delta_hi) ** 2)))
-        for xi, n, _ in dataset.points()
+        for xi, n in zip(dataset.xi.tolist(), dataset.trials.tolist())
     )
 
 
@@ -545,7 +545,7 @@ def test_zero_flip_bound_probability_of_zero_flips(scale, widths):
     b = upper_bound(ds, cl=0.95, delta_bounds=(0.0, delta_hi))
     p_zero = math.prod(
         (1.0 - math.sin(b * xi) ** 2 * math.exp(-((xi * delta_hi) ** 2))) ** n
-        for xi, n, _ in ds.points()
+        for xi, n in zip(ds.xi.tolist(), ds.trials.tolist())
     )
     wilks = math.exp(-(NormalDist().inv_cdf(0.05) ** 2) / 2)
     assert p_zero == pytest.approx(wilks, rel=1e-6)
@@ -615,10 +615,10 @@ def test_search_box_grid_points_stop_at_the_ceiling():
 
 
 def test_search_ceilings_from_largest_xi():
-    ds = FlipDataset.from_points([(-2e21, 10, 1), (1e21, 10, 1)])
+    ds = FlipDataset([-2e21, 1e21], [10, 10], [1, 1])
     assert search_ceilings(ds, 5.0) == (0.5 * math.pi / 2e21, 5.0 / 2e21)
     with pytest.raises(ValueError, match="nonzero xi"):
-        search_ceilings(FlipDataset.from_points([(0.0, 10, 0)]), 1.0)
+        search_ceilings(FlipDataset([0.0], [10], [0]), 1.0)
 
 
 def test_upper_bound_defaults_to_derived_ceilings():
@@ -645,11 +645,11 @@ def test_upper_bound_validates_cl():
 
 def test_dataset_validation():
     with pytest.raises(ValueError):
-        FlipDataset.from_points([(1e21, 10, 11)])
+        FlipDataset([1e21], [10], [11])
     with pytest.raises(ValueError):
-        FlipDataset.from_points([(1e21, 0, 0)])
+        FlipDataset([1e21], [0], [0])
     with pytest.raises(ValueError):
-        FlipDataset.from_points([])
+        FlipDataset([], [], [])
 
 
 @pytest.mark.parametrize(
@@ -675,7 +675,29 @@ def test_dataset_refuses_counts_that_are_not_int64_integers(trials, flips, bad):
 def test_dataset_accepts_integral_float_counts():
     ds = FlipDataset(xi=[1e20, 1e21], trials=[1e3, 2**62], flips=np.array([3.0, 0.0]))
     assert ds.trials.dtype == ds.flips.dtype == np.int64
-    assert ds.points() == [(1e20, 1000, 3), (1e21, 2**62, 0)]
+    assert ds.xi.tolist() == [1e20, 1e21]
+    assert ds.trials.tolist() == [1000, 2**62]
+    assert ds.flips.tolist() == [3, 0]
+
+
+def test_dataset_keeps_integer_counts_exact_beside_float_cells():
+    # a float cell must not send its column through float64, which would
+    # round 2**53 + 1 down by one and 2**63 - 1 up out of the int64 range
+    ds = FlipDataset([1e21, 3e20, 1.0], [1e3, 2**53 + 1, 2**63 - 1], [0.0, 2**53, 2**63 - 2])
+    assert ds.trials.tolist() == [1000, 2**53 + 1, 2**63 - 1]
+    assert ds.flips.tolist() == [0, 2**53, 2**63 - 2]
+    ds = FlipDataset([1e21, 3e20], np.array([2**63 - 1, 7], dtype=np.uint64),
+                     [np.int64(2**53 + 1), 7.0])
+    assert ds.trials.tolist() == [2**63 - 1, 7]
+    assert ds.flips.tolist() == [2**53 + 1, 7]
+    with pytest.raises(ValueError, match="flips must lie in"):
+        FlipDataset([1e21, 3e20], [1e3, 2**53 + 1], [1000, 2**53 + 2])
+
+
+def test_dataset_refuses_xi_beyond_the_double_range():
+    # the ValueError of bad input, never float()'s OverflowError
+    with pytest.raises(ValueError, match="^xi must lie in the double range$"):
+        FlipDataset([10**400, 1e20], [10, 10], [0, 0])
 
 
 def test_datasets_with_the_same_arrays_are_equal_and_hash_alike():
@@ -687,7 +709,7 @@ def test_datasets_with_the_same_arrays_are_equal_and_hash_alike():
     assert len({ds, same}) == 1
     assert ds != FlipDataset([1e20, 1e21], [10, 10], [1, 1])
     assert ds != FlipDataset([1e20, 2e21], [10, 10], [1, 0])
-    assert ds != ds.points()
+    assert ds != (ds.xi, ds.trials, ds.flips)
     assert dataclasses.replace(ds, flips=[0, 0]) == FlipDataset([1e20, 1e21], [10, 10], [0, 0])
 
 

@@ -20,12 +20,11 @@ from nedmsim.ensemble import simulate_quantum  # noqa: E402
 from nedmsim.formats import (  # noqa: E402
     CYCLES_HEADER,
     FLIPS_HEADER,
+    column_rows,
     cycles_to_rows,
-    flip_dataset_to_rows,
     parse_csv,
     render_csv,
     rows_to_cycles,
-    rows_to_flip_dataset,
 )
 from nedmsim.inference import FlipDataset, log_likelihood  # noqa: E402
 from nedmsim.weak_measurement import DipoleState, flip_kernel, flip_probability  # noqa: E402
@@ -46,7 +45,8 @@ def datasets(draw):
     points = draw(st.lists(
         st.tuples(moderate, st.integers(1, 10**12), st.floats(0.0, 1.0)), min_size=1, max_size=40
     ))
-    return FlipDataset.from_points([(xi, n, round(n * f)) for xi, n, f in points])
+    xi, trials, fractions = zip(*points)
+    return FlipDataset(xi, trials, [round(n * f) for n, f in zip(trials, fractions)])
 
 
 @given(delta=finite, xi=finite)
@@ -176,5 +176,6 @@ def flip_rows(draw) -> list:
 @given(rows=st.lists(flip_rows(), min_size=1, max_size=20))
 def test_flip_csv_round_trips_byte_for_byte(rows):
     text = render_csv(FLIPS_HEADER, rows)
-    dataset = rows_to_flip_dataset(parse_csv(text, FLIPS_HEADER))
-    assert render_csv(FLIPS_HEADER, flip_dataset_to_rows(dataset)) == text
+    dataset = FlipDataset(*zip(*parse_csv(text, FLIPS_HEADER)))
+    columns = (dataset.xi, dataset.trials, dataset.flips)
+    assert render_csv(FLIPS_HEADER, column_rows(columns)) == text

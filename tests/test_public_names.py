@@ -1,14 +1,16 @@
-"""Every name the benchmark takes from nedmsim, and every ``__all__`` entry, exists.
+"""Every name the benchmark and README take from nedmsim, and every ``__all__`` entry, exists.
 
 The benchmark imports nedmsim names and wraps others by name, so a removal
 that forgets one would only show as a failed benchmark run; here it fails
-a test. The benchmark's files are read with ``ast``, never executed.
+a test, as does a README python block importing a removed name. The
+benchmark's files and README's blocks are read with ``ast``, never executed.
 """
 
 import ast
 import importlib
 import pathlib
 import pkgutil
+import re
 
 import nedmsim
 
@@ -17,14 +19,23 @@ CALLERS = [*sorted((ROOT / "bench").glob("*.py")), ROOT / ".github" / "ci_checks
 WRAPPED_TABLES = ("SPAN_FUNCTIONS", "AGGREGATE_FUNCTIONS")
 
 
+def _nedmsim_imports(source: str, filename: str) -> list[tuple[str, str]]:
+    """(module, name) of each ``from nedmsim... import name`` in source."""
+    return [(node.module, alias.name)
+            for node in ast.walk(ast.parse(source, filename))
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "nedmsim"
+            for alias in node.names]
+
+
 def _imported_names() -> list[tuple[str, str]]:
-    """(module, name) of each ``from nedmsim... import name`` in the callers."""
-    names = []
-    for path in CALLERS:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "nedmsim":
-                names += [(node.module, alias.name) for alias in node.names]
-    return names
+    """(module, name) of each nedmsim import in the callers."""
+    return [pair for path in CALLERS for pair in _nedmsim_imports(path.read_text(), str(path))]
+
+
+def _readme_names() -> list[tuple[str, str]]:
+    """(module, name) of each nedmsim import in README's fenced python blocks."""
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    return [pair for block in blocks for pair in _nedmsim_imports(block, "README.md")]
 
 
 def _wrapped_names() -> list[tuple[str, str]]:
@@ -48,6 +59,12 @@ def _missing(pairs: list[tuple[str, str]]) -> list[str]:
 def test_benchmark_imports_resolve():
     imported = _imported_names()
     assert imported  # the benchmark takes its entry points by import
+    assert _missing(imported) == []
+
+
+def test_readme_imports_resolve():
+    imported = _readme_names()
+    assert imported  # README's library section imports its entry points
     assert _missing(imported) == []
 
 
