@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import sys
 import tempfile
 from typing import Iterable, Iterator, Sequence
 
@@ -69,11 +70,22 @@ def format_number(value) -> str:
 
 
 def parse_number(text: str):
-    """Inverse of :func:`format_number`: int if integral text, else float."""
+    """Inverse of :func:`format_number`: int if integral text, else float.
+
+    OverflowError for integral text longer than Python's int-string limit
+    (``sys.get_int_max_str_digits()``, 4300 digits by default), which
+    ``int`` refuses and ``float`` would read as inf.
+    """
     try:
         return int(text)
     except ValueError:
-        return float(text)
+        value = float(text)  # ValueError for text that spells no number
+    if len(text) > sys.get_int_max_str_digits():  # int() refuses integral text only past it
+        digits = text.strip().lstrip("+-").replace("_", "")
+        if digits.isdigit():
+            raise OverflowError(f"an integer of {len(digits)} digits, more than the "
+                                f"{sys.get_int_max_str_digits()} that Python converts")
+    return value
 
 
 # format_number's text for these exact types; bool and numpy scalars go through it
@@ -106,8 +118,9 @@ def render_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 def parse_csv(text: str, expected_header: Sequence[str]) -> list[list]:
     """Parse a table emitted by :func:`render_csv`.
 
-    The header must match and every row must have one cell per column;
-    a ValueError names the first line that does not.
+    The header must match, every row must have one cell per column and no
+    cell may hold an integer too long to convert; a ValueError names the
+    first line that does not.
     """
     lines = text.splitlines()
     if not lines:
@@ -126,15 +139,20 @@ def parse_csv(text: str, expected_header: Sequence[str]) -> list[list]:
             raise ValueError(
                 f"CSV line {number} has {len(cells)} cells, expected {len(header)}"
             )
-        rows.append([_parse_cell(cell) for cell in cells])
+        try:
+            rows.append(list(map(_parse_cell, cells, header)))
+        except OverflowError as error:
+            raise ValueError(f"CSV line {number}: {error}") from None
     return rows
 
 
-def _parse_cell(cell: str):
+def _parse_cell(cell: str, name: str):
     try:
         return parse_number(cell)
     except ValueError:
         return cell
+    except OverflowError as error:
+        raise OverflowError(f"{name} holds {error}") from None
 
 
 def render_json(obj) -> str:

@@ -531,7 +531,8 @@ def fit(
     """
     if not 0 < interval_cl < 1:
         raise ValueError("interval_cl must lie in (0, 1)")
-    if np.unique(dataset.xi).size < 2:
+    # numpy's unique() would import numpy.ma on its first call; min and max do not
+    if dataset.xi.min() == dataset.xi.max():
         raise ValueError("joint fitting requires >= 2 distinct xi values")
     _check_dn_ceiling(search.dn_max, dataset)
 

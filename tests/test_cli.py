@@ -157,6 +157,26 @@ def test_contrast_null_dipole(capsys):
     assert table["stochastic"][4] == pytest.approx(0.009900663346622374, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--dn", "0", "--delta", "1e-15", "--xi", "1e14", "--trials", "1000"),
+        ("--dn", "0", "--delta", "0", "--xi", "1e21", "--trials", "1"),
+        # xi * delta = 10: the stochastic fraction is 1/2 to the last digit
+        ("--dn", "1e-22", "--delta", "1e-20", "--xi", "1e21", "--trials", "1001"),
+        ("--dn", "3e-22", "--delta", "2e-21", "--xi", "7e20", "--trials", "65537"),
+    ],
+    ids=["null-dipole", "null-state", "half-fraction", "interior"],
+)
+def test_contrast_table_round_trips_byte_for_byte(capsys, flags):
+    assert run_cli("contrast", *flags, "--seed", "5") == 0
+    table = capsys.readouterr().out
+    rows = parse_csv(table, CONTRAST_HEADER)
+    assert [row[0] for row in rows] == ["quantum", "stochastic"]
+    assert all(type(row[1]) is type(row[2]) is int for row in rows)
+    assert render_csv(CONTRAST_HEADER, rows) == table
+
+
 def test_contrast_zero_trials_exits_2(capsys):
     assert (
         run_cli("contrast", "--dn", "0", "--delta", "1e-15", "--xi", "1e14", "--trials", "0") == 2
@@ -652,6 +672,13 @@ def test_short_dataset_row_exits_2(tmp_path, capsys, command):
         ("1e20,100.7,3.9", "trials must be integers in the int64 range, got 100.7"),
         ("1e20,inf,0", "trials must be integers in the int64 range, got inf"),
         ("1e20,1e30,0", "trials must be integers in the int64 range, got 1e+30"),
+        # int() refuses text this long, and float() once read it as inf
+        pytest.param(
+            "1e20,1" + "0" * 5000 + ",0",
+            "CSV line 3: trials holds an integer of 5001 digits, more than the "
+            f"{sys.get_int_max_str_digits()} that Python converts",
+            id="trials-of-5001-digits",
+        ),
     ],
 )
 def test_non_integer_dataset_counts_exit_2(tmp_path, capsys, command, row, error):
@@ -1223,6 +1250,57 @@ def test_cli_import_loads_no_scipy(tmp_path):
     imported_from, scipy_modules = proc.stdout.splitlines()
     assert Path(imported_from).resolve() == Path(nedmsim.__file__).resolve()
     assert scipy_modules == "[]"
+
+
+# Each command in turn, in one fresh interpreter: its exit code and the numpy
+# modules it imported beyond those of the import and of the commands before it.
+# contrast and campaign draw from Philox, so numpy.random is theirs to load.
+COMMAND_IMPORTS_SCRIPT = """\
+import json, sys
+from nedmsim.cli import main
+
+COMMANDS = {
+    "transition": ["transition", "--dn", "1e-22", "--delta", "1e-21", "--xi", "1e21"],
+    "contrast": ["contrast", "--dn", "1e-22", "--delta", "1e-21", "--xi", "1e21",
+                 "--trials", "1000", "--seed", "7"],
+    "scan": ["scan", "--dn", "3e-22", "--delta", "1e-21", "--xi-min", "1e20",
+             "--xi-max", "3e21", "--points", "5", "--out", "scan.csv"],
+    "campaign": ["campaign", "--config", "campaign.ini", "--out", "cycles.csv"],
+    "fit": ["fit", "--data", "interior.csv", "--out", "fit.json"],
+    "bound": ["bound", "--data", "design.csv", "--out", "bound.json"],
+}
+
+def numpy_modules():
+    return {m for m in sys.modules if m.split(".")[0] == "numpy"
+            and m.split(".")[:2] != ["numpy", "random"]}
+
+loaded, runs = numpy_modules(), {}
+for name, argv in COMMANDS.items():
+    code = main(argv)
+    runs[name] = [code, sorted(numpy_modules() - loaded)]
+    loaded = numpy_modules()
+print(json.dumps(runs))
+"""
+
+
+def test_commands_import_no_numpy_module_beyond_numpy_random(tmp_path):
+    # numpy's unique() imports numpy.ma, numpy.ma.core and numpy.ma.extras the
+    # first time it runs: about 10 ms and 1.5 MB that no command needs
+    write_flip_csv(tmp_path / "interior.csv", INTERIOR_POINTS)
+    write_flip_csv(tmp_path / "design.csv", zero_flip_points())
+    (tmp_path / "campaign.ini").write_text(NOISELESS_INI)
+    package_root = str(Path(nedmsim.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", COMMAND_IMPORTS_SCRIPT],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=package_root),
+    )
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout.splitlines()[-1])
+    assert runs == {name: [0, []] for name in
+                    ("transition", "contrast", "scan", "campaign", "fit", "bound")}
 
 
 def test_threads_env_does_not_change_bytes(tmp_path, capsys, monkeypatch):

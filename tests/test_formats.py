@@ -1,6 +1,7 @@
 """Round-trip guarantees of the table and record formats."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -66,6 +67,19 @@ def test_render_csv_cell_types():
     )
     assert render_csv(header, [["quantum", "1.5", ""]]) == "a,b,c\nquantum,1.5,\n"
     assert render_csv(header, []) == "a,b,c\n"
+
+
+def test_parse_number_refuses_integer_text_beyond_the_digit_limit():
+    # int() refuses such text and float() would read it as inf, a value the
+    # text does not hold
+    limit = sys.get_int_max_str_digits()
+    assert parse_number("9" * limit) == 10**limit - 1
+    for text in ("1" + "0" * limit, "-" + "7" * (limit + 1), " 1_" + "0" * limit + " "):
+        with pytest.raises(OverflowError, match=f"^an integer of {limit + 1} digits, more "):
+            parse_number(text)
+    # float text of as many digits reads as before
+    assert parse_number("1" + "0" * limit + ".5") == math.inf
+    assert parse_number("0." + "0" * limit + "1") == 0.0
 
 
 def test_csv_header_mismatch_rejected():

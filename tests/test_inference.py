@@ -401,9 +401,19 @@ def test_likelihood_call_budget(monkeypatch):
 
 
 def test_fit_requires_two_distinct_xi():
-    ds = FlipDataset([1e21, 1e21], [100, 100], [3, 5])
-    with pytest.raises(ValueError, match="distinct xi"):
-        fit(ds, default_box())
+    # numpy's unique() verdict: 0.0 and -0.0 are one value
+    for xi in ([1e21, 1e21], [1e21, 1e21, 1e21], [1e21], [0.0, -0.0]):
+        ds = FlipDataset(xi, [100] * len(xi), [3] * len(xi))
+        with pytest.raises(ValueError, match="joint fitting requires >= 2 distinct xi values"):
+            fit(ds, default_box())
+
+
+@pytest.mark.parametrize(
+    "xi", [[5e20, 1e21], [0.0, 1e21], [1e21, np.nextafter(1e21, np.inf)]],
+    ids=["two-values", "zero-and-one", "adjacent-doubles"],
+)
+def test_fit_accepts_two_distinct_xi(xi):
+    assert fit(FlipDataset(xi, [100, 100], [3, 5]), default_box()).converged
 
 
 def test_fit_recovers_truth_within_intervals():
