@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import sys
 import tempfile
 from typing import Iterable, Iterator, Sequence
 
@@ -59,6 +58,10 @@ CONTRAST_HEADER = ("model", "trials", "flips", "fraction", "expected_fraction")
 # Rows that column_rows turns into Python numbers at a time
 ROW_SLICE = 4096
 
+# The least int-string digit limit Python can be set to; interpreters
+# without the limit (before 3.10.7) convert integral text of any length
+_LEAST_DIGIT_LIMIT = 640
+
 
 def format_number(value) -> str:
     """Shortest exact text for an int or float (ints stay integral)."""
@@ -72,19 +75,18 @@ def format_number(value) -> str:
 def parse_number(text: str):
     """Inverse of :func:`format_number`: int if integral text, else float.
 
-    OverflowError for integral text longer than Python's int-string limit
-    (``sys.get_int_max_str_digits()``, 4300 digits by default), which
-    ``int`` refuses and ``float`` would read as inf.
+    OverflowError for integral text that ``int`` refuses for its length
+    (Python's int-string digit limit, 4300 digits by default), which
+    ``float`` would read as inf.
     """
     try:
         return int(text)
     except ValueError:
         value = float(text)  # ValueError for text that spells no number
-    if len(text) > sys.get_int_max_str_digits():  # int() refuses integral text only past it
+    if len(text) > _LEAST_DIGIT_LIMIT:
         digits = text.strip().lstrip("+-").replace("_", "")
-        if digits.isdigit():
-            raise OverflowError(f"an integer of {len(digits)} digits, more than the "
-                                f"{sys.get_int_max_str_digits()} that Python converts")
+        if digits.isdigit():  # integral text that int() refused: it passed the limit
+            raise OverflowError(f"an integer of {len(digits)} digits, more than Python converts")
     return value
 
 
@@ -139,20 +141,21 @@ def parse_csv(text: str, expected_header: Sequence[str]) -> list[list]:
             raise ValueError(
                 f"CSV line {number} has {len(cells)} cells, expected {len(header)}"
             )
-        try:
-            rows.append(list(map(_parse_cell, cells, header)))
-        except OverflowError as error:
-            raise ValueError(f"CSV line {number}: {error}") from None
+        row = []
+        for name, cell in zip(header, cells):
+            try:
+                row.append(_parse_cell(cell))
+            except OverflowError as error:
+                raise ValueError(f"CSV line {number}: {name} holds {error}") from None
+        rows.append(row)
     return rows
 
 
-def _parse_cell(cell: str, name: str):
+def _parse_cell(cell: str):
     try:
         return parse_number(cell)
     except ValueError:
         return cell
-    except OverflowError as error:
-        raise OverflowError(f"{name} holds {error}") from None
 
 
 def render_json(obj) -> str:

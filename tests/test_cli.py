@@ -675,9 +675,11 @@ def test_short_dataset_row_exits_2(tmp_path, capsys, command):
         # int() refuses text this long, and float() once read it as inf
         pytest.param(
             "1e20,1" + "0" * 5000 + ",0",
-            "CSV line 3: trials holds an integer of 5001 digits, more than the "
-            f"{sys.get_int_max_str_digits()} that Python converts",
+            "CSV line 3: trials holds an integer of 5001 digits, more than Python converts",
             id="trials-of-5001-digits",
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "get_int_max_str_digits"),
+                reason="Python converts integral text of any length before 3.10.7"),
         ),
     ],
 )

@@ -69,6 +69,8 @@ def test_render_csv_cell_types():
     assert render_csv(header, []) == "a,b,c\n"
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="Python converts integral text of any length before 3.10.7")
 def test_parse_number_refuses_integer_text_beyond_the_digit_limit():
     # int() refuses such text and float() would read it as inf, a value the
     # text does not hold
@@ -80,6 +82,22 @@ def test_parse_number_refuses_integer_text_beyond_the_digit_limit():
     # float text of as many digits reads as before
     assert parse_number("1" + "0" * limit + ".5") == math.inf
     assert parse_number("0." + "0" * limit + "1") == 0.0
+    # the least limit Python can be set to
+    sys.set_int_max_str_digits(640)
+    try:
+        assert parse_number("1" * 640) == int("1" * 640)
+        with pytest.raises(OverflowError, match="^an integer of 641 digits, more "):
+            parse_number("1" * 641)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_parse_number_reads_floats_where_python_has_no_digit_limit(monkeypatch):
+    # interpreters before 3.10.7 lack sys.get_int_max_str_digits
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    assert parse_number("1e+21") == 1e21
+    assert parse_number("-0.5") == -0.5
+    assert parse_csv("xi,trials,flips\n1e+21,100,3\n", FLIPS_HEADER) == [[1e21, 100, 3]]
 
 
 def test_csv_header_mismatch_rejected():
