@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import tempfile
 from typing import Iterable, Iterator, Sequence
@@ -55,6 +56,9 @@ FLIPS_HEADER = ("xi", "trials", "flips")
 SCAN_HEADER = ("xi", "p_closed", "p_quadrature", "abs_diff")
 CONTRAST_HEADER = ("model", "trials", "flips", "fraction", "expected_fraction")
 
+# Tables whose every cell is a number: parse_csv refuses text in them
+_NUMBER_TABLES = (CYCLES_HEADER, FLIPS_HEADER, SCAN_HEADER)
+
 # Rows that column_rows turns into Python numbers at a time
 ROW_SLICE = 4096
 
@@ -76,8 +80,10 @@ def parse_number(text: str):
     """Inverse of :func:`format_number`: int if integral text, else float.
 
     OverflowError for integral text that ``int`` refuses for its length
-    (Python's int-string digit limit, 4300 digits by default), which
-    ``float`` would read as inf.
+    (Python's int-string digit limit, 4300 digits by default), and for
+    float text beyond the double range, such as 1e400: ``float`` would read
+    either as inf, a value the text does not hold. The spellings of inf
+    and nan read as ``float`` reads them.
     """
     try:
         return int(text)
@@ -87,6 +93,8 @@ def parse_number(text: str):
         digits = text.strip().lstrip("+-").replace("_", "")
         if digits.isdigit():  # integral text that int() refused: it passed the limit
             raise OverflowError(f"an integer of {len(digits)} digits, more than Python converts")
+    if math.isinf(value) and text.strip().lstrip("+-").lower() not in ("inf", "infinity"):
+        raise OverflowError(f"{text!r}, a number beyond the double range")
     return value
 
 
@@ -120,9 +128,11 @@ def render_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 def parse_csv(text: str, expected_header: Sequence[str]) -> list[list]:
     """Parse a table emitted by :func:`render_csv`.
 
-    The header must match, every row must have one cell per column and no
-    cell may hold an integer too long to convert; a ValueError names the
-    first line that does not.
+    The header must match, every row must have one cell per column, no
+    cell may hold a number that :func:`parse_number` refuses, and every
+    cell of a cycle, flip or scan table must be a number; a ValueError
+    names the first line that does not, and the column and cell. Other
+    tables keep a cell that is not a number as its text.
     """
     lines = text.splitlines()
     if not lines:
@@ -132,6 +142,7 @@ def parse_csv(text: str, expected_header: Sequence[str]) -> list[list]:
         raise ValueError(
             f"unexpected CSV header {header!r}, expected {list(expected_header)!r}"
         )
+    numbers_only = tuple(header) in _NUMBER_TABLES
     rows = []
     for number, line in enumerate(lines[1:], start=2):
         if not line:
@@ -144,18 +155,17 @@ def parse_csv(text: str, expected_header: Sequence[str]) -> list[list]:
         row = []
         for name, cell in zip(header, cells):
             try:
-                row.append(_parse_cell(cell))
+                row.append(parse_number(cell))
+            except ValueError:
+                if numbers_only:
+                    raise ValueError(
+                        f"CSV line {number}: {name} holds {cell!r}, not a number"
+                    ) from None
+                row.append(cell)
             except OverflowError as error:
                 raise ValueError(f"CSV line {number}: {name} holds {error}") from None
         rows.append(row)
     return rows
-
-
-def _parse_cell(cell: str):
-    try:
-        return parse_number(cell)
-    except ValueError:
-        return cell
 
 
 def render_json(obj) -> str:

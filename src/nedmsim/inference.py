@@ -23,14 +23,21 @@ q = 2(l_max - l_profile) with a chi-square quantile (two-sided for
 intervals, one-sided for bounds). Crossings are found by K-section, a
 few points per bracket in one batched call, taking the crossing nearest
 the estimate; the two edges of an interval are sectioned in lockstep,
-one bracket per row. An upper bound scans a fixed geometric grid upward
-in chunks and sections the first crossing cell. The maximum, the
-profiles and the interval edges stop at ``resolution`` times the axis
-width, an upper bound at ``resolution`` relative to itself, each after
-at most _MAX_ROUNDS steps; each bracket of a row-wise search stops on
-its own, so it ends where a search of that bracket alone would. Without
-flips the likelihood rises with delta, so a d_n profile is the
-likelihood at the delta ceiling, one kernel call with no nuisance search.
+one bracket per row, and their box edges are tested in the first
+round's call. Where the statistic is smooth, sqrt(q) is close to a line
+near a crossing (q ~ ((v - v_hat)/sigma)^2), so once a row's last round
+shows it so, the next round is guided: three points around the secant
+root of sqrt(q), as close together as that round's departure from a
+line allows. A guided round that misses falls back to one uniform
+round, and a step statistic is sectioned uniformly throughout. An upper
+bound scans a fixed geometric grid upward in chunks and sections the
+first crossing cell. The maximum, the profiles and the interval edges
+stop at ``resolution`` times the axis width, an upper bound at
+``resolution`` relative to itself, each after at most _MAX_ROUNDS steps;
+each bracket of a row-wise search stops on its own, so it ends where a
+search of that bracket alone would. Without flips the likelihood rises
+with delta, so a d_n profile is the likelihood at the delta ceiling, one
+kernel call with no nuisance search.
 """
 
 from __future__ import annotations
@@ -80,9 +87,10 @@ FIT_DELTA_WIDTHS = 5.0
 BOUND_DELTA_WIDTHS = 1.0
 
 # Batch shapes of the zoom and crossing searches: candidates per row and
-# zoom step (each step narrows a bracket 8x), interior points per K-section
-# round (8x per round), and bound-scan points per call. They keep each
-# batched likelihood call to a few thousand elements per data point.
+# zoom step (each step narrows a bracket 8x), interior points per uniform
+# K-section round (8x per round), and bound-scan points per call. They
+# keep each batched likelihood call to a few thousand elements per data
+# point.
 # _MAX_ROUNDS caps the zoom steps of the maximum and of the profiles and
 # the K-section rounds: 8**20 = 2**60 narrows any bracket below double
 # precision, so a resolution finer than that cannot stall a bracket that
@@ -94,7 +102,17 @@ _MAX_ROUNDS = 20
 # fractions of a bracket at which a zoom step and a K-section round evaluate
 _ZOOM_T = np.linspace(0.0, 1.0, _ZOOM_POINTS)
 _ZOOM_S = 1.0 - _ZOOM_T
-_SECTION_T = np.arange(1, _SECTIONS + 1) / (_SECTIONS + 1)
+_SECTION_T = (np.arange(1, _SECTIONS + 1) / (_SECTIONS + 1)).tolist()
+# Guided K-section rounds (_crossing, _keep_cell): a guided round's three
+# points lie a step apart, _GUIDE_SAFETY times the departure of sqrt(q)
+# from a line in the row's last round relative to its rise, at least
+# _GUIDE_MIN, as a fraction of the bracket; a row whose step would exceed
+# _GUIDE_MAX (a hit would narrow its bracket less than 16x) is sectioned
+# uniformly. Over the criterion-5 and fit_study fits, a secant root was
+# off by at most 0.6 departures where the departure was above 1e-6.
+_GUIDE_SAFETY = 8.0
+_GUIDE_MIN = 2.0**-20
+_GUIDE_MAX = 2.0**-4
 # each zoom candidate's neighbours, the ends of the two cells kept around it
 _ZOOM_LEFT = np.maximum(np.arange(_ZOOM_POINTS) - 1, 0)
 _ZOOM_RIGHT = np.minimum(np.arange(_ZOOM_POINTS) + 1, _ZOOM_POINTS - 1)
@@ -409,39 +427,92 @@ def _profile(
     return best, arg
 
 
-def _crossing(q_of, a, b, threshold: float, tol: float):
+def _crossing(q_of, a, b, threshold: float, tol: float, check_end: bool = False):
     """Where q_of first crosses ``threshold`` going from a towards b, row-wise.
 
     ``a`` and ``b`` are two floats or two matching 1-d arrays of brackets,
-    each with q(a) <= threshold < q(b); either end may be the larger. Each
-    round evaluates _SECTIONS interior points of every bracket still wider
-    than ``tol``, all in one call of the batched ``q_of``, and keeps the
-    cell of each row's first point above the threshold (the crossing
-    nearest a), until every bracket is within ``tol`` or _MAX_ROUNDS
-    rounds have run. A bracket within ``tol`` is frozen, so every row
-    returns exactly what a search of its bracket alone returns: a float
-    for float brackets, else an array of the rows' crossings.
+    each with q(a) <= threshold < q(b); either end may be the larger. With
+    ``check_end``, q(b) is not known: the first round also evaluates every
+    b, and a row with q(b) <= threshold returns b.
+
+    Each round evaluates the points of every bracket still wider than
+    ``tol``, all in one call of the batched ``q_of``, and keeps the cell of
+    each row's first point above the threshold (the crossing nearest a),
+    until every bracket is within ``tol`` or _MAX_ROUNDS rounds have run.
+    A row's round is uniform, _SECTIONS points across its bracket (8x
+    narrower), unless its statistic was locally smooth in its last round
+    (see _keep_cell). Near a crossing q ~ ((v - v0)/sigma)^2, so sqrt(q)
+    is close to a line, and a guided round evaluates three points a step
+    apart around the secant root of sqrt(q) - sqrt(threshold): the step is
+    _GUIDE_SAFETY times the last round's departure from a line, at most
+    _GUIDE_MAX of the bracket, so a guided round that hits narrows the
+    bracket at least 1/_GUIDE_MAX times. A guided round whose crossing does
+    not fall between two of its points (it may have narrowed the bracket
+    less than 8x) is followed by one uniform round. A step statistic is
+    never smooth, so its every round is uniform. A bracket within ``tol``
+    is frozen, so every row returns exactly what a search of its bracket
+    alone returns: a float for float brackets, else an array of the rows'
+    crossings.
     """
     scalar = np.ndim(a) == 0
-    a = np.array(a, dtype=float, ndmin=1)
-    b = np.array(b, dtype=float, ndmin=1)
-    for _ in range(_MAX_ROUNDS):
-        (open_,) = np.nonzero(~(np.abs(b - a) <= tol))
-        if open_.size == 0:
+    # per row: the bracket's two ends, and the secant root and guided step
+    # as fractions of it (root None: a uniform round)
+    rows = [(lo, hi, None, 0.0) for lo, hi in zip(np.ravel(a).tolist(), np.ravel(b).tolist())]
+    for round_ in range(_MAX_ROUNDS):
+        first = check_end and round_ == 0
+        live = [k for k, (lo, hi, _, _) in enumerate(rows) if first or not abs(hi - lo) <= tol]
+        if not live:
             break
-        lo, hi = a[open_], b[open_]
-        points = lo[:, None] + (hi - lo)[:, None] * _SECTION_T
-        above = q_of(points.ravel()).reshape(points.shape) > threshold
-        rows = np.arange(open_.size)
-        i = np.argmax(above, axis=1)
-        found = above[rows, i]
-        # no point above: the crossing lies past the last one
-        b[open_] = np.where(found, points[rows, i], hi)
-        a[open_] = np.where(
-            found, np.where(i > 0, points[rows, i - 1], lo), points[:, -1]
-        )
-    mid = 0.5 * (a + b)
+        points = [_round_points(*rows[k], first) for k in live]
+        q = iter(q_of(np.array([x for p in points for x in p])).tolist())
+        for k, p in zip(live, points):
+            rows[k] = _keep_cell(p, [next(q) for _ in p], rows[k][0], rows[k][1], threshold)
+    mid = np.array([0.5 * (lo + hi) for lo, hi, _, _ in rows])
     return float(mid[0]) if scalar else mid
+
+
+def _round_points(lo: float, hi: float, root, step: float, check_end: bool) -> list[float]:
+    """One _crossing round's points from lo towards hi, then hi itself if ``check_end``.
+
+    Uniform at _SECTION_T without a root; else three points ``step`` of the
+    bracket apart, centred on the root but at least two steps inside it.
+    """
+    if root is None:
+        fractions = _SECTION_T
+    else:
+        centre = min(max(root, 2.0 * step), 1.0 - 2.0 * step)
+        fractions = (centre - step, centre, centre + step)
+    points = [lo + (hi - lo) * t for t in fractions]
+    return points + [hi] if check_end else points
+
+
+def _keep_cell(points: list[float], q: list[float], lo: float, hi: float, threshold: float):
+    """One row's (lo, hi, root, step) after a _crossing round of ``points``.
+
+    ``points`` are the round's equally spaced points in order from lo to
+    hi, and ``q`` the statistic there. The new bracket is the cell of the
+    first point above ``threshold``, or the cell past the last point if
+    none is. The statistic was smooth when its values were all positive
+    and finite, the crossing lies between two of the points, and sqrt(q)
+    departs from the chord through its first and last value by at most
+    _GUIDE_MAX / _GUIDE_SAFETY of the chord's rise. Only then is ``root``
+    a number: where the line through sqrt(q) at the new bracket's ends
+    meets sqrt(threshold), as a fraction of the bracket, and ``step`` is
+    _GUIDE_SAFETY times that relative departure, at least _GUIDE_MIN.
+    """
+    i = next((j for j, value in enumerate(q) if value > threshold), None)
+    if i is None:  # the crossing lies past the last point
+        return points[-1], hi, None, 0.0
+    new_lo = points[i - 1] if i > 0 else lo
+    if i == 0 or not all(0.0 < value < math.inf for value in q):
+        return new_lo, points[i], None, 0.0
+    s = [math.sqrt(value) for value in q]
+    rise, last = s[-1] - s[0], len(s) - 1
+    departure = max(abs(v - (s[0] + rise * j / last)) for j, v in enumerate(s))
+    if not (s[i] > s[i - 1] and _GUIDE_SAFETY * departure <= _GUIDE_MAX * rise):
+        return new_lo, points[i], None, 0.0
+    root = (math.sqrt(threshold) - s[i - 1]) / (s[i] - s[i - 1])
+    return new_lo, points[i], root, max(_GUIDE_SAFETY * departure / rise, _GUIDE_MIN)
 
 
 def _interval_from_profile(
@@ -451,14 +522,13 @@ def _interval_from_profile(
 
     ``q_of`` is batched and must vanish at ``center``; each side reports
     the crossing nearest the centre to within ``tol``, and a side that is
-    not above the threshold at its box edge reports the box edge. The
-    sides that cross are sectioned together, one row each.
+    not above the threshold at its box edge reports the box edge. Both
+    sides are sectioned together, one row each, and the box edges are
+    tested in the first round's call.
     """
-    ends = np.array([lo, hi])
-    above = q_of(ends) > threshold
-    starts = np.full(ends.size, center)
-    found = iter(_crossing(q_of, starts[above], ends[above], threshold, tol).tolist())
-    left, right = (next(found) if up else edge for edge, up in zip((lo, hi), above))
+    left, right = _crossing(
+        q_of, np.array([center, center]), np.array([lo, hi]), threshold, tol, check_end=True
+    ).tolist()
     return (min(left, right), max(left, right))
 
 

@@ -617,13 +617,13 @@ REPORT_CASES = {
                   "--trials", "1000", "--seed", "7"), 0,
                  "aa7baebd4d0e94ada126f05a64f987b27e388be9f3bdbf7e6d877bc52e9607f5"),
     "fit": (("fit", "--data", "interior.csv"), 0,
-            "796b43276da97e073b4f4343caa499536647ea65a52934c3fcd18c624d826869"),
+            "b880e3c0f56d65413347eae540a688ea8d82e8054bc1cb691ca67ab7f5675094"),
     "fit-zero-flips": (("fit", "--data", "zero.csv"), 4,
-                       "2bc587fc336f351c8d5ce89b876525e16e9707bfaf19c3a57260e03866612af2"),
+                       "c54b00b38936370ba78f1cdecbddf760e92418c38122be748663895447d17075"),
     "bound": (("bound", "--data", "interior.csv", "--resolution", "1e-5"), 0,
-              "241abeaf6d03aae7c258934a5a3e305e1c0e3c2ddb20eb60d6488fda5308e02f"),
+              "8b9a679668b43cfb2128c232e4596546b76d2d8a3eaee7bb3735ccd196ce4271"),
     "bound-zero-flips": (("bound", "--data", "design.csv", "--cl", "0.95"), 0,
-                         "82e25738a42d8bca02eaf4938c0685608fc0de903356d0d253e78c0e73bf6d8b"),
+                         "e147c6d3a85fde36c9a4fe7dca66d0e280379eb24c1bddd5df3c0a49a3e3e22a"),
 }
 
 
@@ -686,6 +686,27 @@ def test_short_dataset_row_exits_2(tmp_path, capsys, command):
 def test_non_integer_dataset_counts_exit_2(tmp_path, capsys, command, row, error):
     data = tmp_path / "flips.csv"
     data.write_text(f"xi,trials,flips\n1e21,100,0\n{row}\n")
+    assert run_cli(command, "--data", data) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("command", ["fit", "bound"])
+@pytest.mark.parametrize(
+    "row, error",
+    [
+        ("1e21,abc,0", "CSV line 2: trials holds 'abc', not a number"),
+        ("abc,100,0", "CSV line 2: xi holds 'abc', not a number"),
+        # float() reads this text as inf, a value the file does not hold
+        ("1e21,1e400,0", "CSV line 2: trials holds '1e400', a number beyond the double range"),
+        ("-1e400,100,0", "CSV line 2: xi holds '-1e400', a number beyond the double range"),
+    ],
+    ids=["trials-abc", "xi-abc", "trials-1e400", "xi-minus-1e400"],
+)
+def test_dataset_cell_that_is_no_double_exits_2_naming_line_and_column(
+    tmp_path, capsys, command, row, error
+):
+    data = tmp_path / "flips.csv"
+    data.write_text(f"xi,trials,flips\n{row}\n3e20,100,0\n")
     assert run_cli(command, "--data", data) == 2
     assert capsys.readouterr().err == f"error: {error}\n"
 

@@ -79,8 +79,8 @@ def test_parse_number_refuses_integer_text_beyond_the_digit_limit():
     for text in ("1" + "0" * limit, "-" + "7" * (limit + 1), " 1_" + "0" * limit + " "):
         with pytest.raises(OverflowError, match=f"^an integer of {limit + 1} digits, more "):
             parse_number(text)
-    # float text of as many digits reads as before
-    assert parse_number("1" + "0" * limit + ".5") == math.inf
+    # float text of as many digits reads as before, within the double range
+    assert parse_number("1" + "0" * limit + ".5e-4400") == 1e-100
     assert parse_number("0." + "0" * limit + "1") == 0.0
     # the least limit Python can be set to
     sys.set_int_max_str_digits(640)
@@ -98,6 +98,29 @@ def test_parse_number_reads_floats_where_python_has_no_digit_limit(monkeypatch):
     assert parse_number("1e+21") == 1e21
     assert parse_number("-0.5") == -0.5
     assert parse_csv("xi,trials,flips\n1e+21,100,3\n", FLIPS_HEADER) == [[1e21, 100, 3]]
+
+
+def test_parse_number_refuses_float_text_beyond_the_double_range():
+    # float() reads such text as inf; the message quotes it as written
+    for text in ("1e400", "-1e400", " 2.5e308", "1" + "0" * 400 + ".5"):
+        with pytest.raises(OverflowError, match="a number beyond the double range$") as error:
+            parse_number(text)
+        assert str(error.value).startswith(repr(text))
+    # the spellings of inf and nan, and underflow, read as float() reads them
+    for text in ("inf", "-inf", "+Infinity", " INF "):
+        assert parse_number(text) == float(text)
+    assert math.isnan(parse_number("nan"))
+    assert parse_number("1e-400") == 0.0
+
+
+def test_parse_csv_refuses_text_only_where_every_cell_is_a_number():
+    with pytest.raises(ValueError, match="^CSV line 3: flips holds ' x', not a number$"):
+        parse_csv("xi,trials,flips\n1e21,100,3\n1e20,100, x\n", FLIPS_HEADER)
+    with pytest.raises(ValueError, match="^CSV line 2: R holds 'abc', not a number$"):
+        parse_csv(",".join(CYCLES_HEADER) + "\n0,1,5,5,1.0,2.0,abc\n", CYCLES_HEADER)
+    with pytest.raises(ValueError, match="^CSV line 2: a holds '1e999', a number beyond "):
+        parse_csv("a,b\n1e999,tag\n", ("a", "b"))
+    assert parse_csv("a,b\n1,tag\n", ("a", "b")) == [[1, "tag"]]
 
 
 def test_csv_header_mismatch_rejected():

@@ -34,52 +34,52 @@ from test_pinned_edges import (
 # per table: fits in the pinned box (d_n to 1/xi, delta to 3/xi) and in
 # the fit command's default box, each at 3 sigma and 95%
 FIT_DIGESTS = {
-    "dn0.01_delta0.0": "9fce8eb696c2d1ae879253c9372bb46aed0c57ef9c089fdee70cf5f354e77e5a",
-    "dn0.01_delta0.3": "5bab22bff6e7c85a3fbae57b1bb6ab8a56fde4bc4bd48a22151cc97e2386a456",
-    "dn0.01_delta1.0": "a6ff1f0c750c9e0acdc8f343c9c4b61ac5d6b93d9cf53bcd745d936d71dddadb",
-    "dn0.01_delta2.5": "2d8a96b9e92dec938691f3ca34d7a01c246f3ec008c6738d2c5beb13bace8ca9",
-    "dn0.0_delta0.0": "5bdcfaea3c93c9c57d2cbab95862e87698dd5f10ec98596ddc85d0fc9b2ee2ec",
-    "dn0.0_delta0.3": "5bdcfaea3c93c9c57d2cbab95862e87698dd5f10ec98596ddc85d0fc9b2ee2ec",
-    "dn0.0_delta1.0": "5bdcfaea3c93c9c57d2cbab95862e87698dd5f10ec98596ddc85d0fc9b2ee2ec",
-    "dn0.0_delta2.5": "5bdcfaea3c93c9c57d2cbab95862e87698dd5f10ec98596ddc85d0fc9b2ee2ec",
-    "dn0.3_delta0.0": "0b46abf912d9cc62148115f07592b319d672fc14c12715c490febb1507420949",
-    "dn0.3_delta0.3": "d66763e1c6abeca6d4d5716d9074404139f8d83752fa1b77790778944f78222a",
-    "dn0.3_delta1.0": "c70ca4f3e42ef0f05aff24587e1b7a78774553b77655b7c63da31c37bff84202",
-    "dn0.3_delta2.5": "bf20f94c48704cf9b83077395af259e0fe2b6ac8f9b0b1dae0476cb1a66c54c2",
-    "dn0.9_delta0.0": "90d73c7a664f4500679a6d93cebabed00db15b776694e79b4023fe3a34347de4",
-    "dn0.9_delta0.3": "a7d94fc102ec19ad677f67eed161284e206ab9347a5910a4a023b2bea0e15a25",
-    "dn0.9_delta1.0": "a37f2cb8b9489df02a29252af2518d4fdacb7680f874ee5a7a6b66f7700c095d",
-    "dn0.9_delta2.5": "e6f3d5c540dc97e8c7681c16bad4d94ef94d4aa7cc0d657ae439e2d68ddb7ffb",
-    "zero_flip_8e6": "d61696c737f102e7f95bc59910c290d586b6627e4187d193bc52c66f721f884d",
-    "zero_flip_8e8": "da5ec7ce6612d807b17e94d1b292ba9776cc7a8935267eeb1781873640bfb4c1",
+    "dn0.01_delta0.0": "036bc76a745e230ae0b04492cc212d30826ad6a8ab7415c6cc1e7b9f3f3e3d0d",
+    "dn0.01_delta0.3": "a647fe21626e37d94a8bad6532945be44879228b9596aeb10d1459c5029535e3",
+    "dn0.01_delta1.0": "0219f6f3d45e604850a74dc3084de348484a43ca6db2a307b0f9d5e67dc0a96b",
+    "dn0.01_delta2.5": "778a80d71b7e5c7faa20ff639c2a3979dac606e8a89c6868fac0be90c8cc3919",
+    "dn0.0_delta0.0": "1d0edfa631b290ba2bc20f5f52dbe3f7f19e70968e26b691d4adfbd5b8101cb6",
+    "dn0.0_delta0.3": "1d0edfa631b290ba2bc20f5f52dbe3f7f19e70968e26b691d4adfbd5b8101cb6",
+    "dn0.0_delta1.0": "1d0edfa631b290ba2bc20f5f52dbe3f7f19e70968e26b691d4adfbd5b8101cb6",
+    "dn0.0_delta2.5": "1d0edfa631b290ba2bc20f5f52dbe3f7f19e70968e26b691d4adfbd5b8101cb6",
+    "dn0.3_delta0.0": "fd91a756dbf9973508d8a21ca5ce7e3d4cd2a1c3fac58ba0ed2211815bc651d9",
+    "dn0.3_delta0.3": "4d76303b881435199407adf4f9ba41e2ffcecc8e07f5748d378cf3179d8cfd42",
+    "dn0.3_delta1.0": "2c0b9b1574b36dc80f5b66d980a9ac1e4ebcbe3c9c8e0c61072c2299804c609c",
+    "dn0.3_delta2.5": "20ab4007c518f94a9768bd39984524d1fc28d839439b44ee7cd0383ba05d47be",
+    "dn0.9_delta0.0": "7e39cf0e81460f2d865778c70bd36fd03e3979007b9d98347f141c2323baba6d",
+    "dn0.9_delta0.3": "5eca23c28f51144880a0933b1d8b9ac0539d2e77ff08fc1c978c8b7e2ad526cf",
+    "dn0.9_delta1.0": "ec39331091511849b0caffd1baac8ba0eb3b361f22277b1a6620ad00c38938e0",
+    "dn0.9_delta2.5": "7137acdad96593f9a9367393fc538c56e64fa029aaa56be5decd340bcf8d0603",
+    "zero_flip_8e6": "e5de97d645a3d7ea3e3851231e8b8082434f922d7cff5336e7bdda5f826035f7",
+    "zero_flip_8e8": "dc1272f1ac88bedcdbc1cace7e233210a84b60b3e2f56728d54124571a343555",
 }
 # per case: bounds at CL 0.9 and 0.95 over the case's delta range
 BOUND_DIGESTS = {
-    "dn0.01_delta0.0": "d313cdea2966b6e964a3a6ccac744e432704af1c020cf3846f98d1f5a852a7bf",
-    "dn0.01_delta0.3": "a05a1bbdea4803b79b51dc4feebdf052adef54f28578ed03479decbf2e26494a",
-    "dn0.01_delta1.0": "14bccc8f186e06f2c6e336e081af1a82a000a8f0381916541095b0eca3efb612",
-    "dn0.01_delta2.5": "a5980fe5ab0124e7b75b97e97948784a26076f075ebeb32ccea119661bd7a368",
-    "dn0.0_delta0.0": "9639f86ad3e3786cbe50ac0fbb06ae1972cce5b792e0f659d737fc764eea89bf",
-    "dn0.0_delta0.3": "9639f86ad3e3786cbe50ac0fbb06ae1972cce5b792e0f659d737fc764eea89bf",
-    "dn0.0_delta1.0": "9639f86ad3e3786cbe50ac0fbb06ae1972cce5b792e0f659d737fc764eea89bf",
-    "dn0.0_delta2.5": "9639f86ad3e3786cbe50ac0fbb06ae1972cce5b792e0f659d737fc764eea89bf",
-    "dn0.3_delta0.0": "ed0112ce9b75e8e56a75a05823785a4aa6bbe326f3b0dd8fae97cbf42c72ea18",
-    "dn0.3_delta0.3": "93427df2fe8afaebf4547e16664d4d8a5713cfec6876c937d7d8a1c043267997",
-    "dn0.3_delta1.0": "d395e3b519fa5f79bc1c4dff649959131f11ce5d631cfb780b544e836415c774",
-    "dn0.3_delta2.5": "d296c7cb96540e5d78bc7c0361cf6c10d9af87f44d828247d329f5041fee4b01",
-    "dn0.9_delta0.0": "a5b6145ef81bbd84001145ee220208062704a6aa81145d5554d176094c05e5d8",
-    "dn0.9_delta0.3": "44941603b257641a391e3efe54e7a1504d16a654173eb5c65fc5deb015ff3b72",
-    "dn0.9_delta1.0": "a4469d777d262a9f3b8e40ed157e9fc37bf746ec32d7c935b4ebf4ed77411110",
-    "dn0.9_delta2.5": "f3f25f7ed867f3452ccc380538be4fa16a87a77bdb1afe408b0a7e5bbc9da353",
-    "zero_flip_8e6_delta0.01": "4585f5964e477b3de1537ace50559fc16afd33088475c34f451562efb62d3602",
-    "zero_flip_8e6_delta0.1": "f505ab6015b43c4c087adbe3c5f9555abad28fd07853e9c5101a2fbc91e5fad1",
-    "zero_flip_8e6_delta1.0": "a1338a2907b0214b54ad4023fe8e1d17277fadfa6499135ab40e85b7a1edeb5f",
-    "zero_flip_8e8_delta0.01": "8d1b3c52cabac612d60391ec32657e7fc94af9bce32f7f007bda4ca9bc324bc1",
-    "zero_flip_8e8_delta0.1": "4de79165eef167503aa21a65d9819c196a3ab23c582a7c0b7c4a0f361b60b576",
-    "zero_flip_8e8_delta1.0": "45a615a54e7d676cb0e62a172baeb3ff7054690940fea37c16aa0158f55f12f3",
+    "dn0.01_delta0.0": "988f94d5fd97d5955de9d011988df3685f88e52fa735e7dfde31b383605083ad",
+    "dn0.01_delta0.3": "890e7da94351f238db04f92038d6605c3d9fa8508161b83d8f977e4c32d1c4b7",
+    "dn0.01_delta1.0": "43d6844b963f895ba09dd1c5d2521b030884b0d88a7c8387f4bb36dcb9d35d43",
+    "dn0.01_delta2.5": "d9316b6fe6cd88cc24d4bba99d2be5af0e11149cbc6af7ac0681c5e77586de92",
+    "dn0.0_delta0.0": "ebe070a3af36bea31deeac181a6d595d87e4213e52ab141bf170487d0c0a1d8e",
+    "dn0.0_delta0.3": "ebe070a3af36bea31deeac181a6d595d87e4213e52ab141bf170487d0c0a1d8e",
+    "dn0.0_delta1.0": "ebe070a3af36bea31deeac181a6d595d87e4213e52ab141bf170487d0c0a1d8e",
+    "dn0.0_delta2.5": "ebe070a3af36bea31deeac181a6d595d87e4213e52ab141bf170487d0c0a1d8e",
+    "dn0.3_delta0.0": "66a44e974eef44f9fba77c2a1747e7d1c4de04fd09fe9c0a1fea0dc1c168ca6f",
+    "dn0.3_delta0.3": "2305e884d2770f7b6b10ea729e96b42748457fc69db150e819047ce41b01559f",
+    "dn0.3_delta1.0": "f2f4668c01a8742d6a4956b11b66903849f0c2eb95af996d550a652bd13e52f8",
+    "dn0.3_delta2.5": "85ace7d4a28636d698c61506343b38898d724f39bbae45b3b72677cff8909889",
+    "dn0.9_delta0.0": "27f0dc5995b1211d36b29a8082762c7e73806ef48053a89b299a9a2ef3203028",
+    "dn0.9_delta0.3": "b0c84aa68e390bf97235b7a6d5285134ceaf78f5408eb33d7b1a11f37e005f8b",
+    "dn0.9_delta1.0": "34661653eb140817e4f7e2a229a636c843e099f765fe3589f6e88ccfd092181a",
+    "dn0.9_delta2.5": "bbba3ca4b087a4ea33f3ffa3dfc82c4c842c0255d48b332500070152ee30c8bd",
+    "zero_flip_8e6_delta0.01": "9309599f88f458c162bcc4ae54888eab3928e57f2b7d042e816180ec45b87d24",
+    "zero_flip_8e6_delta0.1": "af16b449389ecd29e0a677d9fec000f7cbbad2306c224745910b0faa1b1868f5",
+    "zero_flip_8e6_delta1.0": "ee1543cba4e8ed9149890682c20aebe7e491970c3dedcf99955484ff830a916d",
+    "zero_flip_8e8_delta0.01": "c08872ca13e87b8a1fb0f18346d00035fde061571e6c616444b9b214437b3687",
+    "zero_flip_8e8_delta0.1": "0fe5c6c0e8fe352454ecf2950d6823469a2248eb8583b6ec864b892139ba2fce",
+    "zero_flip_8e8_delta1.0": "b9a3b7d582fc794d958ab09179861d8a9a542f8cc96ced7daf7d92c8407849a0",
 }
 # criterion 6's design, 8e6 trials, CL 0.95 at the default ceilings
-ZERO_FLIP_DEFAULT_DIGEST = "d3be26dd687170281534786dc7e845f558aa946263fc7111e2a6bc2ba4551af3"
+ZERO_FLIP_DEFAULT_DIGEST = "6895c6d813dc1a69d8e0b4de7b7cc2e2ebef33b8778a107c195709e1da4d1819"
 
 
 def sha256(text: str) -> str:

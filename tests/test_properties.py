@@ -1,4 +1,5 @@
-"""Property tests of the exact null, of shape independence and of the cycle format."""
+"""Property tests of the exact null, of shape independence, of the cycle format
+and of the crossing search."""
 
 import itertools
 
@@ -26,7 +27,7 @@ from nedmsim.formats import (  # noqa: E402
     render_csv,
     rows_to_cycles,
 )
-from nedmsim.inference import FlipDataset, log_likelihood  # noqa: E402
+from nedmsim.inference import FlipDataset, _crossing, log_likelihood  # noqa: E402
 from nedmsim.weak_measurement import DipoleState, flip_kernel, flip_probability  # noqa: E402
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -179,3 +180,62 @@ def test_flip_csv_round_trips_byte_for_byte(rows):
     dataset = FlipDataset(*zip(*parse_csv(text, FLIPS_HEADER)))
     columns = (dataset.xi, dataset.trials, dataset.flips)
     assert render_csv(FLIPS_HEADER, column_rows(columns)) == text
+
+
+def k_section(q, a: float, b: float, threshold: float, tol: float) -> tuple[float, int]:
+    """Plain K-section on a scalar q: 7 points per round, keeping the cell of
+    the first point above the threshold; (crossing, rounds)."""
+    rounds = 0
+    while not abs(b - a) <= tol and rounds < 20:
+        rounds += 1
+        points = [a + (b - a) * k / 8 for k in range(1, 8)]
+        above = [k for k, x in enumerate(points) if q(x) > threshold]
+        if above:
+            a, b = (points[above[0] - 1] if above[0] else a), points[above[0]]
+        else:
+            a = points[-1]
+    return 0.5 * (a + b), rounds
+
+
+@settings(max_examples=100)
+@given(
+    shape=st.sampled_from(["quadratic", "exponential"]),
+    start=st.floats(-4.0, 4.0),
+    width=st.floats(0.5, 4.0),
+    rising=st.booleans(),
+    where=st.floats(0.01, 0.99),
+    spread=st.floats(0.0, 3.0),
+    digits=st.integers(1, 10),
+    threshold=st.sampled_from([1.0, 2.705543454095404, 3.841458820694124, 9.0]),
+)
+def test_guided_crossing_matches_k_section_in_no_more_rounds(
+    shape, start, width, rising, where, spread, digits, threshold
+):
+    # a smooth statistic rising from a to b: c (x - x0)^2 with x0 at or
+    # behind a, or an exponential rise; its crossing lies `where` of the way
+    a, b = start, start + (width if rising else -width)
+    crossing = a + (b - a) * where
+    if shape == "quadratic":
+        x0 = a - (b - a) * spread
+        scale = (crossing - x0) ** 2 / threshold
+
+        def q(x):
+            return (np.asarray(x) - x0) ** 2 / scale
+    else:
+        rate = (1.0 + 10.0 * spread) / abs(b - a)
+
+        def q(x):
+            return threshold * np.exp(rate * np.abs(np.asarray(x) - a) - rate * abs(crossing - a))
+
+    rounds = []
+
+    def counted(x):
+        rounds.append(len(x))
+        return q(x)
+
+    tol = width * 10.0**-digits
+    guided = _crossing(counted, a, b, threshold, tol)
+    reference, reference_rounds = k_section(lambda x: float(q(x)), a, b, threshold, tol)
+    assert abs(guided - reference) <= tol
+    assert len(rounds) <= reference_rounds
+    assert set(rounds) <= {3, 7}

@@ -58,7 +58,7 @@ ESTIMATOR_DIGESTS = {
     "poisson": "60c72777932bb10abf1ea983f27baeaa3a288ac5bad6734c1daa59bb86de6ad3",
     "expected": "c84f7e2d580f11877a668c6e23589f1257f0151276f0ed54298df79db7c072c9",
 }
-CAMPAIGN_SUMMARY_DIGEST = "dbf325c71d6f69395073a90da06a689fd24d9557acffca520ef8e735b6c5741e"
+CAMPAIGN_SUMMARY_DIGEST = "492172463b904d4a696ddcbc152e176171999832beb63d7446802163b6a45155"
 # field drift, clock noise and a fringe contrast below 1 all enter the
 # estimator's error model; the drift moves a few percent of the cycles
 # onto a fringe extremum, where they saturate and their pairs get no weight
