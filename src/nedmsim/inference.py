@@ -15,8 +15,7 @@ grid, then a grid zoom per row). The kernel factor of the parameter of
 interest is fixed along a row, so a profile computes it once and each
 step computes only the nuisance factor. The maximum likelihood is the
 maximum of the d_n profile: a coarse geometric grid over the box picks
-the basin, and a zoom over d_n, one batched profile per step, narrows
-the two grid cells around its best point.
+the basin, and the same zoom, on one row of batched profiles, narrows it.
 
 Intervals and upper bounds compare the profile ratio statistic
 q = 2(l_max - l_profile) with a chi-square quantile (two-sided for
@@ -113,9 +112,6 @@ _SECTION_T = (np.arange(1, _SECTIONS + 1) / (_SECTIONS + 1)).tolist()
 _GUIDE_SAFETY = 8.0
 _GUIDE_MIN = 2.0**-20
 _GUIDE_MAX = 2.0**-4
-# each zoom candidate's neighbours, the ends of the two cells kept around it
-_ZOOM_LEFT = np.maximum(np.arange(_ZOOM_POINTS) - 1, 0)
-_ZOOM_RIGHT = np.minimum(np.arange(_ZOOM_POINTS) + 1, _ZOOM_POINTS - 1)
 _UNCONVERGED = (
     "the d_n bracket was still wider than the requested resolution "
     f"after {_MAX_ROUNDS} zoom steps"
@@ -331,32 +327,56 @@ def _coarse_max(dataset: FlipDataset, search: SearchBox):
     return dns, int(i), float(des[j]), float(grid_ll[i, j])
 
 
-def _maximize(
-    dataset: FlipDataset, search: SearchBox
-) -> tuple[float, float, float, bool]:
-    """Maximum likelihood as the maximum of the d_n profile.
+def _maximize(dataset: FlipDataset, search: SearchBox) -> tuple[float, float, float, bool]:
+    """Maximum likelihood as the maximum of the d_n profile: (dn, delta, ll, converged).
 
-    Returns (dn, delta, ll, converged). The best coarse-grid point brackets
-    d_n by its two neighbouring grid cells. Each zoom step profiles
-    _ZOOM_POINTS candidates across the bracket in one batched call and
-    keeps the two cells around the best one, until the bracket is within
-    resolution * d_n width (``converged``) or _MAX_ROUNDS steps have run.
-    The result is the best point evaluated, never below the coarse grid.
+    _zoom narrows the best coarse-grid point's two neighbouring cells as one
+    row of batched profiles; ``converged`` tells whether the bracket reached
+    resolution * d_n width. The best point evaluated is never below the grid.
     """
     dns, i, de, ll = _coarse_max(dataset, search)
-    dn = float(dns[i])
-    lo, hi = dns[max(i - 1, 0)], dns[min(i + 1, dns.size - 1)]
+    nuisance = {}  # the profile's delta at each d_n evaluated
+
+    def profile(cand):
+        values, deltas = _profile(dataset, "dn", cand[0], search)
+        nuisance.update(zip(cand[0].tolist(), deltas.tolist()))
+        return values[None]
+
     tol = search.resolution * (search.dn_max - search.dn_min)
+    lo, hi = dns[[max(i - 1, 0)]], dns[[min(i + 1, dns.size - 1)]]
+    (ll,), (dn,), lo, hi = _zoom(profile, lo, hi, np.array([ll]), dns[[i]], tol)
+    return float(dn), nuisance.get(dn, de), float(ll), bool(hi[0] - lo[0] <= tol)
+
+
+def _zoom(f, lo, hi, best, arg, tol, width=None):
+    """Narrow each row's bracket [lo, hi] onto its maximum of the batched ``f``.
+
+    Each step evaluates _ZOOM_POINTS candidates across every bracket in one
+    call and keeps the two cells around each row's best, 8x narrower,
+    updating ``best`` and ``arg`` (each row's best value and its place). With
+    ``width``, a profile's widest coarse bracket, every row steps until that
+    width, shrunk 8x a step, is within ``tol``, so no row depends on the
+    others; without it the one row (the maximum's, spaced lo + (hi - lo) t)
+    stops on its own bracket. Returns (best, arg, lo, hi) after at most
+    _MAX_ROUNDS steps.
+    """
+    rows = np.arange(lo.size)
     for _ in range(_MAX_ROUNDS):
-        if hi - lo <= tol:
+        if (hi[0] - lo[0] if width is None else width) <= tol:
             break
-        cand = lo + (hi - lo) * _ZOOM_T
-        prof, nuisance = _profile(dataset, "dn", cand, search)
-        k = int(np.argmax(prof))
-        if prof[k] > ll:
-            dn, de, ll = float(cand[k]), float(nuisance[k]), float(prof[k])
-        lo, hi = cand[max(k - 1, 0)], cand[min(k + 1, _ZOOM_POINTS - 1)]
-    return dn, de, ll, bool(hi - lo <= tol)
+        if width is None:
+            cand = lo[:, None] + (hi - lo)[:, None] * _ZOOM_T
+        else:
+            cand = lo[:, None] * _ZOOM_S + hi[:, None] * _ZOOM_T
+            width *= 2.0 / (_ZOOM_POINTS - 1)
+        vals = f(cand)
+        k = vals.argmax(axis=1)
+        top = vals[rows, k]
+        better = top > best
+        np.copyto(best, top, where=better)
+        np.copyto(arg, cand[rows, k], where=better)
+        lo, hi = cand[rows, np.maximum(k - 1, 0)], cand[rows, np.minimum(k + 1, _ZOOM_POINTS - 1)]
+    return best, arg, lo, hi
 
 
 def _profile(
@@ -367,12 +387,9 @@ def _profile(
     The other parameter, the nuisance, is maximized out within the box for
     all values at once: a coarse geometric nuisance grid (33 delta or 65
     d_n points) brackets each row's maximum by its two neighbouring cells,
-    then every bracket is zoomed together, _ZOOM_POINTS candidates per row
-    and step, keeping the two cells around each row's best candidate. The
-    step count depends only on the coarse grid, never on the other rows,
-    and stops once every bracket is within resolution * nuisance width.
-    Each row reports the best value it evaluated, so it is never below
-    its coarse-grid maximum, and the nuisance value where it was found.
+    then _zoom narrows every bracket together to resolution * nuisance
+    width. Each row reports the best value it evaluated, so it is never
+    below its coarse-grid maximum, and the nuisance value where it was found.
 
     The kernel factor of ``axis`` (sin(d_n xi)^2 or exp(-(xi delta)^2)) is
     fixed along each row, so it is computed once per profile; each step
@@ -402,29 +419,11 @@ def _profile(
         return _log_likelihood_batch(fixed, factor(nuisance[..., None], xi), dataset)
 
     grid = _grid_axis(lo_box, hi_box, n)
-    rows = np.arange(values.size)
     vals = ll(grid[None, :])
     j = vals.argmax(axis=1)
-    best = vals[rows, j]
-    arg = grid[j]
-    lo = grid[np.maximum(j - 1, 0)]
-    hi = grid[np.minimum(j + 1, n - 1)]
-    width = float(np.max(grid[2:] - grid[:-2]))
-    tol = search.resolution * (hi_box - lo_box)
-    for _ in range(_MAX_ROUNDS):
-        if width <= tol:
-            break
-        cand = lo[:, None] * _ZOOM_S + hi[:, None] * _ZOOM_T
-        vals = ll(cand)
-        k = vals.argmax(axis=1)
-        top = vals[rows, k]
-        better = top > best
-        np.copyto(best, top, where=better)
-        np.copyto(arg, cand[rows, k], where=better)
-        lo = cand[rows, _ZOOM_LEFT[k]]
-        hi = cand[rows, _ZOOM_RIGHT[k]]
-        width *= 2.0 / (_ZOOM_POINTS - 1)
-    return best, arg
+    lo, hi = grid[np.maximum(j - 1, 0)], grid[np.minimum(j + 1, n - 1)]
+    tol, width = search.resolution * (hi_box - lo_box), float(np.max(grid[2:] - grid[:-2]))
+    return _zoom(ll, lo, hi, vals.max(axis=1), grid[j], tol, width)[:2]
 
 
 def _crossing(q_of, a, b, threshold: float, tol: float, check_end: bool = False):
