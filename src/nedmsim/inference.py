@@ -11,11 +11,20 @@ is maximized without gradients, because the sin^2 ridges make the
 surface multimodal in d_n. Everything rests on the profile likelihood:
 the nuisance parameter is maximized out at each value of the parameter
 of interest, for many values in one vectorized kernel call (a coarse
-grid, then a grid zoom per row). The kernel factor of the parameter of
+grid, then a zoom per row). The kernel factor of the parameter of
 interest is fixed along a row, so a profile computes it once and each
-step computes only the nuisance factor. The maximum likelihood is the
-maximum of the d_n profile: a coarse geometric grid over the box picks
-the basin, and the same zoom, on one row of batched profiles, narrows it.
+step computes only the nuisance factor. A zoom step is uniform, points
+across a row's bracket keeping the two cells around the best, until the
+best is interior with a concave parabola through it and its neighbours;
+then it is guided, three points around the parabola's vertex (successive
+parabolic interpolation; R. P. Brent, Algorithms for Minimization
+without Derivatives, 1973, ch. 5). Intervals and bounds read only a
+profile's value, which near a row's maximum settles with the square of
+the nuisance's error, so a profile row stops once a guided step's
+parabola promises less than 1e-14 |l| more. The maximum likelihood is
+the maximum of the d_n profile: a coarse geometric grid over the box
+picks the basin, and the same zoom, on one row of batched profiles,
+locates it.
 
 Intervals and upper bounds compare the profile ratio statistic
 q = 2(l_max - l_profile) with a chi-square quantile (two-sided for
@@ -30,13 +39,14 @@ root of sqrt(q), as close together as that round's departure from a
 line allows. A guided round that misses falls back to one uniform
 round, and a step statistic is sectioned uniformly throughout. An upper
 bound scans a fixed geometric grid upward in chunks and sections the
-first crossing cell. The maximum, the profiles and the interval edges
-stop at ``resolution`` times the axis width, an upper bound at
-``resolution`` relative to itself, each after at most _MAX_ROUNDS steps;
-each bracket of a row-wise search stops on its own, so it ends where a
-search of that bracket alone would. Without flips the likelihood rises
-with delta, so a d_n profile is the likelihood at the delta ceiling, one
-kernel call with no nuisance search.
+first crossing cell. The maximum and the interval edges stop at
+``resolution`` times the axis width, a profile's nuisance there or once
+its value is settled, an upper bound at ``resolution`` relative to
+itself, each after at most _MAX_ROUNDS steps; each bracket of a row-wise
+search stops on its own, so it ends where a search of that bracket alone
+would. Without flips the likelihood rises with delta, so a d_n profile
+is the likelihood at the delta ceiling, one kernel call with no nuisance
+search.
 """
 
 from __future__ import annotations
@@ -85,22 +95,31 @@ CL_DEFAULT = 0.95
 FIT_DELTA_WIDTHS = 5.0
 BOUND_DELTA_WIDTHS = 1.0
 
-# Batch shapes of the zoom and crossing searches: candidates per row and
-# zoom step (each step narrows a bracket 8x), interior points per uniform
-# K-section round (8x per round), and bound-scan points per call. They
-# keep each batched likelihood call to a few thousand elements per data
-# point.
+# Batch shapes of the zoom and crossing searches: interior candidates per
+# row and uniform zoom step (a bracket's ends are known; each step keeps
+# two of 16 cells, 8x narrower), interior points per uniform K-section
+# round (8x per round), and bound-scan points per call. They keep each
+# batched likelihood call to a few thousand elements per data point.
 # _MAX_ROUNDS caps the zoom steps of the maximum and of the profiles and
 # the K-section rounds: 8**20 = 2**60 narrows any bracket below double
 # precision, so a resolution finer than that cannot stall a bracket that
 # no longer shrinks.
-_ZOOM_POINTS = 17
+_ZOOM_POINTS = 15
 _SECTIONS = 7
 _SCAN_CHUNK = 32
 _MAX_ROUNDS = 20
 # fractions of a bracket at which a zoom step and a K-section round evaluate
-_ZOOM_T = np.linspace(0.0, 1.0, _ZOOM_POINTS)
-_ZOOM_S = 1.0 - _ZOOM_T
+_ZOOM_T = (np.arange(1, _ZOOM_POINTS + 1) / (_ZOOM_POINTS + 1)).tolist()
+# Guided zoom steps (_zoom, _zoom_cell): the first after a uniform step
+# spaces its three points _ZOOM_FIRST of that step's spacing apart, later
+# ones _GUIDE_SAFETY times the vertex's predicted miss. A profile row stops
+# once a guided step's parabola promises less than _SETTLE |l| above its
+# best value. It is relative because l and its rounding scale together:
+# l runs from about -2e3 on the pinned tables to -7e5 at criterion 5 (an
+# ulp of 1.2e-10), and the pinned maxima agree to 1e-13 of l; an absolute
+# 1e-7 broke that on the -2e3 tables.
+_ZOOM_FIRST = 0.125
+_SETTLE = 1e-14
 _SECTION_T = (np.arange(1, _SECTIONS + 1) / (_SECTIONS + 1)).tolist()
 # Guided K-section rounds (_crossing, _keep_cell): a guided round's three
 # points lie a step apart, _GUIDE_SAFETY times the departure of sqrt(q)
@@ -206,10 +225,11 @@ class FlipDataset:
 class SearchBox:
     """Closed parameter box and stopping resolution for the fit.
 
-    ``resolution`` is relative to each axis width: the maximum, the
-    profiles and the interval edges are each located to within
-    resolution * width of their axis. ``grid_points`` is an ``int`` in
-    [4, GRID_POINTS_MAX], the other fields finite numbers.
+    ``resolution`` is relative to each axis width: the maximum's d_n and
+    the interval edges are each located to within resolution * width of
+    their axis, and a profile's nuisance to that or until its value is
+    settled. ``grid_points`` is an ``int`` in [4, GRID_POINTS_MAX], the
+    other fields finite numbers.
     """
 
     dn_max: float
@@ -331,52 +351,127 @@ def _maximize(dataset: FlipDataset, search: SearchBox) -> tuple[float, float, fl
     """Maximum likelihood as the maximum of the d_n profile: (dn, delta, ll, converged).
 
     _zoom narrows the best coarse-grid point's two neighbouring cells as one
-    row of batched profiles; ``converged`` tells whether the bracket reached
-    resolution * d_n width. The best point evaluated is never below the grid.
+    row of batched profiles. d_n itself is an output, so the row stops on
+    its bracket only, not on a settled value: ``converged`` tells whether
+    the bracket reached resolution * d_n width. The best point evaluated
+    is never below the grid.
     """
     dns, i, de, ll = _coarse_max(dataset, search)
     nuisance = {}  # the profile's delta at each d_n evaluated
 
-    def profile(cand):
-        values, deltas = _profile(dataset, "dn", cand[0], search)
-        nuisance.update(zip(cand[0].tolist(), deltas.tolist()))
-        return values[None]
+    def profile(cand, rows):
+        values, deltas = _profile(dataset, "dn", cand, search)
+        nuisance.update(zip(cand.tolist(), deltas.tolist()))
+        return values
 
     tol = search.resolution * (search.dn_max - search.dn_min)
     lo, hi = dns[[max(i - 1, 0)]], dns[[min(i + 1, dns.size - 1)]]
-    (ll,), (dn,), lo, hi = _zoom(profile, lo, hi, np.array([ll]), dns[[i]], tol)
-    return float(dn), nuisance.get(dn, de), float(ll), bool(hi[0] - lo[0] <= tol)
+    (ll,), (dn,), converged = _zoom(profile, lo, hi, np.array([ll]), dns[[i]], tol, False)
+    return float(dn), nuisance.get(dn, de), float(ll), converged
 
 
-def _zoom(f, lo, hi, best, arg, tol, width=None):
+def _zoom(f, lo, hi, best, arg, tol, settle):
     """Narrow each row's bracket [lo, hi] onto its maximum of the batched ``f``.
 
-    Each step evaluates _ZOOM_POINTS candidates across every bracket in one
-    call and keeps the two cells around each row's best, 8x narrower,
-    updating ``best`` and ``arg`` (each row's best value and its place). With
-    ``width``, a profile's widest coarse bracket, every row steps until that
-    width, shrunk 8x a step, is within ``tol``, so no row depends on the
-    others; without it the one row (the maximum's, spaced lo + (hi - lo) t)
-    stops on its own bracket. Returns (best, arg, lo, hi) after at most
-    _MAX_ROUNDS steps.
+    ``f(x, rows)`` returns the values at the points ``x`` of the rows
+    ``rows`` (matching 1-d arrays); each step is one call for every row
+    still live. A uniform step evaluates _ZOOM_POINTS points across a
+    row's bracket, whose ends are known, and keeps the two cells around
+    the best, 8x narrower. Once a row's best point is interior and the
+    parabola through it and its two neighbours is concave, its next step
+    is guided: three points around the vertex (_zoom_cell). A row stops
+    once its bracket is within ``tol`` or, with ``settle``, once a guided
+    step's parabola promises less than _SETTLE * |value| above its best;
+    at most _MAX_ROUNDS steps run. A row's steps depend on its own values
+    only, so it ends where a search of that row alone would.
+
+    ``best`` and ``arg`` are each row's value and place so far. Returns
+    each row's best value evaluated, its place, and whether every row
+    stopped within _MAX_ROUNDS steps (without ``settle``: whether every
+    bracket reached ``tol``).
     """
-    rows = np.arange(lo.size)
+    top, place = best.tolist(), arg.tolist()
+    # a live row: (row, lo, hi, vertex, step, last); vertex None: uniform
+    rows = [
+        (r, l, h, None, 0.0, None)
+        for r, (l, h) in enumerate(zip(lo.tolist(), hi.tolist()))
+        if h - l > tol
+    ]
     for _ in range(_MAX_ROUNDS):
-        if (hi[0] - lo[0] if width is None else width) <= tol:
+        if not rows:
             break
-        if width is None:
-            cand = lo[:, None] + (hi - lo)[:, None] * _ZOOM_T
-        else:
-            cand = lo[:, None] * _ZOOM_S + hi[:, None] * _ZOOM_T
-            width *= 2.0 / (_ZOOM_POINTS - 1)
-        vals = f(cand)
-        k = vals.argmax(axis=1)
-        top = vals[rows, k]
-        better = top > best
-        np.copyto(best, top, where=better)
-        np.copyto(arg, cand[rows, k], where=better)
-        lo, hi = cand[rows, np.maximum(k - 1, 0)], cand[rows, np.minimum(k + 1, _ZOOM_POINTS - 1)]
-    return best, arg, lo, hi
+        points = [
+            [l + (h - l) * t for t in _ZOOM_T] if v is None
+            else [min(max(v - s, l), h), v, min(max(v + s, l), h)]
+            for _, l, h, v, s, _ in rows
+        ]
+        sizes = [len(p) for p in points]
+        values = f(
+            np.array([x for p in points for x in p]), np.repeat([row[0] for row in rows], sizes)
+        ).tolist()
+        live, start = [], 0
+        for row, p, size in zip(rows, points, sizes):
+            r = row[0]
+            best_r, at, nxt = _zoom_cell(row, p, values[start : start + size], tol, settle)
+            start += size
+            if best_r > top[r]:
+                top[r], place[r] = best_r, at
+            if nxt is not None:
+                live.append(nxt)
+        rows = live
+    return np.array(top), np.array(place), not rows
+
+
+def _zoom_cell(row, points, values, tol, settle):
+    """One _zoom step of a live row: (best value, its place, next state or None).
+
+    The cell kept is the two around the best of ``points``, the bracket's
+    ends standing in for neighbours not evaluated; a guided step's three
+    points not strictly increasing in floating point keep the bracket.
+    With a concave parabola through the best and its two neighbours, the
+    next step is guided: three points ``step`` apart around the vertex,
+    which lies within half a spacing of the best, so inside the kept
+    cell. Else the next step is uniform: no concave parabola, or the best
+    at an end (a maximum on a box edge).
+
+    The step: through points spaced s around a point e from the maximum,
+    the vertex misses by about K (s^2/3 - e^2), K being half the ratio of
+    the third to the second derivative. A guided step's offset is the
+    last vertex's miss, which gives K and so this vertex's miss; the step
+    is _GUIDE_SAFETY times that, or _ZOOM_FIRST of the spacing after a
+    uniform step. A settling row's step is also wide enough for its values
+    to differ by 4 _SETTLE |b|, far above their rounding. Every step lies
+    within [tol/3, spacing/4], so a hit at the floor leaves a bracket
+    within tol.
+    """
+    r, lo, hi, vertex, _, last = row
+    b = max(values)
+    k = values.index(b)
+    if vertex is not None and not points[0] < points[1] < points[2]:
+        return b, points[k], (r, lo, hi, None, 0.0, None)
+    x0, x1, x2 = ([lo, *points, hi])[k : k + 3]
+    a, _, c = ([None, *values, None])[k : k + 3]
+    if not x0 < x1 < x2:
+        return b, x1, (r, lo, hi, None, 0.0, None)
+    if a is None or c is None or not (a < b and c < b):
+        return b, x1, (r, x0, x2, None, 0.0, None) if x2 - x0 > tol else None
+    spacing = 0.5 * (x2 - x0)
+    den = a + c - 2.0 * b
+    u = (a - c) / (den + den)  # the vertex's offset from x1, in spacings
+    if vertex is None:
+        step = _ZOOM_FIRST * spacing
+    elif settle and (c - a) * u < 4.0 * _SETTLE * abs(b):  # the parabola's gain
+        return b, x1, None
+    else:
+        prev, spread = last
+        miss = abs(u) * spacing * (spacing / prev) ** 2 * (1.0 / 3.0 + u * u) / spread
+        step = _GUIDE_SAFETY * miss
+    if settle:  # wide enough for the three values to differ by 4 _SETTLE |b|
+        step = max(step, spacing * math.sqrt(4.0 * _SETTLE * abs(b) / -den))
+    if x2 - x0 <= tol:
+        return b, x1, None
+    step = min(max(step, tol / 3.0), 0.25 * spacing)
+    return b, x1, (r, x0, x2, x1 + u * spacing, step, (spacing, 1.0 / 3.0 - u * u))
 
 
 def _profile(
@@ -387,9 +482,13 @@ def _profile(
     The other parameter, the nuisance, is maximized out within the box for
     all values at once: a coarse geometric nuisance grid (33 delta or 65
     d_n points) brackets each row's maximum by its two neighbouring cells,
-    then _zoom narrows every bracket together to resolution * nuisance
-    width. Each row reports the best value it evaluated, so it is never
-    below its coarse-grid maximum, and the nuisance value where it was found.
+    then _zoom narrows every bracket together, in uniform steps and then
+    guided ones, until the row's value is settled or its bracket is within
+    resolution * nuisance width. Each row reports the best value it
+    evaluated, so it is never below its coarse-grid maximum, and the
+    nuisance value where it was found, never outside the box. A row's
+    steps depend on its own values only, so its result does not depend on
+    the other values profiled with it.
 
     The kernel factor of ``axis`` (sin(d_n xi)^2 or exp(-(xi delta)^2)) is
     fixed along each row, so it is computed once per profile; each step
@@ -410,20 +509,20 @@ def _profile(
         return best, np.full(values.shape, search.delta_max)
     if axis == "dn":
         lo_box, hi_box, n = search.delta_min, search.delta_max, 33
-        fixed, factor = flip_oscillation(values[:, None, None], xi), flip_envelope
+        fixed, factor = flip_oscillation(values[:, None], xi), flip_envelope
     else:
         lo_box, hi_box, n = search.dn_min, search.dn_max, 65
-        fixed, factor = flip_envelope(values[:, None, None], xi), flip_oscillation
+        fixed, factor = flip_envelope(values[:, None], xi), flip_oscillation
 
-    def ll(nuisance):
-        return _log_likelihood_batch(fixed, factor(nuisance[..., None], xi), dataset)
+    def ll(nuisance, rows):
+        return _log_likelihood_batch(fixed[rows], factor(nuisance[:, None], xi), dataset)
 
     grid = _grid_axis(lo_box, hi_box, n)
-    vals = ll(grid[None, :])
+    vals = _log_likelihood_batch(fixed[:, None], factor(grid[:, None], xi), dataset)
     j = vals.argmax(axis=1)
     lo, hi = grid[np.maximum(j - 1, 0)], grid[np.minimum(j + 1, n - 1)]
-    tol, width = search.resolution * (hi_box - lo_box), float(np.max(grid[2:] - grid[:-2]))
-    return _zoom(ll, lo, hi, vals.max(axis=1), grid[j], tol, width)[:2]
+    tol = search.resolution * (hi_box - lo_box)
+    return _zoom(ll, lo, hi, vals.max(axis=1), grid[j], tol, True)[:2]
 
 
 def _crossing(q_of, a, b, threshold: float, tol: float, check_end: bool = False):
@@ -590,9 +689,10 @@ def fit(
 
     A coarse geometric grid over the search box locates the basin; a zoom
     over d_n on the batched profile likelihood, which maximizes delta at
-    every candidate, narrows it. The converged flag reports whether the
-    d_n bracket reached ``search.resolution`` times the d_n width within
-    _MAX_ROUNDS zoom steps. Datasets in which every point is all-zero or
+    every candidate, narrows it, in uniform steps and then guided parabolic
+    ones. The converged flag reports whether the d_n bracket reached
+    ``search.resolution`` times the d_n width within _MAX_ROUNDS zoom
+    steps. Datasets in which every point is all-zero or
     all-full carry no joint information: the result then sits at the
     search floor (its delta maximizing the likelihood there) or the best
     coarse-grid point with ``converged=False`` and an explanatory

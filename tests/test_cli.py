@@ -617,11 +617,11 @@ REPORT_CASES = {
                   "--trials", "1000", "--seed", "7"), 0,
                  "aa7baebd4d0e94ada126f05a64f987b27e388be9f3bdbf7e6d877bc52e9607f5"),
     "fit": (("fit", "--data", "interior.csv"), 0,
-            "b880e3c0f56d65413347eae540a688ea8d82e8054bc1cb691ca67ab7f5675094"),
+            "3ec555368adf5ae86918859f4329eec40e0c43c2735d3adec0003c1b1749b4ff"),
     "fit-zero-flips": (("fit", "--data", "zero.csv"), 4,
                        "c54b00b38936370ba78f1cdecbddf760e92418c38122be748663895447d17075"),
     "bound": (("bound", "--data", "interior.csv", "--resolution", "1e-5"), 0,
-              "8b9a679668b43cfb2128c232e4596546b76d2d8a3eaee7bb3735ccd196ce4271"),
+              "634b9cc44f0bccb60fa03b43d18be2a76cd00954f9fba3fd435784920db89f1d"),
     "bound-zero-flips": (("bound", "--data", "design.csv", "--cl", "0.95"), 0,
                          "e147c6d3a85fde36c9a4fe7dca66d0e280379eb24c1bddd5df3c0a49a3e3e22a"),
 }

@@ -34,43 +34,43 @@ from test_pinned_edges import (
 # per table: fits in the pinned box (d_n to 1/xi, delta to 3/xi) and in
 # the fit command's default box, each at 3 sigma and 95%
 FIT_DIGESTS = {
-    "dn0.01_delta0.0": "036bc76a745e230ae0b04492cc212d30826ad6a8ab7415c6cc1e7b9f3f3e3d0d",
-    "dn0.01_delta0.3": "a647fe21626e37d94a8bad6532945be44879228b9596aeb10d1459c5029535e3",
-    "dn0.01_delta1.0": "0219f6f3d45e604850a74dc3084de348484a43ca6db2a307b0f9d5e67dc0a96b",
-    "dn0.01_delta2.5": "778a80d71b7e5c7faa20ff639c2a3979dac606e8a89c6868fac0be90c8cc3919",
+    "dn0.01_delta0.0": "6d7d749133f9200b75a54c1ec2f0995f5bd0dea0854766eed59e4f82acc96344",
+    "dn0.01_delta0.3": "9f2d19c05776880963634aa5ecc25d3547d1113534a2ded4a694737d58f6771b",
+    "dn0.01_delta1.0": "08252902723d1702bc99d53b273fa0a519f9a2eb5ff69af1cdbaff7b9bf844d6",
+    "dn0.01_delta2.5": "6a2dc9a14a996df96b9874bd17a57534feea988f4c886bc3c659f538fda3f7ce",
     "dn0.0_delta0.0": "1d0edfa631b290ba2bc20f5f52dbe3f7f19e70968e26b691d4adfbd5b8101cb6",
     "dn0.0_delta0.3": "1d0edfa631b290ba2bc20f5f52dbe3f7f19e70968e26b691d4adfbd5b8101cb6",
     "dn0.0_delta1.0": "1d0edfa631b290ba2bc20f5f52dbe3f7f19e70968e26b691d4adfbd5b8101cb6",
     "dn0.0_delta2.5": "1d0edfa631b290ba2bc20f5f52dbe3f7f19e70968e26b691d4adfbd5b8101cb6",
-    "dn0.3_delta0.0": "fd91a756dbf9973508d8a21ca5ce7e3d4cd2a1c3fac58ba0ed2211815bc651d9",
-    "dn0.3_delta0.3": "4d76303b881435199407adf4f9ba41e2ffcecc8e07f5748d378cf3179d8cfd42",
-    "dn0.3_delta1.0": "2c0b9b1574b36dc80f5b66d980a9ac1e4ebcbe3c9c8e0c61072c2299804c609c",
-    "dn0.3_delta2.5": "20ab4007c518f94a9768bd39984524d1fc28d839439b44ee7cd0383ba05d47be",
-    "dn0.9_delta0.0": "7e39cf0e81460f2d865778c70bd36fd03e3979007b9d98347f141c2323baba6d",
-    "dn0.9_delta0.3": "5eca23c28f51144880a0933b1d8b9ac0539d2e77ff08fc1c978c8b7e2ad526cf",
-    "dn0.9_delta1.0": "ec39331091511849b0caffd1baac8ba0eb3b361f22277b1a6620ad00c38938e0",
-    "dn0.9_delta2.5": "7137acdad96593f9a9367393fc538c56e64fa029aaa56be5decd340bcf8d0603",
+    "dn0.3_delta0.0": "d6ecb148a9fe01c7df87c50ecd1bf2a3b3c6ce569cbcf11c7213c7be2edbb4db",
+    "dn0.3_delta0.3": "168fdd17ee0e92869da1b90180205edf880215a2937ddcff3b5eb710d0637e42",
+    "dn0.3_delta1.0": "3d9d42902af90d02be11b7d6a977237427e68bbba428f0bc9cd12bfcf7caef8f",
+    "dn0.3_delta2.5": "82fd8b0b6de534e25a35c7a9d2f365924ffc3b19a3da4ea9e936890a59371b05",
+    "dn0.9_delta0.0": "6d5fec25c276d0209fe85d52a47bc33b7c69a1d449f3708b176be6920c572553",
+    "dn0.9_delta0.3": "455c77d778b36fbbd6cc220288cf69288fba36e5d0172b8908a6c2b6609277a4",
+    "dn0.9_delta1.0": "780d13f68b7f501d1359e7af27afc76909b89ab4e4a60cf89a2d6c6887201fdb",
+    "dn0.9_delta2.5": "380ae5ceb71f0c93f84fd8be602f98af8678026e3164fc21c3dacef0c1db024e",
     "zero_flip_8e6": "e5de97d645a3d7ea3e3851231e8b8082434f922d7cff5336e7bdda5f826035f7",
     "zero_flip_8e8": "dc1272f1ac88bedcdbc1cace7e233210a84b60b3e2f56728d54124571a343555",
 }
 # per case: bounds at CL 0.9 and 0.95 over the case's delta range
 BOUND_DIGESTS = {
-    "dn0.01_delta0.0": "988f94d5fd97d5955de9d011988df3685f88e52fa735e7dfde31b383605083ad",
-    "dn0.01_delta0.3": "890e7da94351f238db04f92038d6605c3d9fa8508161b83d8f977e4c32d1c4b7",
-    "dn0.01_delta1.0": "43d6844b963f895ba09dd1c5d2521b030884b0d88a7c8387f4bb36dcb9d35d43",
-    "dn0.01_delta2.5": "d9316b6fe6cd88cc24d4bba99d2be5af0e11149cbc6af7ac0681c5e77586de92",
+    "dn0.01_delta0.0": "f9866da6f597b41eb720302a441bb2ba71ee08fc2288bad0779c9a8f3b25bf24",
+    "dn0.01_delta0.3": "4b5e796a9082a65f4b92de8ba50f3c27c891200f5e9b338f77467bcaa2432f6d",
+    "dn0.01_delta1.0": "5701e080d0210f1cf007ecbbd4028046c2f03d47a9025ceabdd9ca692978613c",
+    "dn0.01_delta2.5": "edd81044f086f965dba31ea5b9af5c6f1f649f4a13cffc5d4807a879c7d5bc29",
     "dn0.0_delta0.0": "ebe070a3af36bea31deeac181a6d595d87e4213e52ab141bf170487d0c0a1d8e",
     "dn0.0_delta0.3": "ebe070a3af36bea31deeac181a6d595d87e4213e52ab141bf170487d0c0a1d8e",
     "dn0.0_delta1.0": "ebe070a3af36bea31deeac181a6d595d87e4213e52ab141bf170487d0c0a1d8e",
     "dn0.0_delta2.5": "ebe070a3af36bea31deeac181a6d595d87e4213e52ab141bf170487d0c0a1d8e",
-    "dn0.3_delta0.0": "66a44e974eef44f9fba77c2a1747e7d1c4de04fd09fe9c0a1fea0dc1c168ca6f",
-    "dn0.3_delta0.3": "2305e884d2770f7b6b10ea729e96b42748457fc69db150e819047ce41b01559f",
-    "dn0.3_delta1.0": "f2f4668c01a8742d6a4956b11b66903849f0c2eb95af996d550a652bd13e52f8",
-    "dn0.3_delta2.5": "85ace7d4a28636d698c61506343b38898d724f39bbae45b3b72677cff8909889",
-    "dn0.9_delta0.0": "27f0dc5995b1211d36b29a8082762c7e73806ef48053a89b299a9a2ef3203028",
-    "dn0.9_delta0.3": "b0c84aa68e390bf97235b7a6d5285134ceaf78f5408eb33d7b1a11f37e005f8b",
-    "dn0.9_delta1.0": "34661653eb140817e4f7e2a229a636c843e099f765fe3589f6e88ccfd092181a",
-    "dn0.9_delta2.5": "bbba3ca4b087a4ea33f3ffa3dfc82c4c842c0255d48b332500070152ee30c8bd",
+    "dn0.3_delta0.0": "aca3ae9cd9850d59d0b5020df12bddcd827db6ae4e6695937a87a4976b47c78d",
+    "dn0.3_delta0.3": "bb4e7b661c6bcf0938b01af196531dddbac6daa365f45916a722de33cfebeaf7",
+    "dn0.3_delta1.0": "960a77861d7078328bc90f5c3ac2224862c1a8091487c1c6fa1f3fa85155cd2b",
+    "dn0.3_delta2.5": "395b2ef16efdab287c02952a0ac9fbe858801f70bdc79d84105b021becefb369",
+    "dn0.9_delta0.0": "96229f63b94dc2351651a2afbd25006ef70bdf3d56eef12910d1fc588f9d5704",
+    "dn0.9_delta0.3": "b489ae2cdbd2a64c9b78dd26e30bdee3574013b45dde83faa91e34c6e2a6d026",
+    "dn0.9_delta1.0": "2f9eb222eefceaaeb91d7021355e4114df3746a9f81a79bf48486d21f3e2ad0b",
+    "dn0.9_delta2.5": "e9ace6d2824fd108dc3f3d4d4629a211c072b7aab63ddf3e8fffa82e386ff512",
     "zero_flip_8e6_delta0.01": "9309599f88f458c162bcc4ae54888eab3928e57f2b7d042e816180ec45b87d24",
     "zero_flip_8e6_delta0.1": "af16b449389ecd29e0a677d9fec000f7cbbad2306c224745910b0faa1b1868f5",
     "zero_flip_8e6_delta1.0": "ee1543cba4e8ed9149890682c20aebe7e491970c3dedcf99955484ff830a916d",

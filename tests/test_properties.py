@@ -1,7 +1,8 @@
-"""Property tests of the exact null, of shape independence, of the cycle format
-and of the crossing search."""
+"""Property tests of the exact null, of shape independence, of the cycle format,
+of the crossing search and of the zoom."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -27,7 +28,14 @@ from nedmsim.formats import (  # noqa: E402
     render_csv,
     rows_to_cycles,
 )
-from nedmsim.inference import FlipDataset, _crossing, log_likelihood  # noqa: E402
+from nedmsim.inference import (  # noqa: E402
+    _SETTLE,
+    _ZOOM_POINTS,
+    FlipDataset,
+    _crossing,
+    _zoom,
+    log_likelihood,
+)
 from nedmsim.weak_measurement import DipoleState, flip_kernel, flip_probability  # noqa: E402
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -239,3 +247,90 @@ def test_guided_crossing_matches_k_section_in_no_more_rounds(
     assert abs(guided - reference) <= tol
     assert len(rounds) <= reference_rounds
     assert set(rounds) <= {3, 7}
+
+
+def uniform_zoom(g, lo: float, hi: float, tol: float) -> tuple[float, int]:
+    """Plain zoom of a scalar g on [lo, hi], whose ends are known: 15 interior
+    points per step, keeping the two cells around the best; (best, steps)."""
+    best, steps = max(g(lo), g(hi)), 0
+    while not hi - lo <= tol and steps < 20:
+        steps += 1
+        points = [lo + (hi - lo) * k / 16 for k in range(1, 16)]
+        values = [g(x) for x in points]
+        k = values.index(max(values))
+        best = max(best, values[k])
+        lo, hi = ([lo, *points, hi])[k : k + 3 : 2]
+    return best, steps
+
+
+def zoom_row(shape: str, level: float, scale: float, peak: float, width: float):
+    """One row on [0, 1] whose maximum is ``level``: a quadratic, a
+    log-concave bump (a skewed binomial log likelihood, as narrow as
+    ``level`` makes it), two bumps of unequal height, or a rise to the box
+    edge at 1. ``scale`` and ``width`` set the other rows' depth and width;
+    like a log likelihood, a sum of terms at most 0, the rows hold no term
+    larger than ``level``, so their rounding stays within a few of its ulps."""
+    if shape == "quadratic":
+        return lambda x: level - scale * ((x - peak) / width) ** 2
+    if shape == "bump":
+        n = level / (peak * math.log(peak) + (1.0 - peak) * math.log(1.0 - peak))
+        return lambda x: (
+            n * (peak * math.log(x) + (1.0 - peak) * math.log(1.0 - x)) if 0 < x < 1 else -1e300
+        )
+    if shape == "bimodal":
+        other = 1.0 - peak
+
+        def g(x):
+            near, far = -(((x - peak) / width) ** 2), -(((x - other) / width) ** 2) - math.log(2)
+            top = max(near, far)
+            return level + scale * (top + math.log(math.exp(near - top) + math.exp(far - top)))
+
+        return g
+    return lambda x: level + scale * (math.log1p(x / width) - math.log1p(1.0 / width))
+
+
+@settings(max_examples=100)
+@given(
+    shapes=st.permutations(["quadratic", "bump", "bimodal", "edge"]),
+    level=st.sampled_from([-7.1e5, -1973.0, -1.0]),
+    depth=st.floats(1e-6, 1.0),
+    peak=st.floats(0.05, 0.45),
+    width=st.floats(1e-3, 0.2),
+    digits=st.integers(7, 12),
+)
+def test_zoom_rows_match_a_uniform_zoom_in_no_more_calls(
+    shapes, level, depth, peak, width, digits
+):
+    # every row starts from the bracket [0, 1] with its two ends known; the
+    # tolerance is of the fit's resolution, 1e-7 or finer, where a concave
+    # row's value settles before its bracket does (a far coarser one stops
+    # both searches on their brackets, neither within _SETTLE of the top)
+    rows = [zoom_row(shape, level, depth * abs(level), peak, width) for shape in shapes]
+    tol = 10.0**-digits
+    seen = {r: [] for r in range(len(rows))}
+
+    def f(x, owner):
+        for r in set(owner.tolist()):
+            seen[r].append(np.asarray(x)[owner == r].tolist())
+        return np.array([rows[r](v) for v, r in zip(x.tolist(), owner.tolist())])
+
+    def start(indices):
+        ends = np.array([[rows[r](0.0), rows[r](1.0)] for r in indices])
+        return ends.max(axis=1), np.where(ends[:, 1] > ends[:, 0], 1.0, 0.0)
+
+    n = len(rows)
+    together = _zoom(f, np.zeros(n), np.ones(n), *start(range(n)), tol, True)
+    for r, (shape, g) in enumerate(zip(shapes, rows)):
+        seen[r].clear()
+        value, place, _ = _zoom(
+            lambda x, owner: f(x, owner + r), np.zeros(1), np.ones(1), *start([r]), tol, True
+        )
+        # a row ends as it would alone
+        assert (value[0], place[0]) == (together[0][r], together[1][r])
+        reference, steps = uniform_zoom(g, 0.0, 1.0, tol)
+        assert value[0] >= reference - _SETTLE * abs(reference)
+        assert g(place[0]) == value[0]
+        assert len(seen[r]) <= steps
+        assert all(0.0 <= x <= 1.0 for points in seen[r] for x in points)
+        if shape == "edge":  # no interior maximum: uniform steps throughout
+            assert {len(points) for points in seen[r]} == {_ZOOM_POINTS}
