@@ -391,7 +391,8 @@ def _zoom(f, lo, hi, best, arg, tol, settle):
     bracket reached ``tol``).
     """
     top, place = best.tolist(), arg.tolist()
-    # a live row: (row, lo, hi, vertex, step, last); vertex None: uniform
+    # a live row: (row, lo, hi, vertex, step, last); vertex None for a
+    # uniform step next, last the (spacing, 1/3 - u^2) that placed the vertex
     rows = [
         (r, l, h, None, 0.0, None)
         for r, (l, h) in enumerate(zip(lo.tolist(), hi.tolist()))
