@@ -51,6 +51,7 @@ search.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -402,13 +403,14 @@ def _zoom(f, lo, hi, best, arg, tol, settle):
         if not rows:
             break
         points = [
-            [l + (h - l) * t for t in _ZOOM_T] if v is None
+            _zoom_points(l, h - l) if v is None
             else [min(max(v - s, l), h), v, min(max(v + s, l), h)]
             for _, l, h, v, s, _ in rows
         ]
         sizes = [len(p) for p in points]
         values = f(
-            np.array([x for p in points for x in p]), np.repeat([row[0] for row in rows], sizes)
+            np.fromiter(itertools.chain.from_iterable(points), float),
+            np.repeat([row[0] for row in rows], sizes),
         ).tolist()
         live, start = [], 0
         for row, p, size in zip(rows, points, sizes):
@@ -421,6 +423,11 @@ def _zoom(f, lo, hi, best, arg, tol, settle):
                 live.append(nxt)
         rows = live
     return np.array(top), np.array(place), not rows
+
+
+def _zoom_points(lo: float, width: float) -> list[float]:
+    """A uniform zoom step's _ZOOM_POINTS points inside [lo, lo + width]."""
+    return [lo + width * t for t in _ZOOM_T]
 
 
 def _zoom_cell(row, points, values, tol, settle):
@@ -448,10 +455,11 @@ def _zoom_cell(row, points, values, tol, settle):
     r, lo, hi, vertex, _, last = row
     b = max(values)
     k = values.index(b)
+    x1 = points[k]
     if vertex is not None and not points[0] < points[1] < points[2]:
-        return b, points[k], (r, lo, hi, None, 0.0, None)
-    x0, x1, x2 = ([lo, *points, hi])[k : k + 3]
-    a, _, c = ([None, *values, None])[k : k + 3]
+        return b, x1, (r, lo, hi, None, 0.0, None)
+    x0, a = (points[k - 1], values[k - 1]) if k else (lo, None)
+    x2, c = (points[k + 1], values[k + 1]) if k < len(points) - 1 else (hi, None)
     if not x0 < x1 < x2:
         return b, x1, (r, lo, hi, None, 0.0, None)
     if a is None or c is None or not (a < b and c < b):
