@@ -111,6 +111,7 @@ _SCAN_CHUNK = 32
 _MAX_ROUNDS = 20
 # fractions of a bracket at which a zoom step and a K-section round evaluate
 _ZOOM_T = (np.arange(1, _ZOOM_POINTS + 1) / (_ZOOM_POINTS + 1)).tolist()
+_SECTION_T = (np.arange(1, _SECTIONS + 1) / (_SECTIONS + 1)).tolist()
 # Guided zoom steps (_zoom, _zoom_cell): the first after a uniform step
 # spaces its three points _ZOOM_FIRST of that step's spacing apart, later
 # ones _GUIDE_SAFETY times the vertex's predicted miss. A profile row stops
@@ -121,7 +122,6 @@ _ZOOM_T = (np.arange(1, _ZOOM_POINTS + 1) / (_ZOOM_POINTS + 1)).tolist()
 # 1e-7 broke that on the -2e3 tables.
 _ZOOM_FIRST = 0.125
 _SETTLE = 1e-14
-_SECTION_T = (np.arange(1, _SECTIONS + 1) / (_SECTIONS + 1)).tolist()
 # Guided K-section rounds (_crossing, _keep_cell): a guided round's three
 # points lie a step apart, _GUIDE_SAFETY times the departure of sqrt(q)
 # from a line in the row's last round relative to its rise, at least
