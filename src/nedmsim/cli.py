@@ -253,8 +253,9 @@ def _search_settings(delta_widths: float) -> Callable[[argparse.Namespace], dict
 
     A flag overrides the config file, which overrides the library
     defaults; ceilings set by neither are derived from the dataset. bound
-    takes five of the keys, those in its kinds: upper_bound searches from
-    d_n = 0 on a 48-point grid, whatever grid_points and dn_min are set.
+    takes five of the keys, those in its kinds: upper_bound's maximum
+    starts from a 48-point grid over d_n >= 0, whatever grid_points and
+    dn_min are set.
     """
 
     def resolve(args) -> dict:

@@ -31,22 +31,23 @@ q = 2(l_max - l_profile) with a chi-square quantile (two-sided for
 intervals, one-sided for bounds). Crossings are found by K-section, a
 few points per bracket in one batched call, taking the crossing nearest
 the estimate; the two edges of an interval are sectioned in lockstep,
-one bracket per row, and their box edges are tested in the first
-round's call. Where the statistic is smooth, sqrt(q) is close to a line
-near a crossing (q ~ ((v - v_hat)/sigma)^2), so once a row's last round
-shows it so, the next round is guided: three points around the secant
-root of sqrt(q), as close together as that round's departure from a
-line allows. A guided round that misses falls back to one uniform
-round, and a step statistic is sectioned uniformly throughout. An upper
-bound scans a fixed geometric grid upward in chunks and sections the
-first crossing cell. The maximum and the interval edges stop at
-``resolution`` times the axis width, a profile's nuisance there or once
-its value is settled, an upper bound at ``resolution`` relative to
-itself, each after at most _MAX_ROUNDS steps; each bracket of a row-wise
-search stops on its own, so it ends where a search of that bracket alone
-would. Without flips the likelihood rises with delta, so a d_n profile
-is the likelihood at the delta ceiling, one kernel call with no nuisance
-search.
+one bracket per row, and an upper bound is one such row from the
+estimate to dn_max. The first round of these searches also tests the
+far end, and its points crowd geometrically towards the estimate, so a
+crossing close to it is bracketed at once; the next round is uniform.
+Where the statistic is smooth, sqrt(q) is close to a line near a
+crossing (q ~ ((v - v_hat)/sigma)^2), so once a row's last equally
+spaced round shows it so, the next round is guided: three points around
+the secant root of sqrt(q), as close together as that round's departure
+from a line allows. A guided round that misses falls back to one
+uniform round, and a step statistic is sectioned uniformly throughout.
+The maximum and the interval edges stop at ``resolution`` times the
+axis width, a profile's nuisance there or once its value is settled, an
+upper bound at ``resolution`` relative to itself, each after at most
+_MAX_ROUNDS steps; each bracket of a row-wise search stops on its own,
+so it ends where a search of that bracket alone would. Without flips
+the likelihood rises with delta, so a d_n profile is the likelihood at
+the delta ceiling, one kernel call with no nuisance search.
 """
 
 from __future__ import annotations
@@ -98,20 +99,22 @@ BOUND_DELTA_WIDTHS = 1.0
 
 # Batch shapes of the zoom and crossing searches: interior candidates per
 # row and uniform zoom step (a bracket's ends are known; each step keeps
-# two of 16 cells, 8x narrower), interior points per uniform K-section
-# round (8x per round), and bound-scan points per call. They keep each
-# batched likelihood call to a few thousand elements per data point.
+# two of 16 cells, 8x narrower), and interior points per K-section round
+# (8x per uniform round). They keep each batched likelihood call to a few
+# thousand elements per data point.
 # _MAX_ROUNDS caps the zoom steps of the maximum and of the profiles and
 # the K-section rounds: 8**20 = 2**60 narrows any bracket below double
 # precision, so a resolution finer than that cannot stall a bracket that
 # no longer shrinks.
 _ZOOM_POINTS = 15
 _SECTIONS = 7
-_SCAN_CHUNK = 32
 _MAX_ROUNDS = 20
-# fractions of a bracket at which a zoom step and a K-section round evaluate
+# fractions of a bracket at which a zoom step and a uniform K-section round
+# evaluate, and the geometric first round of a search that tests its end,
+# 8**-7 ... 8**-1
 _ZOOM_T = (np.arange(1, _ZOOM_POINTS + 1) / (_ZOOM_POINTS + 1)).tolist()
 _SECTION_T = (np.arange(1, _SECTIONS + 1) / (_SECTIONS + 1)).tolist()
+_FIRST_T = (8.0 ** -np.arange(_SECTIONS, 0, -1)).tolist()
 # Guided zoom steps (_zoom, _zoom_cell): the first after a uniform step
 # spaces its three points _ZOOM_FIRST of that step's spacing apart, later
 # ones _GUIDE_SAFETY times the vertex's predicted miss. A profile row stops
@@ -539,27 +542,29 @@ def _crossing(q_of, a, b, threshold: float, tol: float, check_end: bool = False)
 
     ``a`` and ``b`` are two floats or two matching 1-d arrays of brackets,
     each with q(a) <= threshold < q(b); either end may be the larger. With
-    ``check_end``, q(b) is not known: the first round also evaluates every
-    b, and a row with q(b) <= threshold returns b.
+    ``check_end``, q(b) is not known: the first round evaluates _SECTIONS
+    points at the fractions _FIRST_T of the bracket, crowding geometrically
+    towards a so that a crossing close to a is bracketed at once, and b
+    itself; a row with no point above the threshold returns b.
 
     Each round evaluates the points of every bracket still wider than
     ``tol``, all in one call of the batched ``q_of``, and keeps the cell of
     each row's first point above the threshold (the crossing nearest a),
     until every bracket is within ``tol`` or _MAX_ROUNDS rounds have run.
-    A row's round is uniform, _SECTIONS points across its bracket (8x
-    narrower), unless its statistic was locally smooth in its last round
-    (see _keep_cell). Near a crossing q ~ ((v - v0)/sigma)^2, so sqrt(q)
-    is close to a line, and a guided round evaluates three points a step
-    apart around the secant root of sqrt(q) - sqrt(threshold): the step is
-    _GUIDE_SAFETY times the last round's departure from a line, at most
-    _GUIDE_MAX of the bracket, so a guided round that hits narrows the
-    bracket at least 1/_GUIDE_MAX times. A guided round whose crossing does
-    not fall between two of its points (it may have narrowed the bracket
-    less than 8x) is followed by one uniform round. A step statistic is
-    never smooth, so its every round is uniform. A bracket within ``tol``
-    is frozen, so every row returns exactly what a search of its bracket
-    alone returns: a float for float brackets, else an array of the rows'
-    crossings.
+    A later round is uniform, _SECTIONS points across the bracket (8x
+    narrower), unless the statistic was locally smooth in the row's last
+    round (see _keep_cell). Near a crossing q ~ ((v - v0)/sigma)^2,
+    so sqrt(q) is close to a line, and a guided round evaluates three
+    points a step apart around the secant root of sqrt(q) - sqrt(threshold):
+    the step is _GUIDE_SAFETY times the last round's departure from a line,
+    at most _GUIDE_MAX of the bracket, so a guided round that hits narrows
+    the bracket at least 1/_GUIDE_MAX times. A guided round whose crossing
+    does not fall between two of its points (it may have narrowed the
+    bracket less than 8x) is followed by one uniform round, as is a
+    geometric first round. A step statistic is never smooth, so its every
+    later round is uniform. A bracket within ``tol`` is frozen, so every
+    row returns exactly what a search of its bracket alone returns: a float
+    for float brackets, else an array of the rows' crossings.
     """
     scalar = np.ndim(a) == 0
     # per row: the bracket's two ends, and the secant root and guided step
@@ -573,39 +578,44 @@ def _crossing(q_of, a, b, threshold: float, tol: float, check_end: bool = False)
         points = [_round_points(*rows[k], first) for k in live]
         q = iter(q_of(np.array([x for p in points for x in p])).tolist())
         for k, p in zip(live, points):
-            rows[k] = _keep_cell(p, [next(q) for _ in p], rows[k][0], rows[k][1], threshold)
+            kept = _keep_cell(p, [next(q) for _ in p], rows[k][0], rows[k][1], threshold)
+            # a guide needs equally spaced points, which a geometric round lacks
+            rows[k] = kept[:2] + (None, 0.0) if first else kept
     mid = np.array([0.5 * (lo + hi) for lo, hi, _, _ in rows])
     return float(mid[0]) if scalar else mid
 
 
-def _round_points(lo: float, hi: float, root, step: float, check_end: bool) -> list[float]:
-    """One _crossing round's points from lo towards hi, then hi itself if ``check_end``.
+def _round_points(lo: float, hi: float, root, step: float, first: bool) -> list[float]:
+    """One _crossing round's points from lo towards hi.
 
-    Uniform at _SECTION_T without a root; else three points ``step`` of the
-    bracket apart, centred on the root but at least two steps inside it.
+    The ``first`` round of a search that tests its end is at _FIRST_T,
+    geometric towards lo, then hi itself. A later round is uniform at
+    _SECTION_T without a root; else three points ``step`` of the bracket
+    apart, centred on the root but at least two steps inside it.
     """
+    if first:
+        return [lo + (hi - lo) * t for t in _FIRST_T] + [hi]
     if root is None:
         fractions = _SECTION_T
     else:
         centre = min(max(root, 2.0 * step), 1.0 - 2.0 * step)
         fractions = (centre - step, centre, centre + step)
-    points = [lo + (hi - lo) * t for t in fractions]
-    return points + [hi] if check_end else points
+    return [lo + (hi - lo) * t for t in fractions]
 
 
 def _keep_cell(points: list[float], q: list[float], lo: float, hi: float, threshold: float):
     """One row's (lo, hi, root, step) after a _crossing round of ``points``.
 
-    ``points`` are the round's equally spaced points in order from lo to
-    hi, and ``q`` the statistic there. The new bracket is the cell of the
-    first point above ``threshold``, or the cell past the last point if
-    none is. The statistic was smooth when its values were all positive
-    and finite, the crossing lies between two of the points, and sqrt(q)
-    departs from the chord through its first and last value by at most
-    _GUIDE_MAX / _GUIDE_SAFETY of the chord's rise. Only then is ``root``
-    a number: where the line through sqrt(q) at the new bracket's ends
-    meets sqrt(threshold), as a fraction of the bracket, and ``step`` is
-    _GUIDE_SAFETY times that relative departure, at least _GUIDE_MIN.
+    ``points`` are the round's points in order from lo to hi, and ``q`` the
+    statistic there. The new bracket is the cell of the first point above
+    ``threshold``, or the cell past the last point if none is. For equally
+    spaced points the statistic was smooth when its values were all
+    positive and finite, the crossing lies between two of the points, and
+    sqrt(q) departs from the chord through its first and last value by at
+    most _GUIDE_MAX / _GUIDE_SAFETY of the chord's rise. Only then is
+    ``root`` a number: where the line through sqrt(q) at the new bracket's
+    ends meets sqrt(threshold), as a fraction of the bracket, and ``step``
+    is _GUIDE_SAFETY times that relative departure, at least _GUIDE_MIN.
     """
     i = next((j for j, value in enumerate(q) if value > threshold), None)
     if i is None:  # the crossing lies past the last point
@@ -637,39 +647,6 @@ def _interval_from_profile(
         q_of, np.array([center, center]), np.array([lo, hi]), threshold, tol, check_end=True
     ).tolist()
     return (min(left, right), max(left, right))
-
-
-def _scan_crossing(
-    q_of, grid: np.ndarray, prev: float, threshold: float, resolution: float
-) -> float:
-    """First crossing of ``threshold`` by the batched ``q_of`` along ``grid``.
-
-    The grid is scanned upward from ``prev`` in chunks of _SCAN_CHUNK
-    points, stopping at the first chunk with a point above the threshold;
-    the cell ending at that point is then sectioned to within
-    resolution * max(a, resolution * grid[-1]), where a is the lower end
-    of the cell. The crossing lies above a, so it is located to within
-    ``resolution`` relative to itself; the floor serves a cell that
-    starts at 0.
-
-    Raises
-    ------
-    NonConvergenceError
-        If no grid point is above the threshold.
-    """
-    for start in range(0, grid.size, _SCAN_CHUNK):
-        chunk = grid[start : start + _SCAN_CHUNK]
-        above = np.flatnonzero(q_of(chunk) > threshold)
-        if above.size:
-            i = int(above[0])
-            a = float(chunk[i - 1]) if i > 0 else prev
-            tol = resolution * max(a, resolution * float(grid[-1]))
-            return _crossing(q_of, a, float(chunk[i]), threshold, tol)
-        prev = float(chunk[-1])
-    raise NonConvergenceError(
-        f"profile statistic stayed below the threshold up to dn_max = {grid[-1]:g}; "
-        "widen dn_max or collect more trials"
-    )
 
 
 def search_ceilings(dataset: FlipDataset, delta_widths: float) -> tuple[float, float]:
@@ -776,12 +753,13 @@ def upper_bound(
     Smallest d_n* above the estimate at which the profile ratio statistic
     q(d_n*) = 2( l(best) - max_delta l(d_n*, delta) ) exceeds the
     one-sided chi-square threshold for ``cl``. ``delta_bounds`` is the
-    nuisance profiling range and ``dn_max`` caps the scan; each defaults
-    to its :func:`search_ceilings` value with BOUND_DELTA_WIDTHS, i.e.
-    delta in [0, 1/xi_max] and d_n up to half a flip oscillation. The
-    bound is located to within ``resolution`` relative to itself, with an
-    absolute floor of resolution^2 * dn_max, in at most _MAX_ROUNDS
-    sections.
+    nuisance profiling range and ``dn_max`` the search's upper end; each
+    defaults to its :func:`search_ceilings` value with BOUND_DELTA_WIDTHS,
+    i.e. delta in [0, 1/xi_max] and d_n up to half a flip oscillation.
+    The crossing nearest the estimate is sectioned from the estimate to
+    dn_max, as an interval edge is (_crossing), and located to within
+    ``resolution`` relative to itself, with an absolute floor of
+    resolution^2 * dn_max, in at most _MAX_ROUNDS rounds.
 
     Without flips the statistic is closed-form. Every log-likelihood term
     is n_i ln(1 - p_i); it rises as p_i falls, and p_i falls as delta
@@ -798,8 +776,8 @@ def upper_bound(
         If dn_max*max|xi| is not finite.
     NonConvergenceError
         If the maximum likelihood does not converge to ``resolution`` (as
-        in :func:`fit`), or the statistic never crosses the threshold
-        below ``dn_max``.
+        in :func:`fit`), or the statistic is above the threshold at no
+        point of the first round, ``dn_max`` included.
     """
     if not 0.5 <= cl < 1.0:
         raise ValueError("cl must lie in [0.5, 1)")
@@ -828,7 +806,11 @@ def upper_bound(
     def q(v: np.ndarray) -> np.ndarray:
         return 2.0 * (ll_hat - _profile(dataset, "dn", v, search)[0])
 
-    # scan upward from the estimate for the first threshold crossing
-    start = dn_hat if dn_hat > 0 else dn_max * 1e-9
-    grid = np.geomspace(start, dn_max, 256)
-    return _scan_crossing(q, grid, dn_hat, threshold, resolution)
+    tol = resolution * max(dn_hat, resolution * dn_max)
+    bound = _crossing(q, dn_hat, dn_max, threshold, tol, check_end=True)
+    if bound == dn_max:  # no point of the first round was above the threshold
+        raise NonConvergenceError(
+            f"profile statistic stayed below the threshold up to dn_max = {dn_max:g}; "
+            "widen dn_max or collect more trials"
+        )
+    return bound

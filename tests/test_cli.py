@@ -617,13 +617,13 @@ REPORT_CASES = {
                   "--trials", "1000", "--seed", "7"), 0,
                  "aa7baebd4d0e94ada126f05a64f987b27e388be9f3bdbf7e6d877bc52e9607f5"),
     "fit": (("fit", "--data", "interior.csv"), 0,
-            "3ec555368adf5ae86918859f4329eec40e0c43c2735d3adec0003c1b1749b4ff"),
+            "731f57a8d8e40e4a7b73103d36ca91c32a37cb278a19ac4934a6e72613841121"),
     "fit-zero-flips": (("fit", "--data", "zero.csv"), 4,
-                       "c54b00b38936370ba78f1cdecbddf760e92418c38122be748663895447d17075"),
+                       "4492f0ead4e8e625f54b0d7690142eeb836301aed6ac34b3fa94799a3d2836d1"),
     "bound": (("bound", "--data", "interior.csv", "--resolution", "1e-5"), 0,
-              "634b9cc44f0bccb60fa03b43d18be2a76cd00954f9fba3fd435784920db89f1d"),
+              "6c205d5ed3f3bcab52f765481063661e79d82775927b12f6f0553f011bf3f4b5"),
     "bound-zero-flips": (("bound", "--data", "design.csv", "--cl", "0.95"), 0,
-                         "e147c6d3a85fde36c9a4fe7dca66d0e280379eb24c1bddd5df3c0a49a3e3e22a"),
+                         "c0fc0d04eab122a1e203d57a3d4d130e723e5ecea47081c646a9f95596dae4f7"),
 }
 
 

@@ -27,7 +27,6 @@ from nedmsim.inference import (
     _grid_axis,
     _maximize,
     _profile,
-    _scan_crossing,
 )
 from nedmsim.streams import substream
 from nedmsim.weak_measurement import (
@@ -311,44 +310,25 @@ def _step_at(edge):
 
 
 @pytest.mark.parametrize(
-    "where",
-    ["first_point", "last_of_first_chunk", "first_of_second_chunk", "last_point"],
+    "a, b, edge",
+    [(0.0, 1.0, 0.5 * 8.0**-7), (0.0, 1.0, 1.0 - 1e-9), (1.0, 0.0, 1.0 - 0.5 * 8.0**-7)],
+    ids=["below_first_point", "last_cell", "falling"],
 )
-def test_scan_crossing_cells(where):
-    grid = np.geomspace(1e-3, 1.0, 256)
-    prev = 0.0
-    cell = {
-        "first_point": (prev, grid[0]),
-        "last_of_first_chunk": (grid[30], grid[31]),
-        "first_of_second_chunk": (grid[31], grid[32]),
-        "last_point": (grid[254], grid[255]),
-    }[where]
-    edge = 0.5 * (cell[0] + cell[1])
-    resolution = 1e-7
-    got = _scan_crossing(_step_at(edge), grid, prev, 1.0, resolution)
-    assert cell[0] <= got <= cell[1]
-    # within resolution relative to the crossing; the cell from 0 has the
-    # floor resolution^2 * grid[-1]
-    assert abs(got - edge) <= resolution * max(edge, resolution * grid[-1])
-
-
-def test_scan_crossing_stops_at_the_first_crossing_chunk():
-    grid = np.geomspace(1e-3, 1.0, 256)
-    batches = []
+def test_crossing_that_tests_its_end_starts_geometric(a, b, edge):
+    # the first round crowds towards the start, 8**-7 ... 8**-1 of the
+    # bracket, then the end; a step statistic is sectioned uniformly after
+    calls = []
 
     def q(x):
-        batches.append(np.array(x))
-        return _step_at(grid[40])(x)
+        calls.append(np.array(x))
+        return np.where((np.asarray(x) - edge) * (b - a) >= 0.0, 10.0, 0.0)
 
-    _scan_crossing(q, grid, 0.0, 1.0, 1e-7)
-    scanned = [b for b in batches if b.size == 32]
-    assert [b[0] for b in scanned] == [grid[0], grid[32]]
-
-
-def test_scan_crossing_without_crossing_raises():
-    grid = np.geomspace(1e-3, 2.5, 256)
-    with pytest.raises(NonConvergenceError, match="up to dn_max = 2.5; widen dn_max"):
-        _scan_crossing(_step_at(3.0), grid, 0.0, 1.0, 1e-7)
+    tol = 1e-7 * 8.0**-7
+    got = _crossing(q, a, b, 1.0, tol, check_end=True)
+    assert abs(got - edge) <= tol
+    assert got != b  # b itself is returned only when no point is above
+    assert calls[0].tolist() == [a + (b - a) * 8.0**-k for k in range(7, 0, -1)] + [b]
+    assert {c.size for c in calls[1:]} == {7}
 
 
 def test_crossing_rows_match_scalar_searches():
@@ -382,7 +362,9 @@ def test_likelihood_call_budget(monkeypatch):
     # sections 370 and 108, delta-profiled zero-flip searches 108 and 81,
     # and uniform K-section alone 226, 14 and 10; guided rounds made 154,
     # 10 and 5, and guided zoom steps that stop once the value is settled
-    # make 72, 10 and 5
+    # 72, 10 and 5; a bound sectioned from the estimate with a geometric
+    # first round, in place of a 256-point scan, makes 67, 4 and 5, and
+    # the criterion-5 table's bound at the default ceilings 96
     import nedmsim.inference as inference
 
     calls = []
@@ -401,9 +383,12 @@ def test_likelihood_call_budget(monkeypatch):
     calls.clear()
     fit(zero_flip_dataset(), default_box())
     zero_fit_shapes = calls.copy()
-    assert fit_calls <= 80, fit_calls
-    assert len(bound_shapes) <= 12, len(bound_shapes)
+    calls.clear()
+    upper_bound(make_dataset(seed=0))
+    assert fit_calls <= 70, fit_calls
+    assert len(bound_shapes) <= 6, len(bound_shapes)
     assert len(zero_fit_shapes) <= 6, len(zero_fit_shapes)
+    assert len(calls) <= 100, len(calls)
     # without flips the delta profile is one envelope at the ceiling: no
     # nuisance grid, no zoom
     assert set(bound_shapes) == set(zero_fit_shapes) == {(8,)}
@@ -599,8 +584,23 @@ def test_upper_bound_delta_profile_insensitivity():
 
 def test_upper_bound_nonconvergence_diagnostic():
     ds = zero_flip_dataset()
-    with pytest.raises(NonConvergenceError, match="dn_max"):
+    with pytest.raises(NonConvergenceError, match="up to dn_max = 1e-40; widen dn_max"):
         upper_bound(ds, cl=0.95, delta_bounds=(0.0, 1.0 / XI_MAX), dn_max=1e-40)
+
+
+@pytest.mark.parametrize("ceilings", [2.0, 2.9])
+def test_upper_bound_past_the_aliasing_ceiling_is_the_nearest_crossing(ceilings):
+    # past pi / (2 xi) sin^2 aliases: with one xi the statistic falls back
+    # to 0 at d_n = pi / xi (2 ceilings, the search's end) and rises again;
+    # the bound is still the crossing nearest the estimate
+    ds = FlipDataset([XI_MAX], [8_000_000], [0])
+    dn_ceiling, delta_hi = search_ceilings(ds, 1.0)
+    threshold = NormalDist().inv_cdf(0.05) ** 2
+    angle = math.asin(math.sqrt(-math.expm1(-threshold / 16e6) * math.exp(1.0)))
+    root = angle / XI_MAX
+    got = upper_bound(ds, dn_max=ceilings * dn_ceiling)
+    assert abs(got - root) <= 1e-7 * root, (got, root)
+    assert got == pytest.approx(upper_bound(ds), rel=1e-7)
 
 
 def test_upper_bound_resolution_below_double_precision_terminates():

@@ -34,52 +34,52 @@ from test_pinned_edges import (
 # per table: fits in the pinned box (d_n to 1/xi, delta to 3/xi) and in
 # the fit command's default box, each at 3 sigma and 95%
 FIT_DIGESTS = {
-    "dn0.01_delta0.0": "6d7d749133f9200b75a54c1ec2f0995f5bd0dea0854766eed59e4f82acc96344",
-    "dn0.01_delta0.3": "9f2d19c05776880963634aa5ecc25d3547d1113534a2ded4a694737d58f6771b",
-    "dn0.01_delta1.0": "08252902723d1702bc99d53b273fa0a519f9a2eb5ff69af1cdbaff7b9bf844d6",
-    "dn0.01_delta2.5": "6a2dc9a14a996df96b9874bd17a57534feea988f4c886bc3c659f538fda3f7ce",
-    "dn0.0_delta0.0": "1d0edfa631b290ba2bc20f5f52dbe3f7f19e70968e26b691d4adfbd5b8101cb6",
-    "dn0.0_delta0.3": "1d0edfa631b290ba2bc20f5f52dbe3f7f19e70968e26b691d4adfbd5b8101cb6",
-    "dn0.0_delta1.0": "1d0edfa631b290ba2bc20f5f52dbe3f7f19e70968e26b691d4adfbd5b8101cb6",
-    "dn0.0_delta2.5": "1d0edfa631b290ba2bc20f5f52dbe3f7f19e70968e26b691d4adfbd5b8101cb6",
-    "dn0.3_delta0.0": "d6ecb148a9fe01c7df87c50ecd1bf2a3b3c6ce569cbcf11c7213c7be2edbb4db",
-    "dn0.3_delta0.3": "168fdd17ee0e92869da1b90180205edf880215a2937ddcff3b5eb710d0637e42",
-    "dn0.3_delta1.0": "3d9d42902af90d02be11b7d6a977237427e68bbba428f0bc9cd12bfcf7caef8f",
-    "dn0.3_delta2.5": "82fd8b0b6de534e25a35c7a9d2f365924ffc3b19a3da4ea9e936890a59371b05",
-    "dn0.9_delta0.0": "6d5fec25c276d0209fe85d52a47bc33b7c69a1d449f3708b176be6920c572553",
-    "dn0.9_delta0.3": "455c77d778b36fbbd6cc220288cf69288fba36e5d0172b8908a6c2b6609277a4",
-    "dn0.9_delta1.0": "780d13f68b7f501d1359e7af27afc76909b89ab4e4a60cf89a2d6c6887201fdb",
-    "dn0.9_delta2.5": "380ae5ceb71f0c93f84fd8be602f98af8678026e3164fc21c3dacef0c1db024e",
-    "zero_flip_8e6": "e5de97d645a3d7ea3e3851231e8b8082434f922d7cff5336e7bdda5f826035f7",
-    "zero_flip_8e8": "dc1272f1ac88bedcdbc1cace7e233210a84b60b3e2f56728d54124571a343555",
+    "dn0.01_delta0.0": "bd67734196cf81d9c066678995b848456c707f8ea91aafdc51ecad7d5e2f27c5",
+    "dn0.01_delta0.3": "a0ceb8262ce7a6b8747c03a9d489ba6c51322b072c4af56e97f1fc99515fb387",
+    "dn0.01_delta1.0": "6d1b448b9971fe6ebbcbb998f353fb2cc40de99147d944c494429caa68410eed",
+    "dn0.01_delta2.5": "45f1b9284b4772c89f51e4f72d97df673af204c13fa4e266b11efaa1e21fb46b",
+    "dn0.0_delta0.0": "46afd181acb25900df0c94d3de4a45436935890f18693d664698b810401215f8",
+    "dn0.0_delta0.3": "46afd181acb25900df0c94d3de4a45436935890f18693d664698b810401215f8",
+    "dn0.0_delta1.0": "46afd181acb25900df0c94d3de4a45436935890f18693d664698b810401215f8",
+    "dn0.0_delta2.5": "46afd181acb25900df0c94d3de4a45436935890f18693d664698b810401215f8",
+    "dn0.3_delta0.0": "81cd39336e1ce8f355605eae1a518dc49232cc3e6ff338e8edf63dbbe0dff363",
+    "dn0.3_delta0.3": "9e92069b9f1f9f7c2689b531c94d2ebcf8db58ed58e7cc2fddeb3651c78952e6",
+    "dn0.3_delta1.0": "80bfa9ccad3dfbc2b9a152edc593a459b9d3c6bb235cd1ec8a05b008f56078e7",
+    "dn0.3_delta2.5": "98e935b3e78f2cb7782305eca95b4ca449747bd0981cf8069c1eb343d3d24797",
+    "dn0.9_delta0.0": "1db74ed413e128a693586813c6a2f8061300d5e168cfd4c63d89569b1ad1b7ad",
+    "dn0.9_delta0.3": "02ccb6a54c65a55d0aec91c43b582440ac099e9383bca68442ab82a4128b9ec7",
+    "dn0.9_delta1.0": "d21e4679bffb73e01fcc9719f4e605b1cf9e17b8598f5be40569052f1d979194",
+    "dn0.9_delta2.5": "b1949a03ee880b37fa88c74ec0ed74ebaef56f9cbf6dd99255c669ac792c1e8a",
+    "zero_flip_8e6": "cebb6b1debdb1c06bce02da0ff89529dbc4be2554ad5522a0ea65f50c1effdce",
+    "zero_flip_8e8": "22dea70e820f7ebb6af038b22897fadddd635670cccd0d35d8e5a6d8944e7cfb",
 }
 # per case: bounds at CL 0.9 and 0.95 over the case's delta range
 BOUND_DIGESTS = {
-    "dn0.01_delta0.0": "f9866da6f597b41eb720302a441bb2ba71ee08fc2288bad0779c9a8f3b25bf24",
-    "dn0.01_delta0.3": "4b5e796a9082a65f4b92de8ba50f3c27c891200f5e9b338f77467bcaa2432f6d",
-    "dn0.01_delta1.0": "5701e080d0210f1cf007ecbbd4028046c2f03d47a9025ceabdd9ca692978613c",
-    "dn0.01_delta2.5": "edd81044f086f965dba31ea5b9af5c6f1f649f4a13cffc5d4807a879c7d5bc29",
-    "dn0.0_delta0.0": "ebe070a3af36bea31deeac181a6d595d87e4213e52ab141bf170487d0c0a1d8e",
-    "dn0.0_delta0.3": "ebe070a3af36bea31deeac181a6d595d87e4213e52ab141bf170487d0c0a1d8e",
-    "dn0.0_delta1.0": "ebe070a3af36bea31deeac181a6d595d87e4213e52ab141bf170487d0c0a1d8e",
-    "dn0.0_delta2.5": "ebe070a3af36bea31deeac181a6d595d87e4213e52ab141bf170487d0c0a1d8e",
-    "dn0.3_delta0.0": "aca3ae9cd9850d59d0b5020df12bddcd827db6ae4e6695937a87a4976b47c78d",
-    "dn0.3_delta0.3": "bb4e7b661c6bcf0938b01af196531dddbac6daa365f45916a722de33cfebeaf7",
-    "dn0.3_delta1.0": "960a77861d7078328bc90f5c3ac2224862c1a8091487c1c6fa1f3fa85155cd2b",
-    "dn0.3_delta2.5": "395b2ef16efdab287c02952a0ac9fbe858801f70bdc79d84105b021becefb369",
-    "dn0.9_delta0.0": "96229f63b94dc2351651a2afbd25006ef70bdf3d56eef12910d1fc588f9d5704",
-    "dn0.9_delta0.3": "b489ae2cdbd2a64c9b78dd26e30bdee3574013b45dde83faa91e34c6e2a6d026",
-    "dn0.9_delta1.0": "2f9eb222eefceaaeb91d7021355e4114df3746a9f81a79bf48486d21f3e2ad0b",
-    "dn0.9_delta2.5": "e9ace6d2824fd108dc3f3d4d4629a211c072b7aab63ddf3e8fffa82e386ff512",
-    "zero_flip_8e6_delta0.01": "9309599f88f458c162bcc4ae54888eab3928e57f2b7d042e816180ec45b87d24",
-    "zero_flip_8e6_delta0.1": "af16b449389ecd29e0a677d9fec000f7cbbad2306c224745910b0faa1b1868f5",
-    "zero_flip_8e6_delta1.0": "ee1543cba4e8ed9149890682c20aebe7e491970c3dedcf99955484ff830a916d",
-    "zero_flip_8e8_delta0.01": "c08872ca13e87b8a1fb0f18346d00035fde061571e6c616444b9b214437b3687",
-    "zero_flip_8e8_delta0.1": "0fe5c6c0e8fe352454ecf2950d6823469a2248eb8583b6ec864b892139ba2fce",
-    "zero_flip_8e8_delta1.0": "b9a3b7d582fc794d958ab09179861d8a9a542f8cc96ced7daf7d92c8407849a0",
+    "dn0.01_delta0.0": "1124f46e4dd91a38215e663ca2cb7d8a8871b09627f8fc9933e7f042bfc3375e",
+    "dn0.01_delta0.3": "d7329588ab170a2f82cfb3d14d81749a1124a0ad32f5c0006941a104bfccc51f",
+    "dn0.01_delta1.0": "c0a474a7a46e960a45a54c73ac473390837a1404234fdf03bab75419b6de7a2a",
+    "dn0.01_delta2.5": "55e25864ab4303447a49b60c2323fea49d41da200911f9307fb3a69b98c75d9d",
+    "dn0.0_delta0.0": "62aa074deb003b9495eff37d8b2cc8fc7ff8e68452b955c0f5fa9661d43b644b",
+    "dn0.0_delta0.3": "62aa074deb003b9495eff37d8b2cc8fc7ff8e68452b955c0f5fa9661d43b644b",
+    "dn0.0_delta1.0": "62aa074deb003b9495eff37d8b2cc8fc7ff8e68452b955c0f5fa9661d43b644b",
+    "dn0.0_delta2.5": "62aa074deb003b9495eff37d8b2cc8fc7ff8e68452b955c0f5fa9661d43b644b",
+    "dn0.3_delta0.0": "8fb3b17a4ab1770befeecafac2da08859c1423bf43b9ffc4157b35006602c744",
+    "dn0.3_delta0.3": "874917c38c84eb7db776a52efc156d48835e771bbc7f79d54d0e29463173a202",
+    "dn0.3_delta1.0": "24633775f157f125c1f3e7fc209672c44be81d15f88f92ea257347054f232939",
+    "dn0.3_delta2.5": "5c01f5c559621d27037089dede235d9d7409d1843a507a2e0f23c671f5ec55b1",
+    "dn0.9_delta0.0": "866806abf2b2f943865b43082183a8f3f399200ab90c0f2c4d4722cf465dba7b",
+    "dn0.9_delta0.3": "996a830ee04f963eb226910f76a907b46da56b68736b5b77f5028885ba8620bb",
+    "dn0.9_delta1.0": "0219f24aa3ee48b1b78cef4be5a0cc0ab29900c274b37edecea27aa98a931b54",
+    "dn0.9_delta2.5": "1e52c373a479a43145767c31a68e4fc447f3a10222d48587c430da29130498b7",
+    "zero_flip_8e6_delta0.01": "2743b75085f32565a762dcd52b853976ba38307966af8d886b61e4deb770e0dd",
+    "zero_flip_8e6_delta0.1": "002341806aedb803d26740e91078d4e5d9e5f9f5403b4d4cf598bcaa34b911b5",
+    "zero_flip_8e6_delta1.0": "b9976a26a24fca2a4c47f1f0d2599e2c306faefd84e3dda74cf03d01cb303ba7",
+    "zero_flip_8e8_delta0.01": "50c738321dc90da4b9d6594869897faed8e7cef4976a8eb35dd2c906196dc4bc",
+    "zero_flip_8e8_delta0.1": "1b0c497fc938e41c9f67e2d7c4bc9b5d013080980d301d994f4cd05d4c2a6eb1",
+    "zero_flip_8e8_delta1.0": "31d2533013f694e423e509b0416a7191c190daacd041735918bb39e2180613c6",
 }
 # criterion 6's design, 8e6 trials, CL 0.95 at the default ceilings
-ZERO_FLIP_DEFAULT_DIGEST = "6895c6d813dc1a69d8e0b4de7b7cc2e2ebef33b8778a107c195709e1da4d1819"
+ZERO_FLIP_DEFAULT_DIGEST = "9e9e36b0b69702a27897c9b2dd8b64efa3870233dbbcb7fc00da961c89132448"
 
 
 def sha256(text: str) -> str:

@@ -58,7 +58,7 @@ ESTIMATOR_DIGESTS = {
     "poisson": "60c72777932bb10abf1ea983f27baeaa3a288ac5bad6734c1daa59bb86de6ad3",
     "expected": "c84f7e2d580f11877a668c6e23589f1257f0151276f0ed54298df79db7c072c9",
 }
-CAMPAIGN_SUMMARY_DIGEST = "5283cb0221548b2d1e54cd32e407c7454bf696d0e5339aed9cc5f475af517eb8"
+CAMPAIGN_SUMMARY_DIGEST = "ce139bdf12a36258d829cc4850801a4563f2385538753c94938a95f614f4110c"
 # field drift, clock noise and a fringe contrast below 1 all enter the
 # estimator's error model; the drift moves a few percent of the cycles
 # onto a fringe extremum, where they saturate and their pairs get no weight
