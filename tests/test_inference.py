@@ -331,6 +331,24 @@ def test_crossing_that_tests_its_end_starts_geometric(a, b, edge):
     assert {c.size for c in calls[1:]} == {7}
 
 
+def test_scan_crossing_without_crossing_raises():
+    # a statistic above the threshold at no point of the first round, the
+    # end included, returns the end itself after that one round; upper_bound
+    # reads that as no crossing up to dn_max and raises
+    calls = []
+
+    def q(x):
+        calls.append(len(x))
+        return _step_at(3.0)(x)
+
+    assert _crossing(q, 1e-3, 2.5, 1.0, 1e-7, check_end=True) == 2.5
+    assert calls == [8]
+    ds = zero_flip_dataset()
+    short = 0.99 * upper_bound(ds)
+    with pytest.raises(NonConvergenceError, match=f"up to dn_max = {short:g}; widen dn_max"):
+        upper_bound(ds, dn_max=short)
+
+
 def test_crossing_rows_match_scalar_searches():
     # two brackets of different widths, sectioned together: each row must
     # return the scalar search's float, one batched q_of call per round
