@@ -34,7 +34,9 @@ the estimate; the two edges of an interval are sectioned in lockstep,
 one bracket per row, and an upper bound is one such row from the
 estimate to dn_max. The first round of these searches also tests the
 far end, and its points crowd geometrically towards the estimate, so a
-crossing close to it is bracketed at once; the next round is uniform.
+crossing close to it is bracketed at once, and then cover the bracket
+uniformly, so a crossing far from it is not missed where the statistic
+is back below the threshold at the end; the next round is uniform.
 Where the statistic is smooth, sqrt(q) is close to a line near a
 crossing (q ~ ((v - v_hat)/sigma)^2), so once a row's last equally
 spaced round shows it so, the next round is guided: three points around
@@ -110,11 +112,11 @@ _ZOOM_POINTS = 15
 _SECTIONS = 7
 _MAX_ROUNDS = 20
 # fractions of a bracket at which a zoom step and a uniform K-section round
-# evaluate, and the geometric first round of a search that tests its end,
-# 8**-7 ... 8**-1
+# evaluate, and the first round of a search that tests its end: geometric,
+# 8**-7 ... 8**-2, then the uniform round's points
 _ZOOM_T = (np.arange(1, _ZOOM_POINTS + 1) / (_ZOOM_POINTS + 1)).tolist()
 _SECTION_T = (np.arange(1, _SECTIONS + 1) / (_SECTIONS + 1)).tolist()
-_FIRST_T = (8.0 ** -np.arange(_SECTIONS, 0, -1)).tolist()
+_FIRST_T = (8.0 ** -np.arange(_SECTIONS, 1, -1)).tolist() + _SECTION_T
 # Guided zoom steps (_zoom, _zoom_cell): the first after a uniform step
 # spaces its three points _ZOOM_FIRST of that step's spacing apart, later
 # ones _GUIDE_SAFETY times the vertex's predicted miss. A profile row stops
@@ -542,10 +544,12 @@ def _crossing(q_of, a, b, threshold: float, tol: float, check_end: bool = False)
 
     ``a`` and ``b`` are two floats or two matching 1-d arrays of brackets,
     each with q(a) <= threshold < q(b); either end may be the larger. With
-    ``check_end``, q(b) is not known: the first round evaluates _SECTIONS
-    points at the fractions _FIRST_T of the bracket, crowding geometrically
-    towards a so that a crossing close to a is bracketed at once, and b
-    itself; a row with no point above the threshold returns b.
+    ``check_end``, q(b) is not known: the first round evaluates the
+    bracket at the fractions _FIRST_T, crowding geometrically towards a so
+    that a crossing close to a is bracketed at once, then a uniform round's
+    points, so that a statistic above the threshold between them is seen
+    even where q(b) is not, and b itself; a row with no point above the
+    threshold returns b.
 
     Each round evaluates the points of every bracket still wider than
     ``tol``, all in one call of the batched ``q_of``, and keeps the cell of
@@ -589,9 +593,10 @@ def _round_points(lo: float, hi: float, root, step: float, first: bool) -> list[
     """One _crossing round's points from lo towards hi.
 
     The ``first`` round of a search that tests its end is at _FIRST_T,
-    geometric towards lo, then hi itself. A later round is uniform at
-    _SECTION_T without a root; else three points ``step`` of the bracket
-    apart, centred on the root but at least two steps inside it.
+    geometric towards lo and then uniform, then hi itself. A later round
+    is uniform at _SECTION_T without a root; else three points ``step`` of
+    the bracket apart, centred on the root but at least two steps inside
+    it.
     """
     if first:
         return [lo + (hi - lo) * t for t in _FIRST_T] + [hi]

@@ -619,7 +619,7 @@ REPORT_CASES = {
     "fit": (("fit", "--data", "interior.csv"), 0,
             "731f57a8d8e40e4a7b73103d36ca91c32a37cb278a19ac4934a6e72613841121"),
     "fit-zero-flips": (("fit", "--data", "zero.csv"), 4,
-                       "4492f0ead4e8e625f54b0d7690142eeb836301aed6ac34b3fa94799a3d2836d1"),
+                       "e85085ec323068cd0ab7c5985877c9f7d05162aeba8e1e700c5a70911452ca41"),
     "bound": (("bound", "--data", "interior.csv", "--resolution", "1e-5"), 0,
               "6c205d5ed3f3bcab52f765481063661e79d82775927b12f6f0553f011bf3f4b5"),
     "bound-zero-flips": (("bound", "--data", "design.csv", "--cl", "0.95"), 0,

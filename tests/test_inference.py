@@ -310,24 +310,35 @@ def _step_at(edge):
 
 
 @pytest.mark.parametrize(
-    "a, b, edge",
-    [(0.0, 1.0, 0.5 * 8.0**-7), (0.0, 1.0, 1.0 - 1e-9), (1.0, 0.0, 1.0 - 0.5 * 8.0**-7)],
-    ids=["below_first_point", "last_cell", "falling"],
+    "a, b, edge, stop",
+    [
+        (0.0, 1.0, 0.5 * 8.0**-7, 2.0),
+        (0.0, 1.0, 1.0 - 1e-9, 2.0),
+        (1.0, 0.0, 1.0 - 0.5 * 8.0**-7, -1.0),
+        (0.0, 1.0, 0.3, 0.4),
+    ],
+    ids=["below_first_point", "last_cell", "falling", "above_only_inside"],
 )
-def test_crossing_that_tests_its_end_starts_geometric(a, b, edge):
-    # the first round crowds towards the start, 8**-7 ... 8**-1 of the
-    # bracket, then the end; a step statistic is sectioned uniformly after
+def test_crossing_that_tests_its_end_starts_geometric(a, b, edge, stop):
+    # the first round crowds towards the start, 8**-7 ... 8**-2 of the
+    # bracket, then covers it at 1/8 ... 7/8, then the end; a step
+    # statistic is sectioned uniformly after. The statistic is above the
+    # threshold from edge to stop, so above_only_inside is below it again
+    # at b and must still give its crossing, not b.
     calls = []
 
     def q(x):
-        calls.append(np.array(x))
-        return np.where((np.asarray(x) - edge) * (b - a) >= 0.0, 10.0, 0.0)
+        x = np.asarray(x)
+        calls.append(x)
+        return np.where(((x - edge) * (b - a) >= 0.0) & ((stop - x) * (b - a) > 0.0), 10.0, 0.0)
 
     tol = 1e-7 * 8.0**-7
     got = _crossing(q, a, b, 1.0, tol, check_end=True)
     assert abs(got - edge) <= tol
     assert got != b  # b itself is returned only when no point is above
-    assert calls[0].tolist() == [a + (b - a) * 8.0**-k for k in range(7, 0, -1)] + [b]
+    geometric = [8.0**-k for k in range(7, 1, -1)]
+    uniform = [k / 8 for k in range(1, 8)]
+    assert calls[0].tolist() == [a + (b - a) * t for t in geometric + uniform] + [b]
     assert {c.size for c in calls[1:]} == {7}
 
 
@@ -342,7 +353,7 @@ def test_scan_crossing_without_crossing_raises():
         return _step_at(3.0)(x)
 
     assert _crossing(q, 1e-3, 2.5, 1.0, 1e-7, check_end=True) == 2.5
-    assert calls == [8]
+    assert calls == [14]
     ds = zero_flip_dataset()
     short = 0.99 * upper_bound(ds)
     with pytest.raises(NonConvergenceError, match=f"up to dn_max = {short:g}; widen dn_max"):
@@ -606,15 +617,18 @@ def test_upper_bound_nonconvergence_diagnostic():
         upper_bound(ds, cl=0.95, delta_bounds=(0.0, 1.0 / XI_MAX), dn_max=1e-40)
 
 
-@pytest.mark.parametrize("ceilings", [2.0, 2.9])
-def test_upper_bound_past_the_aliasing_ceiling_is_the_nearest_crossing(ceilings):
+@pytest.mark.parametrize(
+    "trials, ceilings", [(8_000_000, 2.0), (8_000_000, 2.9), (5, 2.0)], ids=["2.0", "2.9", "5_trials"]
+)
+def test_upper_bound_past_the_aliasing_ceiling_is_the_nearest_crossing(trials, ceilings):
     # past pi / (2 xi) sin^2 aliases: with one xi the statistic falls back
     # to 0 at d_n = pi / xi (2 ceilings, the search's end) and rises again;
-    # the bound is still the crossing nearest the estimate
-    ds = FlipDataset([XI_MAX], [8_000_000], [0])
+    # the bound is still the crossing nearest the estimate. With 5 trials
+    # the crossing lies past 1/8 of the search, at about 0.93 / xi.
+    ds = FlipDataset([XI_MAX], [trials], [0])
     dn_ceiling, delta_hi = search_ceilings(ds, 1.0)
     threshold = NormalDist().inv_cdf(0.05) ** 2
-    angle = math.asin(math.sqrt(-math.expm1(-threshold / 16e6) * math.exp(1.0)))
+    angle = math.asin(math.sqrt(-math.expm1(-threshold / (2 * trials)) * math.exp(1.0)))
     root = angle / XI_MAX
     got = upper_bound(ds, dn_max=ceilings * dn_ceiling)
     assert abs(got - root) <= 1e-7 * root, (got, root)

@@ -34,10 +34,10 @@ from test_pinned_edges import (
 # per table: fits in the pinned box (d_n to 1/xi, delta to 3/xi) and in
 # the fit command's default box, each at 3 sigma and 95%
 FIT_DIGESTS = {
-    "dn0.01_delta0.0": "bd67734196cf81d9c066678995b848456c707f8ea91aafdc51ecad7d5e2f27c5",
-    "dn0.01_delta0.3": "a0ceb8262ce7a6b8747c03a9d489ba6c51322b072c4af56e97f1fc99515fb387",
-    "dn0.01_delta1.0": "6d1b448b9971fe6ebbcbb998f353fb2cc40de99147d944c494429caa68410eed",
-    "dn0.01_delta2.5": "45f1b9284b4772c89f51e4f72d97df673af204c13fa4e266b11efaa1e21fb46b",
+    "dn0.01_delta0.0": "54694f065d5cb493c8e77b6d43f5072faebdb5e9ac595ddcc28f2d468870b4f0",
+    "dn0.01_delta0.3": "cccfaa8496c7e929756e24f5e31a604cf6dd71171d0b457fe380560ef4937317",
+    "dn0.01_delta1.0": "1d3aac4da644597e806a02ebed51c6477741fbf4d06f977fc17529df67368457",
+    "dn0.01_delta2.5": "299aac68e1b1535b6cbc988d6bd1f4516488fe0331cf4301248b34d13836495e",
     "dn0.0_delta0.0": "46afd181acb25900df0c94d3de4a45436935890f18693d664698b810401215f8",
     "dn0.0_delta0.3": "46afd181acb25900df0c94d3de4a45436935890f18693d664698b810401215f8",
     "dn0.0_delta1.0": "46afd181acb25900df0c94d3de4a45436935890f18693d664698b810401215f8",
