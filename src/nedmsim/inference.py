@@ -29,27 +29,32 @@ locates it.
 Intervals and upper bounds compare the profile ratio statistic
 q = 2(l_max - l_profile) with a chi-square quantile (two-sided for
 intervals, one-sided for bounds). Crossings are found by K-section, a
-few points per bracket in one batched call, taking the crossing nearest
-the estimate; the two edges of an interval are sectioned in lockstep,
-one bracket per row, and an upper bound is one such row from the
-estimate to dn_max. The first round of these searches also tests the
-far end, and its points crowd geometrically towards the estimate, so a
-crossing close to it is bracketed at once, and then cover the bracket
-uniformly, so a crossing far from it is not missed where the statistic
-is back below the threshold at the end; the next round is uniform.
-Where the statistic is smooth, sqrt(q) is close to a line near a
-crossing (q ~ ((v - v_hat)/sigma)^2), so once a row's last equally
-spaced round shows it so, the next round is guided: three points around
-the secant root of sqrt(q), as close together as that round's departure
-from a line allows. A guided round that misses falls back to one
-uniform round, and a step statistic is sectioned uniformly throughout.
-The maximum and the interval edges stop at ``resolution`` times the
-axis width, a profile's nuisance there or once its value is settled, an
-upper bound at ``resolution`` relative to itself, each after at most
-_MAX_ROUNDS steps; each bracket of a row-wise search stops on its own,
-so it ends where a search of that bracket alone would. Without flips
-the likelihood rises with delta, so a d_n profile is the likelihood at
-the delta ceiling, one kernel call with no nuisance search.
+few points per bracket, taking the crossing nearest the estimate; the
+two edges of an interval are one bracket per row, and an upper bound is
+one such row from the estimate to dn_max. The first round of a crossing
+search also tests the far end, and its points crowd geometrically
+towards the estimate, so a crossing close to it is bracketed at once,
+and then cover the bracket uniformly, so a crossing far from it is not
+missed where the statistic is back below the threshold at the end; the
+next round is uniform. Where the statistic is smooth, sqrt(q) is close
+to a line near a crossing (q ~ ((v - v_hat)/sigma)^2), so once a row's
+last equally spaced round shows it so, the next round is guided: three
+points around the secant root of sqrt(q), as close together as that
+round's departure from a line allows. A guided round that misses falls
+back to one uniform round, and a step statistic is sectioned uniformly
+throughout. The maximum and the interval edges stop at ``resolution``
+times the axis width, a profile's nuisance there or once its value is
+settled, an upper bound at ``resolution`` relative to itself. Without
+flips the likelihood rises with delta, so a d_n profile is the
+likelihood at the delta ceiling, one kernel call with no nuisance
+search.
+
+Every search runs in rounds (_rounds): the profiles' zoom, the
+maximum's zoom, the interval edges and the bound. A round is one
+batched likelihood call over the points of every row still searching,
+each row's next points depend on its own values only, so a row ends
+where a search of that row alone would, and at most _MAX_ROUNDS rounds
+run.
 """
 
 from __future__ import annotations
@@ -104,10 +109,9 @@ BOUND_DELTA_WIDTHS = 1.0
 # two of 16 cells, 8x narrower), and interior points per K-section round
 # (8x per uniform round). They keep each batched likelihood call to a few
 # thousand elements per data point.
-# _MAX_ROUNDS caps the zoom steps of the maximum and of the profiles and
-# the K-section rounds: 8**20 = 2**60 narrows any bracket below double
-# precision, so a resolution finer than that cannot stall a bracket that
-# no longer shrinks.
+# _MAX_ROUNDS caps the rounds of every search (_rounds): 8**20 = 2**60
+# narrows any bracket below double precision, so a resolution finer than
+# that cannot stall a bracket that no longer shrinks.
 _ZOOM_POINTS = 15
 _SECTIONS = 7
 _MAX_ROUNDS = 20
@@ -117,23 +121,23 @@ _MAX_ROUNDS = 20
 _ZOOM_T = (np.arange(1, _ZOOM_POINTS + 1) / (_ZOOM_POINTS + 1)).tolist()
 _SECTION_T = (np.arange(1, _SECTIONS + 1) / (_SECTIONS + 1)).tolist()
 _FIRST_T = (8.0 ** -np.arange(_SECTIONS, 1, -1)).tolist() + _SECTION_T
-# Guided zoom steps (_zoom, _zoom_cell): the first after a uniform step
-# spaces its three points _ZOOM_FIRST of that step's spacing apart, later
-# ones _GUIDE_SAFETY times the vertex's predicted miss. A profile row stops
+# Guided zoom steps (_zoom): the first after a uniform step spaces its
+# three points _ZOOM_FIRST of that step's spacing apart, later ones
+# _GUIDE_SAFETY times the vertex's predicted miss. A profile row stops
 # once a guided step's parabola promises less than _SETTLE |l| above its
-# best value. It is relative because l and its rounding scale together:
-# l runs from about -2e3 on the pinned tables to -7e5 at criterion 5 (an
-# ulp of 1.2e-10), and the pinned maxima agree to 1e-13 of l; an absolute
-# 1e-7 broke that on the -2e3 tables.
+# best value. It is relative because l and its rounding scale together: l
+# runs from about -2e3 on the pinned tables to -7e5 at criterion 5 (an ulp
+# of 1.2e-10), and the pinned maxima agree to 1e-13 of l; an absolute 1e-7
+# broke that on the -2e3 tables.
 _ZOOM_FIRST = 0.125
 _SETTLE = 1e-14
-# Guided K-section rounds (_crossing, _keep_cell): a guided round's three
-# points lie a step apart, _GUIDE_SAFETY times the departure of sqrt(q)
-# from a line in the row's last round relative to its rise, at least
-# _GUIDE_MIN, as a fraction of the bracket; a row whose step would exceed
-# _GUIDE_MAX (a hit would narrow its bracket less than 16x) is sectioned
-# uniformly. Over the criterion-5 and fit_study fits, a secant root was
-# off by at most 0.6 departures where the departure was above 1e-6.
+# Guided K-section rounds (_crossing): a guided round's three points lie a
+# gap apart, _GUIDE_SAFETY times the departure of sqrt(q) from a line in
+# the row's last round relative to its rise, at least _GUIDE_MIN, as a
+# fraction of the bracket; a row whose gap would exceed _GUIDE_MAX (a hit
+# would narrow its bracket less than 16x) is sectioned uniformly. Over the
+# criterion-5 and fit_study fits, a secant root was off by at most 0.6
+# departures where the departure was above 1e-6.
 _GUIDE_SAFETY = 8.0
 _GUIDE_MIN = 2.0**-20
 _GUIDE_MAX = 2.0**-4
@@ -376,20 +380,62 @@ def _maximize(dataset: FlipDataset, search: SearchBox) -> tuple[float, float, fl
     return float(dn), nuisance.get(dn, de), float(ll), converged
 
 
+def _rounds(f, rows, step) -> bool:
+    """Run row-wise searches round by round; whether every row stopped.
+
+    A row is a tuple (index, points, ...). Each round evaluates the points
+    of every live row in one call ``f(x, owner)``, ``x`` the points in row
+    order and ``owner`` the index of each point's row, and replaces each
+    row by ``step(row, values)``, its values in the order of its points:
+    the row's next tuple, or None once the row stops. At most _MAX_ROUNDS
+    rounds run. A row's next tuple depends on its own values only, so a
+    row ends where a search of that row alone would.
+    """
+    for _ in range(_MAX_ROUNDS):
+        if not rows:
+            break
+        sizes = [len(row[1]) for row in rows]
+        values = f(
+            np.fromiter(itertools.chain.from_iterable(row[1] for row in rows), float),
+            np.array([row[0] for row in rows]).repeat(sizes),
+        ).tolist()
+        live, start = [], 0
+        for row, size in zip(rows, sizes):
+            nxt = step(row, values[start : start + size])
+            start += size
+            if nxt is not None:
+                live.append(nxt)
+        rows = live
+    return not rows
+
+
 def _zoom(f, lo, hi, best, arg, tol, settle):
     """Narrow each row's bracket [lo, hi] onto its maximum of the batched ``f``.
 
     ``f(x, rows)`` returns the values at the points ``x`` of the rows
-    ``rows`` (matching 1-d arrays); each step is one call for every row
-    still live. A uniform step evaluates _ZOOM_POINTS points across a
-    row's bracket, whose ends are known, and keeps the two cells around
-    the best, 8x narrower. Once a row's best point is interior and the
-    parabola through it and its two neighbours is concave, its next step
-    is guided: three points around the vertex (_zoom_cell). A row stops
-    once its bracket is within ``tol`` or, with ``settle``, once a guided
-    step's parabola promises less than _SETTLE * |value| above its best;
-    at most _MAX_ROUNDS steps run. A row's steps depend on its own values
-    only, so it ends where a search of that row alone would.
+    ``rows`` (matching 1-d arrays), one call per round (_rounds). A
+    uniform step evaluates _ZOOM_POINTS points across a row's bracket,
+    whose ends are known, and keeps the two cells around the best, 8x
+    narrower, the bracket's ends standing in for neighbours not evaluated.
+    Once a row's best point is interior and the parabola through it and
+    its two neighbours is concave, its next step is guided: three points
+    ``gap`` apart around the vertex, which lies within half a spacing of
+    the best, so inside the kept cell. A guided step whose three points
+    are not strictly increasing in floating point keeps the bracket, and
+    a best point at an end (a maximum on a box edge) or no concave
+    parabola makes the next step uniform. A row stops once its bracket is
+    within ``tol`` or, with ``settle``, once a guided step's parabola
+    promises less than _SETTLE * |value| above its best.
+
+    The gap: through points spaced s around a point e from the maximum,
+    the vertex misses by about K (s^2/3 - e^2), K being half the ratio of
+    the third to the second derivative. A guided step's offset is the
+    last vertex's miss, which gives K and so this vertex's miss; the gap
+    is _GUIDE_SAFETY times that, or _ZOOM_FIRST of the spacing after a
+    uniform step. A settling row's gap is also wide enough for its values
+    to differ by 4 _SETTLE |b|, far above their rounding. Every gap lies
+    within [tol/3, spacing/4], so a hit at the floor leaves a bracket
+    within tol.
 
     ``best`` and ``arg`` are each row's value and place so far. Returns
     each row's best value evaluated, its place, and whether every row
@@ -397,95 +443,51 @@ def _zoom(f, lo, hi, best, arg, tol, settle):
     bracket reached ``tol``).
     """
     top, place = best.tolist(), arg.tolist()
-    # a live row: (row, lo, hi, vertex, step, last); vertex None for a
-    # uniform step next, last the (spacing, 1/3 - u^2) that placed the vertex
-    rows = [
-        (r, l, h, None, 0.0, None)
-        for r, (l, h) in enumerate(zip(lo.tolist(), hi.tolist()))
-        if h - l > tol
-    ]
-    for _ in range(_MAX_ROUNDS):
-        if not rows:
-            break
-        points = [
-            _zoom_points(l, h - l) if v is None
-            else [min(max(v - s, l), h), v, min(max(v + s, l), h)]
-            for _, l, h, v, s, _ in rows
-        ]
-        sizes = [len(p) for p in points]
-        values = f(
-            np.fromiter(itertools.chain.from_iterable(points), float),
-            np.repeat([row[0] for row in rows], sizes),
-        ).tolist()
-        live, start = [], 0
-        for row, p, size in zip(rows, points, sizes):
-            r = row[0]
-            best_r, at, nxt = _zoom_cell(row, p, values[start : start + size], tol, settle)
-            start += size
-            if best_r > top[r]:
-                top[r], place[r] = best_r, at
-            if nxt is not None:
-                live.append(nxt)
-        rows = live
-    return np.array(top), np.array(place), not rows
 
+    def uniform(r, lo, hi):
+        width = hi - lo
+        return r, [lo + width * t for t in _ZOOM_T], lo, hi, None
 
-def _zoom_points(lo: float, width: float) -> list[float]:
-    """A uniform zoom step's _ZOOM_POINTS points inside [lo, lo + width]."""
-    return [lo + width * t for t in _ZOOM_T]
+    def step(row, values):
+        # last is None for a uniform step, else the (spacing, 1/3 - u^2)
+        # of the parabola whose vertex this guided step surrounds
+        r, points, lo, hi, last = row
+        b = max(values)
+        k = values.index(b)
+        x1 = points[k]
+        if b > top[r]:
+            top[r], place[r] = b, x1
+        if last is not None and not points[0] < points[1] < points[2]:
+            return uniform(r, lo, hi)
+        x0, a = (points[k - 1], values[k - 1]) if k else (lo, None)
+        x2, c = (points[k + 1], values[k + 1]) if k < len(points) - 1 else (hi, None)
+        if not x0 < x1 < x2:
+            return uniform(r, lo, hi)
+        if a is None or c is None or not (a < b and c < b):
+            return uniform(r, x0, x2) if x2 - x0 > tol else None
+        spacing = 0.5 * (x2 - x0)
+        den = a + c - 2.0 * b
+        u = (a - c) / (den + den)  # the vertex's offset from x1, in spacings
+        if last is None:
+            gap = _ZOOM_FIRST * spacing
+        elif settle and (c - a) * u < 4.0 * _SETTLE * abs(b):  # the parabola's gain
+            return None
+        else:
+            prev, spread = last
+            miss = abs(u) * spacing * (spacing / prev) ** 2 * (1.0 / 3.0 + u * u) / spread
+            gap = _GUIDE_SAFETY * miss
+        if settle:  # wide enough for the three values to differ by 4 _SETTLE |b|
+            gap = max(gap, spacing * math.sqrt(4.0 * _SETTLE * abs(b) / -den))
+        if x2 - x0 <= tol:
+            return None
+        gap = min(max(gap, tol / 3.0), 0.25 * spacing)
+        v = x1 + u * spacing
+        points = [min(max(v - gap, x0), x2), v, min(max(v + gap, x0), x2)]
+        return r, points, x0, x2, (spacing, 1.0 / 3.0 - u * u)
 
-
-def _zoom_cell(row, points, values, tol, settle):
-    """One _zoom step of a live row: (best value, its place, next state or None).
-
-    The cell kept is the two around the best of ``points``, the bracket's
-    ends standing in for neighbours not evaluated; a guided step's three
-    points not strictly increasing in floating point keep the bracket.
-    With a concave parabola through the best and its two neighbours, the
-    next step is guided: three points ``step`` apart around the vertex,
-    which lies within half a spacing of the best, so inside the kept
-    cell. Else the next step is uniform: no concave parabola, or the best
-    at an end (a maximum on a box edge).
-
-    The step: through points spaced s around a point e from the maximum,
-    the vertex misses by about K (s^2/3 - e^2), K being half the ratio of
-    the third to the second derivative. A guided step's offset is the
-    last vertex's miss, which gives K and so this vertex's miss; the step
-    is _GUIDE_SAFETY times that, or _ZOOM_FIRST of the spacing after a
-    uniform step. A settling row's step is also wide enough for its values
-    to differ by 4 _SETTLE |b|, far above their rounding. Every step lies
-    within [tol/3, spacing/4], so a hit at the floor leaves a bracket
-    within tol.
-    """
-    r, lo, hi, vertex, _, last = row
-    b = max(values)
-    k = values.index(b)
-    x1 = points[k]
-    if vertex is not None and not points[0] < points[1] < points[2]:
-        return b, x1, (r, lo, hi, None, 0.0, None)
-    x0, a = (points[k - 1], values[k - 1]) if k else (lo, None)
-    x2, c = (points[k + 1], values[k + 1]) if k < len(points) - 1 else (hi, None)
-    if not x0 < x1 < x2:
-        return b, x1, (r, lo, hi, None, 0.0, None)
-    if a is None or c is None or not (a < b and c < b):
-        return b, x1, (r, x0, x2, None, 0.0, None) if x2 - x0 > tol else None
-    spacing = 0.5 * (x2 - x0)
-    den = a + c - 2.0 * b
-    u = (a - c) / (den + den)  # the vertex's offset from x1, in spacings
-    if vertex is None:
-        step = _ZOOM_FIRST * spacing
-    elif settle and (c - a) * u < 4.0 * _SETTLE * abs(b):  # the parabola's gain
-        return b, x1, None
-    else:
-        prev, spread = last
-        miss = abs(u) * spacing * (spacing / prev) ** 2 * (1.0 / 3.0 + u * u) / spread
-        step = _GUIDE_SAFETY * miss
-    if settle:  # wide enough for the three values to differ by 4 _SETTLE |b|
-        step = max(step, spacing * math.sqrt(4.0 * _SETTLE * abs(b) / -den))
-    if x2 - x0 <= tol:
-        return b, x1, None
-    step = min(max(step, tol / 3.0), 0.25 * spacing)
-    return b, x1, (r, x0, x2, x1 + u * spacing, step, (spacing, 1.0 / 3.0 - u * u))
+    bracket = enumerate(zip(lo.tolist(), hi.tolist()))
+    stopped = _rounds(f, [uniform(r, l, h) for r, (l, h) in bracket if h - l > tol], step)
+    return np.array(top), np.array(place), stopped
 
 
 def _profile(
@@ -500,9 +502,7 @@ def _profile(
     guided ones, until the row's value is settled or its bracket is within
     resolution * nuisance width. Each row reports the best value it
     evaluated, so it is never below its coarse-grid maximum, and the
-    nuisance value where it was found, never outside the box. A row's
-    steps depend on its own values only, so its result does not depend on
-    the other values profiled with it.
+    nuisance value where it was found, never outside the box.
 
     The kernel factor of ``axis`` (sin(d_n xi)^2 or exp(-(xi delta)^2)) is
     fixed along each row, so it is computed once per profile; each step
@@ -539,119 +539,71 @@ def _profile(
     return _zoom(ll, lo, hi, vals.max(axis=1), grid[j], tol, True)[:2]
 
 
-def _crossing(q_of, a, b, threshold: float, tol: float, check_end: bool = False):
+def _crossing(q_of, a, b, threshold: float, tol: float):
     """Where q_of first crosses ``threshold`` going from a towards b, row-wise.
 
-    ``a`` and ``b`` are two floats or two matching 1-d arrays of brackets,
-    each with q(a) <= threshold < q(b); either end may be the larger. With
-    ``check_end``, q(b) is not known: the first round evaluates the
-    bracket at the fractions _FIRST_T, crowding geometrically towards a so
-    that a crossing close to a is bracketed at once, then a uniform round's
-    points, so that a statistic above the threshold between them is seen
-    even where q(b) is not, and b itself; a row with no point above the
-    threshold returns b.
+    ``a`` and ``b`` are two floats or two matching 1-d arrays of brackets;
+    either end may be the larger. q(a) is at most the threshold; q(b) is
+    not known, so the first round evaluates the bracket at the fractions
+    _FIRST_T, crowding geometrically towards a so that a crossing close to
+    a is bracketed at once, then a uniform round's points, so that a
+    statistic above the threshold between them is seen even where q(b) is
+    not, and b itself. A row with no point above the threshold returns b.
 
-    Each round evaluates the points of every bracket still wider than
-    ``tol``, all in one call of the batched ``q_of``, and keeps the cell of
-    each row's first point above the threshold (the crossing nearest a),
-    until every bracket is within ``tol`` or _MAX_ROUNDS rounds have run.
-    A later round is uniform, _SECTIONS points across the bracket (8x
-    narrower), unless the statistic was locally smooth in the row's last
-    round (see _keep_cell). Near a crossing q ~ ((v - v0)/sigma)^2,
-    so sqrt(q) is close to a line, and a guided round evaluates three
-    points a step apart around the secant root of sqrt(q) - sqrt(threshold):
-    the step is _GUIDE_SAFETY times the last round's departure from a line,
-    at most _GUIDE_MAX of the bracket, so a guided round that hits narrows
-    the bracket at least 1/_GUIDE_MAX times. A guided round whose crossing
-    does not fall between two of its points (it may have narrowed the
-    bracket less than 8x) is followed by one uniform round, as is a
-    geometric first round. A step statistic is never smooth, so its every
-    later round is uniform. A bracket within ``tol`` is frozen, so every
-    row returns exactly what a search of its bracket alone returns: a float
-    for float brackets, else an array of the rows' crossings.
+    Each round evaluates every row's points in one call of the batched
+    ``q_of`` (_rounds) and keeps the cell of the row's first point above
+    the threshold (the crossing nearest a), or the cell past its last
+    point if none is, until the row's bracket is within ``tol``. A later
+    round is uniform, _SECTIONS points across the bracket (8x narrower),
+    unless the row's last round was equally spaced and the statistic
+    locally smooth there: its values all positive and finite, the crossing
+    between two of its points, and sqrt(q) departing from the chord
+    through its first and last value by at most _GUIDE_MAX / _GUIDE_SAFETY
+    of the chord's rise. Near a crossing q ~ ((v - v0)/sigma)^2, so
+    sqrt(q) is close to a line, and a guided round evaluates three points
+    ``gap`` of the bracket apart, centred on the secant root of sqrt(q) -
+    sqrt(threshold) at the new bracket's ends but at least two gaps inside
+    it. The gap is _GUIDE_SAFETY times the last round's departure relative
+    to its rise, at least _GUIDE_MIN and at most _GUIDE_MAX, so a guided
+    round that hits narrows the bracket at least 1/_GUIDE_MAX times. A
+    guided round whose crossing does not fall between two of its points
+    (it may have narrowed the bracket less than 8x) is followed by one
+    uniform round, as is the geometric first round. A step statistic is
+    never smooth, so its every later round is uniform. Returns a float for
+    float brackets, else an array of the rows' crossings.
     """
-    scalar = np.ndim(a) == 0
-    # per row: the bracket's two ends, and the secant root and guided step
-    # as fractions of it (root None: a uniform round)
-    rows = [(lo, hi, None, 0.0) for lo, hi in zip(np.ravel(a).tolist(), np.ravel(b).tolist())]
-    for round_ in range(_MAX_ROUNDS):
-        first = check_end and round_ == 0
-        live = [k for k, (lo, hi, _, _) in enumerate(rows) if first or not abs(hi - lo) <= tol]
-        if not live:
-            break
-        points = [_round_points(*rows[k], first) for k in live]
-        q = iter(q_of(np.array([x for p in points for x in p])).tolist())
-        for k, p in zip(live, points):
-            kept = _keep_cell(p, [next(q) for _ in p], rows[k][0], rows[k][1], threshold)
-            # a guide needs equally spaced points, which a geometric round lacks
-            rows[k] = kept[:2] + (None, 0.0) if first else kept
-    mid = np.array([0.5 * (lo + hi) for lo, hi, _, _ in rows])
-    return float(mid[0]) if scalar else mid
+    ends = list(zip(np.ravel(a).tolist(), np.ravel(b).tolist()))
 
-
-def _round_points(lo: float, hi: float, root, step: float, first: bool) -> list[float]:
-    """One _crossing round's points from lo towards hi.
-
-    The ``first`` round of a search that tests its end is at _FIRST_T,
-    geometric towards lo and then uniform, then hi itself. A later round
-    is uniform at _SECTION_T without a root; else three points ``step`` of
-    the bracket apart, centred on the root but at least two steps inside
-    it.
-    """
-    if first:
-        return [lo + (hi - lo) * t for t in _FIRST_T] + [hi]
-    if root is None:
+    def step(row, q):
+        k, points, lo, hi = row
+        i = next((j for j, value in enumerate(q) if value > threshold), None)
+        if i is None:  # the crossing lies past the last point
+            lo = points[-1]
+        else:
+            lo, hi = (points[i - 1] if i else lo), points[i]
+        ends[k] = lo, hi
+        if abs(hi - lo) <= tol:
+            return None
         fractions = _SECTION_T
-    else:
-        centre = min(max(root, 2.0 * step), 1.0 - 2.0 * step)
-        fractions = (centre - step, centre, centre + step)
-    return [lo + (hi - lo) * t for t in fractions]
+        # a guide needs equally spaced points, which the first round lacks
+        if i and len(q) <= _SECTIONS and all(0.0 < value < math.inf for value in q):
+            s = [math.sqrt(value) for value in q]
+            rise, last = s[-1] - s[0], len(s) - 1
+            departure = max(abs(v - (s[0] + rise * j / last)) for j, v in enumerate(s))
+            if s[i] > s[i - 1] and _GUIDE_SAFETY * departure <= _GUIDE_MAX * rise:
+                root = (math.sqrt(threshold) - s[i - 1]) / (s[i] - s[i - 1])
+                gap = max(_GUIDE_SAFETY * departure / rise, _GUIDE_MIN)
+                centre = min(max(root, 2.0 * gap), 1.0 - 2.0 * gap)
+                fractions = (centre - gap, centre, centre + gap)
+        return k, [lo + (hi - lo) * t for t in fractions], lo, hi
 
-
-def _keep_cell(points: list[float], q: list[float], lo: float, hi: float, threshold: float):
-    """One row's (lo, hi, root, step) after a _crossing round of ``points``.
-
-    ``points`` are the round's points in order from lo to hi, and ``q`` the
-    statistic there. The new bracket is the cell of the first point above
-    ``threshold``, or the cell past the last point if none is. For equally
-    spaced points the statistic was smooth when its values were all
-    positive and finite, the crossing lies between two of the points, and
-    sqrt(q) departs from the chord through its first and last value by at
-    most _GUIDE_MAX / _GUIDE_SAFETY of the chord's rise. Only then is
-    ``root`` a number: where the line through sqrt(q) at the new bracket's
-    ends meets sqrt(threshold), as a fraction of the bracket, and ``step``
-    is _GUIDE_SAFETY times that relative departure, at least _GUIDE_MIN.
-    """
-    i = next((j for j, value in enumerate(q) if value > threshold), None)
-    if i is None:  # the crossing lies past the last point
-        return points[-1], hi, None, 0.0
-    new_lo = points[i - 1] if i > 0 else lo
-    if i == 0 or not all(0.0 < value < math.inf for value in q):
-        return new_lo, points[i], None, 0.0
-    s = [math.sqrt(value) for value in q]
-    rise, last = s[-1] - s[0], len(s) - 1
-    departure = max(abs(v - (s[0] + rise * j / last)) for j, v in enumerate(s))
-    if not (s[i] > s[i - 1] and _GUIDE_SAFETY * departure <= _GUIDE_MAX * rise):
-        return new_lo, points[i], None, 0.0
-    root = (math.sqrt(threshold) - s[i - 1]) / (s[i] - s[i - 1])
-    return new_lo, points[i], root, max(_GUIDE_SAFETY * departure / rise, _GUIDE_MIN)
-
-
-def _interval_from_profile(
-    q_of, center: float, lo: float, hi: float, threshold: float, tol: float
-) -> tuple[float, float]:
-    """Endpoints where the profile ratio statistic crosses ``threshold``.
-
-    ``q_of`` is batched and must vanish at ``center``; each side reports
-    the crossing nearest the centre to within ``tol``, and a side that is
-    not above the threshold at its box edge reports the box edge. Both
-    sides are sectioned together, one row each, and the box edges are
-    tested in the first round's call.
-    """
-    left, right = _crossing(
-        q_of, np.array([center, center]), np.array([lo, hi]), threshold, tol, check_end=True
-    ).tolist()
-    return (min(left, right), max(left, right))
+    first = [
+        (k, [lo + (hi - lo) * t for t in _FIRST_T] + [hi], lo, hi)
+        for k, (lo, hi) in enumerate(ends)
+    ]
+    _rounds(lambda x, owner: q_of(x), first, step)
+    mid = [0.5 * (lo + hi) for lo, hi in ends]
+    return mid[0] if np.ndim(a) == 0 else np.array(mid)
 
 
 def search_ceilings(dataset: FlipDataset, delta_widths: float) -> tuple[float, float]:
@@ -719,21 +671,23 @@ def fit(
         dn_hat, delta_hat, ll_hat, converged = _maximize(dataset, search)
         message = "" if converged else _UNCONVERGED
 
-    def q_of(axis: str):
-        return lambda v: 2.0 * (ll_hat - _profile(dataset, axis, v, search)[0])
+    def interval(axis: str, center: float, lo: float, hi: float) -> tuple[float, float]:
+        # each side reports the crossing nearest the estimate to within the
+        # resolution, or its box edge where q is not above the threshold
+        # there; both sides are one _crossing, one row each
+        left, right = _crossing(
+            lambda v: 2.0 * (ll_hat - _profile(dataset, axis, v, search)[0]),
+            np.array([center, center]), np.array([lo, hi]), threshold,
+            search.resolution * (hi - lo),
+        ).tolist()
+        return (min(left, right), max(left, right))
 
-    dn_interval = _interval_from_profile(
-        q_of("dn"), dn_hat, search.dn_min, search.dn_max, threshold,
-        search.resolution * (search.dn_max - search.dn_min),
+    dn_interval = interval("dn", dn_hat, search.dn_min, search.dn_max)
+    # delta is unidentified on flat data: the interval is the whole box
+    delta_interval = (
+        (search.delta_min, search.delta_max) if flat
+        else interval("delta", delta_hat, search.delta_min, search.delta_max)
     )
-    if flat:
-        # delta is unidentified: the interval is the whole box
-        delta_interval = (search.delta_min, search.delta_max)
-    else:
-        delta_interval = _interval_from_profile(
-            q_of("delta"), delta_hat, search.delta_min, search.delta_max, threshold,
-            search.resolution * (search.delta_max - search.delta_min),
-        )
     return FitResult(
         dn_hat=dn_hat,
         delta_hat=delta_hat,
@@ -764,7 +718,7 @@ def upper_bound(
     The crossing nearest the estimate is sectioned from the estimate to
     dn_max, as an interval edge is (_crossing), and located to within
     ``resolution`` relative to itself, with an absolute floor of
-    resolution^2 * dn_max, in at most _MAX_ROUNDS rounds.
+    resolution^2 * dn_max.
 
     Without flips the statistic is closed-form. Every log-likelihood term
     is n_i ln(1 - p_i); it rises as p_i falls, and p_i falls as delta
@@ -812,7 +766,7 @@ def upper_bound(
         return 2.0 * (ll_hat - _profile(dataset, "dn", v, search)[0])
 
     tol = resolution * max(dn_hat, resolution * dn_max)
-    bound = _crossing(q, dn_hat, dn_max, threshold, tol, check_end=True)
+    bound = _crossing(q, dn_hat, dn_max, threshold, tol)
     if bound == dn_max:  # no point of the first round was above the threshold
         raise NonConvergenceError(
             f"profile statistic stayed below the threshold up to dn_max = {dn_max:g}; "

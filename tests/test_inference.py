@@ -21,12 +21,14 @@ from nedmsim.inference import (
     upper_bound,
 )
 from nedmsim.inference import (
+    _MAX_ROUNDS,
     _P_CEIL,
     _P_FLOOR,
     _crossing,
     _grid_axis,
     _maximize,
     _profile,
+    _rounds,
 )
 from nedmsim.streams import substream
 from nedmsim.weak_measurement import (
@@ -283,6 +285,47 @@ def test_profile_rows_do_not_depend_on_their_batch():
     assert together.tolist() == alone.tolist()
 
 
+@pytest.mark.parametrize(
+    "lives",
+    [[1, 4, 2], [None, 3], [None, None], []],
+    ids=["all_stop", "one_never_stops", "none_stop", "no_rows"],
+)
+def test_rounds_evaluate_each_live_row_once_per_round(lives):
+    # row r has r + 1 points a round and stops after lives[r] rounds (None:
+    # never); no rows is a zoom whose every coarse bracket is within tol
+    calls, steps = [], []
+
+    def f(x, owner):
+        calls.append(owner.tolist())
+        return 2.0 * x + owner  # exact: each value names its point and row
+
+    def step(row, values):
+        r, points, done = row
+        assert values == [2.0 * x + r for x in points]
+        steps.append((r, points))
+        if done + 1 == lives[r]:
+            return None
+        return r, [x + 10.0 for x in points], done + 1
+
+    def start(r):
+        return r, [100.0 * r + j for j in range(r + 1)], 0
+
+    stopped = _rounds(f, [start(r) for r in range(len(lives))], step)
+    assert stopped == (None not in lives)
+    assert len(calls) == (_MAX_ROUNDS if None in lives else max(lives, default=0))
+    # a round evaluates the rows still live, in order, each row's points
+    # together; a row that stopped is never evaluated again
+    for k, owner in enumerate(calls):
+        live = [r for r, life in enumerate(lives) if life is None or k < life]
+        assert owner == [r for r in live for _ in range(r + 1)]
+    together = steps.copy()
+    for r in range(len(lives)):
+        steps.clear()
+        assert _rounds(f, [start(r)], step) == (lives[r] is not None)
+        # a row alone evaluates the points it evaluated with the others
+        assert steps == [(q, points) for q, points in together if q == r]
+
+
 def _two_crossings(x):
     # above the threshold 1.0 below 0.1, on (0.3, 0.5) and beyond 0.8
     x = np.asarray(x)
@@ -300,9 +343,10 @@ def test_crossing_returns_the_one_nearest_the_start(a, b, nearest):
     tol = 1e-7
     got = _crossing(q, a, b, 1.0, tol)
     assert abs(got - nearest) <= tol
-    # K points per round, each round narrowing the bracket 8x
-    assert set(calls) == {7}
-    assert len(calls) == math.ceil(math.log(abs(b - a) / tol, 8))
+    # each round narrows the bracket 8x: the first with 14 points (6
+    # crowding towards the start, 7 across the bracket, and the end), every
+    # later one with K = 7
+    assert calls == [14] + [7] * (math.ceil(math.log(abs(b - a) / tol, 8)) - 1)
 
 
 def _step_at(edge):
@@ -333,7 +377,7 @@ def test_crossing_that_tests_its_end_starts_geometric(a, b, edge, stop):
         return np.where(((x - edge) * (b - a) >= 0.0) & ((stop - x) * (b - a) > 0.0), 10.0, 0.0)
 
     tol = 1e-7 * 8.0**-7
-    got = _crossing(q, a, b, 1.0, tol, check_end=True)
+    got = _crossing(q, a, b, 1.0, tol)
     assert abs(got - edge) <= tol
     assert got != b  # b itself is returned only when no point is above
     geometric = [8.0**-k for k in range(7, 1, -1)]
@@ -352,7 +396,7 @@ def test_scan_crossing_without_crossing_raises():
         calls.append(len(x))
         return _step_at(3.0)(x)
 
-    assert _crossing(q, 1e-3, 2.5, 1.0, 1e-7, check_end=True) == 2.5
+    assert _crossing(q, 1e-3, 2.5, 1.0, 1e-7) == 2.5
     assert calls == [14]
     ds = zero_flip_dataset()
     short = 0.99 * upper_bound(ds)
@@ -376,11 +420,12 @@ def test_crossing_rows_match_scalar_searches():
     alone = [_crossing(q, float(x), float(y), 1.0, tol) for x, y in zip(a, b)]
     assert got.tolist() == alone
     assert np.all(np.abs(got - [0.3, 0.8]) <= tol)
-    # the narrow bracket is frozen after its last round
+    # the narrow bracket is frozen after its last round; the first round
+    # is 14 points per row, a later one 7
     narrow = math.ceil(math.log(0.2 / tol, 8))
     wide = math.ceil(math.log(0.85 / tol, 8))
     assert narrow < wide
-    assert rounds == [14] * narrow + [7] * (wide - narrow)
+    assert rounds == [28] + [14] * (narrow - 1) + [7] * (wide - narrow)
 
 
 def test_likelihood_call_budget(monkeypatch):

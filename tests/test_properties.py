@@ -192,11 +192,15 @@ def test_flip_csv_round_trips_byte_for_byte(rows):
 
 def k_section(q, a: float, b: float, threshold: float, tol: float) -> tuple[float, int]:
     """Plain K-section on a scalar q: 7 points per round, keeping the cell of
-    the first point above the threshold; (crossing, rounds)."""
+    the first point above the threshold; the first round also places 6
+    points at 8**-7 ... 8**-2 of the bracket and tests b itself, 14 points
+    in all; (crossing, rounds)."""
     rounds = 0
     while not abs(b - a) <= tol and rounds < 20:
-        rounds += 1
         points = [a + (b - a) * k / 8 for k in range(1, 8)]
+        if not rounds:
+            points = [a + (b - a) * 8.0**-k for k in range(7, 1, -1)] + points + [b]
+        rounds += 1
         above = [k for k, x in enumerate(points) if q(x) > threshold]
         if above:
             a, b = (points[above[0] - 1] if above[0] else a), points[above[0]]
@@ -246,7 +250,8 @@ def test_guided_crossing_matches_k_section_in_no_more_rounds(
     reference, reference_rounds = k_section(lambda x: float(q(x)), a, b, threshold, tol)
     assert abs(guided - reference) <= tol
     assert len(rounds) <= reference_rounds
-    assert set(rounds) <= {3, 7}
+    assert rounds[0] == 14
+    assert set(rounds[1:]) <= {3, 7}
 
 
 def uniform_zoom(g, lo: float, hi: float, tol: float) -> tuple[float, int]:
